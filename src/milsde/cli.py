@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import limits, montecarlo, oracles, schemes
+from . import limits, montecarlo, oracles
 from .model import builtin_models, get_model
 from .paths import make_grid, simulate_bundle
 
@@ -38,14 +38,13 @@ RATE_BANDS = {
     ("det-exp", "milstein"): (-2.05, -1.95),
 }
 
-_DEFAULTS = {"fine_factor": 64, "format": "csv", "paths": 1000, "threads": 1,
+_DEFAULTS = {"fine_factor": 64, "paths": 1000, "threads": 1,
              "draws": 10000, "fine_count": 4096, "scheme": "milstein",
              "n": 64, "n_list": (16, 32, 64, 128), "ks_threshold": 0.05}
 
 _INT_KEYS = {"n", "paths", "fine_factor", "seed", "draws", "fine_count", "threads"}
 _FLOAT_KEYS = {"slope_lo", "slope_hi", "ks_threshold"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {"model", "scheme", "case", "n_list",
-                                         "out", "format"}
+_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {"model", "scheme", "case", "n_list", "out"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class ExperimentConfig:
     fine_factor: int = 64
     draws: int = 10000
     fine_count: int = 4096
-    format: str = "csv"
     ks_threshold: float = 0.05
     slope_band: tuple = None
     # execution-only knobs, excluded from the hash and the report
@@ -218,17 +216,13 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
     elif verb == "rate":
         band = RATE_BANDS.get((model, scheme))
 
-    fmt = merged.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        errors.append(f"format must be csv or json, got {fmt!r}")
-
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(verb=verb, seed=seed, model=model, scheme=scheme,
                             case=case, n=merged["n"], n_list=n_list,
                             paths=merged["paths"], fine_factor=fine_factor,
                             draws=merged["draws"], fine_count=merged["fine_count"],
-                            format=fmt, ks_threshold=float(merged["ks_threshold"]),
+                            ks_threshold=float(merged["ks_threshold"]),
                             slope_band=band, out=merged.get("out") or "",
                             threads=merged["threads"])
 
@@ -280,9 +274,7 @@ def _report_skeleton(config: ExperimentConfig) -> dict:
 def _run_simulate(config: ExperimentConfig) -> tuple:
     problem = get_model(config.model)
     grid = make_grid(config.n, config.fine_factor)
-    runner = {"euler": lambda p, b, n: schemes.euler(p, b, n),
-              "milstein": schemes.milstein,
-              "milstein54": schemes.milstein_ito54}[config.scheme]
+    runner = montecarlo._SCHEMES[config.scheme]
     q = problem.field.dim_q
     lines = ["path_index,t," + ",".join(f"x_{i+1}" for i in range(q))]
     diverged = 0
@@ -290,7 +282,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple:
     for start in range(0, config.paths, chunk):
         idx = np.arange(start, min(start + chunk, config.paths))
         bundle = simulate_bundle(problem.driver, grid, config.seed, idx)
-        out = runner(problem, bundle, config.n)
+        out = runner(problem, bundle, config.n, "exact")
         diverged += int(out.diverged.sum())
         times = np.arange(out.values.shape[1]) / (out.values.shape[1] - 1)
         for b, pidx in enumerate(idx):
@@ -425,7 +417,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, help="master seed (required)")
     parser.add_argument("--out", help="output base path for .json/.csv")
     parser.add_argument("--threads", type=int, help="worker threads (speed only)")
-    parser.add_argument("--format", choices=("csv", "json"))
 
 
 _VERB_FLAGS = {

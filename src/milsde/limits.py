@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .model import SdeProblem, ode_curvature
-from .paths import DriverSpec, Grid, simulate_bundle
+from .paths import DriverSpec, Grid, brownian_family, running_sum, simulate_bundle
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -45,22 +45,10 @@ class AuxiliaryNoise:
 
 
 def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> AuxiliaryNoise:
-    path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
-    nf = grid.fine_count
-    scale = np.sqrt(grid.fine_dt)
-    b = np.empty((len(path_indices), nf + 1, dim_m, dim_m, dim_m))
-    wbar = np.empty((len(path_indices), nf + 1, dim_m))
-    b[:, 0] = 0.0
-    wbar[:, 0] = 0.0
-    for idx_pos, idx in enumerate(path_indices):
-        for p in range(dim_m):
-            for i in range(dim_m):
-                for j in range(dim_m):
-                    z = rng.normal_matrix(master_seed, rng.AUX_B, int(idx), (nf,),
-                                          channel=(p * dim_m + i) * dim_m + j)
-                    np.cumsum(z * scale, axis=0, out=b[idx_pos, 1:, p, i, j])
-            z = rng.normal_matrix(master_seed, rng.AUX_WBAR, int(idx), (nf,), channel=p)
-            np.cumsum(z * scale, axis=0, out=wbar[idx_pos, 1:, p])
+    b = brownian_family(grid, master_seed, path_indices, rng.AUX_B, channels=dim_m ** 3)
+    wbar = brownian_family(grid, master_seed, path_indices, rng.AUX_WBAR, channels=dim_m)
+    # channel (p*m + i)*m + j of the B family is entry [p, i, j]
+    b = b.reshape(*b.shape[:2], dim_m, dim_m, dim_m)
     return AuxiliaryNoise(grid=grid, b=b, wbar=wbar)
 
 
@@ -89,13 +77,13 @@ def simulate_mn(driver: DriverSpec, w: np.ndarray, aux: AuxiliaryNoise) -> tuple
     dv = assemble_v_increments(aux, w)
     m_inc = (SQRT6 / 6.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, db, sig)
     n_inc = (SQRT3 / 3.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, dv, sig)
-    B, T = w.shape[0], grid.fine_count + 1
-    d = driver.dim_d
-    m_series = np.zeros((B, T, d, d, d))
-    n_series = np.zeros((B, T, d, d, d))
-    np.cumsum(m_inc, axis=1, out=m_series[:, 1:])
-    np.cumsum(n_inc, axis=1, out=n_series[:, 1:])
-    return m_series, n_series
+    return running_sum(m_inc, axis=1), running_sum(n_inc, axis=1)
+
+
+def cumulative_trapezoid(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ``integrand`` (T, ...) over ``times``, 0 at t_0."""
+    dt = np.diff(times).reshape(-1, *(1,) * (integrand.ndim - 1))
+    return running_sum(0.5 * (integrand[:-1] + integrand[1:]) * dt, axis=0)
 
 
 def drift_correct(n_series: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.ndarray:
@@ -104,13 +92,8 @@ def drift_correct(n_series: np.ndarray, driver: DriverSpec, times: np.ndarray) -
         return n_series
     c = driver.c_at(times)
     a = driver.drift_at(times)
-    integrand = 0.5 * np.einsum("tac,tp->tpac", c, a)
-    dt = np.diff(times)
     # trapezoid: exact for the constant and affine coefficient cases
-    steps = 0.5 * (integrand[:-1] + integrand[1:]) * dt[:, None, None, None]
-    corr = np.zeros_like(integrand)
-    np.cumsum(steps, axis=0, out=corr[1:])
-    return n_series + corr
+    return n_series + cumulative_trapezoid(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
 def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
@@ -188,12 +171,7 @@ def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
     the finite-variation error ODE.
     """
     y = driver.drift_at(times)
-    integrand = np.einsum("ta,tc,tj->tjac", y, y, y)
-    dt = np.diff(times)
-    steps = 0.5 * (integrand[:-1] + integrand[1:]) * dt[:, None, None, None]
-    n = np.zeros_like(integrand)
-    np.cumsum(steps, axis=0, out=n[1:])
-    n = n[None] / 3.0
+    n = cumulative_trapezoid(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
     return n / 2.0, n
 
 

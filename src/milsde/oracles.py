@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, stats
-from .paths import Grid, brownian_motion_driver, simulate_bundle
+from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, running_sum,
+                    simulate_bundle)
 
 
 @dataclass(frozen=True)
@@ -48,49 +49,16 @@ def exact_quartic_mean(n: int, t: float) -> float:
     return k / n + (n * t - k) / n ** 3
 
 
-def _brownian_family(grid: Grid, master_seed: int, path_indices, count: int) -> np.ndarray:
-    """``count`` independent scalar Brownian paths per index, (B, T, count)."""
-    nf = grid.fine_count
-    scale = math.sqrt(grid.fine_dt)
-    out = np.empty((len(path_indices), nf + 1, count))
-    out[:, 0] = 0.0
-    for b, idx in enumerate(path_indices):
-        for c in range(count):
-            z = rng.normal_matrix(master_seed, rng.ORACLE, int(idx), (nf,), channel=c)
-            np.cumsum(z * scale, axis=0, out=out[b, 1:, c])
-    return out
-
-
-def _cell_nodes(paths_arr: np.ndarray, coarse_n: int) -> tuple:
-    """Within-cell increments and node displacements of scalar path columns.
-
-    ``paths_arr`` is (B, T, C).  Returns (dyc, nodes, left) where ``nodes``
-    holds displacements at sub-nodes 1..r and ``left`` at sub-nodes 0..r-1,
-    each of shape (B, coarse_n, r, C).
-    """
-    B, T, C = paths_arr.shape
-    nf = T - 1
-    r = nf // coarse_n
-    dyc = np.diff(paths_arr, axis=1).reshape(B, coarse_n, r, C)
-    nodes = np.cumsum(dyc, axis=2)
-    left = np.roll(nodes, 1, axis=2)
-    left[:, :, 0] = 0.0
-    return dyc, nodes, left
-
-
-def _trapz_cells(values_nodes: np.ndarray, dt: float) -> np.ndarray:
+def _trapz_cells(values_nodes: np.ndarray) -> np.ndarray:
     """Per-cell trapezoid of node values 1..r (node 0 vanishes), summed.
 
-    values_nodes is (B, n, r); the result is (B,).
+    values_nodes is (B, n, r) on the n*r fine cells of [0, 1]; the result
+    is (B,).
     """
+    _, n, r = values_nodes.shape
     full = values_nodes[:, :, :-1].sum(axis=(1, 2))
     half = 0.5 * values_nodes[:, :, -1].sum(axis=1)
-    return (full + half) * dt
-
-
-def _inner_ito(left_vals: np.ndarray, dyc: np.ndarray) -> np.ndarray:
-    """Within-cell left-point integral at nodes 1..r: cumsum(left * dy)."""
-    return np.cumsum(left_vals * dyc, axis=2)
+    return (full + half) * (1.0 / (n * r))
 
 
 # (W, B, U, V) column picks from four independent paths, with targets
@@ -112,41 +80,35 @@ _NESTED_CASES = {
 }
 
 
-def quartic_time_average(paths4: np.ndarray, coarse_n: int, combo: tuple) -> np.ndarray:
-    """Per-path n^2 int prod_i P_i^(n) ds for a 4-column combination."""
-    _, nodes, _ = _cell_nodes(paths4, coarse_n)
+def quartic_time_average(cells: tuple, combo: tuple) -> np.ndarray:
+    """Per-path n^2 int prod_i P_i^(n) ds for a 4-column combination.
+
+    ``cells`` is the :func:`paths.cell_split` of the (B, T, 4) path columns.
+    """
+    nodes = cells[1][:, :, 1:]
     prod = nodes[..., combo[0]] * nodes[..., combo[1]] * nodes[..., combo[2]] * nodes[..., combo[3]]
-    dt = 1.0 / (paths4.shape[1] - 1)
-    return coarse_n ** 2 * _trapz_cells(prod, dt)
+    return nodes.shape[1] ** 2 * _trapz_cells(prod)
 
 
-def nested_time_average(paths4: np.ndarray, coarse_n: int, kind: str, combo: tuple,
-                        _cache: dict = None) -> np.ndarray:
+def nested_time_average(cells: tuple, kind: str, combo: tuple) -> np.ndarray:
     """Per-path statistics of the nested-integral time averages.
 
-    ``_cache`` lets a family run share the cell decomposition and the inner
-    integrals between sub-cases on the same chunk of paths.
+    ``cells`` is the :func:`paths.cell_split` of the (B, T, 4) path columns.
     """
-    cache = _cache if _cache is not None else {}
-    if "cells" not in cache:
-        cache["cells"] = _cell_nodes(paths4, coarse_n)
-    dyc, nodes, left = cache["cells"]
+    dyc, disp = cells
 
     def inner(u, v):
-        key = ("inner", u, v)
-        if key not in cache:
-            cache[key] = _inner_ito(left[..., u], dyc[..., v])
-        return cache[key]
+        # within-cell left-point integral of column u against column v, nodes 1..r
+        return running_sum(disp[:, :, :-1, u] * dyc[..., v], axis=2)[:, :, 1:]
 
-    dt = 1.0 / (paths4.shape[1] - 1)
     w, b, u, v = combo
     if kind == "inner_product":
         prod = inner(w, b) * inner(u, v)
     elif kind == "pair_inner":
-        prod = nodes[..., w] * nodes[..., b] * inner(u, v)
+        prod = disp[:, :, 1:, w] * disp[:, :, 1:, b] * inner(u, v)
     else:
         raise ValueError(f"unknown nested statistic '{kind}'")
-    return coarse_n ** 2 * _trapz_cells(prod, dt)
+    return dyc.shape[1] ** 2 * _trapz_cells(prod)
 
 
 def _row(case, subcase, n, sample, target, null_budget=None,
@@ -178,8 +140,7 @@ def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
         dyc, disp = stats.cell_increments(bundle, n)
         dyc, disp = dyc[..., 0], disp[..., 0]
         dz = disp * dyc
-        zleft = np.roll(np.cumsum(dz, axis=2), 1, axis=2)
-        zleft[:, :, 0] = 0.0
+        zleft = running_sum(dz, axis=2)[:, :, :-1]
         dn = disp ** 2 * dyc
         dm = zleft * dyc
         sums["NN"].append(n ** 2 * (dn * dn).sum(axis=(1, 2)))
@@ -205,9 +166,9 @@ def _drift_coupling_rows(n: int, paths: int, fine_factor: int, seed: int,
     vals = []
     for start in range(0, paths, chunk):
         idx = np.arange(start, min(start + chunk, paths))
-        p = _brownian_family(grid, seed, idx, 1)
-        _, nodes, _ = _cell_nodes(p, n)
-        vals.append(n * _trapz_cells(nodes[..., 0] ** 2, grid.fine_dt))
+        p = brownian_family(grid, seed, idx, rng.ORACLE)
+        nodes = cell_split(p, n)[1][:, :, 1:, 0]
+        vals.append(n * _trapz_cells(nodes ** 2))
     return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, np.concatenate(vals), 0.5)]
 
 
@@ -221,19 +182,17 @@ def _null_rows(n: int, paths: int, fine_factor: int, seed: int, chunk: int) -> l
     acc = {k: [] for k in ("WA_dB", "WA_dt", "intWdB_dt", "intAdW_dB", "intAdW_dt")}
     for start in range(0, paths, chunk):
         idx = np.arange(start, min(start + chunk, paths))
-        p = _brownian_family(grid, seed, idx, 2)
-        dyc, nodes, left = _cell_nodes(p, n)
+        p = brownian_family(grid, seed, idx, rng.ORACLE, channels=2)
+        dyc, disp = cell_split(p, n)
         dw, db = dyc[..., 0], dyc[..., 1]
-        w_left, w_nodes = left[..., 0], nodes[..., 0]
+        w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
         acc["WA_dB"].append(n * (w_left * tau_left * db).sum(axis=(1, 2)))
-        acc["WA_dt"].append(n * _trapz_cells(w_nodes * tau_nodes, dt))
-        inner_wb = _inner_ito(w_left, db)
-        acc["intWdB_dt"].append(n * _trapz_cells(inner_wb, dt))
-        inner_aw = np.cumsum(tau_left * dw, axis=2)
-        inner_aw_left = np.roll(inner_aw, 1, axis=2)
-        inner_aw_left[:, :, 0] = 0.0
-        acc["intAdW_dB"].append(n * (inner_aw_left * db).sum(axis=(1, 2)))
-        acc["intAdW_dt"].append(n * _trapz_cells(inner_aw, dt))
+        acc["WA_dt"].append(n * _trapz_cells(w_nodes * tau_nodes))
+        inner_wb = running_sum(w_left * db, axis=2)
+        acc["intWdB_dt"].append(n * _trapz_cells(inner_wb[:, :, 1:]))
+        inner_aw = running_sum(tau_left * dw, axis=2)
+        acc["intAdW_dB"].append(n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)))
+        acc["intAdW_dt"].append(n * _trapz_cells(inner_aw[:, :, 1:]))
     budget = 0.5 / fine_factor
     labels = {
         "WA_dB": "n int W^(n) A^(n) dB",
@@ -351,13 +310,12 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     vals = [[] for _ in specs]
     for start in range(0, paths, chunk):
         idx = np.arange(start, min(start + chunk, paths))
-        p = _brownian_family(grid, seed, idx, 4)
-        cache = {}
+        cells = cell_split(brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
         for pos, (_, _, kind, combo, _) in enumerate(specs):
             if kind == "quartic":
-                vals[pos].append(quartic_time_average(p, n, combo))
+                vals[pos].append(quartic_time_average(cells, combo))
             else:
-                vals[pos].append(nested_time_average(p, n, kind, combo, _cache=cache))
+                vals[pos].append(nested_time_average(cells, kind, combo))
     rows = []
     for pos, (row_case, label, _, _, target) in enumerate(specs):
         sample = np.concatenate(vals[pos])

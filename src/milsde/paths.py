@@ -81,17 +81,42 @@ def cell_anchors(grid: Grid) -> np.ndarray:
     return (j // grid.fine_factor) * grid.fine_factor
 
 
-def subgrid_anchors(grid: Grid, coarse_n: int) -> np.ndarray:
-    """Anchors of fine cells relative to a coarser subdivision into ``coarse_n``.
+def cell_size(fine_count: int, coarse_n: int) -> int:
+    """Fine cells per coarse cell; ``coarse_n`` must divide ``fine_count``."""
+    if coarse_n < 1 or fine_count % coarse_n:
+        raise ValueError(f"coarse_n={coarse_n} does not divide the fine grid of {fine_count}")
+    return fine_count // coarse_n
 
-    ``coarse_n`` must divide the fine count.  Used to evaluate functionals at
-    several coarsenesses on one bundle.
+
+def running_sum(inc: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Zero-started cumulative sum of ``inc`` along ``axis``.
+
+    The result has one more entry than ``inc`` along ``axis``; entry 0 is
+    zero and entry k is the sum of the first k increments.
     """
-    if grid.fine_count % coarse_n:
-        raise ValueError(f"{coarse_n} does not divide fine grid of {grid.fine_count}")
-    r = grid.fine_count // coarse_n
-    j = np.arange(grid.fine_count)
-    return (j // r) * r
+    axis = axis % inc.ndim
+    shape = list(inc.shape)
+    shape[axis] += 1
+    out = np.empty(shape, dtype=np.result_type(inc, float))
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = 0.0
+    np.cumsum(inc, axis=axis, out=out[lead + (slice(1, None),)])
+    return out
+
+
+def cell_split(values: np.ndarray, coarse_n: int) -> tuple:
+    """Split path values (B, fine_count+1, ...) into ``coarse_n`` cells.
+
+    Returns (inc, disp): the fine increments per cell, shape
+    (B, coarse_n, r, ...), and their running sum along the cell axis,
+    shape (B, coarse_n, r+1, ...).  ``disp[:, :, :-1]`` is the displacement
+    from the cell anchor at the left node of each sub-cell and
+    ``disp[:, :, 1:]`` the displacement at its right node.
+    """
+    r = cell_size(values.shape[1] - 1, coarse_n)
+    inc = np.diff(values, axis=1)
+    inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
+    return inc, running_sum(inc, axis=2)
 
 
 @dataclass(frozen=True)
@@ -208,10 +233,11 @@ def ito_embedding_driver(label: str = "ito-embed") -> DriverSpec:
 class PathBundle:
     """Coupled batch of driving paths on one grid.
 
-    Arrays carry a leading path axis: ``w`` is (n_paths, fine_count+1, m),
-    ``y`` and ``a_int`` are (n_paths, fine_count+1, d).  A bundle is
-    immutable after construction; every scheme and functional evaluated on
-    it reads the same realizations, which is the coupling contract.
+    ``w`` is (n_paths, fine_count+1, m) and ``y`` is (n_paths, fine_count+1, d).
+    ``a_int`` is the deterministic drift integral, (fine_count+1, d), shared
+    by every path.  A bundle is immutable after construction; every scheme
+    and functional evaluated on it reads the same realizations, which is the
+    coupling contract.
     """
 
     grid: Grid
@@ -230,11 +256,6 @@ class PathBundle:
         """Driver increments over fine cells, shape (n_paths, fine_count, d)."""
         return np.diff(self.y, axis=1)
 
-    def path(self, i: int) -> "PathBundle":
-        """Single-path view (no copy)."""
-        return PathBundle(self.grid, self.driver, self.w[i:i + 1], self.y[i:i + 1],
-                          self.a_int[i:i + 1], self.master_seed, self.path_indices[i:i + 1])
-
 
 def sample_brownian(grid: Grid, dim_m: int, seed_key: tuple) -> np.ndarray:
     """One m-dimensional Brownian path on the fine grid, W_0 = 0.
@@ -243,18 +264,30 @@ def sample_brownian(grid: Grid, dim_m: int, seed_key: tuple) -> np.ndarray:
     for equal keys regardless of scheduling.
     """
     master_seed, path_index = seed_key
-    return _brownian_batch(grid, dim_m, master_seed, np.array([path_index]))[0]
+    return brownian_family(grid, master_seed, [path_index], rng.DRIVER_W, width=dim_m)[0]
 
 
-def _brownian_batch(grid: Grid, dim_m: int, master_seed: int,
-                    path_indices: np.ndarray, component: int = rng.DRIVER_W) -> np.ndarray:
+def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
+                    channels: int = 1, width: int = None) -> np.ndarray:
+    """Brownian paths of one stream family on the fine grid, W_0 = 0.
+
+    Every (path index, channel) key draws from its own stream: a
+    (fine_count, width) matrix when ``width`` is given, else a (fine_count,)
+    vector.  Its scaled running sum fills column ``c`` (or the ``width``
+    columns from ``c * width``) of the result, which has shape
+    (n_paths, fine_count+1, channels * (width or 1)).
+    """
     nf = grid.fine_count
     scale = np.sqrt(grid.fine_dt)
-    out = np.empty((len(path_indices), nf + 1, dim_m))
+    draw = (nf,) if width is None else (nf, width)
+    k = width or 1
+    out = np.empty((len(path_indices), nf + 1, channels * k))
     out[:, 0] = 0.0
     for b, idx in enumerate(path_indices):
-        z = rng.normal_matrix(master_seed, component, int(idx), (nf, dim_m))
-        np.cumsum(z * scale, axis=0, out=out[b, 1:])
+        for c in range(channels):
+            z = rng.normal_matrix(master_seed, component, int(idx), draw, channel=c)
+            cols = c if width is None else slice(c * k, (c + 1) * k)
+            np.cumsum(z * scale, axis=0, out=out[b, 1:, cols])
     return out
 
 
@@ -265,7 +298,8 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
     telescope, so they are evaluated directly on the path values (this keeps
     y bit-identical to w for the identity driver).  Accepts a single path
-    (fine_count+1, m) or a batch (n_paths, fine_count+1, m).
+    (fine_count+1, m) or a batch (n_paths, fine_count+1, m); ``a_int`` is
+    deterministic and returned once, shape (fine_count+1, d).
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 2
@@ -280,31 +314,29 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
         if not np.isfinite(sig).all():
             bad = int(np.argwhere(~np.isfinite(sig).reshape(len(left_times), -1).all(axis=1))[0, 0])
             raise ValueError(f"sigma evaluated non-finite at t={left_times[bad]:g}")
-        y = np.zeros((w.shape[0], grid.fine_count + 1, spec.dim_d))
-        np.cumsum(np.einsum("tdm,btm->btd", sig, np.diff(w, axis=1)), axis=1, out=y[:, 1:])
+        y = running_sum(np.einsum("tdm,btm->btd", sig, np.diff(w, axis=1)), axis=1)
     else:
         sig = np.asarray(spec.sigma, dtype=float)
         if not np.isfinite(sig).all():
             raise ValueError("sigma matrix contains non-finite entries")
         y = np.einsum("dm,bkm->bkd", sig, w)
 
-    a_int = np.zeros((w.shape[0], grid.fine_count + 1, spec.dim_d))
+    a_int = np.zeros((grid.fine_count + 1, spec.dim_d))
     if spec.drift is not None:
         if callable(spec.drift):
             a = spec.drift_at(left_times)
             if not np.isfinite(a).all():
                 bad = int(np.argwhere(~np.isfinite(a).all(axis=1))[0, 0])
                 raise ValueError(f"drift evaluated non-finite at t={left_times[bad]:g}")
-            np.cumsum(a * grid.fine_dt, axis=0, out=a_int[0, 1:])
-            a_int[:] = a_int[0]
+            a_int = running_sum(a * grid.fine_dt, axis=0)
         else:
             a = np.asarray(spec.drift, dtype=float)
             if not np.isfinite(a).all():
                 raise ValueError("drift vector contains non-finite entries")
-            a_int[:] = grid.times()[:, None] * a
+            a_int = grid.times()[:, None] * a
         y = y + a_int
     if single:
-        return y[0], a_int[0]
+        return y[0], a_int
     return y, a_int
 
 
@@ -316,7 +348,7 @@ def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
     family so they are independent of the scheme paths under one seed.
     """
     path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
-    w = _brownian_batch(grid, spec.dim_m, master_seed, path_indices, component)
+    w = brownian_family(grid, master_seed, path_indices, component, width=spec.dim_m)
     y, a_int = build_driver(spec, w, grid)
     return PathBundle(grid=grid, driver=spec, w=w, y=y, a_int=a_int,
                       master_seed=master_seed, path_indices=path_indices)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SdeProblem, correction_pairing
-from .paths import Grid, PathBundle
+from .paths import PathBundle, cell_size, cell_split
 from .stats import StatSeries
 
 DIVERGENCE_LIMIT = 1e150
@@ -49,21 +49,10 @@ def _flag_divergence(values: np.ndarray) -> tuple:
     return diverged, first_bad
 
 
-def _check_coarse(grid: Grid, coarse_n: int) -> int:
-    if coarse_n < 1 or grid.fine_count % coarse_n:
-        raise ValueError(f"coarse_n={coarse_n} does not divide the fine grid of {grid.fine_count}")
-    return grid.fine_count // coarse_n
-
-
 def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    r = _check_coarse(bundle.grid, coarse_n)
-    dy = bundle.fine_increments()
-    B, _, d = dy.shape
-    dyc = dy.reshape(B, coarse_n, r, d)
-    disp = np.cumsum(dyc, axis=2)
-    disp = np.concatenate([np.zeros((B, coarse_n, 1, d)), disp[:, :, :-1]], axis=2)
-    k_fine = np.einsum("bnra,bnrc->bnac", disp, dyc)
+    dyc, disp = cell_split(bundle.y, coarse_n)
+    k_fine = np.einsum("bnra,bnrc->bnac", disp[:, :, :-1], dyc)
     if mode == "fine":
         return k_fine
     if mode != "exact":
@@ -81,7 +70,7 @@ def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     With ``grid_level="fine"`` the continuous-type interpolant
     X_t = X_{n(t)} + f(X_{n(t)})(Y_t - Y_{n(t)}) is returned at fine nodes.
     """
-    r = _check_coarse(bundle.grid, coarse_n)
+    r = cell_size(bundle.grid.fine_count, coarse_n)
     y = bundle.y
     B = bundle.n_paths
     q = problem.field.dim_q
@@ -110,7 +99,7 @@ def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
 def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
              iterated: str = "exact") -> SchemeOutput:
     """Second-order scheme: Euler plus the iterated-integral correction."""
-    r = _check_coarse(bundle.grid, coarse_n)
+    r = cell_size(bundle.grid.fine_count, coarse_n)
     kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
     y = bundle.y
     B = bundle.n_paths
@@ -151,7 +140,7 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     :func:`milstein`, so the two agree to rounding error on shared bundles.
     """
     _require_ito_embedding(problem)
-    r = _check_coarse(bundle.grid, coarse_n)
+    r = cell_size(bundle.grid.fine_count, coarse_n)
     kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
     y = bundle.y
     B = bundle.n_paths

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .paths import PathBundle
+from .paths import PathBundle, cell_size, cell_split, running_sum
 
 
 @dataclass(frozen=True)
@@ -36,42 +36,21 @@ class StatSeries:
         return self.values[:, -1]
 
 
-def _check_coarse(bundle: PathBundle, coarse_n: int) -> int:
-    nf = bundle.grid.fine_count
-    if coarse_n < 1 or nf % coarse_n:
-        raise ValueError(f"coarse_n={coarse_n} does not divide the fine grid of {nf}")
-    return nf // coarse_n
-
-
-def _shifted_cumsum(arr: np.ndarray) -> np.ndarray:
-    """Within-cell running sum at the left node of each sub-cell (axis 2)."""
-    out = np.cumsum(arr, axis=2)
-    out = np.roll(out, 1, axis=2)
-    out[:, :, 0] = 0.0
-    return out
-
-
 def cell_increments(bundle: PathBundle, coarse_n: int) -> tuple:
     """Fine increments and within-cell displacements, reshaped per coarse cell.
 
     Returns (dyc, disp) of shape (n_paths, coarse_n, r, d); ``disp`` holds
     Y at the left node of each sub-cell minus Y at the cell anchor.
     """
-    r = _check_coarse(bundle, coarse_n)
-    dy = bundle.fine_increments()
-    B, _, d = dy.shape
-    dyc = dy.reshape(B, coarse_n, r, d)
-    return dyc, _shifted_cumsum(dyc)
+    dyc, disp = cell_split(bundle.y, coarse_n)
+    return dyc, disp[:, :, :-1]
 
 
 def _series_from_increments(bundle: PathBundle, inc: np.ndarray, kind: str) -> StatSeries:
     B = inc.shape[0]
-    nf = bundle.grid.fine_count
-    tensor_shape = inc.shape[3:]
-    flat = inc.reshape(B, nf, *tensor_shape)
-    values = np.zeros((B, nf + 1, *tensor_shape))
-    np.cumsum(flat, axis=1, out=values[:, 1:])
-    return StatSeries(kind=kind, grid_level="fine", times=bundle.grid.times(), values=values)
+    flat = inc.reshape(B, bundle.grid.fine_count, *inc.shape[3:])
+    return StatSeries(kind=kind, grid_level="fine", times=bundle.grid.times(),
+                      values=running_sum(flat, axis=1))
 
 
 def z_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
@@ -88,7 +67,7 @@ def m_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
     """
     dyc, disp = cell_increments(bundle, coarse_n)
     dz = np.einsum("bnra,bnrc->bnrac", disp, dyc)
-    zdisp = _shifted_cumsum(dz)
+    zdisp = running_sum(dz, axis=2)[:, :, :-1]
     inc = np.einsum("bnrac,bnrp->bnrpac", zdisp, dyc)
     return _series_from_increments(bundle, inc, "M")
 
@@ -113,7 +92,7 @@ def qv_displacement_integral(bundle: PathBundle, coarse_n: int) -> StatSeries:
     """
     dyc, _ = cell_increments(bundle, coarse_n)
     dc = np.einsum("bnra,bnrc->bnrac", dyc, dyc)
-    cdisp = _shifted_cumsum(dc)
+    cdisp = running_sum(dc, axis=2)[:, :, :-1]
     inc = np.einsum("bnrac,bnrp->bnrpac", cdisp, dyc)
     return _series_from_increments(bundle, inc, "QV")
 
@@ -132,9 +111,7 @@ def cube_functional(y: np.ndarray, coarse_n: int, t_index: int = -1) -> np.ndarr
     if single:
         y = y[None]
     nf = y.shape[1] - 1
-    if nf % coarse_n:
-        raise ValueError(f"coarse_n={coarse_n} does not divide the path grid of {nf}")
-    r = nf // coarse_n
+    r = cell_size(nf, coarse_n)
     if t_index < 0:
         t_index = nf + 1 + t_index
     if not 0 <= t_index <= nf:
@@ -166,10 +143,8 @@ def empirical_qv(series_a: StatSeries, series_b: StatSeries) -> StatSeries:
     db = np.diff(series_b.values, axis=1)
     if da.shape != db.shape:
         raise ValueError(f"series shapes differ: {da.shape[2:]} vs {db.shape[2:]}")
-    values = np.zeros_like(series_a.values)
-    np.cumsum(da * db, axis=1, out=values[:, 1:])
     return StatSeries(kind="QV", grid_level=series_a.grid_level,
-                      times=series_a.times, values=values)
+                      times=series_a.times, values=running_sum(da * db, axis=1))
 
 
 def fv_limit_quadrature(y_density, components=(0, 0, 0), t_end: float = 1.0) -> tuple:

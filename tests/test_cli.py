@@ -15,7 +15,6 @@ class TestParseConfig:
         cfg = parse("rate", model="gbm", scheme="milstein", n_list="16,32,64,128",
                     paths=100, seed=1)
         assert cfg.fine_factor == 64
-        assert cfg.format == "csv"
         assert cfg.slope_band == (-1.15, -0.85)
 
     def test_missing_seed_is_an_error(self):
@@ -51,6 +50,13 @@ class TestParseConfig:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("mystery = 3\nseed = 1\n")
         with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.parse_config("lemma-check", {"case": "7.2a"},
+                             config_file=str(cfg_file))
+
+    def test_format_key_is_gone(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("format = csv\nseed = 1\n")
+        with pytest.raises(cli.ConfigError, match="unknown key 'format'"):
             cli.parse_config("lemma-check", {"case": "7.2a"},
                              config_file=str(cfg_file))
 

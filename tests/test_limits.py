@@ -23,7 +23,7 @@ class TestAuxiliaryNoise:
     def test_families_uncorrelated(self):
         g = paths.Grid(16, 1)
         aux = limits.sample_aux(g, 1, 5, range(4000))
-        w = paths._brownian_batch(g, 1, 5, np.arange(4000), component=rng.LIMIT_W)
+        w = paths.brownian_family(g, 5, np.arange(4000), rng.LIMIT_W, width=1)
         pairs = [(aux.b[:, -1, 0, 0, 0], aux.wbar[:, -1, 0]),
                  (aux.b[:, -1, 0, 0, 0], w[:, -1, 0]),
                  (aux.wbar[:, -1, 0], w[:, -1, 0])]
@@ -35,7 +35,7 @@ class TestAuxiliaryNoise:
         # [V,V] = 3t, [V,B] = sqrt2 t, [V,W] = (sqrt3/2) t
         g = paths.Grid(256, 1)
         aux = limits.sample_aux(g, 1, 8, range(3000))
-        w = paths._brownian_batch(g, 1, 8, np.arange(3000), component=rng.LIMIT_W)
+        w = paths.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W, width=1)
         dv = limits.assemble_v_increments(aux, w)[:, :, 0, 0, 0]
         db = np.diff(aux.b[:, :, 0, 0, 0], axis=1)
         dw = np.diff(w[:, :, 0], axis=1)
@@ -57,7 +57,7 @@ class TestSimulateMn:
         # Var(M_1) = 1/6, Var(N_1) = 1, Cov(N, M) = 1/3, Cov(N, W) = 1/2
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(256, 1)
-        w = paths._brownian_batch(g, 1, 7, np.arange(8000), component=rng.LIMIT_W)
+        w = paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W, width=1)
         aux = limits.sample_aux(g, 1, 7, range(8000))
         m, n = limits.simulate_mn(drv, w, aux)
         m1, n1, w1 = m[:, -1, 0, 0, 0], n[:, -1, 0, 0, 0], w[:, -1, 0]
@@ -70,7 +70,7 @@ class TestSimulateMn:
         # pathwise covariations of the simulated limits hit the constants
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(1024, 1)
-        w = paths._brownian_batch(g, 1, 15, np.arange(3000), component=rng.LIMIT_W)
+        w = paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W, width=1)
         aux = limits.sample_aux(g, 1, 15, range(3000))
         m, n = limits.simulate_mn(drv, w, aux)
         dm = np.diff(m[:, :, 0, 0, 0], axis=1)
@@ -87,7 +87,7 @@ class TestSimulateMn:
         # first driving component and nothing in the second
         drv = paths.ito_embedding_driver()
         g = paths.Grid(1024, 1)
-        w = paths._brownian_batch(g, 1, 19, np.arange(3000), component=rng.LIMIT_W)
+        w = paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W, width=1)
         aux = limits.sample_aux(g, 1, 19, range(3000))
         m, n = limits.simulate_mn(drv, w, aux)
         assert np.all(n[:, :, 1] == 0.0)  # sigma^{2p} = 0

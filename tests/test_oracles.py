@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milsde import oracles
+from milsde import oracles, paths, rng
 
 
 class TestExactQuarticMean:
@@ -51,9 +51,9 @@ class TestBrownianCases:
         grids = (16, 64, 256)
         variances = []
         for n in grids:
-            grid = oracles.Grid(n, 32)
-            p = oracles._brownian_family(grid, 17, np.arange(1500), 4)
-            stat = oracles.quartic_time_average(p, n, (0, 0, 0, 0))
+            grid = paths.Grid(n, 32)
+            p = paths.brownian_family(grid, 17, np.arange(1500), rng.ORACLE, channels=4)
+            stat = oracles.quartic_time_average(paths.cell_split(p, n), (0, 0, 0, 0))
             variances.append(stat.var(ddof=1))
         slope = np.polyfit(np.log(grids), np.log(variances), 1)[0]
         assert -1.3 <= slope <= -0.7

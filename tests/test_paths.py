@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from milsde import paths
+from milsde import limits, paths, rng
 
 
 class TestMakeGrid:
@@ -128,6 +128,13 @@ class TestBuildDriver:
         assert np.array_equal(y[:, 0], g.times())
         assert np.array_equal(a_int, y)
 
+    def test_drift_integral_stored_once(self):
+        g = paths.make_grid(4, 4)
+        b = paths.simulate_bundle(paths.ito_embedding_driver(), g, 1, range(3))
+        assert b.a_int.shape == (g.fine_count + 1, 2)
+        assert np.array_equal(b.a_int[:, 1], g.times())
+        assert np.array_equal(b.y[:, :, 1], np.tile(g.times(), (3, 1)))
+
     def test_ito_isometry_time_varying_sigma(self):
         # Var(Y_1) for sigma_s = s equals the left-point sum of t_j^2 dt,
         # which converges to int s^2 ds = 1/3
@@ -186,3 +193,83 @@ def test_cell_qv_constant_sigma_exact():
     edges = np.linspace(0, 1, 5)
     qv = spec.cell_qv(edges)
     assert np.allclose(qv, 0.25 * np.eye(2), atol=1e-15)
+
+
+class TestRunningSum:
+    def test_zero_started_cumsum(self):
+        inc = np.arange(24.0).reshape(2, 3, 4)
+        for axis in (0, 1, 2, -1):
+            out = paths.running_sum(inc, axis=axis)
+            first = np.take(out, [0], axis=axis)
+            assert np.all(first == 0.0)
+            assert np.array_equal(np.take(out, range(1, out.shape[axis]), axis=axis),
+                                  np.cumsum(inc, axis=axis))
+
+
+class TestCellSplit:
+    @pytest.mark.parametrize("coarse_n", [12, 4, 1])  # r = 1, in between, fine_count
+    def test_views_match_cell_loop(self, coarse_n):
+        b = paths.simulate_bundle(paths.brownian_motion_driver(2), paths.make_grid(12, 1),
+                                  3, range(5))
+        inc, disp = paths.cell_split(b.y, coarse_n)
+        r = 12 // coarse_n
+        assert inc.shape == (5, coarse_n, r, 2) and disp.shape == (5, coarse_n, r + 1, 2)
+        for k in range(coarse_n):
+            anchor = b.y[:, k * r]
+            acc = np.zeros((5, 2))
+            for j in range(r):
+                assert np.array_equal(disp[:, k, j], acc)  # left node of sub-cell j
+                step = b.y[:, k * r + j + 1] - b.y[:, k * r + j]
+                assert np.array_equal(inc[:, k, j], step)
+                acc = acc + step
+                assert np.array_equal(disp[:, k, j + 1], acc)  # right node
+            assert np.allclose(acc, b.y[:, (k + 1) * r] - anchor, rtol=0, atol=1e-14)
+        assert np.all(disp[:, :, 0] == 0.0)
+
+    def test_rejects_non_divisor(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            paths.cell_split(np.zeros((1, 13, 1)), 5)
+
+
+def _reference_path(seed, component, idx, shape, channel, grid):
+    z = rng.normal_matrix(seed, component, idx, shape, channel=channel)
+    return np.cumsum(z * np.sqrt(grid.fine_dt), axis=0)
+
+
+class TestBrownianFamily:
+    GRID = paths.make_grid(4, 8)
+    BATCHES = ([5], [9, 5, 2], np.arange(7))
+
+    def test_driver_layout(self):
+        g = self.GRID
+        for batch in self.BATCHES:
+            w = paths.brownian_family(g, 11, batch, rng.DRIVER_W, width=2)
+            b = list(batch).index(5)
+            assert np.all(w[b, 0] == 0.0)
+            assert np.array_equal(w[b, 1:],
+                                  _reference_path(11, rng.DRIVER_W, 5, (g.fine_count, 2), 0, g))
+
+    def test_aux_layout(self):
+        g, m = self.GRID, 2
+        for batch in self.BATCHES:
+            aux = limits.sample_aux(g, m, 11, batch)
+            b = list(batch).index(5)
+            for p in range(m):
+                for i in range(m):
+                    for j in range(m):
+                        want = _reference_path(11, rng.AUX_B, 5, (g.fine_count,),
+                                               (p * m + i) * m + j, g)
+                        assert np.array_equal(aux.b[b, 1:, p, i, j], want)
+                want = _reference_path(11, rng.AUX_WBAR, 5, (g.fine_count,), p, g)
+                assert np.array_equal(aux.wbar[b, 1:, p], want)
+            assert np.all(aux.b[:, 0] == 0.0) and np.all(aux.wbar[:, 0] == 0.0)
+
+    def test_oracle_layout(self):
+        g = self.GRID
+        for batch in self.BATCHES:
+            fam = paths.brownian_family(g, 11, batch, rng.ORACLE, channels=4)
+            b = list(batch).index(5)
+            assert fam.shape == (len(batch), g.fine_count + 1, 4)
+            for c in range(4):
+                want = _reference_path(11, rng.ORACLE, 5, (g.fine_count,), c, g)
+                assert np.array_equal(fam[b, 1:, c], want)
