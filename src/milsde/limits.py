@@ -80,7 +80,7 @@ def simulate_mn(driver: DriverSpec, w: np.ndarray, aux: AuxiliaryNoise) -> tuple
     return running_sum(m_inc, axis=1), running_sum(n_inc, axis=1)
 
 
-def cumulative_trapezoid(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _cumulative_trapezoid(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of ``integrand`` (T, ...) over ``times``, 0 at t_0."""
     dt = np.diff(times).reshape(-1, *(1,) * (integrand.ndim - 1))
     return running_sum(0.5 * (integrand[:-1] + integrand[1:]) * dt, axis=0)
@@ -93,7 +93,7 @@ def drift_correct(n_series: np.ndarray, driver: DriverSpec, times: np.ndarray) -
     c = driver.c_at(times)
     a = driver.drift_at(times)
     # trapezoid: exact for the constant and affine coefficient cases
-    return n_series + cumulative_trapezoid(0.5 * np.einsum("tac,tp->tpac", c, a), times)
+    return n_series + _cumulative_trapezoid(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
 def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
@@ -171,7 +171,7 @@ def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
     the finite-variation error ODE.
     """
     y = driver.drift_at(times)
-    n = cumulative_trapezoid(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
+    n = _cumulative_trapezoid(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
     return n / 2.0, n
 
 

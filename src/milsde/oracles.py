@@ -316,6 +316,7 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
                 vals[pos].append(quartic_time_average(cells, combo))
             else:
                 vals[pos].append(nested_time_average(cells, kind, combo))
+        del cells  # free this chunk's split before the next chunk is drawn
     rows = []
     for pos, (row_case, label, _, _, target) in enumerate(specs):
         sample = np.concatenate(vals[pos])
