@@ -97,7 +97,7 @@ def running_sum(inc: np.ndarray, axis: int = 1) -> np.ndarray:
     axis = axis % inc.ndim
     shape = list(inc.shape)
     shape[axis] += 1
-    out = np.empty(shape, dtype=np.result_type(inc, float))
+    out = np.empty(shape)
     lead = (slice(None),) * axis
     out[lead + (0,)] = 0.0
     np.cumsum(inc, axis=axis, out=out[lead + (slice(1, None),)])
