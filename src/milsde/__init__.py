@@ -10,8 +10,8 @@ from .montecarlo import (ExperimentReport, RateFit, compare_distributions,
 from .paths import (DriverSpec, Grid, PathBundle, brownian_motion_driver,
                     build_driver, coarse_anchor, ito_embedding_driver,
                     make_grid, sample_brownian, simulate_bundle, time_driver)
-from .schemes import (SchemeOutput, error_process, euler, iterated_integrals,
-                      milstein, milstein_ito54, reference)
+from .schemes import (SchemeOutput, error_process, euler, fold_iterated_integrals,
+                      iterated_integrals, milstein, milstein_ito54, reference)
 from .stats import (StatSeries, cube_functional, empirical_qv, fv_exact_nm,
                     fv_limit_quadrature, m_functional, n_functional,
                     z_functional)

@@ -115,7 +115,8 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> tuple:
+    """(values, errors) of a flat key = value file; bad lines do not void good ones."""
     values, errors = {}, []
     try:
         with open(path) as fh:
@@ -134,9 +135,7 @@ def _read_config_file(path: str) -> dict:
                 values[key] = value.strip()
     except OSError as exc:
         errors.append(f"cannot read config file: {exc}")
-    if errors:
-        raise ConfigError(errors)
-    return values
+    return values, errors
 
 
 def parse_config(verb: str, flag_values: dict, config_file: str = None) -> ExperimentConfig:
@@ -147,10 +146,8 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
     errors = []
     merged = dict(_DEFAULTS)
     if config_file:
-        try:
-            merged.update(_read_config_file(config_file))
-        except ConfigError as exc:
-            errors.extend(exc.errors)
+        file_values, errors = _read_config_file(config_file)
+        merged.update(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
 
     def to_int(key):
@@ -167,11 +164,16 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
         seed = 0
     else:
         seed = to_int("seed") or 0
+        if seed < 0:
+            errors.append("seed must be >= 0")
 
     for key in ("paths", "fine_factor", "n", "draws", "fine_count", "threads"):
         merged[key] = to_int(key)
-        if merged[key] is not None and merged[key] < 1:
-            errors.append(f"{key} must be >= 1")
+        # error-law compares two samples of paths and draws
+        least = montecarlo.LAW_MIN_SAMPLES \
+            if verb == "error-law" and key in ("paths", "draws") else 1
+        if merged[key] is not None and merged[key] < least:
+            errors.append(f"{key} must be >= {least}")
 
     n_list = merged.get("n_list", ())
     if isinstance(n_list, str):
@@ -202,11 +204,20 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
 
     fine_factor = merged.get("fine_factor") or 1
     if verb == "rate" and n_list:
-        fine = max(n_list) * fine_factor
-        for n in n_list:
-            if fine % n:
-                errors.append(f"n={n} does not divide the fine grid of {fine} "
-                              f"(= max(n_list) x fine_factor)")
+        if min(n_list) < 1:
+            errors.append("n_list entries must be >= 1")
+        else:
+            fine = max(n_list) * fine_factor
+            for n in n_list:
+                if fine % n:
+                    errors.append(f"n={n} does not divide the fine grid of {fine} "
+                                  f"(= max(n_list) x fine_factor)")
+            if len(n_list) < montecarlo.RATE_MIN_SIZES:
+                errors.append(f"rate fits need at least {montecarlo.RATE_MIN_SIZES} "
+                              f"grid sizes, got {len(n_list)}")
+            elif max(n_list) < montecarlo.RATE_MIN_SPAN * min(n_list):
+                errors.append(f"rate fits need an {montecarlo.RATE_MIN_SPAN}x span of "
+                              f"grid sizes, got {max(n_list)}/{min(n_list)}")
     band = None
     if merged.get("slope_lo") is not None or merged.get("slope_hi") is not None:
         try:
@@ -360,6 +371,15 @@ def _run_lemma_check(config: ExperimentConfig) -> tuple:
     return report, lines, table, passed
 
 
+def _fingerprints(real) -> np.ndarray:
+    """Per-draw quadratic (co)variations mm, nn, nm, nw, mw, shape (draws, 5)."""
+    dm = np.diff(real.m_series[:, :, 0, 0, 0], axis=1)
+    dn = np.diff(real.n_series[:, :, 0, 0, 0], axis=1)
+    dw = np.diff(real.w[:, :, 0], axis=1)
+    return np.stack([(dm * dm).sum(1), (dn * dn).sum(1), (dn * dm).sum(1),
+                     (dn * dw).sum(1), (dm * dw).sum(1)], axis=1)
+
+
 def _run_limit_sim(config: ExperimentConfig) -> tuple:
     problem = get_model(config.model)
     q = problem.field.dim_q
@@ -372,14 +392,11 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
         idx = np.arange(start, min(start + chunk, config.draws))
         real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
         u_all[idx] = real.u_series[:, -1]
-        dm = np.diff(real.m_series[:, :, 0, 0, 0], axis=1)
-        dn = np.diff(real.n_series[:, :, 0, 0, 0], axis=1)
-        dw = np.diff(real.w[:, :, 0], axis=1)
-        fps = np.stack([(dm * dm).sum(1), (dn * dn).sum(1), (dn * dm).sum(1),
-                        (dn * dw).sum(1), (dm * dw).sum(1)], axis=1)
+        fps = _fingerprints(real)
+        del real  # free this chunk's series before the next chunk is drawn
         fp_sums += fps.sum(axis=0)
         for b, draw in enumerate(idx):
-            uvals = ",".join(repr(float(v)) for v in real.u_series[b, -1])
+            uvals = ",".join(repr(float(v)) for v in u_all[draw])
             fvals = ",".join(repr(float(v)) for v in fps[b])
             lines.append(f"{draw},{uvals},{fvals}")
     mom = montecarlo.estimate_moments(u_all[:, 0])

@@ -21,6 +21,9 @@ from .model import SdeProblem
 from .paths import make_grid, simulate_bundle
 
 DEFAULT_CHUNK = 1000
+RATE_MIN_SIZES = 3  # grid sizes a rate fit needs
+RATE_MIN_SPAN = 8  # least max(n) / min(n) of a rate fit
+LAW_MIN_SAMPLES = 1000  # samples per side of a law comparison
 KS_COEFF_95 = 1.358  # classical two-sample 95% point: c * sqrt((n1+n2)/(n1*n2))
 
 
@@ -77,7 +80,7 @@ class DistanceReport:
 
 
 def compare_distributions(sample_a: np.ndarray, sample_b: np.ndarray,
-                          min_size: int = 1000) -> DistanceReport:
+                          min_size: int = LAW_MIN_SAMPLES) -> DistanceReport:
     """Component-wise KS distance plus moment deltas at t = 1."""
     a = np.atleast_2d(np.asarray(sample_a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(sample_b, dtype=float).T).T
@@ -113,10 +116,10 @@ def fit_rate(n_list, errors) -> RateFit:
     """Least-squares slope of log(error) against log(n)."""
     n_arr = np.asarray(n_list, dtype=float)
     e_arr = np.asarray(errors, dtype=float)
-    if len(n_arr) < 3:
-        raise ValueError("rate fits need at least 3 grid sizes")
-    if n_arr.max() / n_arr.min() < 8:
-        raise ValueError("rate fits need an 8x span of grid sizes")
+    if len(n_arr) < RATE_MIN_SIZES:
+        raise ValueError(f"rate fits need at least {RATE_MIN_SIZES} grid sizes")
+    if n_arr.max() / n_arr.min() < RATE_MIN_SPAN:
+        raise ValueError(f"rate fits need an {RATE_MIN_SPAN}x span of grid sizes")
     if np.any(e_arr <= 0):
         raise ValueError("errors must be positive for a log-log fit")
     lx, ly = np.log(n_arr), np.log(e_arr)
@@ -130,10 +133,11 @@ def fit_rate(n_list, errors) -> RateFit:
 
 
 _SCHEMES = {
-    "euler": lambda problem, bundle, n, iterated: schemes.euler(problem, bundle, n),
+    "euler": lambda problem, bundle, n, iterated, kmat=None: schemes.euler(problem, bundle, n),
     "milstein": schemes.milstein,
     "milstein54": schemes.milstein_ito54,
 }
+_USES_K = ("milstein", "milstein54")
 
 
 def scheme_names() -> tuple:
@@ -210,15 +214,23 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
             raise ValueError(f"n={n} does not divide the common fine grid "
                              f"of {grid.fine_count}")
     runner = _SCHEMES[scheme]
+    base = math.lcm(*n_list)  # divides the fine grid, since every n does
 
     def work(idx):
         bundle = simulate_bundle(problem.driver, grid, seed, idx)
+        # K is summed over the sub-grid once, at the base level, and folded
+        # to each coarser n just before that level's step loop; it is built
+        # before the reference so that their temporaries never coexist
+        kbase = schemes.iterated_integrals(bundle, base, iterated) \
+            if scheme in _USES_K else None
         ref = schemes.reference(problem, bundle)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged
         err, sup = {}, {}
         for n in n_list:
-            out = runner(problem, bundle, n, iterated)
+            kmat = kbase if kbase is None or n == base else \
+                schemes.fold_iterated_integrals(bundle, kbase, n, iterated)
+            out = runner(problem, bundle, n, iterated, kmat=kmat)
             kept &= ~out.diverged
             err[n] = out.values[:, -1] - ref_end
             ref_coarse = ref.values[:, ::(grid.fine_count // n)]

@@ -129,13 +129,24 @@ def _row(case, subcase, n, sample, target, null_budget=None,
                      note=note)
 
 
+def _over_chunks(paths: int, chunk: int, chunk_stats) -> list:
+    """Per-path statistics over all paths, one chunk of path indices at a time.
+
+    ``chunk_stats(idx)`` returns a sequence of (len(idx),) arrays; the result
+    concatenates each position across chunks.  A chunk's paths are locals of
+    ``chunk_stats``, so they are freed before the next chunk is drawn.
+    """
+    parts = [chunk_stats(np.arange(start, min(start + chunk, paths)))
+             for start in range(0, paths, chunk)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
 def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
                       chunk: int) -> list:
     grid = Grid(n, fine_factor)
     driver = brownian_motion_driver(1)
-    sums = {k: [] for k in ("NN", "MM", "NM", "NW", "MW")}
-    for start in range(0, paths, chunk):
-        idx = np.arange(start, min(start + chunk, paths))
+
+    def chunk_stats(idx):
         bundle = simulate_bundle(driver, grid, seed, idx)
         dyc, disp = stats.cell_increments(bundle, n)
         dyc, disp = dyc[..., 0], disp[..., 0]
@@ -143,19 +154,18 @@ def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
         zleft = running_sum(dz, axis=2)[:, :, :-1]
         dn = disp ** 2 * dyc
         dm = zleft * dyc
-        sums["NN"].append(n ** 2 * (dn * dn).sum(axis=(1, 2)))
-        sums["MM"].append(n ** 2 * (dm * dm).sum(axis=(1, 2)))
-        sums["NM"].append(n ** 2 * (dn * dm).sum(axis=(1, 2)))
-        sums["NW"].append(n * (dn * dyc).sum(axis=(1, 2)))
-        sums["MW"].append(n * (dm * dyc).sum(axis=(1, 2)))
-    samples = {k: np.concatenate(v) for k, v in sums.items()}
+        return (n ** 2 * (dn * dn).sum(axis=(1, 2)), n ** 2 * (dm * dm).sum(axis=(1, 2)),
+                n ** 2 * (dn * dm).sum(axis=(1, 2)), n * (dn * dyc).sum(axis=(1, 2)),
+                n * (dm * dyc).sum(axis=(1, 2)))
+
+    nn, mm, nm, nw, mw = _over_chunks(paths, chunk, chunk_stats)
     budget = 0.5 / fine_factor
     return [
-        _row("7.6", "n2[N,N] -> 1", n, samples["NN"], 1.0, relative_tol=0.05),
-        _row("7.6", "n2[M,M] -> 1/6", n, samples["MM"], 1.0 / 6.0, relative_tol=0.05),
-        _row("7.6", "n2[N,M] -> 1/3", n, samples["NM"], 1.0 / 3.0, relative_tol=0.05),
-        _row("7.6", "n[N,W] -> 1/2", n, samples["NW"], 0.5, relative_tol=0.05),
-        _row("7.6", "n[M,W] -> 0", n, samples["MW"], 0.0, null_budget=budget),
+        _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
+        _row("7.6", "n2[M,M] -> 1/6", n, mm, 1.0 / 6.0, relative_tol=0.05),
+        _row("7.6", "n2[N,M] -> 1/3", n, nm, 1.0 / 3.0, relative_tol=0.05),
+        _row("7.6", "n[N,W] -> 1/2", n, nw, 0.5, relative_tol=0.05),
+        _row("7.6", "n[M,W] -> 0", n, mw, 0.0, null_budget=budget),
     ]
 
 
@@ -163,13 +173,14 @@ def _drift_coupling_rows(n: int, paths: int, fine_factor: int, seed: int,
                          chunk: int) -> list:
     # n int (W^(n))^2 ds against the unit drift: target c^{12} a / 2 = 1/2
     grid = Grid(n, fine_factor)
-    vals = []
-    for start in range(0, paths, chunk):
-        idx = np.arange(start, min(start + chunk, paths))
+
+    def chunk_stats(idx):
         p = brownian_family(grid, seed, idx, rng.ORACLE)
         nodes = cell_split(p, n)[1][:, :, 1:, 0]
-        vals.append(n * _trapz_cells(nodes ** 2))
-    return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, np.concatenate(vals), 0.5)]
+        return (n * _trapz_cells(nodes ** 2),)
+
+    (vals,) = _over_chunks(paths, chunk, chunk_stats)
+    return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, vals, 0.5)]
 
 
 def _null_rows(n: int, paths: int, fine_factor: int, seed: int, chunk: int) -> list:
@@ -179,30 +190,25 @@ def _null_rows(n: int, paths: int, fine_factor: int, seed: int, chunk: int) -> l
     dt = grid.fine_dt
     tau_left = (np.arange(r) * dt)  # elapsed time at left nodes
     tau_nodes = (np.arange(1, r + 1) * dt)
-    acc = {k: [] for k in ("WA_dB", "WA_dt", "intWdB_dt", "intAdW_dB", "intAdW_dt")}
-    for start in range(0, paths, chunk):
-        idx = np.arange(start, min(start + chunk, paths))
+
+    def chunk_stats(idx):
         p = brownian_family(grid, seed, idx, rng.ORACLE, channels=2)
         dyc, disp = cell_split(p, n)
         dw, db = dyc[..., 0], dyc[..., 1]
         w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
-        acc["WA_dB"].append(n * (w_left * tau_left * db).sum(axis=(1, 2)))
-        acc["WA_dt"].append(n * _trapz_cells(w_nodes * tau_nodes))
         inner_wb = running_sum(w_left * db, axis=2)
-        acc["intWdB_dt"].append(n * _trapz_cells(inner_wb[:, :, 1:]))
         inner_aw = running_sum(tau_left * dw, axis=2)
-        acc["intAdW_dB"].append(n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)))
-        acc["intAdW_dt"].append(n * _trapz_cells(inner_aw[:, :, 1:]))
+        return (n * (w_left * tau_left * db).sum(axis=(1, 2)),
+                n * _trapz_cells(w_nodes * tau_nodes),
+                n * _trapz_cells(inner_wb[:, :, 1:]),
+                n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)),
+                n * _trapz_cells(inner_aw[:, :, 1:]))
+
     budget = 0.5 / fine_factor
-    labels = {
-        "WA_dB": "n int W^(n) A^(n) dB",
-        "WA_dt": "n int W^(n) A^(n) dt",
-        "intWdB_dt": "n int (int W^(n) dB) dt",
-        "intAdW_dB": "n int (int A^(n) dW) dB",
-        "intAdW_dt": "n int (int A^(n) dW) dt",
-    }
-    return [_row("null", labels[k], n, np.concatenate(v), 0.0, null_budget=budget)
-            for k, v in acc.items()]
+    labels = ("n int W^(n) A^(n) dB", "n int W^(n) A^(n) dt", "n int (int W^(n) dB) dt",
+              "n int (int A^(n) dW) dB", "n int (int A^(n) dW) dt")
+    return [_row("null", label, n, sample, 0.0, null_budget=budget)
+            for label, sample in zip(labels, _over_chunks(paths, chunk, chunk_stats))]
 
 
 # Deterministic densities for the quadrature cases, with antiderivatives.
@@ -307,19 +313,16 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     if not specs:
         raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
     grid = Grid(n, fine_factor)
-    vals = [[] for _ in specs]
-    for start in range(0, paths, chunk):
-        idx = np.arange(start, min(start + chunk, paths))
+
+    def chunk_stats(idx):
         cells = cell_split(brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
-        for pos, (_, _, kind, combo, _) in enumerate(specs):
-            if kind == "quartic":
-                vals[pos].append(quartic_time_average(cells, combo))
-            else:
-                vals[pos].append(nested_time_average(cells, kind, combo))
-        del cells  # free this chunk's split before the next chunk is drawn
+        return [quartic_time_average(cells, combo) if kind == "quartic"
+                else nested_time_average(cells, kind, combo)
+                for _, _, kind, combo, _ in specs]
+
     rows = []
-    for pos, (row_case, label, _, _, target) in enumerate(specs):
-        sample = np.concatenate(vals[pos])
+    for (row_case, label, _, _, target), sample in zip(
+            specs, _over_chunks(paths, chunk, chunk_stats)):
         budget = 0.5 / fine_factor if target == 0.0 else None
         rows.append(_row(row_case, label, n, sample, target, null_budget=budget))
     return rows

@@ -2,8 +2,10 @@
 
 The Milstein correction per coarse cell is sum_{ab} h^i_{ba} K_{ab}, where
 h^i = (Df^i)^T f and K_{ab} integrates the within-cell displacement of
-driver component a against the increments of component b.  K is computed
-once per cell and shared by every consumer of the bundle.
+driver component a against the increments of component b.  A rate run
+builds K once per bundle, at the base level lcm(n_list), and folds it to
+each coarser n with Chen's identity (:func:`fold_iterated_integrals`), so
+the fine sub-grid is summed once, not once per n.
 
 Two evaluations of K are available:
 
@@ -51,16 +53,50 @@ def _flag_divergence(values: np.ndarray) -> tuple:
 
 def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    dyc, disp = cell_split(bundle.y, coarse_n)
-    k_fine = np.einsum("bnra,bnrc->bnac", disp[:, :, :-1], dyc)
+    if mode not in ("fine", "exact"):
+        raise ValueError(f"unknown iterated-integral mode '{mode}'")
+    if coarse_n == bundle.grid.fine_count:
+        # one sub-cell per cell: the left-point sum vanishes and the
+        # empirical QV is dY dY^T, so no sub-grid pass is needed
+        dy = np.diff(bundle.y, axis=1)
+        k_fine = np.zeros(dy.shape + dy.shape[-1:])
+        qv_emp = dy[..., :, None] * dy[..., None, :] if mode == "exact" else None
+    else:
+        dyc, disp = cell_split(bundle.y, coarse_n)
+        k_fine = np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
+        qv_emp = np.swapaxes(dyc, -1, -2) @ dyc if mode == "exact" else None
+        del dyc, disp  # free the split before the correction's temporaries
     if mode == "fine":
         return k_fine
-    if mode != "exact":
-        raise ValueError(f"unknown iterated-integral mode '{mode}'")
-    qv_emp = np.einsum("bnra,bnrc->bnac", dyc, dyc)
     edges = np.arange(coarse_n + 1) / coarse_n
     qv_exact = bundle.driver.cell_qv(edges)
     return k_fine + 0.5 * (qv_emp - qv_exact)
+
+
+def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int,
+                            mode: str = "exact") -> np.ndarray:
+    """K on ``coarse_n`` cells from K on a finer base grid that it divides.
+
+    Chen's identity for left-point sums: appending base cell j to a coarse
+    cell whose driver has moved by S so far adds K_j + S (x) dY_j.  The
+    exact mode then swaps the base cells' exact QV for the coarse cell's, so
+    the result equals :func:`iterated_integrals` at ``coarse_n`` up to
+    rounding.  The cost is O(n_paths * base * d^2), with no sub-grid pass.
+    """
+    n_paths, base, d = kbase.shape[:3]
+    m = cell_size(base, coarse_n)
+    yb = bundle.y[:, ::cell_size(bundle.grid.fine_count, base)]
+    dyb = np.diff(yb, axis=1).reshape(n_paths, coarse_n, m, d)
+    kb = kbase.reshape(n_paths, coarse_n, m, d, d)
+    kmat, moved = kb[:, :, 0].copy(), dyb[:, :, 0].copy()
+    for j in range(1, m):
+        kmat += kb[:, :, j] + moved[..., :, None] * dyb[:, :, j, None, :]
+        moved += dyb[:, :, j]
+    if mode == "exact":
+        qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
+        qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+        kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
+    return kmat
 
 
 def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
@@ -97,10 +133,15 @@ def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
 
 
 def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-             iterated: str = "exact") -> SchemeOutput:
-    """Second-order scheme: Euler plus the iterated-integral correction."""
+             iterated: str = "exact", kmat: np.ndarray = None) -> SchemeOutput:
+    """Second-order scheme: Euler plus the iterated-integral correction.
+
+    ``kmat`` is K on the ``coarse_n`` cells in mode ``iterated``; it is
+    computed from the bundle when not given.
+    """
     r = cell_size(bundle.grid.fine_count, coarse_n)
-    kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
+    if kmat is None:
+        kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
     y = bundle.y
     B = bundle.n_paths
     q = problem.field.dim_q
@@ -132,16 +173,18 @@ def _require_ito_embedding(problem: SdeProblem) -> None:
 
 
 def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-                   iterated: str = "exact") -> SchemeOutput:
+                   iterated: str = "exact", kmat: np.ndarray = None) -> SchemeOutput:
     """Milstein step for dX = a(X) dW + b(X) dt, written out term by term.
 
     X_{k+1} = X_k + a dW + b dt + a a' K_WW + a b' K_Wt + a' b K_tW
                   + b b' K_tt, with the same per-cell K matrix used by
     :func:`milstein`, so the two agree to rounding error on shared bundles.
+    ``kmat`` is as in :func:`milstein`.
     """
     _require_ito_embedding(problem)
     r = cell_size(bundle.grid.fine_count, coarse_n)
-    kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
+    if kmat is None:
+        kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
     y = bundle.y
     B = bundle.n_paths
     out = np.empty((B, coarse_n + 1, 1))

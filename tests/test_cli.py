@@ -60,6 +60,15 @@ class TestParseConfig:
             cli.parse_config("lemma-check", {"case": "7.2a"},
                              config_file=str(cfg_file))
 
+    def test_bad_file_line_keeps_valid_keys(self, tmp_path):
+        # the valid 'model' line still counts: only the real error is listed
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("model = gbm\nformat = csv\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config("rate", {"seed": 1}, config_file=str(cfg_file))
+        assert len(err.value.errors) == 1
+        assert "unknown key 'format'" in err.value.errors[0]
+
     def test_hash_ignores_execution_knobs(self):
         a = parse("lemma-check", case="7.2a", seed=1, threads=1)
         b = parse("lemma-check", case="7.2a", seed=1, threads=8, out="/tmp/x")
@@ -70,7 +79,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("verb,flags", [
         ("rate", dict(model="gbm", scheme="euler", n_list="16,32,64,256",
                       paths=123, fine_factor=8, seed=9)),
-        ("error-law", dict(model="gbm", n=32, paths=2000, draws=500,
+        ("error-law", dict(model="gbm", n=32, paths=2000, draws=1500,
                            fine_count=1024, seed=4)),
         ("lemma-check", dict(case="7.4b", n=16, paths=50, fine_factor=8, seed=2)),
     ])
@@ -94,6 +103,30 @@ class TestMain:
         code = cli.main(["rate", "--model", "gbm"])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lemma-check", "--case", "7.2a", "--seed", "-1"], "seed must be >= 0"),
+        (["rate", "--model", "gbm", "--n-list", "16,32", "--seed", "1"],
+         "at least 3 grid sizes"),
+        (["rate", "--model", "gbm", "--n-list", "16,32,64", "--seed", "1"], "8x span"),
+        (["rate", "--model", "gbm", "--n-list", "0,16,128", "--seed", "1"],
+         "n_list entries must be >= 1"),
+    ])
+    def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_small_error_law_samples_exit_two_before_simulating(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli.montecarlo, "run_error_law", no_work)
+        code = cli.main(["error-law", "--model", "gbm", "--paths", "100",
+                         "--draws", "100", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "paths must be >= 1000" in err and "draws must be >= 1000" in err
 
     def test_lemma_check_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "det"

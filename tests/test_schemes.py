@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from milsde import model, paths, schemes
+from milsde import model, montecarlo, paths, schemes
 
 
 def det_exp_bundle(n, r, seed=1, n_paths=1):
@@ -73,6 +76,78 @@ class TestIteratedIntegrals:
         prob, b = det_exp_bundle(4, 2)
         with pytest.raises(ValueError, match="mode"):
             schemes.iterated_integrals(b, 4, mode="wrong")
+
+    def test_single_subcell_exact_mode_is_the_identity(self):
+        # r = 1: K is (dY dY^T - cell QV) / 2 with no sub-grid pass
+        prob = model.make_gbm_drift()
+        b = paths.simulate_bundle(prob.driver, paths.make_grid(8, 4), 3, range(5))
+        k = schemes.iterated_integrals(b, 32, mode="exact")
+        dy = np.diff(b.y, axis=1)
+        qv = prob.driver.cell_qv(np.arange(33) / 32)
+        assert np.array_equal(k, 0.5 * (dy[..., :, None] * dy[..., None, :] - qv))
+
+
+# time-varying sigma, not smooth at s = 0: the Gauss rule's cell QVs are then
+# not additive across cells, so the exact mode's QV swap is exercised
+_DRIVERS = {
+    "bm": paths.brownian_motion_driver(1),
+    "ito-embed": paths.ito_embedding_driver(),
+    "scaled-1d": paths.DriverSpec(dim_d=1, dim_m=1,
+                                  sigma=lambda s: np.array([[1.0 + s ** 0.25]]),
+                                  drift=lambda s: np.array([0.5 - s]), label="scaled-1d"),
+    "scaled-2d": paths.DriverSpec(dim_d=2, dim_m=2,
+                                  sigma=lambda s: np.array([[1.0 + s, 0.0],
+                                                            [0.5 * s ** 0.5, 1.0 - 0.5 * s]]),
+                                  drift=lambda s: np.array([s, 1.0]), label="scaled-2d"),
+}
+
+
+class TestChenFold:
+    @settings(max_examples=40, deadline=None)
+    @given(driver=st.sampled_from(sorted(_DRIVERS)), mode=st.sampled_from(["fine", "exact"]),
+           n_list=st.lists(st.integers(1, 48), min_size=1, max_size=3).filter(
+               lambda ns: math.lcm(*ns) <= 192),
+           r=st.integers(1, 4), seed=st.integers(0, 1000))
+    @example(driver="scaled-2d", mode="exact", n_list=[12, 32], r=2, seed=1)
+    @example(driver="scaled-1d", mode="fine", n_list=[12, 32], r=1, seed=2)
+    def test_fold_matches_direct(self, driver, mode, n_list, r, seed):
+        # folding the base-level K to every n equals summing each n's
+        # sub-grid directly; tolerance is rounding relative to K's scale
+        base = math.lcm(*n_list)
+        b = paths.simulate_bundle(_DRIVERS[driver], paths.make_grid(base, r), seed, range(4))
+        kbase = schemes.iterated_integrals(b, base, mode)
+        for n in n_list:
+            folded = schemes.fold_iterated_integrals(b, kbase, n, mode)
+            direct = schemes.iterated_integrals(b, n, mode)
+            assert folded.shape == direct.shape
+            np.testing.assert_allclose(folded, direct, rtol=1e-12,
+                                       atol=1e-12 * np.abs(direct).max())
+
+    def test_fold_to_the_base_level_is_a_sum_of_one(self):
+        prob = model.make_gbm_drift()
+        b = paths.simulate_bundle(prob.driver, paths.make_grid(16, 4), 8, range(3))
+        kbase = schemes.iterated_integrals(b, 16)
+        assert np.array_equal(schemes.fold_iterated_integrals(b, kbase, 16), kbase)
+
+    def test_base_must_be_divisible(self):
+        prob = model.make_gbm()
+        b = paths.simulate_bundle(prob.driver, paths.make_grid(12, 2), 8, range(3))
+        kbase = schemes.iterated_integrals(b, 12)
+        with pytest.raises(ValueError, match="does not divide"):
+            schemes.fold_iterated_integrals(b, kbase, 8)
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_list=st.sampled_from([(4, 8, 32), (12, 32), (6, 16, 48), (16, 32, 64, 128)]),
+           fine_factor=st.sampled_from([3, 6]), mode=st.sampled_from(["fine", "exact"]),
+           seed=st.integers(0, 1000))
+    def test_milstein_pair_agrees_through_the_engine(self, n_list, fine_factor, mode, seed):
+        # criterion 10c on folded K: both schemes read the same matrices
+        prob = model.make_gbm_drift()
+        runs = [montecarlo.scheme_error_samples(prob, scheme, n_list, 40, fine_factor,
+                                                seed, iterated=mode, chunk=25)
+                for scheme in ("milstein", "milstein54")]
+        for n in n_list:
+            assert np.max(np.abs(runs[0]["err"][n] - runs[1]["err"][n])) <= 1e-12
 
 
 class TestMilstein:
