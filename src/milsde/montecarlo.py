@@ -132,12 +132,17 @@ def fit_rate(n_list, errors) -> RateFit:
                    residuals=tuple(float(v) for v in ly - pred))
 
 
+def _euler(problem, bundle, n, iterated, kmat=None):
+    return schemes.euler(problem, bundle, n)
+
+
+_euler.reads_k = False  # the only scheme without an iterated-integral term
+
 _SCHEMES = {
-    "euler": lambda problem, bundle, n, iterated, kmat=None: schemes.euler(problem, bundle, n),
+    "euler": _euler,
     "milstein": schemes.milstein,
     "milstein54": schemes.milstein_ito54,
 }
-_USES_K = ("milstein", "milstein54")
 
 
 def scheme_names() -> tuple:
@@ -222,7 +227,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         # to each coarser n just before that level's step loop; it is built
         # before the reference so that their temporaries never coexist
         kbase = schemes.iterated_integrals(bundle, base, iterated) \
-            if scheme in _USES_K else None
+            if getattr(runner, "reads_k", True) else None
         ref = schemes.reference(problem, bundle)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged

@@ -55,17 +55,10 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
     if mode not in ("fine", "exact"):
         raise ValueError(f"unknown iterated-integral mode '{mode}'")
-    if coarse_n == bundle.grid.fine_count:
-        # one sub-cell per cell: the left-point sum vanishes and the
-        # empirical QV is dY dY^T, so no sub-grid pass is needed
-        dy = np.diff(bundle.y, axis=1)
-        k_fine = np.zeros(dy.shape + dy.shape[-1:])
-        qv_emp = dy[..., :, None] * dy[..., None, :] if mode == "exact" else None
-    else:
-        dyc, disp = cell_split(bundle.y, coarse_n)
-        k_fine = np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
-        qv_emp = np.swapaxes(dyc, -1, -2) @ dyc if mode == "exact" else None
-        del dyc, disp  # free the split before the correction's temporaries
+    dyc, disp = cell_split(bundle.y, coarse_n)
+    k_fine = np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
+    qv_emp = np.swapaxes(dyc, -1, -2) @ dyc if mode == "exact" else None
+    del dyc, disp  # free the split before the correction's temporaries
     if mode == "fine":
         return k_fine
     edges = np.arange(coarse_n + 1) / coarse_n
@@ -77,21 +70,18 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
                             mode: str = "exact") -> np.ndarray:
     """K on ``coarse_n`` cells from K on a finer base grid that it divides.
 
-    Chen's identity for left-point sums: appending base cell j to a coarse
-    cell whose driver has moved by S so far adds K_j + S (x) dY_j.  The
+    Chen's identity for left-point sums: a coarse cell's K is the sum of its
+    base cells' K_j plus the left-point sum of the driver over the base
+    grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The
     exact mode then swaps the base cells' exact QV for the coarse cell's, so
     the result equals :func:`iterated_integrals` at ``coarse_n`` up to
     rounding.  The cost is O(n_paths * base * d^2), with no sub-grid pass.
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
-    yb = bundle.y[:, ::cell_size(bundle.grid.fine_count, base)]
-    dyb = np.diff(yb, axis=1).reshape(n_paths, coarse_n, m, d)
-    kb = kbase.reshape(n_paths, coarse_n, m, d, d)
-    kmat, moved = kb[:, :, 0].copy(), dyb[:, :, 0].copy()
-    for j in range(1, m):
-        kmat += kb[:, :, j] + moved[..., :, None] * dyb[:, :, j, None, :]
-        moved += dyb[:, :, j]
+    dyc, disp = cell_split(bundle.y[:, ::cell_size(bundle.grid.fine_count, base)], coarse_n)
+    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
+        + np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
     if mode == "exact":
         qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
         qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)

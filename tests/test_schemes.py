@@ -78,7 +78,7 @@ class TestIteratedIntegrals:
             schemes.iterated_integrals(b, 4, mode="wrong")
 
     def test_single_subcell_exact_mode_is_the_identity(self):
-        # r = 1: K is (dY dY^T - cell QV) / 2 with no sub-grid pass
+        # r = 1: the left-point sum vanishes, so K is (dY dY^T - cell QV) / 2
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(8, 4), 3, range(5))
         k = schemes.iterated_integrals(b, 32, mode="exact")
