@@ -7,9 +7,10 @@ CSV data file stamped with a hash of the scientific config fields, plus an
 aligned table on stdout.
 
 Exit codes: 0 all checks passed, 1 checks failed, 2 usage or config error,
-3 runtime failure.  --threads and --out affect speed and file placement
-only; they are excluded from the config hash and the report, so reruns
-with different values produce byte-identical reports.
+3 runtime failure.  Every verb runs its chunks of path (or draw) indices on
+--threads workers, with about one live chunk per worker in memory, and --out
+places the files.  Both are excluded from the config hash and the report,
+so reruns with different values produce byte-identical reports.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import limits, montecarlo, oracles
 from .model import builtin_models, get_model
-from .paths import make_grid, simulate_bundle
+from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
 
 SCHEMA_VERSION = "v1"
 OUT_DIR_ENV = "MILSDE_OUT_DIR"
@@ -287,19 +288,20 @@ def _run_simulate(config: ExperimentConfig) -> tuple:
     grid = make_grid(config.n, config.fine_factor)
     runner = montecarlo._SCHEMES[config.scheme]
     q = problem.field.dim_q
+
+    def chunk_fn(idx):
+        out = runner(problem, simulate_bundle(problem.driver, grid, config.seed, idx),
+                     config.n, "exact")
+        return out.values, out.diverged
+
+    values, flags = over_chunks(config.paths, DEFAULT_CHUNK, chunk_fn, config.threads)
+    diverged = int(flags.sum())
+    times = np.arange(values.shape[1]) / (values.shape[1] - 1)
     lines = ["path_index,t," + ",".join(f"x_{i+1}" for i in range(q))]
-    diverged = 0
-    chunk = max(1, min(config.paths, 2000))
-    for start in range(0, config.paths, chunk):
-        idx = np.arange(start, min(start + chunk, config.paths))
-        bundle = simulate_bundle(problem.driver, grid, config.seed, idx)
-        out = runner(problem, bundle, config.n, "exact")
-        diverged += int(out.diverged.sum())
-        times = np.arange(out.values.shape[1]) / (out.values.shape[1] - 1)
-        for b, pidx in enumerate(idx):
-            for k, t in enumerate(times):
-                vals = ",".join(repr(float(v)) for v in out.values[b, k])
-                lines.append(f"{pidx},{float(t)!r},{vals}")
+    for pidx, path in enumerate(values):
+        for t, point in zip(times, path):
+            vals = ",".join(repr(float(v)) for v in point)
+            lines.append(f"{pidx},{float(t)!r},{vals}")
     report = _report_skeleton(config)
     report.update(diverged_paths=diverged, passed=diverged == 0)
     table = [f"simulate: model={config.model} scheme={config.scheme} n={config.n} "
@@ -355,7 +357,8 @@ def _run_error_law(config: ExperimentConfig) -> tuple:
 
 def _run_lemma_check(config: ExperimentConfig) -> tuple:
     rows = oracles.run_case(config.case, n=config.n, paths=config.paths,
-                            fine_factor=config.fine_factor, seed=config.seed)
+                            fine_factor=config.fine_factor, seed=config.seed,
+                            threads=config.threads)
     passed = all(r.passed for r in rows)
     report = _report_skeleton(config)
     report.update(rows=[vars(r) for r in rows], passed=passed)
@@ -383,28 +386,24 @@ def _fingerprints(real) -> np.ndarray:
 def _run_limit_sim(config: ExperimentConfig) -> tuple:
     problem = get_model(config.model)
     q = problem.field.dim_q
+
+    def chunk_fn(idx):
+        real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
+        return real.u_series[:, -1].copy(), _fingerprints(real)
+
+    u_all, fps = over_chunks(config.draws, DEFAULT_CHUNK, chunk_fn, config.threads)
     lines = ["draw," + ",".join(f"u_{i+1}" for i in range(q))
              + ",qv_mm,qv_nn,qv_nm,qv_nw,qv_mw"]
-    u_all = np.empty((config.draws, q))
-    fp_sums = np.zeros(5)
-    chunk = 1000
-    for start in range(0, config.draws, chunk):
-        idx = np.arange(start, min(start + chunk, config.draws))
-        real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
-        u_all[idx] = real.u_series[:, -1]
-        fps = _fingerprints(real)
-        del real  # free this chunk's series before the next chunk is drawn
-        fp_sums += fps.sum(axis=0)
-        for b, draw in enumerate(idx):
-            uvals = ",".join(repr(float(v)) for v in u_all[draw])
-            fvals = ",".join(repr(float(v)) for v in fps[b])
-            lines.append(f"{draw},{uvals},{fvals}")
+    for draw, (u, fp) in enumerate(zip(u_all, fps)):
+        uvals = ",".join(repr(float(v)) for v in u)
+        fvals = ",".join(repr(float(v)) for v in fp)
+        lines.append(f"{draw},{uvals},{fvals}")
     mom = montecarlo.estimate_moments(u_all[:, 0])
     report = _report_skeleton(config)
     report.update(passed=True,
                   moments={"limit": vars(mom)},
                   fingerprint_means=dict(zip(("mm", "nn", "nm", "nw", "mw"),
-                                             (fp_sums / config.draws).tolist())))
+                                             (fps.sum(axis=0) / config.draws).tolist())))
     table = [f"limit-sim: draws={config.draws} U1 mean {mom.mean:+.5f} "
              f"variance {mom.variance:.5f} (se {mom.variance_se:.5f})"]
     return report, lines, table, True

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import rng
 from .model import SdeProblem, ode_curvature
-from .paths import DriverSpec, Grid, brownian_family, running_sum, simulate_bundle
+from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, over_chunks,
+                    running_sum, simulate_bundle)
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -278,15 +279,14 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
 
 
 def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,
-                           fine_count: int = 4096, chunk: int = 1000) -> np.ndarray:
+                           fine_count: int = 4096, threads: int = 1) -> np.ndarray:
     """Endpoint draws U_1 of the limit law, shape (n_draws, q).
 
     Processes draws in chunks so large batches stay within memory; the
-    values per draw index are identical for any chunk size.
+    values per draw index are identical for any chunk size or worker count.
     """
-    out = np.empty((n_draws, problem.field.dim_q))
-    for start in range(0, n_draws, chunk):
-        idx = np.arange(start, min(start + chunk, n_draws))
+    def chunk_fn(idx):
         real = draw_error_limit(problem, master_seed, idx, fine_count)
-        out[idx] = real.u_series[:, -1]
-    return out
+        return (real.u_series[:, -1].copy(),)
+
+    return over_chunks(n_draws, DEFAULT_CHUNK, chunk_fn, threads)[0]

@@ -18,6 +18,8 @@ import numpy as np
 from .paths import (DriverSpec, PathBundle, brownian_motion_driver,
                     ito_embedding_driver, time_driver)
 
+DIVERGENCE_LIMIT = 1e150  # a state beyond this magnitude has diverged
+
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -59,12 +61,18 @@ class SdeProblem:
 
 def correction_pairing(field: CoefficientField, x) -> np.ndarray:
     """Gradient/coefficient pairing h^i = (Df^i)^T f driving the
-    second-order scheme correction.  Shape (..., q, d, d)."""
+    second-order scheme correction.  Shape (..., q, d, d).
+
+    Raises if f or Df is non-finite at a state within DIVERGENCE_LIMIT; a
+    diverged state, or finite f and Df whose product overflows, gives a
+    non-finite pairing for the scheme's divergence flag to drop."""
     f = field.f_at(x)
     df = field.df_at(x)
     out = np.einsum("...ika,...kb->...iab", df, f)
     if not np.isfinite(out).all():
-        raise FloatingPointError("correction pairing evaluated non-finite")
+        bounded = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=-1)
+        if not (np.isfinite(f[bounded]).all() and np.isfinite(df[bounded]).all()):
+            raise FloatingPointError("correction pairing evaluated non-finite")
     return out
 
 
@@ -80,33 +88,6 @@ def ode_curvature(field: CoefficientField, x) -> np.ndarray:
     term1 = np.einsum("...ka,...ijkl->...ijal", f, hf)
     term2 = np.einsum("...ikj,...kla->...ijal", df, df)
     return term1 + term2
-
-
-def finite_difference_gradient(field: CoefficientField, x, h: float) -> np.ndarray:
-    """Centered-difference estimate of df at a single point x (q,)."""
-    x = np.asarray(x, dtype=float)
-    q = field.dim_q
-    out = np.empty((q, q, field.dim_d))
-    for k in range(q):
-        e = np.zeros(q)
-        e[k] = h
-        out[:, k, :] = (field.f_at(x + e) - field.f_at(x - e)) / (2 * h)
-    return out
-
-
-def finite_difference_hessian(field: CoefficientField, x, h: float) -> np.ndarray:
-    """Centered-difference estimate of hf at a single point x (q,)."""
-    x = np.asarray(x, dtype=float)
-    q = field.dim_q
-    out = np.empty((q, field.dim_d, q, q))
-    for l in range(q):
-        e = np.zeros(q)
-        e[l] = h
-        d_plus = field.df_at(x + e)
-        d_minus = field.df_at(x - e)
-        # d/dx_l of df[i, k, j] gives Hf^{ij}[k, l]
-        out[:, :, :, l] = np.transpose((d_plus - d_minus) / (2 * h), (0, 2, 1))
-    return out
 
 
 def scalar_field(f, df, d2f, growth_bound: float = 1.0) -> CoefficientField:

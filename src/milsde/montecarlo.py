@@ -5,22 +5,19 @@ bundles, so per-path errors are comparable across n and the variance of
 the fitted slope stays small.  Paths flagged as diverged anywhere are
 dropped from every coarseness (pairwise exclusion).
 
-Determinism: path statistics are accumulated per chunk of consecutive
-path indices and assembled in index order, so reports are byte-identical
-for any chunk size or worker count.
+Determinism: path statistics run through :func:`paths.over_chunks`, so
+reports are byte-identical for any chunk size or worker count.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import limits, schemes
 from .model import SdeProblem
-from .paths import make_grid, simulate_bundle
+from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
 
-DEFAULT_CHUNK = 1000
 RATE_MIN_SIZES = 3  # grid sizes a rate fit needs
 RATE_MIN_SPAN = 8  # least max(n) / min(n) of a rate fit
 LAW_MIN_SAMPLES = 1000  # samples per side of a law comparison
@@ -190,17 +187,6 @@ class ExperimentReport:
         return out
 
 
-def _chunks(total: int, chunk: int):
-    return [np.arange(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-
-def _map_chunks(fn, chunk_list, threads: int):
-    if threads <= 1 or len(chunk_list) <= 1:
-        return [fn(c) for c in chunk_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunk_list))
-
-
 def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                          fine_factor: int, seed: int, threads: int = 1,
                          iterated: str = "exact", chunk: int = DEFAULT_CHUNK) -> dict:
@@ -231,22 +217,21 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         ref = schemes.reference(problem, bundle)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged
-        err, sup = {}, {}
+        err, sup = [], []
         for n in n_list:
             kmat = kbase if kbase is None or n == base else \
                 schemes.fold_iterated_integrals(bundle, kbase, n, iterated)
             out = runner(problem, bundle, n, iterated, kmat=kmat)
             kept &= ~out.diverged
-            err[n] = out.values[:, -1] - ref_end
             ref_coarse = ref.values[:, ::(grid.fine_count // n)]
-            sup[n] = np.linalg.norm(out.values - ref_coarse, axis=2).max(axis=1)
-        return err, sup, kept
+            with np.errstate(over="ignore", invalid="ignore"):  # on diverged rows only
+                err.append(out.values[:, -1] - ref_end)
+                sup.append(np.linalg.norm(out.values - ref_coarse, axis=2).max(axis=1))
+        return (kept, *err, *sup)
 
-    parts = _map_chunks(work, _chunks(paths, chunk), threads)
-    err = {n: np.concatenate([p[0][n] for p in parts]) for n in n_list}
-    sup = {n: np.concatenate([p[1][n] for p in parts]) for n in n_list}
-    kept = np.concatenate([p[2] for p in parts])
-    return {"err": err, "sup": sup, "kept": kept, "n_list": n_list}
+    kept, *cols = over_chunks(paths, chunk, work, threads)
+    return {"err": dict(zip(n_list, cols)), "sup": dict(zip(n_list, cols[len(n_list):])),
+            "kept": kept, "n_list": n_list}
 
 
 def run_rate_experiment(problem: SdeProblem, scheme: str, n_list, paths: int,
@@ -300,7 +285,8 @@ def run_error_law(problem: SdeProblem, n: int, paths: int, draws: int,
     criterion: the scheme sample carries finite-n bias).
     """
     scheme_sample = error_law_samples(problem, n, paths, fine_factor, seed, threads)
-    limit_sample = limits.sample_error_limit_end(problem, seed, draws, fine_count)
+    limit_sample = limits.sample_error_limit_end(problem, seed, draws, fine_count,
+                                                 threads=threads)
     mom_scheme = estimate_moments(scheme_sample[:, 0])
     mom_limit = estimate_moments(limit_sample[:, 0])
     dist = compare_distributions(scheme_sample, limit_sample)

@@ -16,14 +16,17 @@ Case ids double as the CLI vocabulary:
     null                  the five vanishing mixed statistics
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng, stats
-from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, running_sum,
-                    simulate_bundle)
+from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, over_chunks,
+                    running_sum, simulate_bundle)
+
+_CHUNK = 500  # paths per chunk: the 4-channel 7.3 paths bound an oracle run's memory
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,7 @@ def _row(case, subcase, n, sample, target, null_budget=None,
                      note=note)
 
 
-def _over_chunks(paths: int, chunk: int, chunk_stats) -> list:
-    """Per-path statistics over all paths, one chunk of path indices at a time.
-
-    ``chunk_stats(idx)`` returns a sequence of (len(idx),) arrays; the result
-    concatenates each position across chunks.  A chunk's paths are locals of
-    ``chunk_stats``, so they are freed before the next chunk is drawn.
-    """
-    parts = [chunk_stats(np.arange(start, min(start + chunk, paths)))
-             for start in range(0, paths, chunk)]
-    return [np.concatenate(col) for col in zip(*parts)]
-
-
-def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
-                      chunk: int) -> list:
+def _fingerprint_rows(n: int, fine_factor: int, seed: int, over) -> list:
     grid = Grid(n, fine_factor)
     driver = brownian_motion_driver(1)
 
@@ -158,7 +148,7 @@ def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
                 n ** 2 * (dn * dm).sum(axis=(1, 2)), n * (dn * dyc).sum(axis=(1, 2)),
                 n * (dm * dyc).sum(axis=(1, 2)))
 
-    nn, mm, nm, nw, mw = _over_chunks(paths, chunk, chunk_stats)
+    nn, mm, nm, nw, mw = over(chunk_stats)
     budget = 0.5 / fine_factor
     return [
         _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
@@ -169,8 +159,7 @@ def _fingerprint_rows(n: int, paths: int, fine_factor: int, seed: int,
     ]
 
 
-def _drift_coupling_rows(n: int, paths: int, fine_factor: int, seed: int,
-                         chunk: int) -> list:
+def _drift_coupling_rows(n: int, fine_factor: int, seed: int, over) -> list:
     # n int (W^(n))^2 ds against the unit drift: target c^{12} a / 2 = 1/2
     grid = Grid(n, fine_factor)
 
@@ -179,11 +168,11 @@ def _drift_coupling_rows(n: int, paths: int, fine_factor: int, seed: int,
         nodes = cell_split(p, n)[1][:, :, 1:, 0]
         return (n * _trapz_cells(nodes ** 2),)
 
-    (vals,) = _over_chunks(paths, chunk, chunk_stats)
+    (vals,) = over(chunk_stats)
     return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, vals, 0.5)]
 
 
-def _null_rows(n: int, paths: int, fine_factor: int, seed: int, chunk: int) -> list:
+def _null_rows(n: int, fine_factor: int, seed: int, over) -> list:
     """The five vanishing mixed martingale/drift statistics."""
     grid = Grid(n, fine_factor)
     r = fine_factor
@@ -208,7 +197,7 @@ def _null_rows(n: int, paths: int, fine_factor: int, seed: int, chunk: int) -> l
     labels = ("n int W^(n) A^(n) dB", "n int W^(n) A^(n) dt", "n int (int W^(n) dB) dt",
               "n int (int A^(n) dW) dB", "n int (int A^(n) dW) dt")
     return [_row("null", label, n, sample, 0.0, null_budget=budget)
-            for label, sample in zip(labels, _over_chunks(paths, chunk, chunk_stats))]
+            for label, sample in zip(labels, over(chunk_stats))]
 
 
 # Deterministic densities for the quadrature cases, with antiderivatives.
@@ -295,7 +284,7 @@ def _statistic_specs(case: str) -> list:
 
 
 def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
-             seed: int = 1, chunk: int = 500) -> list:
+             seed: int = 1, threads: int = 1) -> list:
     """Evaluate one oracle case (or the family ids 7.3 / 7.4).
 
     Family ids sweep the shared Brownian quadruple once and report every
@@ -303,12 +292,13 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     """
     if case.startswith("7.2"):
         return _det_rows(case, n)
+    over = functools.partial(over_chunks, paths, _CHUNK, threads=threads)
     if case == "7.6":
-        return _fingerprint_rows(n, paths, fine_factor, seed, chunk)
+        return _fingerprint_rows(n, fine_factor, seed, over)
     if case == "7.7-80":
-        return _drift_coupling_rows(n, paths, fine_factor, seed, chunk)
+        return _drift_coupling_rows(n, fine_factor, seed, over)
     if case == "null":
-        return _null_rows(n, paths, fine_factor, seed, chunk)
+        return _null_rows(n, fine_factor, seed, over)
     specs = _statistic_specs(case)
     if not specs:
         raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
@@ -322,7 +312,7 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
 
     rows = []
     for (row_case, label, _, _, target), sample in zip(
-            specs, _over_chunks(paths, chunk, chunk_stats)):
+            specs, over(chunk_stats)):
         budget = 0.5 / fine_factor if target == 0.0 else None
         rows.append(_row(row_case, label, n, sample, target, null_budget=budget))
     return rows

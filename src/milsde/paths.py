@@ -11,6 +11,7 @@ Paths are generated per path index from splittable streams; a path's values
 depend only on (master_seed, path_index), never on batch composition.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import rng
 
 MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
+DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,23 @@ def cell_split(values: np.ndarray, coarse_n: int) -> tuple:
     inc = np.diff(values, axis=1)
     inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
     return inc, running_sum(inc, axis=2)
+
+
+def over_chunks(total: int, chunk: int, chunk_fn, threads: int = 1) -> tuple:
+    """Run ``chunk_fn`` over 0..total-1 in chunks of consecutive indices.
+
+    ``chunk_fn(idx)`` returns arrays of ``len(idx)`` rows, each concatenated
+    across chunks in index order.  Its locals are freed when it returns, but
+    a returned view pins its base; memory peaks near one chunk per worker,
+    and ``threads > 1`` runs that many chunks at once.
+    """
+    chunks = [np.arange(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    if threads <= 1 or len(chunks) <= 1:
+        parts = [chunk_fn(idx) for idx in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(chunk_fn, chunks))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @dataclass(frozen=True)

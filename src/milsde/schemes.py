@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SdeProblem, correction_pairing
+from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
 from .paths import PathBundle, cell_size, cell_split
 from .stats import StatSeries
-
-DIVERGENCE_LIMIT = 1e150
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,26 @@ class TestMain:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    # each size spans two chunks: 500 paths per oracle chunk, 1000 otherwise
+    @pytest.mark.parametrize("argv", [
+        ["lemma-check", "--case", "7.3", "--n", "8", "--fine-factor", "4", "--paths", "700"],
+        ["lemma-check", "--case", "null", "--n", "8", "--fine-factor", "4", "--paths", "700"],
+        ["limit-sim", "--model", "gbm-drift", "--draws", "1200", "--fine-count", "32"],
+        ["error-law", "--model", "gbm", "--n", "8", "--fine-factor", "2", "--paths", "1200",
+         "--draws", "1200", "--fine-count", "32", "--ks-threshold", "1"],
+        ["simulate", "--model", "gbm", "--scheme", "milstein", "--n", "4",
+         "--fine-factor", "2", "--paths", "1200"],
+    ], ids=["lemma-7.3", "lemma-null", "limit-sim", "error-law", "simulate"])
+    def test_multi_chunk_reports_byte_identical_across_threads(self, argv, tmp_path, capsys):
+        for threads in ("1", "2"):
+            code = cli.main(argv + ["--seed", "5", "--threads", threads,
+                                    "--out", str(tmp_path / f"t{threads}")])
+            assert code in (0, 1)
+        capsys.readouterr()
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"t1{suffix}").read_bytes() == \
+                (tmp_path / f"t2{suffix}").read_bytes()
+
     def test_unwritable_output_is_runtime_failure(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")

@@ -13,6 +13,33 @@ def scalar_square():
                               lambda x: 2 * np.ones_like(x))
 
 
+def finite_difference_gradient(field: model.CoefficientField, x, h: float) -> np.ndarray:
+    """Centered-difference estimate of df at a single point x (q,)."""
+    x = np.asarray(x, dtype=float)
+    q = field.dim_q
+    out = np.empty((q, q, field.dim_d))
+    for k in range(q):
+        e = np.zeros(q)
+        e[k] = h
+        out[:, k, :] = (field.f_at(x + e) - field.f_at(x - e)) / (2 * h)
+    return out
+
+
+def finite_difference_hessian(field: model.CoefficientField, x, h: float) -> np.ndarray:
+    """Centered-difference estimate of hf at a single point x (q,)."""
+    x = np.asarray(x, dtype=float)
+    q = field.dim_q
+    out = np.empty((q, field.dim_d, q, q))
+    for l in range(q):
+        e = np.zeros(q)
+        e[l] = h
+        d_plus = field.df_at(x + e)
+        d_minus = field.df_at(x - e)
+        # d/dx_l of df[i, k, j] gives Hf^{ij}[k, l]
+        out[:, :, :, l] = np.transpose((d_plus - d_minus) / (2 * h), (0, 2, 1))
+    return out
+
+
 class TestCorrectionPairing:
     def test_linear_field(self):
         # f(x) = x has unit gradient, so the pairing returns f itself
@@ -40,6 +67,13 @@ class TestCorrectionPairing:
                                  lambda x: 0.0 * x)
         with pytest.raises(FloatingPointError):
             model.correction_pairing(fld, np.array([[1.0]]))
+
+    def test_overflow_and_diverged_states_do_not_raise(self):
+        # x^2 pairs to 2 x^3: it overflows at 1e144 while f and Df stay
+        # finite, and at 1e160 the state itself has diverged
+        with np.errstate(over="ignore"):
+            h = model.correction_pairing(scalar_square(), np.array([[1e144], [1e160], [2.0]]))
+        assert np.isinf(h[:2]).all() and h[2, 0, 0, 0] == 16.0
 
 
 class TestOdeCurvature:
@@ -69,7 +103,7 @@ class TestDerivativeConsistency:
         for x in self.points:
             errs = {}
             for h in (1e-3, 1e-4):
-                fd = model.finite_difference_gradient(field, x, h)
+                fd = finite_difference_gradient(field, x, h)
                 errs[h] = np.max(np.abs(fd - field.df_at(x[None])[0]))
             # centered differences are exact for these polynomial fields
             assert errs[1e-3] < 1e-10
@@ -79,7 +113,7 @@ class TestDerivativeConsistency:
         fld = model.scalar_field(lambda x: x ** 3 / 3.0, lambda x: x ** 2,
                                  lambda x: 2 * x)
         x = np.array([0.9])
-        err = {h: np.max(np.abs(model.finite_difference_gradient(fld, x, h)
+        err = {h: np.max(np.abs(finite_difference_gradient(fld, x, h)
                                 - fld.df_at(x[None])[0])) for h in (1e-3, 1e-4)}
         assert 50 < err[1e-3] / err[1e-4] < 200
 
@@ -89,7 +123,7 @@ class TestDerivativeConsistency:
         for x in self.points:
             hf = field.hf_at(x[None])[0]
             assert np.array_equal(hf, np.swapaxes(hf, -1, -2))
-            fd = model.finite_difference_hessian(field, x, 1e-4)
+            fd = finite_difference_hessian(field, x, 1e-4)
             assert np.max(np.abs(fd - hf)) < 1e-6
 
     @pytest.mark.parametrize("problem_name", ["gbm", "gbm-drift", "det-exp", "ou"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milsde import model, montecarlo
+from milsde import model, montecarlo, paths
 
 
 class TestEstimateMoments:
@@ -136,6 +136,21 @@ class TestRateExperiment:
         # the shared reference couples the endpoints across n
         corr = np.corrcoef(data["err"][32][:, 0], data["err"][128][:, 0])[0, 1]
         assert corr > 0.05
+
+    @pytest.mark.parametrize("scheme", ["euler", "milstein"])
+    def test_divergence_is_excluded_not_raised(self, scheme):
+        # f(x) = x^2 blows up on some paths; with no closed form the fine
+        # reference is Milstein, whose pairing overflows on those paths
+        fld = model.scalar_field(lambda x: x ** 2, lambda x: 2 * x,
+                                 lambda x: 2 * np.ones_like(x))
+        prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1), x0=1.0)
+        data = montecarlo.scheme_error_samples(prob, scheme, [16, 32, 128], 2000,
+                                               fine_factor=1, seed=1)
+        kept = data["kept"]
+        assert 0 < int((~kept).sum()) < kept.size
+        for n in data["n_list"]:
+            assert np.isfinite(data["err"][n][kept]).all()
+            assert np.isfinite(data["sup"][n][kept]).all()
 
     def test_unknown_scheme(self):
         with pytest.raises(KeyError, match="unknown scheme"):

@@ -1,7 +1,9 @@
 import io
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsde import limits, paths, rng
 
@@ -229,6 +231,30 @@ class TestCellSplit:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="does not divide"):
             paths.cell_split(np.zeros((1, 13, 1)), 5)
+
+
+class TestOverChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(total=st.integers(1, 300), chunk=st.integers(1, 120), threads=st.integers(1, 4))
+    def test_matches_one_chunk_in_index_order(self, total, chunk, threads):
+        seen, lock = [], threading.Lock()
+
+        def chunk_fn(idx):
+            with lock:
+                seen.append(idx)
+            # per-index rows of two shapes, as the engine returns them
+            return np.sqrt(idx + 1.0), np.stack([idx, idx ** 2], axis=1), idx % 3 == 0
+
+        want = chunk_fn(np.arange(total))
+        seen.clear()
+        got = paths.over_chunks(total, chunk, chunk_fn, threads)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        # every call gets consecutive indices, at most chunk of them
+        assert all(len(idx) <= chunk and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+                   for idx in seen)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(total))
 
 
 def _reference_path(seed, component, idx, shape, channel, grid):
