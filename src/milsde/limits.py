@@ -33,32 +33,32 @@ SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
 @dataclass(frozen=True)
 class AuxiliaryNoise:
-    """The B^{pij} and Wbar^p families on the fine grid.
+    """Increments of the B^{pij} and Wbar^p families on the fine grid.
 
-    ``b`` has shape (n_paths, T, m, m, m) indexed [p, i, j]; ``wbar`` has
-    shape (n_paths, T, m).  Streams are keyed per (path, channel) so the
-    families are independent of each other and of every driver path.
+    ``db`` has shape (n_paths, T-1, m, m, m) indexed [p, i, j]; ``dwbar``
+    has shape (n_paths, T-1, m).  Streams are keyed per (path, channel) so
+    the families are independent of each other and of every driver path.
     """
 
     grid: Grid
-    b: np.ndarray
-    wbar: np.ndarray
+    db: np.ndarray
+    dwbar: np.ndarray
 
 
 def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> AuxiliaryNoise:
-    b = brownian_family(grid, master_seed, path_indices, rng.AUX_B, channels=dim_m ** 3)
-    wbar = brownian_family(grid, master_seed, path_indices, rng.AUX_WBAR, channels=dim_m)
+    db = brownian_family(grid, master_seed, path_indices, rng.AUX_B, channels=dim_m ** 3)
+    dwbar = brownian_family(grid, master_seed, path_indices, rng.AUX_WBAR, channels=dim_m)
     # channel (p*m + i)*m + j of the B family is entry [p, i, j]
-    b = b.reshape(*b.shape[:2], dim_m, dim_m, dim_m)
-    return AuxiliaryNoise(grid=grid, b=b, wbar=wbar)
+    db = db.reshape(*db.shape[:2], dim_m, dim_m, dim_m)
+    return AuxiliaryNoise(grid=grid, db=db, dwbar=dwbar)
 
 
 def assemble_v_increments(aux: AuxiliaryNoise, w: np.ndarray) -> np.ndarray:
     """Increments of the V^{pij} family, shape (n_paths, T-1, m, m, m)."""
-    db = np.diff(aux.b, axis=1)
+    db = aux.db
     dv = (SQRT2 / 2.0) * (db + np.swapaxes(db, -1, -2))
-    diag = (SQRT3 / 2.0) * np.diff(w, axis=1) + 0.5 * np.diff(aux.wbar, axis=1)
-    m = aux.b.shape[-1]
+    diag = (SQRT3 / 2.0) * np.diff(w, axis=1) + 0.5 * aux.dwbar
+    m = db.shape[-1]
     idx = np.arange(m)
     dv[:, :, :, idx, idx] += diag[:, :, :, None]
     return dv
@@ -74,9 +74,8 @@ def simulate_mn(driver: DriverSpec, w: np.ndarray, aux: AuxiliaryNoise) -> tuple
     grid = aux.grid
     left = grid.times()[:-1]
     sig = driver.sigma_at(left)
-    db = np.diff(aux.b, axis=1)
     dv = assemble_v_increments(aux, w)
-    m_inc = (SQRT6 / 6.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, db, sig)
+    m_inc = (SQRT6 / 6.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, aux.db, sig)
     n_inc = (SQRT3 / 3.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, dv, sig)
     return running_sum(m_inc, axis=1), running_sum(n_inc, axis=1)
 
@@ -130,27 +129,24 @@ def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
     return u
 
 
-def ito_error_limit(problem: SdeProblem, x_ref: np.ndarray, w: np.ndarray,
-                    b1: np.ndarray, b2: np.ndarray, times: np.ndarray) -> np.ndarray:
+def ito_error_limit(problem: SdeProblem, x_ref: np.ndarray, dw: np.ndarray,
+                    db1: np.ndarray, db2: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Explicit error-limit SDE for dX = a(X) dW + b(X) dt.
 
     dU = U (a' dW + b' dt) - (1/4) a^2 b'' dt - a (a')^2 dB1 / sqrt(6)
          - a^2 a'' (dB1/sqrt6 + dB2/(4 sqrt3) + dW/4)
 
-    with B1, B2 standard Brownian motions independent of W.  Agrees in law
-    with :func:`simulate_u` on the (W, t) embedding.
+    with B1, B2 standard Brownian motions independent of W, all given as
+    increments of shape (n_paths, T-1).  Agrees in law with
+    :func:`simulate_u` on the (W, t) embedding.
     """
     B, T, q = x_ref.shape
-    x_left = x_ref[:, :-1, 0]
     f = problem.field.f_at(x_ref[:, :-1])
     dfv = problem.field.df_at(x_ref[:, :-1])
     hfv = problem.field.hf_at(x_ref[:, :-1])
     a, b = f[..., 0, 0], f[..., 0, 1]
     da, db = dfv[..., 0, 0, 0], dfv[..., 0, 0, 1]
     d2a, d2b = hfv[..., 0, 0, 0, 0], hfv[..., 0, 1, 0, 0]
-    dw = np.diff(w, axis=1)
-    db1 = np.diff(b1, axis=1)
-    db2 = np.diff(b2, axis=1)
     dt = np.diff(times)[None, :]
     forcing = (-0.25 * a ** 2 * d2b * dt
                - a * da ** 2 * db1 / SQRT6

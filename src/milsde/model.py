@@ -63,17 +63,39 @@ def correction_pairing(field: CoefficientField, x) -> np.ndarray:
     """Gradient/coefficient pairing h^i = (Df^i)^T f driving the
     second-order scheme correction.  Shape (..., q, d, d).
 
-    Raises if f or Df is non-finite at a state within DIVERGENCE_LIMIT; a
-    diverged state, or finite f and Df whose product overflows, gives a
-    non-finite pairing for the scheme's divergence flag to drop."""
+    A non-finite pairing is returned for the scheme's divergence flag to
+    drop when it comes from a diverged state or from overflow; a field that
+    divides by zero or is invalid at a finite state raises, see
+    :func:`_check_nonfinite_pairing`."""
     f = field.f_at(x)
     df = field.df_at(x)
     out = np.einsum("...ika,...kb->...iab", df, f)
     if not np.isfinite(out).all():
-        bounded = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=-1)
-        if not (np.isfinite(f[bounded]).all() and np.isfinite(df[bounded]).all()):
-            raise FloatingPointError("correction pairing evaluated non-finite")
+        _check_nonfinite_pairing(field, x, out)
     return out
+
+
+def _check_nonfinite_pairing(field: CoefficientField, x, out: np.ndarray) -> None:
+    """Tell overflow from a defective field where the pairing is non-finite.
+
+    f and Df are evaluated again on the finite states with a non-finite
+    pairing, recording the floating-point errors they raise.  Overflow alone
+    means the path diverged.  Division by zero, an invalid operation, or a
+    non-finite value that no overflow explains means the field is defective
+    at a finite state, so this raises FloatingPointError.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.isfinite(x).all(axis=-1) & ~np.isfinite(out).all(axis=(-3, -2, -1))
+    if not rows.any():
+        return
+    errors = set()
+    with np.errstate(all="call", under="ignore", call=lambda kind, _: errors.add(kind)):
+        f = field.f_at(x[rows])
+        df = field.df_at(x[rows])
+    unexplained = "overflow" not in errors and not (np.isfinite(f).all() and np.isfinite(df).all())
+    if errors - {"overflow"} or unexplained:
+        raise FloatingPointError("correction pairing evaluated non-finite at a finite state "
+                                 f"({', '.join(sorted(errors)) or 'no floating-point error'})")
 
 
 def ode_curvature(field: CoefficientField, x) -> np.ndarray:

@@ -215,12 +215,15 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         kbase = schemes.iterated_integrals(bundle, base, iterated) \
             if getattr(runner, "reads_k", True) else None
         ref = schemes.reference(problem, bundle)
+        # the driver's base-grid increments, shared by every fold; made after
+        # the reference so that they are not live at its peak
+        dybase = np.diff(bundle.y[:, ::grid.fine_count // base], axis=1)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged
         err, sup = [], []
         for n in n_list:
             kmat = kbase if kbase is None or n == base else \
-                schemes.fold_iterated_integrals(bundle, kbase, n, iterated)
+                schemes.fold_iterated_integrals(bundle, kbase, dybase, n, iterated)
             out = runner(problem, bundle, n, iterated, kmat=kmat)
             kept &= ~out.diverged
             ref_coarse = ref.values[:, ::(grid.fine_count // n)]

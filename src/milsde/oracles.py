@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, stats
+from . import rng
 from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, over_chunks,
                     running_sum, simulate_bundle)
 
@@ -86,7 +86,7 @@ _NESTED_CASES = {
 def quartic_time_average(cells: tuple, combo: tuple) -> np.ndarray:
     """Per-path n^2 int prod_i P_i^(n) ds for a 4-column combination.
 
-    ``cells`` is the :func:`paths.cell_split` of the (B, T, 4) path columns.
+    ``cells`` is the :func:`paths.cell_split` of the (B, T-1, 4) increment columns.
     """
     nodes = cells[1][:, :, 1:]
     prod = nodes[..., combo[0]] * nodes[..., combo[1]] * nodes[..., combo[2]] * nodes[..., combo[3]]
@@ -96,7 +96,7 @@ def quartic_time_average(cells: tuple, combo: tuple) -> np.ndarray:
 def nested_time_average(cells: tuple, kind: str, combo: tuple) -> np.ndarray:
     """Per-path statistics of the nested-integral time averages.
 
-    ``cells`` is the :func:`paths.cell_split` of the (B, T, 4) path columns.
+    ``cells`` is the :func:`paths.cell_split` of the (B, T-1, 4) increment columns.
     """
     dyc, disp = cells
 
@@ -138,8 +138,8 @@ def _fingerprint_rows(n: int, fine_factor: int, seed: int, over) -> list:
 
     def chunk_stats(idx):
         bundle = simulate_bundle(driver, grid, seed, idx)
-        dyc, disp = stats.cell_increments(bundle, n)
-        dyc, disp = dyc[..., 0], disp[..., 0]
+        dyc, disp = cell_split(bundle.fine_increments(), n)
+        dyc, disp = dyc[..., 0], disp[:, :, :-1, 0]
         dz = disp * dyc
         zleft = running_sum(dz, axis=2)[:, :, :-1]
         dn = disp ** 2 * dyc
@@ -164,8 +164,8 @@ def _drift_coupling_rows(n: int, fine_factor: int, seed: int, over) -> list:
     grid = Grid(n, fine_factor)
 
     def chunk_stats(idx):
-        p = brownian_family(grid, seed, idx, rng.ORACLE)
-        nodes = cell_split(p, n)[1][:, :, 1:, 0]
+        dw = brownian_family(grid, seed, idx, rng.ORACLE)
+        nodes = cell_split(dw, n)[1][:, :, 1:, 0]
         return (n * _trapz_cells(nodes ** 2),)
 
     (vals,) = over(chunk_stats)
@@ -181,8 +181,7 @@ def _null_rows(n: int, fine_factor: int, seed: int, over) -> list:
     tau_nodes = (np.arange(1, r + 1) * dt)
 
     def chunk_stats(idx):
-        p = brownian_family(grid, seed, idx, rng.ORACLE, channels=2)
-        dyc, disp = cell_split(p, n)
+        dyc, disp = cell_split(brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
         dw, db = dyc[..., 0], dyc[..., 1]
         w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
         inner_wb = running_sum(w_left * db, axis=2)

@@ -106,17 +106,16 @@ def running_sum(inc: np.ndarray, axis: int = 1) -> np.ndarray:
     return out
 
 
-def cell_split(values: np.ndarray, coarse_n: int) -> tuple:
-    """Split path values (B, fine_count+1, ...) into ``coarse_n`` cells.
+def cell_split(inc: np.ndarray, coarse_n: int) -> tuple:
+    """Split fine increments (B, fine_count, ...) into ``coarse_n`` cells.
 
-    Returns (inc, disp): the fine increments per cell, shape
-    (B, coarse_n, r, ...), and their running sum along the cell axis,
-    shape (B, coarse_n, r+1, ...).  ``disp[:, :, :-1]`` is the displacement
-    from the cell anchor at the left node of each sub-cell and
-    ``disp[:, :, 1:]`` the displacement at its right node.
+    Returns (inc, disp): the increments per cell, shape (B, coarse_n, r, ...),
+    and their running sum along the cell axis, shape (B, coarse_n, r+1, ...).
+    ``disp[:, :, :-1]`` is the displacement from the cell anchor at the left
+    node of each sub-cell and ``disp[:, :, 1:]`` the displacement at its
+    right node.
     """
-    r = cell_size(values.shape[1] - 1, coarse_n)
-    inc = np.diff(values, axis=1)
+    r = cell_size(inc.shape[1], coarse_n)
     inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
     return inc, running_sum(inc, axis=2)
 
@@ -283,31 +282,21 @@ def sample_brownian(grid: Grid, dim_m: int, seed_key: tuple) -> np.ndarray:
     for equal keys regardless of scheduling.
     """
     master_seed, path_index = seed_key
-    return brownian_family(grid, master_seed, [path_index], rng.DRIVER_W, width=dim_m)[0]
+    return simulate_bundle(brownian_motion_driver(dim_m), grid, master_seed, [path_index]).w[0]
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
-                    channels: int = 1, width: int = None) -> np.ndarray:
-    """Brownian paths of one stream family on the fine grid, W_0 = 0.
+                    channels: int = 1, width: int = 1, out: np.ndarray = None) -> np.ndarray:
+    """Brownian increments of one stream family on the fine grid.
 
-    Every (path index, channel) key draws from its own stream: a
-    (fine_count, width) matrix when ``width`` is given, else a (fine_count,)
-    vector.  Its scaled running sum fills column ``c`` (or the ``width``
-    columns from ``c * width``) of the result, which has shape
-    (n_paths, fine_count+1, channels * (width or 1)).
+    Every (path index, channel) key draws a (fine_count, width) matrix of
+    normals from its own stream; scaled by sqrt(fine_dt) it fills the
+    ``width`` columns from ``c * width`` of the result, which has shape
+    (n_paths, fine_count, channels * width).  It is written to ``out`` when
+    given.  The running sum along the time axis is the path.
     """
-    nf = grid.fine_count
-    scale = np.sqrt(grid.fine_dt)
-    draw = (nf,) if width is None else (nf, width)
-    k = width or 1
-    out = np.empty((len(path_indices), nf + 1, channels * k))
-    out[:, 0] = 0.0
-    for b, idx in enumerate(path_indices):
-        for c in range(channels):
-            z = rng.normal_matrix(master_seed, component, int(idx), draw, channel=c)
-            cols = c if width is None else slice(c * k, (c + 1) * k)
-            np.cumsum(z * scale, axis=0, out=out[b, 1:, cols])
-    return out
+    return rng.normal_matrix(master_seed, component, path_indices, (grid.fine_count, width),
+                             channels=channels, scale=np.sqrt(grid.fine_dt), out=out)
 
 
 def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
@@ -367,21 +356,11 @@ def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
     family so they are independent of the scheme paths under one seed.
     """
     path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
-    w = brownian_family(grid, master_seed, path_indices, component, width=spec.dim_m)
+    w = np.empty((len(path_indices), grid.fine_count + 1, spec.dim_m))
+    w[:, 0] = 0.0
+    dw = brownian_family(grid, master_seed, path_indices, component, width=spec.dim_m,
+                         out=w[:, 1:])
+    np.cumsum(dw, axis=1, out=dw)  # in place: the increments become W_1..W_T
     y, a_int = build_driver(spec, w, grid)
     return PathBundle(grid=grid, driver=spec, w=w, y=y, a_int=a_int,
                       master_seed=master_seed, path_indices=path_indices)
-
-
-def dump_paths_csv(bundle: PathBundle, fh, path_index: int = 0) -> None:
-    """Write one path as CSV rows (fine_index, time, w_1..w_m, y_1..y_d)."""
-    m, d = bundle.driver.dim_m, bundle.driver.dim_d
-    cols = ["fine_index", "time"] + [f"w_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(d)]
-    fh.write(",".join(cols) + "\n")
-    b = int(np.argwhere(bundle.path_indices == path_index)[0, 0])
-    times = bundle.grid.times()
-    for k in range(bundle.grid.fine_count + 1):
-        row = [str(k), repr(float(times[k]))]
-        row += [repr(float(v)) for v in bundle.w[b, k]]
-        row += [repr(float(v)) for v in bundle.y[b, k]]
-        fh.write(",".join(row) + "\n")

@@ -53,7 +53,7 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
     if mode not in ("fine", "exact"):
         raise ValueError(f"unknown iterated-integral mode '{mode}'")
-    dyc, disp = cell_split(bundle.y, coarse_n)
+    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
     k_fine = np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
     qv_emp = np.swapaxes(dyc, -1, -2) @ dyc if mode == "exact" else None
     del dyc, disp  # free the split before the correction's temporaries
@@ -64,8 +64,8 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -
     return k_fine + 0.5 * (qv_emp - qv_exact)
 
 
-def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int,
-                            mode: str = "exact") -> np.ndarray:
+def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.ndarray,
+                            coarse_n: int, mode: str = "exact") -> np.ndarray:
     """K on ``coarse_n`` cells from K on a finer base grid that it divides.
 
     Chen's identity for left-point sums: a coarse cell's K is the sum of its
@@ -73,11 +73,13 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
     grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The
     exact mode then swaps the base cells' exact QV for the coarse cell's, so
     the result equals :func:`iterated_integrals` at ``coarse_n`` up to
-    rounding.  The cost is O(n_paths * base * d^2), with no sub-grid pass.
+    rounding.  ``dybase`` holds the driver's increments over the base grid,
+    shape (n_paths, base, d), shared by every fold of one bundle.  The cost
+    is O(n_paths * base * d^2), with no sub-grid pass.
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
-    dyc, disp = cell_split(bundle.y[:, ::cell_size(bundle.grid.fine_count, base)], coarse_n)
+    dyc, disp = cell_split(dybase, coarse_n)
     kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
         + np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
     if mode == "exact":

@@ -36,16 +36,6 @@ class StatSeries:
         return self.values[:, -1]
 
 
-def cell_increments(bundle: PathBundle, coarse_n: int) -> tuple:
-    """Fine increments and within-cell displacements, reshaped per coarse cell.
-
-    Returns (dyc, disp) of shape (n_paths, coarse_n, r, d); ``disp`` holds
-    Y at the left node of each sub-cell minus Y at the cell anchor.
-    """
-    dyc, disp = cell_split(bundle.y, coarse_n)
-    return dyc, disp[:, :, :-1]
-
-
 def _series_from_increments(bundle: PathBundle, inc: np.ndarray, kind: str) -> StatSeries:
     B = inc.shape[0]
     flat = inc.reshape(B, bundle.grid.fine_count, *inc.shape[3:])
@@ -55,8 +45,8 @@ def _series_from_increments(bundle: PathBundle, inc: np.ndarray, kind: str) -> S
 
 def z_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
     """Displacement integral: d x d series with entries int (Y - Y@anchor)_a dY_c."""
-    dyc, disp = cell_increments(bundle, coarse_n)
-    inc = np.einsum("bnra,bnrc->bnrac", disp, dyc)
+    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
+    inc = np.einsum("bnra,bnrc->bnrac", disp[:, :, :-1], dyc)
     return _series_from_increments(bundle, inc, "Z")
 
 
@@ -65,8 +55,8 @@ def m_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
 
     Values have shape (n_paths, T, d, d, d) indexed [p, a, c].
     """
-    dyc, disp = cell_increments(bundle, coarse_n)
-    dz = np.einsum("bnra,bnrc->bnrac", disp, dyc)
+    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
+    dz = np.einsum("bnra,bnrc->bnrac", disp[:, :, :-1], dyc)
     zdisp = running_sum(dz, axis=2)[:, :, :-1]
     inc = np.einsum("bnrac,bnrp->bnrpac", zdisp, dyc)
     return _series_from_increments(bundle, inc, "M")
@@ -78,8 +68,9 @@ def n_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
     Values have shape (n_paths, T, d, d, d) indexed [p, a, c]; each matrix
     is symmetric in (a, c) by construction.
     """
-    dyc, disp = cell_increments(bundle, coarse_n)
-    inc = np.einsum("bnra,bnrc,bnrp->bnrpac", disp, disp, dyc)
+    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
+    left = disp[:, :, :-1]
+    inc = np.einsum("bnra,bnrc,bnrp->bnrpac", left, left, dyc)
     return _series_from_increments(bundle, inc, "N")
 
 
@@ -90,7 +81,7 @@ def qv_displacement_integral(bundle: PathBundle, coarse_n: int) -> StatSeries:
     integration-by-parts identity N^p = M^p + (M^p)^T + int C^(n) dY^p,
     which holds exactly for the discrete sums.
     """
-    dyc, _ = cell_increments(bundle, coarse_n)
+    dyc, _ = cell_split(bundle.fine_increments(), coarse_n)
     dc = np.einsum("bnra,bnrc->bnrac", dyc, dyc)
     cdisp = running_sum(dc, axis=2)[:, :, :-1]
     inc = np.einsum("bnrac,bnrp->bnrpac", cdisp, dyc)

@@ -156,9 +156,9 @@ def test_criterion_09_drift_correction_constant():
     for start in range(0, 10_000, 1000):
         idx = np.arange(start, start + 1000)
         bundle = paths.simulate_bundle(driver, grid, 1, idx)
-        dyc, disp = stats.cell_increments(bundle, 64)
+        dyc, disp = paths.cell_split(bundle.fine_increments(), 64)
         # entry (1,1) of the second driving component: int (W^(n))^2 ds
-        vals = (disp[..., 0] ** 2 * dyc[..., 1]).sum(axis=(1, 2))
+        vals = (disp[:, :, :-1, 0] ** 2 * dyc[..., 1]).sum(axis=(1, 2))
         total += vals.sum()
         count += len(vals)
     est = 64 * total / count
@@ -184,10 +184,10 @@ def test_criterion_10_identity_suite():
     bm = paths.simulate_bundle(paths.brownian_motion_driver(1),
                                paths.make_grid(n, 64), 3, range(32))
     y = bm.y[:, :, 0]
-    dyc, disp = stats.cell_increments(bm, n)
+    dyc, disp = paths.cell_split(bm.fine_increments(), n)
     resid = (3 * stats.cube_functional(y, n)
              - 3 * stats.n_functional(bm, n).values[:, -1, 0, 0, 0]
-             - 3 * (disp[..., 0] * dyc[..., 0] ** 2).sum(axis=(1, 2))
+             - 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2))
              - (dyc[..., 0] ** 3).sum(axis=(1, 2)))
     mart_ok = np.max(np.abs(resid)) < 1e-13
 

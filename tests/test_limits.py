@@ -17,16 +17,17 @@ class TestAuxiliaryNoise:
         g = paths.Grid(64, 1)
         a1 = limits.sample_aux(g, 1, 5, range(3))
         a2 = limits.sample_aux(g, 1, 5, range(3))
-        assert np.array_equal(a1.b, a2.b) and np.array_equal(a1.wbar, a2.wbar)
-        assert np.all(a1.b[:, 0] == 0.0) and np.all(a1.wbar[:, 0] == 0.0)
+        assert np.array_equal(a1.db, a2.db) and np.array_equal(a1.dwbar, a2.dwbar)
+        # one increment per fine cell
+        assert a1.db.shape == (3, 64, 1, 1, 1) and a1.dwbar.shape == (3, 64, 1)
 
     def test_families_uncorrelated(self):
         g = paths.Grid(16, 1)
         aux = limits.sample_aux(g, 1, 5, range(4000))
-        w = paths.brownian_family(g, 5, np.arange(4000), rng.LIMIT_W, width=1)
-        pairs = [(aux.b[:, -1, 0, 0, 0], aux.wbar[:, -1, 0]),
-                 (aux.b[:, -1, 0, 0, 0], w[:, -1, 0]),
-                 (aux.wbar[:, -1, 0], w[:, -1, 0])]
+        w1 = paths.brownian_family(g, 5, np.arange(4000), rng.LIMIT_W)[:, :, 0].sum(axis=1)
+        b1 = aux.db[:, :, 0, 0, 0].sum(axis=1)
+        wbar1 = aux.dwbar[:, :, 0].sum(axis=1)
+        pairs = [(b1, wbar1), (b1, w1), (wbar1, w1)]
         for a, b in pairs:
             corr = np.mean(a * b)
             assert abs(corr) < 3.0 / np.sqrt(4000)
@@ -35,10 +36,10 @@ class TestAuxiliaryNoise:
         # [V,V] = 3t, [V,B] = sqrt2 t, [V,W] = (sqrt3/2) t
         g = paths.Grid(256, 1)
         aux = limits.sample_aux(g, 1, 8, range(3000))
-        w = paths.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W, width=1)
-        dv = limits.assemble_v_increments(aux, w)[:, :, 0, 0, 0]
-        db = np.diff(aux.b[:, :, 0, 0, 0], axis=1)
-        dw = np.diff(w[:, :, 0], axis=1)
+        dw = paths.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W)
+        dv = limits.assemble_v_increments(aux, paths.running_sum(dw, axis=1))[:, :, 0, 0, 0]
+        db = aux.db[:, :, 0, 0, 0]
+        dw = dw[:, :, 0]
         for prod, target in (((dv * dv), 3.0), ((dv * db), np.sqrt(2)),
                              ((dv * dw), np.sqrt(3) / 2)):
             qv = prod.sum(axis=1)
@@ -57,7 +58,8 @@ class TestSimulateMn:
         # Var(M_1) = 1/6, Var(N_1) = 1, Cov(N, M) = 1/3, Cov(N, W) = 1/2
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(256, 1)
-        w = paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W, width=1)
+        w = paths.running_sum(paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W),
+                              axis=1)
         aux = limits.sample_aux(g, 1, 7, range(8000))
         m, n = limits.simulate_mn(drv, w, aux)
         m1, n1, w1 = m[:, -1, 0, 0, 0], n[:, -1, 0, 0, 0], w[:, -1, 0]
@@ -70,7 +72,8 @@ class TestSimulateMn:
         # pathwise covariations of the simulated limits hit the constants
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(1024, 1)
-        w = paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W, width=1)
+        w = paths.running_sum(paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W),
+                              axis=1)
         aux = limits.sample_aux(g, 1, 15, range(3000))
         m, n = limits.simulate_mn(drv, w, aux)
         dm = np.diff(m[:, :, 0, 0, 0], axis=1)
@@ -87,7 +90,8 @@ class TestSimulateMn:
         # first driving component and nothing in the second
         drv = paths.ito_embedding_driver()
         g = paths.Grid(1024, 1)
-        w = paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W, width=1)
+        w = paths.running_sum(paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W),
+                              axis=1)
         aux = limits.sample_aux(g, 1, 19, range(3000))
         m, n = limits.simulate_mn(drv, w, aux)
         assert np.all(n[:, :, 1] == 0.0)  # sigma^{2p} = 0
@@ -177,8 +181,8 @@ class TestItoErrorLimit:
                                  db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x)
         grid, bundle, aux = limit_inputs(prob, 128, 9, 4)
         x_ref = schemes.reference(prob, bundle).values
-        u = limits.ito_error_limit(prob, x_ref, bundle.w[:, :, 0],
-                                   aux.b[:, :, 0, 0, 0], aux.wbar[:, :, 0],
+        u = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                   aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                    grid.times())
         assert np.all(u == 0.0)
 
@@ -194,8 +198,8 @@ class TestItoErrorLimit:
         m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
         n_bar = limits.drift_correct(n, prob.driver, grid.times())
         u_general = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m, n_bar)
-        u_display = limits.ito_error_limit(prob, x_ref, bundle.w[:, :, 0],
-                                           aux.b[:, :, 0, 0, 0], aux.wbar[:, :, 0],
+        u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                           aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                            grid.times())
         assert np.max(np.abs(u_general - u_display)) < 1e-10
 
@@ -206,8 +210,8 @@ class TestItoErrorLimit:
         x_ref = prob.closed_form(bundle)
         m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
         u_general = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m, n)
-        u_display = limits.ito_error_limit(prob, x_ref, bundle.w[:, :, 0],
-                                           aux.b[:, :, 0, 0, 0], aux.wbar[:, :, 0],
+        u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                           aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                            grid.times())
         v1 = u_general[:, -1, 0].var(ddof=1)
         v2 = u_display[:, -1, 0].var(ddof=1)

@@ -129,8 +129,10 @@ class TestRateExperiment:
         bundle = paths.simulate_bundle(gbm.driver, grid, 13, range(300))
         ref = schemes.reference(gbm, bundle).values[:, -1]
         kbase = schemes.iterated_integrals(bundle, 128)
+        dybase = np.diff(bundle.y, axis=1)
         for n in (32, 128):
-            kmat = kbase if n == 128 else schemes.fold_iterated_integrals(bundle, kbase, n)
+            kmat = kbase if n == 128 else \
+                schemes.fold_iterated_integrals(bundle, kbase, dybase, n)
             manual = schemes.milstein(gbm, bundle, n, kmat=kmat).values[:, -1] - ref
             assert np.array_equal(manual, data["err"][n])
         # the shared reference couples the endpoints across n
@@ -151,6 +153,30 @@ class TestRateExperiment:
         for n in data["n_list"]:
             assert np.isfinite(data["err"][n][kept]).all()
             assert np.isfinite(data["sup"][n][kept]).all()
+
+    @pytest.mark.parametrize("scheme", ["euler", "milstein"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_overflowing_field_is_excluded_not_raised(self, scheme, seed):
+        # f(x) = x^3 overflows in f itself at finite states near 5.6e102,
+        # below the divergence limit: overflow alone marks a diverged path
+        fld = model.scalar_field(lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x)
+        prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1), x0=1.0)
+        data = montecarlo.scheme_error_samples(prob, scheme, [16, 32, 128], 2000,
+                                               fine_factor=1, seed=seed)
+        kept = data["kept"]
+        assert 0 < int((~kept).sum()) < kept.size
+        for n in data["n_list"]:
+            assert np.isfinite(data["err"][n][kept]).all()
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_defective_field_raises(self):
+        # 1/(x-1) divides by zero at the finite start x0 = 1
+        fld = model.scalar_field(lambda x: 1.0 / (x - 1.0), lambda x: -1.0 / (x - 1.0) ** 2,
+                                 lambda x: 2.0 / (x - 1.0) ** 3)
+        prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1), x0=1.0)
+        with pytest.raises(FloatingPointError, match="divide"):
+            montecarlo.scheme_error_samples(prob, "milstein", [16, 32, 128], 100,
+                                            fine_factor=1, seed=1)
 
     def test_unknown_scheme(self):
         with pytest.raises(KeyError, match="unknown scheme"):

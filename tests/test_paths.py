@@ -1,4 +1,3 @@
-import io
 import threading
 
 import numpy as np
@@ -176,20 +175,6 @@ class TestBuildDriver:
             paths.DriverSpec(dim_d=2, dim_m=1, sigma=np.zeros((1, 1)))
 
 
-def test_dump_paths_csv():
-    g = paths.make_grid(2, 2)
-    spec = paths.ito_embedding_driver()
-    b = paths.simulate_bundle(spec, g, 1, [3, 4])
-    buf = io.StringIO()
-    paths.dump_paths_csv(b, buf, path_index=4)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "fine_index,time,w_1,y_1,y_2"
-    assert len(lines) == g.fine_count + 2
-    last = lines[-1].split(",")
-    assert int(last[0]) == g.fine_count
-    assert float(last[1]) == 1.0
-
-
 def test_cell_qv_constant_sigma_exact():
     spec = paths.brownian_motion_driver(2)
     edges = np.linspace(0, 1, 5)
@@ -213,7 +198,7 @@ class TestCellSplit:
     def test_views_match_cell_loop(self, coarse_n):
         b = paths.simulate_bundle(paths.brownian_motion_driver(2), paths.make_grid(12, 1),
                                   3, range(5))
-        inc, disp = paths.cell_split(b.y, coarse_n)
+        inc, disp = paths.cell_split(b.fine_increments(), coarse_n)
         r = 12 // coarse_n
         assert inc.shape == (5, coarse_n, r, 2) and disp.shape == (5, coarse_n, r + 1, 2)
         for k in range(coarse_n):
@@ -258,7 +243,8 @@ class TestOverChunks:
 
 
 def _reference_path(seed, component, idx, shape, channel, grid):
-    z = rng.normal_matrix(seed, component, idx, shape, channel=channel)
+    # the per-key numpy construction the batched draw must reproduce
+    z = rng.stream(seed, component, idx, channel).standard_normal(shape)
     return np.cumsum(z * np.sqrt(grid.fine_dt), axis=0)
 
 
@@ -268,34 +254,38 @@ class TestBrownianFamily:
 
     def test_driver_layout(self):
         g = self.GRID
+        want = _reference_path(11, rng.DRIVER_W, 5, (g.fine_count, 2), 0, g)
         for batch in self.BATCHES:
-            w = paths.brownian_family(g, 11, batch, rng.DRIVER_W, width=2)
+            dw = paths.brownian_family(g, 11, batch, rng.DRIVER_W, width=2)
             b = list(batch).index(5)
+            assert dw.shape == (len(batch), g.fine_count, 2)
+            assert np.array_equal(np.cumsum(dw[b], axis=0), want)
+            w = paths.simulate_bundle(paths.brownian_motion_driver(2), g, 11, batch).w
             assert np.all(w[b, 0] == 0.0)
-            assert np.array_equal(w[b, 1:],
-                                  _reference_path(11, rng.DRIVER_W, 5, (g.fine_count, 2), 0, g))
+            assert np.array_equal(w[b, 1:], want)
 
     def test_aux_layout(self):
         g, m = self.GRID, 2
         for batch in self.BATCHES:
             aux = limits.sample_aux(g, m, 11, batch)
             b = list(batch).index(5)
+            assert aux.db.shape == (len(batch), g.fine_count, m, m, m)
+            assert aux.dwbar.shape == (len(batch), g.fine_count, m)
             for p in range(m):
                 for i in range(m):
                     for j in range(m):
                         want = _reference_path(11, rng.AUX_B, 5, (g.fine_count,),
                                                (p * m + i) * m + j, g)
-                        assert np.array_equal(aux.b[b, 1:, p, i, j], want)
+                        assert np.array_equal(np.cumsum(aux.db[b, :, p, i, j]), want)
                 want = _reference_path(11, rng.AUX_WBAR, 5, (g.fine_count,), p, g)
-                assert np.array_equal(aux.wbar[b, 1:, p], want)
-            assert np.all(aux.b[:, 0] == 0.0) and np.all(aux.wbar[:, 0] == 0.0)
+                assert np.array_equal(np.cumsum(aux.dwbar[b, :, p]), want)
 
     def test_oracle_layout(self):
         g = self.GRID
         for batch in self.BATCHES:
             fam = paths.brownian_family(g, 11, batch, rng.ORACLE, channels=4)
             b = list(batch).index(5)
-            assert fam.shape == (len(batch), g.fine_count + 1, 4)
+            assert fam.shape == (len(batch), g.fine_count, 4)
             for c in range(4):
                 want = _reference_path(11, rng.ORACLE, 5, (g.fine_count,), c, g)
-                assert np.array_equal(fam[b, 1:, c], want)
+                assert np.array_equal(np.cumsum(fam[b, :, c]), want)

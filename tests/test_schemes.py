@@ -116,8 +116,9 @@ class TestChenFold:
         base = math.lcm(*n_list)
         b = paths.simulate_bundle(_DRIVERS[driver], paths.make_grid(base, r), seed, range(4))
         kbase = schemes.iterated_integrals(b, base, mode)
+        dybase = np.diff(b.y[:, ::r], axis=1)
         for n in n_list:
-            folded = schemes.fold_iterated_integrals(b, kbase, n, mode)
+            folded = schemes.fold_iterated_integrals(b, kbase, dybase, n, mode)
             direct = schemes.iterated_integrals(b, n, mode)
             assert folded.shape == direct.shape
             np.testing.assert_allclose(folded, direct, rtol=1e-12,
@@ -127,14 +128,16 @@ class TestChenFold:
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(16, 4), 8, range(3))
         kbase = schemes.iterated_integrals(b, 16)
-        assert np.array_equal(schemes.fold_iterated_integrals(b, kbase, 16), kbase)
+        dybase = np.diff(b.y[:, ::4], axis=1)
+        assert np.array_equal(schemes.fold_iterated_integrals(b, kbase, dybase, 16), kbase)
 
     def test_base_must_be_divisible(self):
         prob = model.make_gbm()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(12, 2), 8, range(3))
         kbase = schemes.iterated_integrals(b, 12)
+        dybase = np.diff(b.y[:, ::2], axis=1)
         with pytest.raises(ValueError, match="does not divide"):
-            schemes.fold_iterated_integrals(b, kbase, 8)
+            schemes.fold_iterated_integrals(b, kbase, dybase, 8)
 
     @settings(max_examples=12, deadline=None)
     @given(n_list=st.sampled_from([(4, 8, 32), (12, 32), (6, 16, 48), (16, 32, 64, 128)]),

@@ -137,8 +137,8 @@ class TestCubeFunctional:
         y = b.y[:, :, 0]
         cube3 = 3 * stats.cube_functional(y, n)
         s3 = 3 * stats.n_functional(b, n).values[:, -1, 0, 0, 0]
-        dyc, disp = stats.cell_increments(b, n)
-        corr = 3 * (disp[..., 0] * dyc[..., 0] ** 2).sum(axis=(1, 2)) \
+        dyc, disp = paths.cell_split(b.fine_increments(), n)
+        corr = 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2)) \
             + (dyc[..., 0] ** 3).sum(axis=(1, 2))
         assert np.max(np.abs(cube3 - s3 - corr)) < 1e-13
 
