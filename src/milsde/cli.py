@@ -376,9 +376,9 @@ def _run_lemma_check(config: ExperimentConfig) -> tuple:
 
 def _fingerprints(real) -> np.ndarray:
     """Per-draw quadratic (co)variations mm, nn, nm, nw, mw, shape (draws, 5)."""
-    dm = np.diff(real.m_series[:, :, 0, 0, 0], axis=1)
-    dn = np.diff(real.n_series[:, :, 0, 0, 0], axis=1)
-    dw = np.diff(real.w[:, :, 0], axis=1)
+    dm = real.dm[:, :, 0, 0, 0]
+    dn = real.dn[:, :, 0, 0, 0]
+    dw = real.dw[:, :, 0]
     return np.stack([(dm * dm).sum(1), (dn * dn).sum(1), (dn * dm).sum(1),
                      (dn * dw).sum(1), (dm * dw).sum(1)], axis=1)
 
@@ -389,7 +389,7 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
 
     def chunk_fn(idx):
         real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
-        return real.u_series[:, -1].copy(), _fingerprints(real)
+        return real.u_end, _fingerprints(real)
 
     u_all, fps = over_chunks(config.draws, DEFAULT_CHUNK, chunk_fn, config.threads)
     lines = ["draw," + ",".join(f"u_{i+1}" for i in range(q))

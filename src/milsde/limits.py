@@ -11,11 +11,15 @@ for i = j, where the B and Wbar families are standard Brownian motions
 independent of the driver's W.  V is always assembled on the fly from
 (B, W, Wbar) so its cross-correlations are exact by construction.  A drift
 in the driver shifts N by the deterministic matrix (1/2) int c_s a^p_s ds.
+M and N are carried as increments over the fine cells, never as running
+series: the three sigma factors are contracted once per time step and
+applied to the flattened noise increments.
 
 The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
-the fine grid; for a finite-variation driver the law degenerates to an
-ODE, solved to high accuracy by step-halved Richardson extrapolation.
+the fine grid; only the endpoint U_1 is kept.  For a finite-variation
+driver the law degenerates to an ODE, solved to high accuracy by
+step-halved Richardson extrapolation.
 """
 
 from dataclasses import dataclass
@@ -24,8 +28,7 @@ import numpy as np
 
 from . import rng
 from .model import SdeProblem, ode_curvature
-from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, over_chunks,
-                    running_sum, simulate_bundle)
+from .paths import DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, over_chunks, simulate_bundle
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -53,80 +56,103 @@ def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> Auxili
     return AuxiliaryNoise(grid=grid, db=db, dwbar=dwbar)
 
 
-def assemble_v_increments(aux: AuxiliaryNoise, w: np.ndarray) -> np.ndarray:
-    """Increments of the V^{pij} family, shape (n_paths, T-1, m, m, m)."""
+def assemble_v_increments(aux: AuxiliaryNoise, dw: np.ndarray) -> np.ndarray:
+    """Increments of the V^{pij} family, shape (n_paths, T-1, m, m, m).
+
+    ``dw`` holds the driver's own Brownian increments, (n_paths, T-1, m).
+    """
     db = aux.db
-    dv = (SQRT2 / 2.0) * (db + np.swapaxes(db, -1, -2))
-    diag = (SQRT3 / 2.0) * np.diff(w, axis=1) + 0.5 * aux.dwbar
-    m = db.shape[-1]
-    idx = np.arange(m)
-    dv[:, :, :, idx, idx] += diag[:, :, :, None]
+    B, T, m = dw.shape
+    dv = db + np.swapaxes(db, -1, -2)
+    dv *= SQRT2 / 2.0
+    diag = (SQRT3 / 2.0) * dw
+    diag += 0.5 * aux.dwbar
+    # the [p, i, i] entries, a strided view of the flattened (i, j) pair
+    dv.reshape(B, T, m, m * m)[..., ::m + 1] += diag[:, :, :, None]
     return dv
 
 
-def simulate_mn(driver: DriverSpec, w: np.ndarray, aux: AuxiliaryNoise) -> tuple:
-    """Limit processes (M, N) on the fine grid.
+def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tuple:
+    """Increments (dM, dN) of the limit processes over the fine cells.
 
-    Returns two arrays of shape (n_paths, T, d, d, d) indexed [j, row, col].
-    ``w`` must be the driver's own Brownian path; the diagonal of V couples
-    to it.
+    Returns two arrays of shape (n_paths, T-1, d, d, d) indexed [j, row, col].
+    ``dw`` must be the driver's own Brownian increments, (n_paths, T-1, m);
+    the diagonal of V couples to them.  The three sigma factors are
+    contracted once per time step, so each family costs one two-operand
+    product with the flattened noise increments.
     """
-    grid = aux.grid
-    left = grid.times()[:-1]
-    sig = driver.sigma_at(left)
-    dv = assemble_v_increments(aux, w)
-    m_inc = (SQRT6 / 6.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, aux.db, sig)
-    n_inc = (SQRT3 / 3.0) * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, dv, sig)
-    return running_sum(m_inc, axis=1), running_sum(n_inc, axis=1)
+    d = driver.dim_d
+    B, T, m = dw.shape
+    sig = driver.sigma_at(aux.grid.times()[:-1])
+    # sigma^{jp} sigma^{au} sigma^{cv} per step: row (p*m + u)*m + v meets the
+    # flattened [p, u, v] noise entry, column (j*d + a)*d + c the [j, a, c] one
+    cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
+    dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
+    dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube)
+    del dv
+    dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (SQRT6 / 6.0) * cube)
+    return dm.reshape(B, T, d, d, d), dn.reshape(B, T, d, d, d)
 
 
-def _cumulative_trapezoid(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of ``integrand`` (T, ...) over ``times``, 0 at t_0."""
+def _trapezoid_increments(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``integrand`` (T, ...) over each cell of ``times``."""
     dt = np.diff(times).reshape(-1, *(1,) * (integrand.ndim - 1))
-    return running_sum(0.5 * (integrand[:-1] + integrand[1:]) * dt, axis=0)
+    return 0.5 * (integrand[:-1] + integrand[1:]) * dt
 
 
-def drift_correct(n_series: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.ndarray:
-    """Add the deterministic drift shift (1/2) int c_s a^p_s ds to each N^p."""
+def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.ndarray:
+    """Add the deterministic drift shift (1/2) int c_s a^p_s ds to the dN^p increments."""
     if not driver.has_drift:
-        return n_series
+        return dn
     c = driver.c_at(times)
     a = driver.drift_at(times)
     # trapezoid: exact for the constant and affine coefficient cases
-    return n_series + _cumulative_trapezoid(0.5 * np.einsum("tac,tp->tpac", c, a), times)
+    return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
 def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
-               m_series: np.ndarray, n_series: np.ndarray) -> np.ndarray:
+               dm: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """Integrate the limit error SDE along a reference solution path.
 
     dU^i = U^T Df^i(X) dY - sum_{jk} f^{ij}_k(X) tr(h^k(X) dM^j)
            - (1/2) sum_j tr(f^T Hf^{ij} f dN^j),  U_0 = 0.
 
     ``x_ref`` is (n_paths, T, q), ``dy`` the driver increments
-    (n_paths, T-1, d); M and N series as returned by :func:`simulate_mn`
+    (n_paths, T-1, d); dM and dN as returned by :func:`simulate_mn`
     (drift-corrected when the driver has a drift).  Left-point Euler on the
-    fine grid; the output has shape (n_paths, T, q).
+    fine grid; returns U at the last node, shape (n_paths, q).  The loop is
+    causal: truncating every input to its first k cells gives U at node k.
     """
     B, T, q = x_ref.shape
     x_left = x_ref[:, :-1]
-    f = problem.field.f_at(x_left)
-    df = problem.field.df_at(x_left)
-    hf = problem.field.hf_at(x_left)
+    field = problem.field
+    f = field.f_at(x_left)
+    df = field.df_at(x_left)
     h = np.einsum("xtika,xtkc->xtiac", df, f)
-    dm = np.diff(m_series, axis=1)
-    dn = np.diff(n_series, axis=1)
-    # U-independent increments: the M and N forcing terms
-    forcing = -np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm) \
-        - 0.5 * np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn)
-    # U-coupling matrices A[t]^{ik} = sum_j (Df^i)_{kj} dY_j
-    coupling = np.einsum("xtikj,xtj->xtik", df, dy)
-    u = np.zeros((B, T, q))
+    # U-independent increments and U-coupling matrices
+    # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j, both laid out time-major for the loop
+    forcing = np.empty((T - 1, B, q))
+    np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm, out=forcing.transpose(1, 0, 2))
+    del h
+    np.negative(forcing, out=forcing)
+    coupling = np.empty((T - 1, B, q, q))
+    np.einsum("xtikj,xtj->xtik", df, dy, out=coupling.transpose(1, 0, 2, 3))
+    del df
+    hf = field.hf_at(x_left)
+    del x_left, x_ref
+    n_term = np.empty_like(forcing)
+    np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn, out=n_term.transpose(1, 0, 2))
+    del f, hf, dm, dn
+    n_term *= 0.5
+    forcing -= n_term
+    del n_term
     cur = np.zeros((B, q))
+    step = np.empty((B, q))
     for t in range(T - 1):
-        cur = cur + np.einsum("bik,bk->bi", coupling[:, t], cur) + forcing[:, t]
-        u[:, t + 1] = cur
-    return u
+        np.einsum("bik,bk->bi", coupling[t], cur, out=step)
+        cur += step
+        cur += forcing[t]
+    return cur
 
 
 def ito_error_limit(problem: SdeProblem, x_ref: np.ndarray, dw: np.ndarray,
@@ -161,15 +187,16 @@ def ito_error_limit(problem: SdeProblem, x_ref: np.ndarray, dw: np.ndarray,
 
 
 def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
-    """Deterministic limit (M, N) of a finite-variation driver.
+    """Deterministic limit increments (dM, dN) of a finite-variation driver.
 
-    N^j_t = (1/3) int y y^T y_j ds and M = N/2, evaluated by trapezoid on
-    the given grid.  Feeding these into :func:`simulate_u` must reproduce
-    the finite-variation error ODE.
+    N^j_t = (1/3) int y y^T y_j ds and M = N/2, integrated by trapezoid
+    over each cell of the given grid; shape (1, T-1, d, d, d).  Feeding
+    these into :func:`simulate_u` must reproduce the finite-variation error
+    ODE.
     """
     y = driver.drift_at(times)
-    n = _cumulative_trapezoid(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
-    return n / 2.0, n
+    dn = _trapezoid_increments(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
+    return dn / 2.0, dn
 
 
 @dataclass(frozen=True)
@@ -244,14 +271,16 @@ def driver_sigma_norm(driver: DriverSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LimitRealization:
-    """One batch of limit draws: the inputs and the resulting error paths."""
+    """One batch of limit draws: the driving increments and the endpoints U_1.
 
-    times: np.ndarray
-    w: np.ndarray
-    x_ref: np.ndarray
-    m_series: np.ndarray
-    n_series: np.ndarray
-    u_series: np.ndarray
+    ``dw`` is (n_paths, T-1, m); ``dm`` and ``dn`` are the (drift-corrected)
+    limit increments of :func:`simulate_mn`; ``u_end`` is (n_paths, q).
+    """
+
+    dw: np.ndarray
+    dm: np.ndarray
+    dn: np.ndarray
+    u_end: np.ndarray
 
 
 def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
@@ -261,17 +290,22 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     Draws a fresh driver path (its own stream family), the auxiliary
     families, the reference solution along the path, and integrates the
     limit SDE.  The driver's drift correction is applied automatically.
+    The bundle is dropped once its increments and reference are taken, and
+    the auxiliary noise once M and N are built.
     """
     grid = Grid(fine_count, 1)
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
                              component=rng.LIMIT_W)
-    aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
-    m_series, n_series = simulate_mn(problem.driver, bundle.w, aux)
-    n_used = drift_correct(n_series, problem.driver, grid.times())
     x_ref = reference(problem, bundle).values
-    u = simulate_u(problem, x_ref, bundle.fine_increments(), m_series, n_used)
-    return LimitRealization(times=grid.times(), w=bundle.w, x_ref=x_ref,
-                            m_series=m_series, n_series=n_used, u_series=u)
+    dy = bundle.fine_increments()
+    dw = np.diff(bundle.w, axis=1)
+    del bundle
+    aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
+    dm, dn = simulate_mn(problem.driver, dw, aux)
+    del aux
+    dn = drift_correct(dn, problem.driver, grid.times())
+    u_end = simulate_u(problem, x_ref, dy, dm, dn)
+    return LimitRealization(dw=dw, dm=dm, dn=dn, u_end=u_end)
 
 
 def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,
@@ -282,7 +316,6 @@ def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,
     values per draw index are identical for any chunk size or worker count.
     """
     def chunk_fn(idx):
-        real = draw_error_limit(problem, master_seed, idx, fine_count)
-        return (real.u_series[:, -1].copy(),)
+        return (draw_error_limit(problem, master_seed, idx, fine_count).u_end,)
 
     return over_chunks(n_draws, DEFAULT_CHUNK, chunk_fn, threads)[0]

@@ -43,7 +43,8 @@ class SchemeOutput:
 
 
 def _flag_divergence(values: np.ndarray) -> tuple:
-    bad = ~np.isfinite(values).all(axis=2) | (np.abs(values) > DIVERGENCE_LIMIT).any(axis=2)
+    # NaN and +-inf fail the comparison, so one pass flags them with the overflow
+    bad = ~(np.abs(values) <= DIVERGENCE_LIMIT).all(axis=2)
     diverged = bad.any(axis=1)
     first_bad = np.where(diverged, bad.argmax(axis=1), -1)
     return diverged, first_bad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ def limit_inputs(problem, fine_count, seed, n_draws):
                                    component=rng.LIMIT_W)
     aux = limits.sample_aux(grid, problem.driver.dim_m, seed, range(n_draws))
     return grid, bundle, aux
+
+
+def u_at_every_node(problem, x_ref, dy, dm, dn):
+    """U at each fine node: U_1 of the inputs truncated to each prefix.
+
+    The integrator is causal, so the endpoint of the first k cells is U at
+    node k.  Shape (n_paths, T, q) with U_0 = 0.
+    """
+    steps = dy.shape[1]
+    u = np.zeros((x_ref.shape[0], steps + 1, x_ref.shape[2]))
+    for k in range(1, steps + 1):
+        u[:, k] = limits.simulate_u(problem, x_ref[:, :k + 1], dy[:, :k], dm[:, :k], dn[:, :k])
+    return u
 
 
 class TestAuxiliaryNoise:
@@ -37,7 +52,7 @@ class TestAuxiliaryNoise:
         g = paths.Grid(256, 1)
         aux = limits.sample_aux(g, 1, 8, range(3000))
         dw = paths.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W)
-        dv = limits.assemble_v_increments(aux, paths.running_sum(dw, axis=1))[:, :, 0, 0, 0]
+        dv = limits.assemble_v_increments(aux, dw)[:, :, 0, 0, 0]
         db = aux.db[:, :, 0, 0, 0]
         dw = dw[:, :, 0]
         for prod, target in (((dv * dv), 3.0), ((dv * db), np.sqrt(2)),
@@ -51,18 +66,18 @@ class TestSimulateMn:
     def test_zero_sigma_gives_zero(self):
         prob = model.make_det_exp()
         grid, bundle, aux = limit_inputs(prob, 128, 3, 4)
-        m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
-        assert np.all(m == 0.0) and np.all(n == 0.0)
+        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
+        assert dm.shape == dn.shape == (4, 128, 1, 1, 1)
+        assert np.all(dm == 0.0) and np.all(dn == 0.0)
 
     def test_scalar_moments(self):
         # Var(M_1) = 1/6, Var(N_1) = 1, Cov(N, M) = 1/3, Cov(N, W) = 1/2
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(256, 1)
-        w = paths.running_sum(paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W),
-                              axis=1)
+        dw = paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 7, range(8000))
-        m, n = limits.simulate_mn(drv, w, aux)
-        m1, n1, w1 = m[:, -1, 0, 0, 0], n[:, -1, 0, 0, 0], w[:, -1, 0]
+        dm, dn = limits.simulate_mn(drv, dw, aux)
+        m1, n1, w1 = (x.sum(axis=1)[:, 0] for x in (dm[..., 0, 0], dn[..., 0, 0], dw))
         checks = [(m1 * m1, 1 / 6), (n1 * n1, 1.0), (n1 * m1, 1 / 3), (n1 * w1, 0.5)]
         for sample, target in checks:
             se = sample.std(ddof=1) / np.sqrt(len(sample))
@@ -72,13 +87,10 @@ class TestSimulateMn:
         # pathwise covariations of the simulated limits hit the constants
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(1024, 1)
-        w = paths.running_sum(paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W),
-                              axis=1)
+        dw = paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 15, range(3000))
-        m, n = limits.simulate_mn(drv, w, aux)
-        dm = np.diff(m[:, :, 0, 0, 0], axis=1)
-        dn = np.diff(n[:, :, 0, 0, 0], axis=1)
-        dw = np.diff(w[:, :, 0], axis=1)
+        dm, dn = limits.simulate_mn(drv, dw, aux)
+        dm, dn, dw = dm[:, :, 0, 0, 0], dn[:, :, 0, 0, 0], dw[:, :, 0]
         for prod, target in ((dm * dm, 1 / 6), (dn * dn, 1.0), (dn * dm, 1 / 3),
                              (dn * dw, 0.5), (dm * dw, 0.0)):
             qv = prod.sum(axis=1)
@@ -90,14 +102,11 @@ class TestSimulateMn:
         # first driving component and nothing in the second
         drv = paths.ito_embedding_driver()
         g = paths.Grid(1024, 1)
-        w = paths.running_sum(paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W),
-                              axis=1)
+        dw = paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 19, range(3000))
-        m, n = limits.simulate_mn(drv, w, aux)
-        assert np.all(n[:, :, 1] == 0.0)  # sigma^{2p} = 0
-        dn = np.diff(n[:, :, 0, 0, 0], axis=1)
-        dm = np.diff(m[:, :, 0, 0, 0], axis=1)
-        dw = np.diff(w[:, :, 0], axis=1)
+        dm, dn = limits.simulate_mn(drv, dw, aux)
+        assert np.all(dn[:, :, 1] == 0.0)  # sigma^{2p} = 0
+        dm, dn, dw = dm[:, :, 0, 0, 0], dn[:, :, 0, 0, 0], dw[:, :, 0]
         for prod, target in ((dn * dn, 1.0), (dm * dm, 1 / 6), (dn * dm, 1 / 3),
                              (dn * dw, 0.5)):
             qv = prod.sum(axis=1)
@@ -105,19 +114,45 @@ class TestSimulateMn:
             assert abs(qv.mean() - target) < 3 * se
 
 
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("timed", [False, True], ids=["constant", "callable"])
+    def test_matches_four_operand_einsum(self, dims, timed):
+        # the pre-contracted sigma cube against the per-increment contraction
+        # of the three sigma factors it replaced
+        d, m = dims
+        base = np.random.default_rng(d * 10 + m).uniform(-1.0, 1.0, (d, m))
+        if (d, m) == (2, 1) and not timed:
+            base = np.array([[1.0], [0.0]])  # the (W, t) embedding
+        sigma = (lambda s: base * (1.0 + s) + 0.3 * np.sin(3.0 * s)) if timed else base
+        drv = paths.DriverSpec(dim_d=d, dim_m=m, sigma=sigma, label="cube")
+        g = paths.Grid(64, 1)
+        dw = paths.brownian_family(g, 3, np.arange(40), rng.LIMIT_W, width=m)
+        aux = limits.sample_aux(g, m, 3, range(40))
+        dm, dn = limits.simulate_mn(drv, dw, aux)
+        sig = drv.sigma_at(g.times()[:-1])
+        for got, noise, scale in ((dm, aux.db, np.sqrt(6) / 6),
+                                  (dn, limits.assemble_v_increments(aux, dw), np.sqrt(3) / 3)):
+            ref = scale * np.einsum("tjp,tau,btpuv,tcv->btjac", sig, sig, noise, sig)
+            assert got.shape == ref.shape == (40, 64, d, d, d)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+        if (d, m) == (2, 1) and not timed:
+            assert np.all(dm[..., 1, :, :] == 0.0) and np.all(dn[..., 1, :, :] == 0.0)
+
+
 class TestDriftCorrect:
     def test_no_drift_unchanged(self):
         drv = paths.brownian_motion_driver(1)
-        series = np.random.default_rng(0).standard_normal((2, 9, 1, 1, 1))
-        out = limits.drift_correct(series, drv, np.linspace(0, 1, 9))
-        assert out is series
+        dn = np.random.default_rng(0).standard_normal((2, 8, 1, 1, 1))
+        out = limits.drift_correct(dn, drv, np.linspace(0, 1, 9))
+        assert out is dn
 
     def test_embedding_shift_is_half_t(self):
         drv = paths.ito_embedding_driver()
         times = np.linspace(0, 1, 129)
-        zero = np.zeros((1, 129, 2, 2, 2))
-        out = limits.drift_correct(zero, drv, times)
-        assert np.allclose(out[0, :, 1, 0, 0], times / 2, atol=1e-15)
+        out = limits.drift_correct(np.zeros((1, 128, 2, 2, 2)), drv, times)
+        assert out.shape == (1, 128, 2, 2, 2)
+        shift = paths.running_sum(out[0, :, 1, 0, 0], axis=0)
+        assert np.allclose(shift, times / 2, atol=1e-15)
         others = out.copy()
         others[0, :, 1, 0, 0] = 0.0
         assert np.all(others == 0.0)
@@ -128,8 +163,8 @@ class TestDriftCorrect:
                                sigma=lambda s: np.array([[np.sqrt(s)]]),
                                drift=np.array([1.0]), label="ramp-cov")
         times = np.linspace(0, 1, 257)
-        out = limits.drift_correct(np.zeros((1, 257, 1, 1, 1)), drv, times)
-        assert out[0, -1, 0, 0, 0] == pytest.approx(0.25, abs=1e-12)
+        out = limits.drift_correct(np.zeros((1, 256, 1, 1, 1)), drv, times)
+        assert out[0, :, 0, 0, 0].sum() == pytest.approx(0.25, abs=1e-12)
 
 
 class TestSimulateU:
@@ -139,25 +174,25 @@ class TestSimulateU:
         prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1),
                                 x0=1.0)
         grid, bundle, aux = limit_inputs(prob, 256, 5, 8)
-        m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
+        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
-        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m, n)
-        assert np.all(u == 0.0)
+        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), dm, dn)
+        assert u.shape == (8, 1) and np.all(u == 0.0)
 
     def test_linearity_in_forcing(self):
         prob = model.make_gbm()
         grid, bundle, aux = limit_inputs(prob, 256, 6, 16)
-        m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
+        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
         dy = bundle.fine_increments()
-        u1 = limits.simulate_u(prob, x_ref, dy, m, n)
-        u2 = limits.simulate_u(prob, x_ref, dy, 2 * m, 2 * n)
+        u1 = limits.simulate_u(prob, x_ref, dy, dm, dn)
+        u2 = limits.simulate_u(prob, x_ref, dy, 2 * dm, 2 * dn)
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
 
     def test_gbm_second_moment(self):
         real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),
                                        fine_count=1024)
-        u1 = real.u_series[:, -1, 0]
+        u1 = real.u_end[:, 0]
         m2 = u1 ** 2
         se = m2.std(ddof=1) / np.sqrt(len(m2))
         assert abs(m2.mean() - np.e / 6) < 3 * se + 0.01
@@ -168,10 +203,10 @@ class TestSimulateU:
         grid = paths.Grid(4096, 1)
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
         x_ref = prob.closed_form(bundle)
-        m_fv, n_fv = limits.fv_deterministic_mn(prob.driver, grid.times())
-        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m_fv, n_fv)
+        dm_fv, dn_fv = limits.fv_deterministic_mn(prob.driver, grid.times())
+        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), dm_fv, dn_fv)
         ode = limits.fv_error_ode(prob)
-        assert abs(u[0, -1, 0] - ode.u[-1, 0]) < 1e-2
+        assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
 
 
 class TestItoErrorLimit:
@@ -195,9 +230,9 @@ class TestItoErrorLimit:
                                  d2b=lambda x: -np.cos(x), x0=0.7, label="trig")
         grid, bundle, aux = limit_inputs(prob, 512, 21, 32)
         x_ref = schemes.reference(prob, bundle).values
-        m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
-        n_bar = limits.drift_correct(n, prob.driver, grid.times())
-        u_general = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m, n_bar)
+        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
+        dn_bar = limits.drift_correct(dn, prob.driver, grid.times())
+        u_general = u_at_every_node(prob, x_ref, bundle.fine_increments(), dm, dn_bar)
         u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                            aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                            grid.times())
@@ -208,15 +243,21 @@ class TestItoErrorLimit:
         prob = model.make_gbm_drift(alpha=1.0, beta=0.0)
         grid, bundle, aux = limit_inputs(prob, 512, 23, 4000)
         x_ref = prob.closed_form(bundle)
-        m, n = limits.simulate_mn(prob.driver, bundle.w, aux)
-        u_general = limits.simulate_u(prob, x_ref, bundle.fine_increments(), m, n)
+        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
+        dy = bundle.fine_increments()
+        u_general = limits.simulate_u(prob, x_ref, dy, dm, dn)
         u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                            aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                            grid.times())
-        v1 = u_general[:, -1, 0].var(ddof=1)
+        v1 = u_general[:, 0].var(ddof=1)
         v2 = u_display[:, -1, 0].var(ddof=1)
-        assert np.allclose(u_general, u_display, atol=1e-10)
+        assert np.allclose(u_general, u_display[:, -1], atol=1e-10)
         assert abs(v1 - v2) < 1e-10
+        # every node of the path, on the first 32 draws: the prefix walk
+        # costs one integration per node
+        sub = slice(0, 32)
+        u_nodes = u_at_every_node(prob, x_ref[sub], dy[sub], dm[sub], dn[sub])
+        assert np.allclose(u_nodes, u_display[sub], atol=1e-10)
 
 
 class TestFvErrorOde:
@@ -259,3 +300,18 @@ class TestFvErrorOde:
         exact = np.exp(b.y[0, ::16, 0])
         err = n ** 2 * (out.values[0, :, 0] - exact)
         assert err[-1] == pytest.approx(res.u[-1, 0], rel=0.01)
+
+
+class TestChunkMemory:
+    def test_limit_chunk_peak_is_bounded(self):
+        # the limit side holds a fixed number of (draws, fine_count) arrays
+        # at once; a running series kept alive again would break the bound
+        draws, fine_count = 1000, 1024
+        limits.sample_error_limit_end(model.make_gbm(), 2, 50, fine_count)  # warm caches
+        tracemalloc.start()
+        try:
+            limits.sample_error_limit_end(model.make_gbm(), 2, draws, fine_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * draws * fine_count * 8

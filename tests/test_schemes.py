@@ -195,6 +195,25 @@ class TestMilstein:
         assert out.diverged.all()
         assert (out.first_bad > 0).all()
 
+    def test_divergence_flag_catches_nan_inf_and_overflow(self):
+        # each bad value sits at a known (path, step, component); the single
+        # comparison must agree with the explicit finite-or-large test
+        values = np.random.default_rng(4).uniform(-1e3, 1e3, (6, 9, 2))
+        values[0, 3, 1] = np.nan
+        values[1, 5, 0] = np.inf
+        values[2, 2, 1] = -np.inf
+        values[3, 7, 0] = 1.01e150
+        values[3, 8, 1] = np.nan  # a later bad value leaves first_bad alone
+        values[4, 1, 0] = -1.01e150
+        values[5, :, :] = model.DIVERGENCE_LIMIT  # the limit itself is finite
+        diverged, first_bad = schemes._flag_divergence(values)
+        assert diverged.tolist() == [True, True, True, True, True, False]
+        assert first_bad.tolist() == [3, 5, 2, 7, 1, -1]
+        bad = ~np.isfinite(values).all(axis=2) \
+            | (np.abs(values) > model.DIVERGENCE_LIMIT).any(axis=2)
+        assert np.array_equal(diverged, bad.any(axis=1))
+        assert np.array_equal(first_bad, np.where(bad.any(axis=1), bad.argmax(axis=1), -1))
+
 
 class TestMilsteinIto54:
     def test_requires_embedding(self):
