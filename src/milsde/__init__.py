@@ -6,15 +6,16 @@ from .model import (CoefficientField, SdeProblem, builtin_models,
                     correction_pairing, get_model, ito_problem, ode_curvature)
 from .montecarlo import (ExperimentReport, RateFit, compare_distributions,
                          estimate_moments, fit_rate, ks_statistic,
-                         null_limit_check, run_error_law, run_rate_experiment)
+                         null_limit_check, null_tolerance, run_error_law,
+                         run_rate_experiment)
 from .paths import (DriverSpec, Grid, PathBundle, brownian_motion_driver,
                     build_driver, coarse_anchor, ito_embedding_driver,
                     make_grid, sample_brownian, simulate_bundle, time_driver)
 from .schemes import (SchemeOutput, error_process, euler, fold_iterated_integrals,
-                      iterated_integrals, milstein, milstein_ito54, reference)
-from .stats import (StatSeries, cube_functional, empirical_qv, fv_exact_nm,
-                    fv_limit_quadrature, m_functional, n_functional,
-                    z_functional)
+                      has_ito_embedding, iterated_integrals, milstein, milstein_ito54,
+                      reference)
+from .stats import (FINGERPRINTS, StatSeries, covariation, cube_functional, dc, dm,
+                    dn, dz, fingerprints, fv_exact_nm, fv_limit_quadrature, k_fine)
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import limits, montecarlo, oracles
+from . import limits, montecarlo, oracles, schemes, stats
 from .model import builtin_models, get_model
 from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
 
@@ -42,6 +42,11 @@ RATE_BANDS = {
 _DEFAULTS = {"fine_factor": 64, "paths": 1000, "threads": 1,
              "draws": 10000, "fine_count": 4096, "scheme": "milstein",
              "n": 64, "n_list": (16, 32, 64, 128), "ks_threshold": 0.05}
+
+# sample-size floors: error-law compares two samples, limit-sim takes moments
+_LEAST = {("error-law", "paths"): montecarlo.LAW_MIN_SAMPLES,
+          ("error-law", "draws"): montecarlo.LAW_MIN_SAMPLES,
+          ("limit-sim", "draws"): montecarlo.MOMENT_MIN_SAMPLES}
 
 _INT_KEYS = {"n", "paths", "fine_factor", "seed", "draws", "fine_count", "threads"}
 _FLOAT_KEYS = {"slope_lo", "slope_hi", "ks_threshold"}
@@ -170,9 +175,7 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
 
     for key in ("paths", "fine_factor", "n", "draws", "fine_count", "threads"):
         merged[key] = to_int(key)
-        # error-law compares two samples of paths and draws
-        least = montecarlo.LAW_MIN_SAMPLES \
-            if verb == "error-law" and key in ("paths", "draws") else 1
+        least = _LEAST.get((verb, key), 1)
         if merged[key] is not None and merged[key] < least:
             errors.append(f"{key} must be >= {least}")
 
@@ -193,8 +196,14 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append(f"unknown model '{model}'; available: {sorted(builtin_models())}")
 
     scheme = merged.get("scheme") or "milstein"
-    if verb in ("simulate", "rate") and scheme not in montecarlo.scheme_names():
-        errors.append(f"unknown scheme '{scheme}'; available: {list(montecarlo.scheme_names())}")
+    if verb in ("simulate", "rate"):
+        if scheme not in montecarlo.scheme_names():
+            errors.append(f"unknown scheme '{scheme}'; available: "
+                          f"{list(montecarlo.scheme_names())}")
+        elif scheme == "milstein54" and model in builtin_models() and \
+                not schemes.has_ito_embedding(get_model(model)):
+            errors.append(f"scheme 'milstein54' needs the (W, t) embedding with "
+                          f"f = (a(x), b(x)); model '{model}' is not of that form")
 
     case = merged.get("case") or ""
     if verb == "lemma-check":
@@ -374,26 +383,17 @@ def _run_lemma_check(config: ExperimentConfig) -> tuple:
     return report, lines, table, passed
 
 
-def _fingerprints(real) -> np.ndarray:
-    """Per-draw quadratic (co)variations mm, nn, nm, nw, mw, shape (draws, 5)."""
-    dm = real.dm[:, :, 0, 0, 0]
-    dn = real.dn[:, :, 0, 0, 0]
-    dw = real.dw[:, :, 0]
-    return np.stack([(dm * dm).sum(1), (dn * dn).sum(1), (dn * dm).sum(1),
-                     (dn * dw).sum(1), (dm * dw).sum(1)], axis=1)
-
-
 def _run_limit_sim(config: ExperimentConfig) -> tuple:
     problem = get_model(config.model)
     q = problem.field.dim_q
 
     def chunk_fn(idx):
         real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
-        return real.u_end, _fingerprints(real)
+        return real.u_end, stats.fingerprints(real.dm, real.dn, real.dw)
 
     u_all, fps = over_chunks(config.draws, DEFAULT_CHUNK, chunk_fn, config.threads)
-    lines = ["draw," + ",".join(f"u_{i+1}" for i in range(q))
-             + ",qv_mm,qv_nn,qv_nm,qv_nw,qv_mw"]
+    lines = ["draw," + ",".join([f"u_{i+1}" for i in range(q)]
+                                + [f"qv_{name}" for name in stats.FINGERPRINTS])]
     for draw, (u, fp) in enumerate(zip(u_all, fps)):
         uvals = ",".join(repr(float(v)) for v in u)
         fvals = ",".join(repr(float(v)) for v in fp)
@@ -402,7 +402,7 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
     report = _report_skeleton(config)
     report.update(passed=True,
                   moments={"limit": vars(mom)},
-                  fingerprint_means=dict(zip(("mm", "nn", "nm", "nw", "mw"),
+                  fingerprint_means=dict(zip(stats.FINGERPRINTS,
                                              (fps.sum(axis=0) / config.draws).tolist())))
     table = [f"limit-sim: draws={config.draws} U1 mean {mom.mean:+.5f} "
              f"variance {mom.variance:.5f} (se {mom.variance_se:.5f})"]

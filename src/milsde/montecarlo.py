@@ -21,6 +21,7 @@ from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
 RATE_MIN_SIZES = 3  # grid sizes a rate fit needs
 RATE_MIN_SPAN = 8  # least max(n) / min(n) of a rate fit
 LAW_MIN_SAMPLES = 1000  # samples per side of a law comparison
+MOMENT_MIN_SAMPLES = 30  # samples a moment estimate needs
 KS_COEFF_95 = 1.358  # classical two-sample 95% point: c * sqrt((n1+n2)/(n1*n2))
 
 
@@ -41,8 +42,8 @@ def estimate_moments(samples: np.ndarray) -> Moments:
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
-    if n < 30:
-        raise ValueError(f"need at least 30 samples, got {n}")
+    if n < MOMENT_MIN_SAMPLES:
+        raise ValueError(f"need at least {MOMENT_MIN_SAMPLES} samples, got {n}")
     mean = float(x.mean())
     var = float(x.var(ddof=1))
     m4 = float(np.mean((x - mean) ** 4))
@@ -94,11 +95,17 @@ def compare_distributions(sample_a: np.ndarray, sample_b: np.ndarray,
                           mean_delta=mean_delta, variance_delta=var_delta)
 
 
+def null_tolerance(se: float, bias_budget: float) -> float:
+    """Half-width of a null check's band around zero: 3 SE + budget."""
+    tol = 3.0 * se + bias_budget
+    if se < 0 or tol <= 0:
+        raise ValueError("a null check needs a non-negative standard error and a positive band")
+    return tol
+
+
 def null_limit_check(estimate: float, se: float, bias_budget: float) -> bool:
-    """Pass if the estimate is indistinguishable from zero: |e| <= 3 SE + budget."""
-    if se <= 0:
-        raise ValueError("standard error must be positive")
-    return abs(estimate) <= 3.0 * se + bias_budget
+    """Pass if the estimate is indistinguishable from zero: |e| <= :func:`null_tolerance`."""
+    return abs(estimate) <= null_tolerance(se, bias_budget)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import montecarlo, rng, stats
 from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, over_chunks,
                     running_sum, simulate_bundle)
 
@@ -119,7 +119,7 @@ def _row(case, subcase, n, sample, target, null_budget=None,
     est = float(sample.mean())
     se = float(sample.std(ddof=1) / math.sqrt(sample.size))
     if null_budget is not None:
-        tol = 3.0 * se + null_budget
+        tol = montecarlo.null_tolerance(se, null_budget)
         note = f"null check, bias budget {null_budget:.3g}"
     elif relative_tol is not None:
         tol = relative_tol * abs(target)
@@ -127,28 +127,23 @@ def _row(case, subcase, n, sample, target, null_budget=None,
     else:
         tol = 3.0 * se
         note = "3 SE band"
+    passed = abs(est - target) <= tol if null_budget is None else \
+        montecarlo.null_limit_check(est - target, se, null_budget)
     return OracleRow(case=case, subcase=subcase, n=n, estimate=est, se=se,
-                     target=target, tolerance=tol, passed=abs(est - target) <= tol,
-                     note=note)
+                     target=target, tolerance=tol, passed=passed, note=note)
 
 
 def _fingerprint_rows(n: int, fine_factor: int, seed: int, over) -> list:
     grid = Grid(n, fine_factor)
     driver = brownian_motion_driver(1)
+    scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
 
     def chunk_stats(idx):
         bundle = simulate_bundle(driver, grid, seed, idx)
-        dyc, disp = cell_split(bundle.fine_increments(), n)
-        dyc, disp = dyc[..., 0], disp[:, :, :-1, 0]
-        dz = disp * dyc
-        zleft = running_sum(dz, axis=2)[:, :, :-1]
-        dn = disp ** 2 * dyc
-        dm = zleft * dyc
-        return (n ** 2 * (dn * dn).sum(axis=(1, 2)), n ** 2 * (dm * dm).sum(axis=(1, 2)),
-                n ** 2 * (dn * dm).sum(axis=(1, 2)), n * (dn * dyc).sum(axis=(1, 2)),
-                n * (dm * dyc).sum(axis=(1, 2)))
+        cells = cell_split(bundle.fine_increments(), n)
+        return tuple((scale * stats.fingerprints(stats.dm(cells), stats.dn(cells), cells[0])).T)
 
-    nn, mm, nm, nw, mw = over(chunk_stats)
+    mm, nn, nm, nw, mw = over(chunk_stats)
     budget = 0.5 / fine_factor
     return [
         _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),

@@ -9,8 +9,9 @@ the fine sub-grid is summed once, not once per n.
 
 Two evaluations of K are available:
 
-``fine``   raw left-point sums over the fine sub-grid; a single sub-cell
-           gives K = 0 and the scheme degrades to Euler.
+``fine``   raw left-point sums over the fine sub-grid, the Z functional's
+           per-cell sum :func:`stats.k_fine`; a single sub-cell gives K = 0
+           and the scheme degrades to Euler.
 ``exact``  the fine sums with their symmetric part replaced by the exact
            identity (dY dY^T - cell QV)/2, using the driver's deterministic
            quadratic variation.  For a one-dimensional driver this is the
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
 from .paths import PathBundle, cell_size, cell_split
 from .stats import StatSeries
@@ -54,15 +56,15 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
     if mode not in ("fine", "exact"):
         raise ValueError(f"unknown iterated-integral mode '{mode}'")
-    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
-    k_fine = np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
-    qv_emp = np.swapaxes(dyc, -1, -2) @ dyc if mode == "exact" else None
-    del dyc, disp  # free the split before the correction's temporaries
+    cells = cell_split(bundle.fine_increments(), coarse_n)
+    kmat = stats.k_fine(cells)
     if mode == "fine":
-        return k_fine
+        return kmat
+    qv_emp = np.swapaxes(cells[0], -1, -2) @ cells[0]
+    del cells  # free the split before the correction's temporaries
     edges = np.arange(coarse_n + 1) / coarse_n
     qv_exact = bundle.driver.cell_qv(edges)
-    return k_fine + 0.5 * (qv_emp - qv_exact)
+    return kmat + 0.5 * (qv_emp - qv_exact)
 
 
 def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.ndarray,
@@ -80,9 +82,8 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.nd
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
-    dyc, disp = cell_split(dybase, coarse_n)
     kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
-        + np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
+        + stats.k_fine(cell_split(dybase, coarse_n))
     if mode == "exact":
         qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
         qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
@@ -152,15 +153,14 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     return SchemeOutput(out, "milstein", level, coarse_n, diverged, first_bad)
 
 
-def _require_ito_embedding(problem: SdeProblem) -> None:
+def has_ito_embedding(problem: SdeProblem) -> bool:
+    """Whether ``problem`` is dX = a(X) dW + b(X) dt on the (W, t) driver pair."""
     drv = problem.driver
-    ok = (problem.field.dim_q == 1 and drv.dim_d == 2 and drv.dim_m == 1
-          and not callable(drv.sigma) and not callable(drv.drift)
-          and drv.drift is not None
-          and np.array_equal(np.asarray(drv.sigma, dtype=float), [[1.0], [0.0]])
-          and np.array_equal(np.asarray(drv.drift, dtype=float), [0.0, 1.0]))
-    if not ok:
-        raise ValueError("this scheme needs the (W, t) embedding with f = (a(x), b(x))")
+    return (problem.field.dim_q == 1 and drv.dim_d == 2 and drv.dim_m == 1
+            and not callable(drv.sigma) and not callable(drv.drift)
+            and drv.drift is not None
+            and np.array_equal(np.asarray(drv.sigma, dtype=float), [[1.0], [0.0]])
+            and np.array_equal(np.asarray(drv.drift, dtype=float), [0.0, 1.0]))
 
 
 def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
@@ -172,7 +172,8 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     :func:`milstein`, so the two agree to rounding error on shared bundles.
     ``kmat`` is as in :func:`milstein`.
     """
-    _require_ito_embedding(problem)
+    if not has_ito_embedding(problem):
+        raise ValueError("this scheme needs the (W, t) embedding with f = (a(x), b(x))")
     r = cell_size(bundle.grid.fine_count, coarse_n)
     if kmat is None:
         kmat = iterated_integrals(bundle, coarse_n, mode=iterated)

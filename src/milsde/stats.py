@@ -1,16 +1,17 @@
-"""Path functionals of the discretization error analysis.
+"""Path functionals of the discretization error analysis, as increments.
 
-All stochastic integrals are left-point sums over the bundle's fine grid.
-Integrands are anchored per fine cell: the cell (t_j, t_{j+1}] reads
-integrand values at t_j relative to the coarse point at or below t_j, so
-at a coarse grid point the running within-cell objects reset.
+Each functional takes ``cells = (dyc, disp)``, the :func:`paths.cell_split`
+of the driver's fine increments at the coarse count n, and returns its
+left-point increment over every sub-cell.  The integrand of a sub-cell reads
+its left node relative to the coarse anchor, so it resets at coarse points.
 
-Series kinds:
-    Z   running integral of the within-cell displacement against dY^T
-    M   running integral of the within-cell Z-displacement against dY^p
-    N   running integral of the displacement outer product against dY^p
-    QV  empirical quadratic covariation of two series
-    U   normalized scheme error
+    dz  (B, n, r, d, d)     (Y - Y@anchor)_a dY_c
+    dm  (B, n, r, d, d, d)  (Z - Z@anchor)_ac dY_p, indexed [p, a, c]
+    dn  (B, n, r, d, d, d)  (Y - Y@anchor)_a (Y - Y@anchor)_c dY_p
+    dc  (B, n, r, d, d, d)  (C - C@anchor)_ac dY_p, C the running sum of dY dY^T
+
+Per increment dn = dm + dm^T + dc (integration by parts, (a, c) transposed).
+A value at t = 1 is the sum of the increments, a series their running sum.
 """
 
 from dataclasses import dataclass
@@ -18,74 +19,76 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .paths import PathBundle, cell_size, cell_split, running_sum
+from .paths import cell_size, running_sum
+
+FINGERPRINTS = ("mm", "nn", "nm", "nw", "mw")  # column order of :func:`fingerprints`
 
 
 @dataclass(frozen=True)
 class StatSeries:
+    """Values of a path statistic on a time grid, such as the normalized error U."""
+
     kind: str
     grid_level: str
     times: np.ndarray
     values: np.ndarray  # (n_paths, n_times, *tensor_shape)
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
-    def at_end(self) -> np.ndarray:
-        return self.values[:, -1]
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("bnra,bnrc->bnrac", a, b)
 
 
-def _series_from_increments(bundle: PathBundle, inc: np.ndarray, kind: str) -> StatSeries:
-    B = inc.shape[0]
-    flat = inc.reshape(B, bundle.grid.fine_count, *inc.shape[3:])
-    return StatSeries(kind=kind, grid_level="fine", times=bundle.grid.times(),
-                      values=running_sum(flat, axis=1))
+def _against_dy(left: np.ndarray, dyc: np.ndarray) -> np.ndarray:
+    # the increments of int left dY^p, indexed [p, a, c]
+    return np.einsum("bnrac,bnrp->bnrpac", left, dyc)
 
 
-def z_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
-    """Displacement integral: d x d series with entries int (Y - Y@anchor)_a dY_c."""
-    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
-    inc = np.einsum("bnra,bnrc->bnrac", disp[:, :, :-1], dyc)
-    return _series_from_increments(bundle, inc, "Z")
+def dz(cells: tuple) -> np.ndarray:
+    """Increments of Z = int (Y - Y@anchor) dY^T."""
+    dyc, disp = cells
+    return _outer(disp[:, :, :-1], dyc)
 
 
-def m_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
-    """Nested integral: for each p, int (Z - Z@anchor) dY^p.
-
-    Values have shape (n_paths, T, d, d, d) indexed [p, a, c].
-    """
-    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
-    dz = np.einsum("bnra,bnrc->bnrac", disp[:, :, :-1], dyc)
-    zdisp = running_sum(dz, axis=2)[:, :, :-1]
-    inc = np.einsum("bnrac,bnrp->bnrpac", zdisp, dyc)
-    return _series_from_increments(bundle, inc, "M")
+def k_fine(cells: tuple) -> np.ndarray:
+    """``dz(cells).sum(axis=2)``, the sub-grid part of the Milstein K, without forming dz."""
+    dyc, disp = cells
+    return np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
 
 
-def n_functional(bundle: PathBundle, coarse_n: int) -> StatSeries:
-    """Outer-product integral: for each p, int (Y-Y@a)(Y-Y@a)^T dY^p.
+def dm(cells: tuple) -> np.ndarray:
+    """Increments of M^p = int (Z - Z@anchor) dY^p."""
+    return _against_dy(running_sum(dz(cells), axis=2)[:, :, :-1], cells[0])
 
-    Values have shape (n_paths, T, d, d, d) indexed [p, a, c]; each matrix
-    is symmetric in (a, c) by construction.
-    """
-    dyc, disp = cell_split(bundle.fine_increments(), coarse_n)
+
+def dn(cells: tuple) -> np.ndarray:
+    """Increments of N^p = int (Y - Y@anchor)(Y - Y@anchor)^T dY^p, symmetric in (a, c)."""
+    dyc, disp = cells
     left = disp[:, :, :-1]
-    inc = np.einsum("bnra,bnrc,bnrp->bnrpac", left, left, dyc)
-    return _series_from_increments(bundle, inc, "N")
+    return _against_dy(_outer(left, left), dyc)
 
 
-def qv_displacement_integral(bundle: PathBundle, coarse_n: int) -> StatSeries:
-    """For each p, int (C - C@anchor) dY^p with C the empirical running QV.
+def dc(cells: tuple) -> np.ndarray:
+    """Increments of int (C - C@anchor) dY^p, C the running sum of dY dY^T."""
+    dyc = cells[0]
+    return _against_dy(running_sum(_outer(dyc, dyc), axis=2)[:, :, :-1], dyc)
 
-    Together with the M and N functionals this realizes the pathwise
-    integration-by-parts identity N^p = M^p + (M^p)^T + int C^(n) dY^p,
-    which holds exactly for the discrete sums.
+
+def covariation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-path quadratic covariation: sum of a * b over every non-batch axis."""
+    if a.shape != b.shape:
+        raise ValueError(f"covariation needs equal shapes, got {a.shape} and {b.shape}")
+    return (a * b).sum(axis=tuple(range(1, a.ndim)))
+
+
+def fingerprints(dm: np.ndarray, dn: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Covariations [M,M], [N,N], [N,M], [N,W], [M,W] in :data:`FINGERPRINTS` order, (B, 5).
+
+    Reads the first driving component of the increments dm, dn [..., p, a, c]
+    and dw [..., d], which is all of a scalar driver.
     """
-    dyc, _ = cell_split(bundle.fine_increments(), coarse_n)
-    dc = np.einsum("bnra,bnrc->bnrac", dyc, dyc)
-    cdisp = running_sum(dc, axis=2)[:, :, :-1]
-    inc = np.einsum("bnrac,bnrp->bnrpac", cdisp, dyc)
-    return _series_from_increments(bundle, inc, "QV")
+    m, n, w = dm[..., 0, 0, 0], dn[..., 0, 0, 0], dw[..., 0]
+    return np.stack([covariation(m, m), covariation(n, n), covariation(n, m),
+                     covariation(n, w), covariation(m, w)], axis=1)
 
 
 def cube_functional(y: np.ndarray, coarse_n: int, t_index: int = -1) -> np.ndarray:
@@ -123,19 +126,6 @@ def fv_exact_nm(y: np.ndarray, coarse_n: int) -> tuple:
     """
     n1 = cube_functional(y, coarse_n)
     return n1, n1 / 2.0
-
-
-def empirical_qv(series_a: StatSeries, series_b: StatSeries) -> StatSeries:
-    """Running sum of increment products of two series on the same grid."""
-    if series_a.times.shape != series_b.times.shape or \
-            not np.array_equal(series_a.times, series_b.times):
-        raise ValueError("series live on different grids")
-    da = np.diff(series_a.values, axis=1)
-    db = np.diff(series_b.values, axis=1)
-    if da.shape != db.shape:
-        raise ValueError(f"series shapes differ: {da.shape[2:]} vs {db.shape[2:]}")
-    return StatSeries(kind="QV", grid_level=series_a.grid_level,
-                      times=series_a.times, values=running_sum(da * db, axis=1))
 
 
 def fv_limit_quadrature(y_density, components=(0, 0, 0), t_end: float = 1.0) -> tuple:

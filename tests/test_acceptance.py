@@ -177,29 +177,29 @@ def test_criterion_10_identity_suite():
     for r in (32, 64):
         b = paths.simulate_bundle(spec, paths.make_grid(n, r), 1, [0])
         cube = stats.cube_functional(b.y[0, :, 0], n)
-        integral = stats.n_functional(b, n).values[0, -1, 0, 0, 0]
+        integral = stats.dn(paths.cell_split(b.fine_increments(), n)).sum()
         fv_gaps[r] = abs(cube - integral)
     fv_ok = fv_gaps[64] < fv_gaps[32] and fv_gaps[64] < 2.0 / 64
 
     bm = paths.simulate_bundle(paths.brownian_motion_driver(1),
                                paths.make_grid(n, 64), 3, range(32))
     y = bm.y[:, :, 0]
-    dyc, disp = paths.cell_split(bm.fine_increments(), n)
+    dyc, disp = cells = paths.cell_split(bm.fine_increments(), n)
     resid = (3 * stats.cube_functional(y, n)
-             - 3 * stats.n_functional(bm, n).values[:, -1, 0, 0, 0]
+             - 3 * stats.dn(cells).sum(axis=(1, 2))[:, 0, 0, 0]
              - 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2))
              - (dyc[..., 0] ** 3).sum(axis=(1, 2)))
     mart_ok = np.max(np.abs(resid)) < 1e-13
 
     # (b) N^p = M^p + (M^p)^T + int C^(n) dY^p, exact for the discrete sums
+    # increment by increment
     ibp_gap = 0.0
     for drv in (paths.brownian_motion_driver(1), paths.ito_embedding_driver()):
         b = paths.simulate_bundle(drv, paths.make_grid(16, 16), 5, range(16))
-        nv = stats.n_functional(b, 16).values
-        mv = stats.m_functional(b, 16).values
-        cv = stats.qv_displacement_integral(b, 16).values
+        cells = paths.cell_split(b.fine_increments(), 16)
+        dm = stats.dm(cells)
         ibp_gap = max(ibp_gap, float(np.max(np.abs(
-            nv - mv - np.swapaxes(mv, -1, -2) - cv))))
+            stats.dn(cells) - dm - np.swapaxes(dm, -1, -2) - stats.dc(cells)))))
     ibp_ok = ibp_gap < 1e-13
 
     # (c) the general scheme and its Ito-form coincide on shared bundles

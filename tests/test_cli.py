@@ -117,6 +117,40 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("verb,flags", [
+        ("simulate", ["--n", "8", "--paths", "3"]),
+        ("rate", ["--n-list", "16,32,64,128", "--fine-factor", "1", "--paths", "20"]),
+    ])
+    @pytest.mark.parametrize("model", ["gbm", "det-exp"])
+    def test_ito_scheme_on_other_models_exits_two(self, verb, flags, model, tmp_path,
+                                                  capsys):
+        # the embedding rule is checked with the config, and listed with the
+        # other errors (here the negative seed)
+        code = cli.main([verb, "--model", model, "--scheme", "milstein54", *flags,
+                         "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"model '{model}' is not of that form" in err
+        assert "seed must be >= 0" in err
+        assert not os.listdir(tmp_path)
+
+    def test_ito_scheme_on_the_embedding_is_accepted(self):
+        cfg = parse("simulate", model="gbm-drift", scheme="milstein54", seed=1)
+        assert cfg.scheme == "milstein54"
+
+    def test_small_limit_sim_draws_exit_two_before_simulating(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli.limits, "draw_error_limit", no_work)
+        code = cli.main(["limit-sim", "--model", "gbm", "--draws", "10",
+                         "--fine-count", "64", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"draws must be >= {cli.montecarlo.MOMENT_MIN_SAMPLES}" in \
+            capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+        assert parse("limit-sim", model="gbm", draws=30, seed=1).draws == 30
+
     def test_small_error_law_samples_exit_two_before_simulating(self, tmp_path,
                                                                  capsys, monkeypatch):
         def no_work(*args, **kwargs):

@@ -72,6 +72,14 @@ class TestNullLimitCheck:
         with pytest.raises(ValueError):
             montecarlo.null_limit_check(0.0, 0.0, 0.0)
 
+    def test_band_is_three_se_plus_budget(self):
+        assert montecarlo.null_tolerance(0.01, 0.5) == 3.0 * 0.01 + 0.5
+        # an identically zero statistic (zero SE) is judged by its budget alone
+        assert montecarlo.null_limit_check(0.0, 0.0, 0.5)
+        assert not montecarlo.null_limit_check(0.6, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            montecarlo.null_tolerance(-0.1, 1.0)
+
 
 class TestFitRate:
     def test_validation(self):
