@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Verbs: simulate, rate, error-law, lemma-check, limit-sim.  Every run needs
-an explicit --seed; there is no silent default because reports must be
+The verbs (simulate, rate, error-law, lemma-check, limit-sim) and their
+config keys are declared once, in the ``VERBS`` and ``_KEYS`` tables: the
+parser, the validation, the report config and the hash all read them.
+Every run needs an explicit --seed; there is no silent default because reports must be
 reproducible from their config alone.  Each run writes a JSON report and a
 CSV data file stamped with a hash of the scientific config fields, plus an
 aligned table on stdout.
@@ -18,17 +20,18 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from . import limits, montecarlo, oracles, schemes, stats
+from . import limits, montecarlo, oracles, rng, schemes, stats
 from .model import builtin_models, get_model
 from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
 
 SCHEMA_VERSION = "v1"
 OUT_DIR_ENV = "MILSDE_OUT_DIR"
-VERBS = ("simulate", "rate", "error-law", "lemma-check", "limit-sim")
 
 # slope acceptance bands for the known model/scheme pairs
 RATE_BANDS = {
@@ -39,58 +42,51 @@ RATE_BANDS = {
     ("det-exp", "milstein"): (-2.05, -1.95),
 }
 
-_DEFAULTS = {"fine_factor": 64, "paths": 1000, "threads": 1,
-             "draws": 10000, "fine_count": 4096, "scheme": "milstein",
-             "n": 64, "n_list": (16, 32, 64, 128), "ks_threshold": 0.05}
+# every config key: (type, default).  Each is a line of a --config file and
+# a --flag of the verbs that list it in VERBS (seed, out, threads: of every
+# verb); n_list reads comma-separated integers, and an empty string leaves a
+# str key at its default.
+_KEYS = {
+    "seed": (int, None), "n": (int, 64), "paths": (int, 1000), "fine_factor": (int, 64),
+    "draws": (int, 10000), "fine_count": (int, 4096), "threads": (int, 1),
+    "ks_threshold": (float, 0.05), "slope_lo": (float, None), "slope_hi": (float, None),
+    "model": (str, ""), "scheme": (str, "milstein"), "case": (str, ""), "out": (str, ""),
+    "n_list": (tuple, (16, 32, 64, 128)),
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", tuple: "comma-separated integers"}
+
+# the options of every verb, with their help; out and threads are execution
+# knobs, excluded from the config hash and the report
+_COMMON = {"config": "flat key = value config file; flags override",
+           "seed": "master seed (required)",
+           "out": "output base path for .json/.csv",
+           "threads": "worker threads (speed only)"}
 
 # sample-size floors: error-law compares two samples, limit-sim takes moments
 _LEAST = {("error-law", "paths"): montecarlo.LAW_MIN_SAMPLES,
           ("error-law", "draws"): montecarlo.LAW_MIN_SAMPLES,
           ("limit-sim", "draws"): montecarlo.MOMENT_MIN_SAMPLES}
 
-_INT_KEYS = {"n", "paths", "fine_factor", "seed", "draws", "fine_count", "threads"}
-_FLOAT_KEYS = {"slope_lo", "slope_hi", "ks_threshold"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {"model", "scheme", "case", "n_list", "out"}
 
+class ExperimentConfig(SimpleNamespace):
+    """A validated run: its verb and a value for every key of ``_KEYS``.
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    verb: str
-    seed: int
-    model: str = ""
-    scheme: str = "milstein"
-    case: str = ""
-    n: int = 64
-    n_list: tuple = ()
-    paths: int = 1000
-    fine_factor: int = 64
-    draws: int = 10000
-    fine_count: int = 4096
-    ks_threshold: float = 0.05
-    slope_band: tuple = None
-    # execution-only knobs, excluded from the hash and the report
-    out: str = field(default="", compare=False)
-    threads: int = field(default=1, compare=False)
+    The report and the hash see only the seed and the verb's own keys, so
+    reruns that differ in ``out`` or ``threads`` report the same bytes.
+    """
+
+    @property
+    def slope_band(self):
+        return None if self.slope_lo is None else (self.slope_lo, self.slope_hi)
 
     def science_dict(self) -> dict:
         d = {"verb": self.verb, "seed": self.seed}
-        if self.verb == "simulate":
-            d.update(model=self.model, scheme=self.scheme, n=self.n,
-                     paths=self.paths, fine_factor=self.fine_factor)
-        elif self.verb == "rate":
-            d.update(model=self.model, scheme=self.scheme, n_list=list(self.n_list),
-                     paths=self.paths, fine_factor=self.fine_factor)
-            if self.slope_band:
-                d["slope_band"] = list(self.slope_band)
-        elif self.verb == "error-law":
-            d.update(model=self.model, n=self.n, paths=self.paths,
-                     fine_factor=self.fine_factor, draws=self.draws,
-                     fine_count=self.fine_count, ks_threshold=self.ks_threshold)
-        elif self.verb == "lemma-check":
-            d.update(case=self.case, n=self.n, paths=self.paths,
-                     fine_factor=self.fine_factor)
-        elif self.verb == "limit-sim":
-            d.update(model=self.model, draws=self.draws, fine_count=self.fine_count)
+        for key in VERBS[self.verb].keys:
+            value = getattr(self, key)
+            if key not in ("slope_lo", "slope_hi"):
+                d[key] = list(value) if isinstance(value, tuple) else value
+        if self.slope_band:
+            d["slope_band"] = list(self.slope_band)
         return d
 
     def config_hash(self) -> str:
@@ -102,16 +98,12 @@ class ExperimentConfig:
         """Serialize to the flat key = value file format (lossless: parsing
         the text back under the same verb reproduces this config)."""
         lines = []
-        for key, value in sorted(self.science_dict().items()):
-            if key == "verb":
-                continue
-            if key == "slope_band":
-                lines.append(f"slope_lo = {value[0]}")
-                lines.append(f"slope_hi = {value[1]}")
-                continue
-            if key == "n_list":
+        for key in sorted(("seed",) + VERBS[self.verb].keys):
+            value = getattr(self, key)
+            if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            lines.append(f"{key} = {value}")
+            if value is not None:
+                lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -135,7 +127,7 @@ def _read_config_file(path: str) -> tuple:
                     continue
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _KNOWN_KEYS:
+                if key not in _KEYS:
                     errors.append(f"{path}:{lineno}: unknown key '{key}'")
                     continue
                 values[key] = value.strip()
@@ -144,59 +136,54 @@ def _read_config_file(path: str) -> tuple:
     return values, errors
 
 
+def _typed(key: str, value):
+    """``value`` as the type of ``key``; raises TypeError or ValueError."""
+    typ, default = _KEYS[key]
+    if typ is str:
+        return value or default
+    if typ is tuple and isinstance(value, str):
+        return tuple(int(v) for v in value.replace(",", " ").split())
+    return typ(value)
+
+
 def parse_config(verb: str, flag_values: dict, config_file: str = None) -> ExperimentConfig:
     """Merge file values and flags (flags win) into a validated config.
 
     Raises ConfigError carrying the full list of validation problems.
     """
-    errors = []
-    merged = dict(_DEFAULTS)
+    errors, given = [], {}
     if config_file:
-        file_values, errors = _read_config_file(config_file)
-        merged.update(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-
-    def to_int(key):
-        try:
-            return int(merged[key])
-        except (TypeError, ValueError):
-            errors.append(f"{key} must be an integer, got {merged.get(key)!r}")
-            return None
-
+        given, errors = _read_config_file(config_file)
+    given.update({k: v for k, v in flag_values.items() if v is not None})
+    keys = VERBS[verb].keys if verb in VERBS else ()
     if verb not in VERBS:
         errors.append(f"unknown verb '{verb}'")
-    if merged.get("seed") is None:
+    if given.get("seed") is None:
         errors.append("--seed is required (reproducibility needs an explicit seed)")
-        seed = 0
-    else:
-        seed = to_int("seed") or 0
-        if seed < 0:
-            errors.append("seed must be >= 0")
 
-    for key in ("paths", "fine_factor", "n", "draws", "fine_count", "threads"):
-        merged[key] = to_int(key)
-        least = _LEAST.get((verb, key), 1)
-        if merged[key] is not None and merged[key] < least:
-            errors.append(f"{key} must be >= {least}")
-
-    n_list = merged.get("n_list", ())
-    if isinstance(n_list, str):
+    values = {}
+    for key, (typ, default) in _KEYS.items():
+        value = given.get(key, default)
         try:
-            n_list = tuple(int(v) for v in n_list.replace(",", " ").split())
-        except ValueError:
-            errors.append(f"n_list must be comma-separated integers, got {n_list!r}")
-            n_list = ()
-    n_list = tuple(n_list)
+            values[key] = None if value is None else _typed(key, value)
+        except (TypeError, ValueError):
+            errors.append(f"{key} must be {_TYPE_NAMES[typ]}, got {value!r}")
+            values[key] = None
+        if typ is int and values[key] is not None:
+            least = _LEAST.get((verb, key), 0 if key == "seed" else 1)
+            if values[key] < least:
+                errors.append(f"{key} must be >= {least}")
+            elif key in ("paths", "draws") and values[key] >= rng.INDEX_LIMIT:
+                errors.append(f"{key} must be < 2^32: path indices are 32-bit keys")
 
-    model = merged.get("model") or ""
-    if verb in ("simulate", "rate", "error-law", "limit-sim"):
+    model, scheme, case = values["model"], values["scheme"], values["case"]
+    if "model" in keys:
         if not model:
             errors.append("--model is required")
         elif model not in builtin_models():
             errors.append(f"unknown model '{model}'; available: {sorted(builtin_models())}")
 
-    scheme = merged.get("scheme") or "milstein"
-    if verb in ("simulate", "rate"):
+    if "scheme" in keys:
         if scheme not in montecarlo.scheme_names():
             errors.append(f"unknown scheme '{scheme}'; available: "
                           f"{list(montecarlo.scheme_names())}")
@@ -205,19 +192,21 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append(f"scheme 'milstein54' needs the (W, t) embedding with "
                           f"f = (a(x), b(x)); model '{model}' is not of that form")
 
-    case = merged.get("case") or ""
-    if verb == "lemma-check":
+    if "case" in keys:
         if not case:
             errors.append("--case is required")
         elif case not in oracles.case_ids():
             errors.append(f"unknown case '{case}'; available: {list(oracles.case_ids())}")
+        elif case in oracles.SUBGRID_CASES and values["fine_factor"] == 1:
+            errors.append(f"case '{case}' needs fine_factor >= 2: with one sub-cell "
+                          f"per cell its within-cell displacements are all 0")
 
-    fine_factor = merged.get("fine_factor") or 1
-    if verb == "rate" and n_list:
-        if min(n_list) < 1:
+    n_list, fine_factor = values["n_list"], values["fine_factor"] or 1
+    if "n_list" in keys and n_list is not None:
+        if n_list and min(n_list) < 1:
             errors.append("n_list entries must be >= 1")
         else:
-            fine = max(n_list) * fine_factor
+            fine = max(n_list, default=0) * fine_factor
             for n in n_list:
                 if fine % n:
                     errors.append(f"n={n} does not divide the fine grid of {fine} "
@@ -228,24 +217,20 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             elif max(n_list) < montecarlo.RATE_MIN_SPAN * min(n_list):
                 errors.append(f"rate fits need an {montecarlo.RATE_MIN_SPAN}x span of "
                               f"grid sizes, got {max(n_list)}/{min(n_list)}")
+
     band = None
-    if merged.get("slope_lo") is not None or merged.get("slope_hi") is not None:
-        try:
-            band = (float(merged["slope_lo"]), float(merged["slope_hi"]))
-        except (KeyError, TypeError, ValueError):
+    if "slope_lo" in keys:
+        if given.get("slope_lo") is None and given.get("slope_hi") is None:
+            band = RATE_BANDS.get((model, scheme))
+        elif values["slope_lo"] is None or values["slope_hi"] is None:
             errors.append("slope_lo and slope_hi must both be given as numbers")
-    elif verb == "rate":
-        band = RATE_BANDS.get((model, scheme))
+        else:
+            band = (values["slope_lo"], values["slope_hi"])
+    values["slope_lo"], values["slope_hi"] = band or (None, None)
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(verb=verb, seed=seed, model=model, scheme=scheme,
-                            case=case, n=merged["n"], n_list=n_list,
-                            paths=merged["paths"], fine_factor=fine_factor,
-                            draws=merged["draws"], fine_count=merged["fine_count"],
-                            ks_threshold=float(merged["ks_threshold"]),
-                            slope_band=band, out=merged.get("out") or "",
-                            threads=merged["threads"])
+    return ExperimentConfig(verb=verb, **values)
 
 
 def _out_base(config: ExperimentConfig) -> str:
@@ -409,14 +394,33 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
     return report, lines, table, True
 
 
-_RUNNERS = {"simulate": _run_simulate, "rate": _run_rate, "error-law": _run_error_law,
-            "lemma-check": _run_lemma_check, "limit-sim": _run_limit_sim}
+@dataclass(frozen=True)
+class Verb:
+    help: str
+    keys: tuple  # its own config keys in flag order; with the seed, its report keys
+    run: Callable  # ExperimentConfig -> (report, csv lines, table lines, passed)
+
+
+VERBS = {
+    "simulate": Verb("run a scheme and dump paths",
+                     ("model", "scheme", "n", "fine_factor", "paths"), _run_simulate),
+    "rate": Verb("strong-error rate fit over coupled paths",
+                 ("model", "scheme", "n_list", "fine_factor", "paths", "slope_lo",
+                  "slope_hi"), _run_rate),
+    "error-law": Verb("compare n U^n with the simulated limit law",
+                      ("model", "n", "paths", "draws", "fine_factor", "fine_count",
+                       "ks_threshold"), _run_error_law),
+    "lemma-check": Verb("closed-form constant checks",
+                        ("case", "n", "paths", "fine_factor"), _run_lemma_check),
+    "limit-sim": Verb("sample the limit error law",
+                      ("model", "draws", "fine_count"), _run_limit_sim),
+}
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; write outputs; return the exit code."""
     try:
-        report, csv_lines, table, passed = _RUNNERS[config.verb](config)
+        report, csv_lines, table, passed = VERBS[config.verb].run(config)
         json_path, csv_path = _write_outputs(config, report, csv_lines)
     except (ArithmeticError, FloatingPointError, KeyError, OSError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
@@ -428,45 +432,16 @@ def run(config: ExperimentConfig) -> int:
     return 0 if passed else 1
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value config file; flags override")
-    parser.add_argument("--seed", type=int, help="master seed (required)")
-    parser.add_argument("--out", help="output base path for .json/.csv")
-    parser.add_argument("--threads", type=int, help="worker threads (speed only)")
-
-
-_VERB_FLAGS = {
-    "simulate": (("--model", str), ("--scheme", str), ("--n", int),
-                 ("--fine-factor", int), ("--paths", int)),
-    "rate": (("--model", str), ("--scheme", str), ("--n-list", str),
-             ("--fine-factor", int), ("--paths", int),
-             ("--slope-lo", float), ("--slope-hi", float)),
-    "error-law": (("--model", str), ("--n", int), ("--paths", int),
-                  ("--draws", int), ("--fine-factor", int),
-                  ("--fine-count", int), ("--ks-threshold", float)),
-    "lemma-check": (("--case", str), ("--n", int), ("--paths", int),
-                    ("--fine-factor", int)),
-    "limit-sim": (("--model", str), ("--draws", int), ("--fine-count", int)),
-}
-
-_VERB_HELP = {
-    "simulate": "run a scheme and dump paths",
-    "rate": "strong-error rate fit over coupled paths",
-    "error-law": "compare n U^n with the simulated limit law",
-    "lemma-check": "closed-form constant checks",
-    "limit-sim": "sample the limit error law",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="milsde",
                                      description="SDE scheme error experiments")
     sub = parser.add_subparsers(dest="verb")
-    for verb, flags in _VERB_FLAGS.items():
-        p = sub.add_parser(verb, help=_VERB_HELP[verb])
-        for name, typ in flags:
-            p.add_argument(name, type=typ)
-        _add_common(p)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for key in verb.keys + tuple(_COMMON):
+            typ = _KEYS.get(key, (str,))[0]
+            p.add_argument("--" + key.replace("_", "-"), help=_COMMON.get(key),
+                           type=typ if typ in (int, float) else str)
     return parser
 
 
@@ -479,8 +454,7 @@ def main(argv=None) -> int:
     if not args.verb:
         parser.print_usage(sys.stderr)
         return 2
-    flag_values = {k.replace("-", "_"): v for k, v in vars(args).items()
-                   if k not in ("verb", "config")}
+    flag_values = {k: v for k, v in vars(args).items() if k not in ("verb", "config")}
     try:
         config = parse_config(args.verb, flag_values, config_file=args.config)
     except ConfigError as exc:
@@ -492,3 +466,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -256,6 +256,10 @@ def _det_rows(case: str, n: int) -> list:
                       note="finite-n deviation is O(1/n)")]
 
 
+# cases built on within-cell displacements, which all vanish at fine_factor 1
+SUBGRID_CASES = ("7.4", "7.4a", "7.4b", "7.6", "null")
+
+
 def case_ids() -> tuple:
     return ("7.2a", "7.2b", "7.2c", "7.2r", "7.3", "7.3a", "7.3b", "7.3c",
             "7.3d", "7.3e", "7.4", "7.4a", "7.4b", "7.6", "7.7-80", "null")

@@ -12,9 +12,10 @@ spawn_key=(component, path_index, channel)).generate_state(2, uint64)``.
 :func:`normal_matrix` hashes the keys of a whole batch at once with
 :func:`philox_keys`, a vectorised copy of that seed_seq hash (O'Neill 2014),
 and draws them all through one generator by setting its state, so a stream
-costs no per-key ``SeedSequence`` or ``Philox`` set-up.  :func:`stream`
-builds the same generator the numpy way; it is the reference the hash is
-tested against and the fallback for keys the hash does not cover.
+costs no per-key ``SeedSequence`` or ``Philox`` set-up.  A path index must
+be below :data:`INDEX_LIMIT` (one 32-bit word).  :func:`stream` builds the
+same generator the numpy way; it is the reference the hash and the draws
+are tested against.
 """
 
 import numpy as np
@@ -36,10 +37,13 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 _ONE_WORD = 1 << 32
+INDEX_LIMIT = _ONE_WORD  # path indices are hashed as one 32-bit word
 
 
 def stream(master_seed: int, component: int, path_index: int, channel: int = 0) -> np.random.Generator:
-    """Return the generator for one (component, path, channel) slot."""
+    """The generator of one (component, path, channel) slot, built per key
+    through numpy's ``SeedSequence``: the reference :func:`normal_matrix`
+    reproduces, one slot at a time."""
     if master_seed < 0 or path_index < 0 or channel < 0:
         raise ValueError("seed, path index and channel must be non-negative")
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(component, path_index, channel))
@@ -65,7 +69,7 @@ def philox_keys(master_seed: int, component: int, path_indices, channels: int) -
     idx = np.asarray(path_indices, dtype=np.int64)
     if master_seed < 0 or (idx.size and idx.min() < 0):
         raise ValueError("seed and path indices must be non-negative")
-    if idx.size and idx.max() >= _ONE_WORD:
+    if idx.size and idx.max() >= INDEX_LIMIT:
         raise ValueError("path indices must fit one 32-bit word")
     seed_words = _words(master_seed)
     # with a spawn key present, the entropy is zero-padded to the pool size
@@ -121,24 +125,17 @@ def normal_matrix(master_seed: int, component: int, path_indices, shape: tuple,
     """
     rows, k = shape
     idx = np.asarray(path_indices, dtype=np.int64)
+    keys = philox_keys(master_seed, component, idx, channels)
     if out is None:
         out = np.empty((len(idx), rows, channels * k))
-    if idx.size and idx.max() >= _ONE_WORD:
-        def generator(b, c):
-            return stream(master_seed, component, int(idx[b]), c)
-    else:
-        keys = philox_keys(master_seed, component, idx, channels)
-        gen = np.random.Generator(np.random.Philox())
-        state = gen.bit_generator.state  # a fresh state: empty buffer, no spare word
-        counter = np.zeros(4, dtype=np.uint64)
-
-        def generator(b, c):
-            state["state"] = {"counter": counter, "key": keys[b, c]}
-            gen.bit_generator.state = state
-            return gen
+    gen = np.random.Generator(np.random.Philox())
+    state = gen.bit_generator.state  # a fresh state: empty buffer, no spare word
+    counter = np.zeros(4, dtype=np.uint64)
     draw = np.empty(shape)
     for b in range(len(idx)):
         for c in range(channels):
-            generator(b, c).standard_normal(out=draw)
+            state["state"] = {"counter": counter, "key": keys[b, c]}
+            gen.bit_generator.state = state
+            gen.standard_normal(out=draw)
             np.multiply(draw, scale, out=out[b, :, c * k:(c + 1) * k])
     return out

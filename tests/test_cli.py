@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -111,11 +114,41 @@ class TestMain:
         (["rate", "--model", "gbm", "--n-list", "16,32,64", "--seed", "1"], "8x span"),
         (["rate", "--model", "gbm", "--n-list", "0,16,128", "--seed", "1"],
          "n_list entries must be >= 1"),
+    ] + [
+        # one sub-cell per cell: every within-cell displacement is 0
+        (["lemma-check", "--case", case, "--fine-factor", "1", "--n", "16",
+          "--paths", "200", "--seed", "1"], f"case '{case}' needs fine_factor >= 2")
+        for case in ("null", "7.4", "7.4a", "7.4b", "7.6")
+    ] + [
+        (["lemma-check", "--case", "7.3", "--paths", str(1 << 32), "--seed", "1"],
+         "paths must be < 2^32"),
+        (["limit-sim", "--model", "gbm", "--draws", str(1 << 32), "--seed", "1"],
+         "draws must be < 2^32"),
+        (["rate", "--model", "gbm", "--n-list", "", "--seed", "1"],
+         "at least 3 grid sizes, got 0"),
     ])
-    def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys):
+    def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
+                                         monkeypatch):
+        def no_work(config):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "run", no_work)  # 2^32 paths would never end
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("verb", ["error-law", "lemma-check"])
+    def test_config_file_number_error_exits_two(self, verb, tmp_path, capsys):
+        # every verb converts every file key, even one it does not read
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("model = gbm\ncase = 7.2a\nks_threshold = abc\n")
+        out = tmp_path / "out"
+        code = cli.main([verb, "--config", str(cfg_file), "--seed", "-1",
+                         "--out", str(out / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ks_threshold must be a number, got 'abc'" in err
+        assert "seed must be >= 0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb,flags", [
         ("simulate", ["--n", "8", "--paths", "3"]),
@@ -247,3 +280,45 @@ class TestMain:
         lines = (tmp_path / "lim.csv").read_text().strip().splitlines()
         assert lines[2].startswith("draw,u_1,qv_mm")
         assert len(lines) == 3 + 50
+
+
+_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out", "--threads"}
+
+
+@pytest.mark.parametrize("verb,help_line,flags", [
+    ("simulate", "run a scheme and dump paths",
+     {"--model", "--scheme", "--n", "--fine-factor", "--paths"}),
+    ("rate", "strong-error rate fit over coupled paths",
+     {"--model", "--scheme", "--n-list", "--fine-factor", "--paths", "--slope-lo",
+      "--slope-hi"}),
+    ("error-law", "compare n U^n with the simulated limit law",
+     {"--model", "--n", "--paths", "--draws", "--fine-factor", "--fine-count",
+      "--ks-threshold"}),
+    ("lemma-check", "closed-form constant checks",
+     {"--case", "--n", "--paths", "--fine-factor"}),
+    ("limit-sim", "sample the limit error law", {"--model", "--draws", "--fine-count"}),
+])
+def test_flag_surface(verb, help_line, flags):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["simulate", "rate", "error-law", "lemma-check",
+                                 "limit-sim"]
+    assert {c.dest: c.help for c in sub._choices_actions}[verb] == help_line
+    got = {s for a in sub.choices[verb]._actions for s in a.option_strings}
+    assert got == flags | _COMMON_FLAGS
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "milsde", "lemma-check", "--case", "7.2a", "--n", "32"]
+    done = subprocess.run(argv + ["--seed", "1", "--out", str(tmp_path / "det")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "det.json").read_text())["passed"] is True
+    done = subprocess.run(argv + ["--out", str(tmp_path / "noseed")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--seed is required" in done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["det.csv", "det.json"]
