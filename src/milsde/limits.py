@@ -13,22 +13,28 @@ independent of the driver's W.  V is always assembled on the fly from
 in the driver shifts N by the deterministic matrix (1/2) int c_s a^p_s ds.
 M and N are carried as increments over the fine cells, never as running
 series: the three sigma factors are contracted once per time step and
-applied to the flattened noise increments.
+applied to the flattened noise increments.  V exists only for one cache
+block of paths at a time (:func:`paths.cache_blocks`); dM and dN are the
+full-size outputs.
 
 The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
-the fine grid; only the endpoint U_1 is kept.  For a finite-variation
+the fine grid; only the endpoint U_1 is kept.  The integrator builds its
+forcing and coupling terms for one cache block of time steps at a time,
+transposes them to time-major in cache and steps through them, so none of
+its terms is ever full-size.  For a finite-variation
 driver the law degenerates to an ODE, solved to high accuracy by
 step-halved Richardson extrapolation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .model import SdeProblem, ode_curvature
-from .paths import DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, over_chunks, simulate_bundle
+from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, cache_blocks,
+                    over_chunks, simulate_bundle)
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -79,7 +85,9 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tupl
     ``dw`` must be the driver's own Brownian increments, (n_paths, T-1, m);
     the diagonal of V couples to them.  The three sigma factors are
     contracted once per time step, so each family costs one two-operand
-    product with the flattened noise increments.
+    product with the flattened noise increments.  V is assembled for one
+    block of paths at a time and the products are written into the
+    preallocated outputs.
     """
     d = driver.dim_d
     B, T, m = dw.shape
@@ -87,10 +95,15 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tupl
     # sigma^{jp} sigma^{au} sigma^{cv} per step: row (p*m + u)*m + v meets the
     # flattened [p, u, v] noise entry, column (j*d + a)*d + c the [j, a, c] one
     cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
-    dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
-    dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube)
-    del dv
-    dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (SQRT6 / 6.0) * cube)
+    cube_m, cube_n = (SQRT6 / 6.0) * cube, (SQRT3 / 3.0) * cube
+    dm = np.empty((B, T, d ** 3))
+    dn = np.empty((B, T, d ** 3))
+    db = aux.db.reshape(B, T, m ** 3)
+    # a path's working set: V, its diagonal and the dM/dN rows it writes
+    for blk in cache_blocks(B, T * (m ** 3 + 2 * m + 2 * d ** 3) * dw.itemsize):
+        dv = assemble_v_increments(replace(aux, db=aux.db[blk], dwbar=aux.dwbar[blk]), dw[blk])
+        np.einsum("btk,tkl->btl", dv.reshape(-1, T, m ** 3), cube_n, out=dn[blk])
+        np.einsum("btk,tkl->btl", db[blk], cube_m, out=dm[blk])
     return dm.reshape(B, T, d, d, d), dn.reshape(B, T, d, d, d)
 
 
@@ -124,34 +137,35 @@ def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
     causal: truncating every input to its first k cells gives U at node k.
     """
     B, T, q = x_ref.shape
-    x_left = x_ref[:, :-1]
+    d = dy.shape[2]
     field = problem.field
-    f = field.f_at(x_left)
-    df = field.df_at(x_left)
-    h = np.einsum("xtika,xtkc->xtiac", df, f)
-    # U-independent increments and U-coupling matrices
-    # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j, both laid out time-major for the loop
-    forcing = np.empty((T - 1, B, q))
-    np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm, out=forcing.transpose(1, 0, 2))
-    del h
-    np.negative(forcing, out=forcing)
-    coupling = np.empty((T - 1, B, q, q))
-    np.einsum("xtikj,xtj->xtik", df, dy, out=coupling.transpose(1, 0, 2, 3))
-    del df
-    hf = field.hf_at(x_left)
-    del x_left, x_ref
-    n_term = np.empty_like(forcing)
-    np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn, out=n_term.transpose(1, 0, 2))
-    del f, hf, dm, dn
-    n_term *= 0.5
-    forcing -= n_term
-    del n_term
     cur = np.zeros((B, q))
     step = np.empty((B, q))
-    for t in range(T - 1):
-        np.einsum("bik,bk->bi", coupling[t], cur, out=step)
-        cur += step
-        cur += forcing[t]
+    # a block's values per step and path: X, f, Df, h and Hf; the forcing,
+    # N term and coupling, batch- and time-major; the dY, dM and dN copied
+    row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d + 2 * d ** 3
+    for blk in cache_blocks(T - 1, B * row * x_ref.itemsize):
+        # the block's inputs, copied out of the full-size arrays once so that
+        # the products below read contiguous memory
+        x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a[:, blk]) for a in (x_ref, dy, dm, dn))
+        f = field.f_at(x_left)
+        df = field.df_at(x_left)
+        h = np.einsum("xtika,xtkc->xtiac", df, f)
+        # U-independent increments and U-coupling matrices
+        # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j
+        forcing = np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm_b)
+        np.negative(forcing, out=forcing)
+        coupling = np.einsum("xtikj,xtj->xtik", df, dy_b)
+        n_term = np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, field.hf_at(x_left), f, dn_b)
+        n_term *= 0.5
+        forcing -= n_term
+        # time-major for the loop, transposed while the block is in cache
+        forcing = np.ascontiguousarray(forcing.transpose(1, 0, 2))
+        coupling = np.ascontiguousarray(coupling.transpose(1, 0, 2, 3))
+        for t in range(len(forcing)):
+            np.einsum("bik,bk->bi", coupling[t], cur, out=step)
+            cur += step
+            cur += forcing[t]
     return cur
 
 

@@ -156,18 +156,27 @@ def ito_problem(a, da, d2a, b, db, d2b, x0=1.0, closed_form=None,
                       closed_form=closed_form, label=label)
 
 
+def _scaled_exp(out: np.ndarray, x0: float) -> np.ndarray:
+    """x0 exp(out) as a (..., 1) state, computed in the buffer ``out``."""
+    np.exp(out, out=out)
+    out *= x0
+    return out[..., None]
+
+
 def _gbm_closed_form(x0: float):
     def cf(bundle: PathBundle) -> np.ndarray:
         t = bundle.grid.times()
-        return (x0 * np.exp(bundle.y[:, :, 0] - 0.5 * t))[..., None]
+        out = bundle.y[:, :, 0] - 0.5 * t
+        return _scaled_exp(out, x0)
     return cf
 
 
 def _gbm_drift_closed_form(x0: float, alpha: float, beta: float):
     def cf(bundle: PathBundle) -> np.ndarray:
         t = bundle.grid.times()
-        w = bundle.w[:, :, 0]
-        return (x0 * np.exp(alpha * w + (beta - 0.5 * alpha ** 2) * t))[..., None]
+        out = alpha * bundle.w[:, :, 0]
+        out += (beta - 0.5 * alpha ** 2) * t
+        return _scaled_exp(out, x0)
     return cf
 
 

@@ -9,6 +9,13 @@ back a full coarse cell (left-open convention), so the anchor of the point
 
 Paths are generated per path index from splittable streams; a path's values
 depend only on (master_seed, path_index), never on batch composition.
+
+Per-step passes over the fine grid (the Milstein K, the limit M/N and U)
+run through :func:`cache_blocks`: consecutive slices whose temporaries hold
+about ``BLOCK_BYTES``, so a pass keeps its working set in cache and builds
+no full-size temporary.  A pass that recurs in time (U) is sliced along
+time; the others are sliced along paths, whose slices are contiguous.  A
+block is a memory bound, not a setting: no result depends on it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +27,7 @@ from . import rng
 
 MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
 DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
+BLOCK_BYTES = 1 << 21  # working set of one block of :func:`cache_blocks`
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,17 @@ def cell_split(inc: np.ndarray, coarse_n: int) -> tuple:
     r = cell_size(inc.shape[1], coarse_n)
     inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
     return inc, running_sum(inc, axis=2)
+
+
+def cache_blocks(count: int, row_bytes: int) -> list:
+    """Consecutive non-empty slices that cover 0..count-1 in order.
+
+    ``row_bytes`` is the working set one row (a time step or a path) adds
+    to a block; a block holds as many rows as fit in ``BLOCK_BYTES``, and
+    at least one.
+    """
+    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
 
 
 def over_chunks(total: int, chunk: int, chunk_fn, threads: int = 1) -> tuple:

@@ -5,7 +5,10 @@ h^i = (Df^i)^T f and K_{ab} integrates the within-cell displacement of
 driver component a against the increments of component b.  A rate run
 builds K once per bundle, at the base level lcm(n_list), and folds it to
 each coarser n with Chen's identity (:func:`fold_iterated_integrals`), so
-the fine sub-grid is summed once, not once per n.
+the fine sub-grid is summed once, not once per n.  The sub-grid pass
+diffs and splits one cache block of paths at a time
+(:func:`paths.cache_blocks`), so the fine increments and their cell split
+never exist at full size.
 
 Two evaluations of K are available:
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
-from .paths import PathBundle, cell_size, cell_split
+from .paths import PathBundle, cache_blocks, cell_size, cell_split
 from .stats import StatSeries
 
 
@@ -45,8 +48,11 @@ class SchemeOutput:
 
 
 def _flag_divergence(values: np.ndarray) -> tuple:
-    # NaN and +-inf fail the comparison, so one pass flags them with the overflow
-    bad = ~(np.abs(values) <= DIVERGENCE_LIMIT).all(axis=2)
+    # NaN and +-inf fail a comparison, so the band check flags them with the
+    # overflow; two boolean passes, no float copy of the values
+    ok = values <= DIVERGENCE_LIMIT
+    ok &= values >= -DIVERGENCE_LIMIT
+    bad = ~ok.all(axis=2)
     diverged = bad.any(axis=1)
     first_bad = np.where(diverged, bad.argmax(axis=1), -1)
     return diverged, first_bad
@@ -56,12 +62,20 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
     if mode not in ("fine", "exact"):
         raise ValueError(f"unknown iterated-integral mode '{mode}'")
-    cells = cell_split(bundle.fine_increments(), coarse_n)
-    kmat = stats.k_fine(cells)
+    r = cell_size(bundle.grid.fine_count, coarse_n)
+    y = bundle.y
+    B, d = bundle.n_paths, bundle.driver.dim_d
+    kmat = np.empty((B, coarse_n, d, d))
+    qv_emp = np.empty_like(kmat) if mode == "exact" else None
+    # a block of paths is diffed and split in cache: its increments and
+    # their running sum, about 2r + 1 fine values per cell and path
+    for blk in cache_blocks(B, (2 * r + 1) * coarse_n * d * y.itemsize):
+        cells = cell_split(np.diff(y[blk], axis=1), coarse_n)
+        kmat[blk] = stats.k_fine(cells)
+        if qv_emp is not None:
+            qv_emp[blk] = np.swapaxes(cells[0], -1, -2) @ cells[0]
     if mode == "fine":
         return kmat
-    qv_emp = np.swapaxes(cells[0], -1, -2) @ cells[0]
-    del cells  # free the split before the correction's temporaries
     edges = np.arange(coarse_n + 1) / coarse_n
     qv_exact = bundle.driver.cell_qv(edges)
     return kmat + 0.5 * (qv_emp - qv_exact)

@@ -1,0 +1,155 @@
+"""The blocked passes over the fine grid against whole-array references.
+
+``iterated_integrals``, ``simulate_mn`` and ``simulate_u`` run through
+:func:`paths.cache_blocks`.  Here ``paths.BLOCK_BYTES`` is set so that every
+pass runs in blocks of one row, of three rows (which divides none of the
+counts below) and in a single block, and each result is compared with the
+whole-array formulation kept in this file.
+"""
+
+import numpy as np
+import pytest
+
+from milsde import limits, model, paths, rng, schemes, stats
+
+PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
+
+
+def k_whole(bundle, coarse_n, mode):
+    cells = paths.cell_split(bundle.fine_increments(), coarse_n)
+    kmat = stats.k_fine(cells)
+    if mode == "fine":
+        return kmat
+    qv_emp = np.swapaxes(cells[0], -1, -2) @ cells[0]
+    qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    return kmat + 0.5 * (qv_emp - qv_exact)
+
+
+def mn_whole(driver, dw, aux):
+    d = driver.dim_d
+    B, T, m = dw.shape
+    sig = driver.sigma_at(aux.grid.times()[:-1])
+    cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
+    dv = limits.assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
+    dn = np.einsum("btk,tkl->btl", dv, (limits.SQRT3 / 3.0) * cube)
+    dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (limits.SQRT6 / 6.0) * cube)
+    return dm.reshape(B, T, d, d, d), dn.reshape(B, T, d, d, d)
+
+
+def u_whole(problem, x_ref, dy, dm, dn):
+    B, T, q = x_ref.shape
+    x_left = x_ref[:, :-1]
+    field = problem.field
+    f, df, hf = field.f_at(x_left), field.df_at(x_left), field.hf_at(x_left)
+    h = np.einsum("xtika,xtkc->xtiac", df, f)
+    forcing = -np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm)
+    forcing -= 0.5 * np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn)
+    coupling = np.einsum("xtikj,xtj->xtik", df, dy)
+    cur = np.zeros((B, q))
+    for t in range(T - 1):
+        cur = cur + np.einsum("bik,bk->bi", coupling[:, t], cur) + forcing[:, t]
+    return cur
+
+
+def _trig_field():
+    # f^{ij}(x) = sin(u_ij . x): every derivative and curvature term is live
+    u = np.array([[[0.7, -0.4], [0.3, 0.9]], [[-0.5, 0.2], [0.8, 0.6]]])  # [i, j, k]
+
+    def arg(x):
+        return np.einsum("...k,ijk->...ij", x, u)
+
+    return model.CoefficientField(
+        dim_q=2, dim_d=2, f=lambda x: np.sin(arg(x)),
+        df=lambda x: np.einsum("...ij,ijk->...ikj", np.cos(arg(x)), u),
+        hf=lambda x: -np.einsum("...ij,ijk,ijl->...ijkl", np.sin(arg(x)), u, u))
+
+
+def _problem(case, timed):
+    """The three shapes (q, d, m): gbm (1, 1, 1), the (W, t) embedding
+    (1, 2, 1) and a (2, 2, 2) field, each with constant or callable sigma."""
+    if case == "gbm":
+        base = np.eye(1)
+        prob = model.make_gbm()
+    elif case == "embedding":
+        base = np.array([[1.0], [0.0]])
+        prob = model.ito_problem(a=np.sin, da=np.cos, d2a=lambda x: -np.sin(x),
+                                 b=np.cos, db=lambda x: -np.sin(x),
+                                 d2b=lambda x: -np.cos(x), x0=0.7, label="trig")
+    else:
+        base = np.array([[1.0, 0.3], [-0.2, 0.8]])
+        prob = model.SdeProblem(field=_trig_field(), driver=paths.brownian_motion_driver(2),
+                                x0=np.array([0.4, -0.3]), label="trig2")
+    drv = prob.driver
+    sigma = (lambda s: base * (1.0 + s) + 0.2 * np.sin(3.0 * s)) if timed else base
+    drv = paths.DriverSpec(dim_d=drv.dim_d, dim_m=drv.dim_m, sigma=sigma,
+                           drift=drv.drift, label=drv.label)
+    return model.SdeProblem(field=prob.field, driver=drv, x0=prob.x0, label=prob.label)
+
+
+@pytest.fixture(params=[1, 3, None], ids=["rows-1", "rows-3", "one-block"])
+def block_rows(request, monkeypatch):
+    """Sets ``paths.BLOCK_BYTES`` per pass so that a block holds the given
+    number of rows (all of them for None), then checks the blocks used."""
+    rows, lengths = request.param, []
+
+    def sized(count, row_bytes):
+        monkeypatch.setattr(paths, "BLOCK_BYTES", row_bytes * (rows or count))
+        blocks = paths.cache_blocks(count, row_bytes)
+        lengths.append((count, [b.stop - b.start for b in blocks]))
+        return blocks
+
+    for module in (schemes, limits):
+        monkeypatch.setattr(module, "cache_blocks", sized)
+    yield
+    assert lengths, "no pass ran through cache_blocks"
+    for count, got in lengths:
+        want = rows or count
+        assert sum(got) == count and all(n == want for n in got[:-1])
+        assert 0 < got[-1] <= want
+        if rows == 3:
+            assert got[-1] < 3  # the blocks do not divide the count
+
+
+CASES = [(case, timed) for case in ("gbm", "embedding", "field2") for timed in (False, True)]
+IDS = [f"{case}-{'callable' if timed else 'constant'}" for case, timed in CASES]
+
+
+@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
+@pytest.mark.parametrize("mode", ["fine", "exact"])
+def test_iterated_integrals(block_rows, case, timed, mode):
+    prob = _problem(case, timed)
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    got = schemes.iterated_integrals(bundle, COARSE, mode)
+    assert np.array_equal(got, k_whole(bundle, COARSE, mode))
+
+
+def _limit_inputs(prob):
+    grid = paths.Grid(FINE, 1)
+    dw = paths.brownian_family(grid, 9, np.arange(PATHS), rng.LIMIT_W, width=prob.driver.dim_m)
+    aux = limits.sample_aux(grid, prob.driver.dim_m, 9, range(PATHS))
+    return grid, dw, aux
+
+
+@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
+def test_simulate_mn(block_rows, case, timed):
+    prob = _problem(case, timed)
+    _, dw, aux = _limit_inputs(prob)
+    for got, want in zip(limits.simulate_mn(prob.driver, dw, aux),
+                         mn_whole(prob.driver, dw, aux)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
+def test_simulate_u(block_rows, case, timed):
+    prob = _problem(case, timed)
+    grid, dw, aux = _limit_inputs(prob)
+    r = np.random.default_rng(11)
+    q, d = prob.field.dim_q, prob.driver.dim_d
+    x_ref = r.uniform(-1.0, 1.5, (PATHS, FINE + 1, q))
+    dy = r.standard_normal((PATHS, FINE, d)) / np.sqrt(FINE)
+    dm, dn = mn_whole(prob.driver, dw, aux)
+    dn = limits.drift_correct(dn, prob.driver, grid.times())
+    got = limits.simulate_u(prob, x_ref, dy, dm, dn)
+    want = u_whole(prob, x_ref, dy, dm, dn)
+    assert got.shape == (PATHS, q) and np.array_equal(got, want)

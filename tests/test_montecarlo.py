@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,22 @@ class TestErrorLaw:
         assert s.shape == (500, 1)
         # n U^n has spread near the limit law's, far from the raw error's
         assert 0.2 < s[:, 0].std() < 1.5
+
+
+class TestChunkMemory:
+    def test_scheme_chunk_peak_is_bounded(self):
+        # a rate chunk holds the bundle's W and Y and the reference at full
+        # size; K's increments and cell split are built one cache block at a
+        # time and the divergence check makes no float copy of the values
+        paths_n, fine_factor, n_list = 1000, 16, [8, 16, 32, 64]
+        fine_count = fine_factor * n_list[-1]
+        montecarlo.scheme_error_samples(model.make_gbm(), "milstein", n_list, 50,
+                                        fine_factor, 1)  # warm caches
+        tracemalloc.start()
+        try:
+            montecarlo.scheme_error_samples(model.make_gbm(), "milstein", n_list, paths_n,
+                                            fine_factor, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * paths_n * fine_count * 8

@@ -218,6 +218,20 @@ class TestCellSplit:
             paths.cell_split(np.zeros((1, 13, 1)), 5)
 
 
+class TestCacheBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(0, 500),
+           row_bytes=st.one_of(st.integers(1, 4 * paths.BLOCK_BYTES),
+                               st.integers(paths.BLOCK_BYTES // 64, paths.BLOCK_BYTES)))
+    def test_covers_every_row_once_in_order(self, count, row_bytes):
+        blocks = paths.cache_blocks(count, row_bytes)
+        assert all(b.step is None and b.stop > b.start for b in blocks)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(count))
+        rows = max(1, paths.BLOCK_BYTES // row_bytes)
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert not blocks or blocks[-1].stop - blocks[-1].start <= rows
+
+
 class TestOverChunks:
     @settings(max_examples=60, deadline=None)
     @given(total=st.integers(1, 300), chunk=st.integers(1, 120), threads=st.integers(1, 4))
