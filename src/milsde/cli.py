@@ -197,9 +197,10 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append("--case is required")
         elif case not in oracles.case_ids():
             errors.append(f"unknown case '{case}'; available: {list(oracles.case_ids())}")
-        elif case in oracles.SUBGRID_CASES and values["fine_factor"] == 1:
-            errors.append(f"case '{case}' needs fine_factor >= 2: with one sub-cell "
-                          f"per cell its within-cell displacements are all 0")
+        elif case in oracles.SUBGRID_CASES and \
+                values["fine_factor"] in range(1, oracles.SUBGRID_MIN_FINE_FACTOR):
+            errors.append(f"case '{case}' needs fine_factor >= {oracles.SUBGRID_MIN_FINE_FACTOR}: "
+                          f"with fewer sub-cells per cell its within-cell integrals are all 0")
 
     n_list, fine_factor = values["n_list"], values["fine_factor"] or 1
     if "n_list" in keys and n_list is not None:
@@ -425,10 +426,19 @@ def run(config: ExperimentConfig) -> int:
     except (ArithmeticError, FloatingPointError, KeyError, OSError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    for line in table:
-        print(line)
-    print(f"report: {json_path}")
-    print(f"data:   {csv_path}")
+    try:
+        for line in table:
+            print(line)
+        print(f"report: {json_path}")
+        print(f"data:   {csv_path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (milsde ... | head) after the files were
+        # written, so the verdict stands; stdout is pointed at devnull so that
+        # the flush at exit does not fail again (the SIGPIPE note of the
+        # Python signal docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -22,9 +22,7 @@ SDE driven by (Y, M, N), integrated here with left-point Euler steps on
 the fine grid; only the endpoint U_1 is kept.  The integrator builds its
 forcing and coupling terms for one cache block of time steps at a time,
 transposes them to time-major in cache and steps through them, so none of
-its terms is ever full-size.  For a finite-variation
-driver the law degenerates to an ODE, solved to high accuracy by
-step-halved Richardson extrapolation.
+its terms is ever full-size.
 """
 
 from dataclasses import dataclass, replace
@@ -32,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .model import SdeProblem, ode_curvature
+from .model import SdeProblem
 from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, cache_blocks,
                     over_chunks, simulate_bundle)
 from .schemes import reference
@@ -167,120 +165,6 @@ def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
             cur += step
             cur += forcing[t]
     return cur
-
-
-def ito_error_limit(problem: SdeProblem, x_ref: np.ndarray, dw: np.ndarray,
-                    db1: np.ndarray, db2: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Explicit error-limit SDE for dX = a(X) dW + b(X) dt.
-
-    dU = U (a' dW + b' dt) - (1/4) a^2 b'' dt - a (a')^2 dB1 / sqrt(6)
-         - a^2 a'' (dB1/sqrt6 + dB2/(4 sqrt3) + dW/4)
-
-    with B1, B2 standard Brownian motions independent of W, all given as
-    increments of shape (n_paths, T-1).  Agrees in law with
-    :func:`simulate_u` on the (W, t) embedding.
-    """
-    B, T, q = x_ref.shape
-    f = problem.field.f_at(x_ref[:, :-1])
-    dfv = problem.field.df_at(x_ref[:, :-1])
-    hfv = problem.field.hf_at(x_ref[:, :-1])
-    a, b = f[..., 0, 0], f[..., 0, 1]
-    da, db = dfv[..., 0, 0, 0], dfv[..., 0, 0, 1]
-    d2a, d2b = hfv[..., 0, 0, 0, 0], hfv[..., 0, 1, 0, 0]
-    dt = np.diff(times)[None, :]
-    forcing = (-0.25 * a ** 2 * d2b * dt
-               - a * da ** 2 * db1 / SQRT6
-               - a ** 2 * d2a * (db1 / SQRT6 + db2 / (4.0 * SQRT3) + dw / 4.0))
-    coupling = da * dw + db * dt
-    u = np.zeros((B, T))
-    cur = np.zeros(B)
-    for t in range(T - 1):
-        cur = cur + cur * coupling[:, t] + forcing[:, t]
-        u[:, t + 1] = cur
-    return u[..., None]
-
-
-def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
-    """Deterministic limit increments (dM, dN) of a finite-variation driver.
-
-    N^j_t = (1/3) int y y^T y_j ds and M = N/2, integrated by trapezoid
-    over each cell of the given grid; shape (1, T-1, d, d, d).  Feeding
-    these into :func:`simulate_u` must reproduce the finite-variation error
-    ODE.
-    """
-    y = driver.drift_at(times)
-    dn = _trapezoid_increments(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0
-    return dn / 2.0, dn
-
-
-@dataclass(frozen=True)
-class FvOdeResult:
-    times: np.ndarray
-    x: np.ndarray  # (T, q)
-    u: np.ndarray  # (T, q)
-    steps: int
-    error_estimate: float
-
-
-def _fv_rhs(problem: SdeProblem, s: float, x: np.ndarray, u: np.ndarray) -> tuple:
-    y = problem.driver.drift_at(np.array([s]))[0]
-    xb = x[None]
-    f = problem.field.f_at(xb)[0]
-    df = problem.field.df_at(xb)[0]
-    g = ode_curvature(problem.field, xb)[0]
-    dx = f @ y
-    fy = f @ y
-    du = np.einsum("k,ikj,j->i", u, df, y) \
-        - np.einsum("j,a,ijal,l->i", y, y, g, fy) / 6.0
-    return dx, du
-
-
-def _fv_rk4(problem: SdeProblem, steps: int) -> tuple:
-    q = problem.field.dim_q
-    T = steps + 1
-    times = np.arange(T) / steps
-    x = np.empty((T, q))
-    u = np.empty((T, q))
-    x[0] = problem.x0
-    u[0] = 0.0
-    h = 1.0 / steps
-    for k in range(steps):
-        s = k * h
-        kx1, ku1 = _fv_rhs(problem, s, x[k], u[k])
-        kx2, ku2 = _fv_rhs(problem, s + h / 2, x[k] + h / 2 * kx1, u[k] + h / 2 * ku1)
-        kx3, ku3 = _fv_rhs(problem, s + h / 2, x[k] + h / 2 * kx2, u[k] + h / 2 * ku2)
-        kx4, ku4 = _fv_rhs(problem, s + h, x[k] + h * kx3, u[k] + h * ku3)
-        x[k + 1] = x[k] + h / 6 * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        u[k + 1] = u[k] + h / 6 * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-    return times, x, u
-
-
-def fv_error_ode(problem: SdeProblem, tol: float = 1e-10, max_steps: int = 1 << 14) -> FvOdeResult:
-    """Solve the deterministic error ODE of a finite-variation driver.
-
-    Coupled RK4 for (X, U) with step halving until the Richardson gap at
-    t = 1 drops below ``tol``.
-    """
-    if np.any(np.abs(driver_sigma_norm(problem.driver)) > 0):
-        raise ValueError("the error ODE applies to finite-variation drivers only")
-    steps = 64
-    times, x, u = _fv_rk4(problem, steps)
-    while True:
-        steps2 = steps * 2
-        times2, x2, u2 = _fv_rk4(problem, steps2)
-        gap = float(np.max(np.abs(u2[-1] - u[-1])))
-        if gap < tol:
-            # RK4 halving: the remaining error of the finer run is ~gap/15
-            return FvOdeResult(times2, x2, u2, steps2, gap / 15.0)
-        if steps2 >= max_steps:
-            raise ArithmeticError(f"error ODE did not reach tol={tol:g} at {steps2} steps "
-                                  f"(gap {gap:g})")
-        steps, times, x, u = steps2, times2, x2, u2
-
-
-def driver_sigma_norm(driver: DriverSpec) -> np.ndarray:
-    sample = driver.sigma_at(np.linspace(0.0, 1.0, 9))
-    return np.linalg.norm(sample, axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -98,20 +98,6 @@ def _check_nonfinite_pairing(field: CoefficientField, x, out: np.ndarray) -> Non
                                  f"({', '.join(sorted(errors)) or 'no floating-point error'})")
 
 
-def ode_curvature(field: CoefficientField, x) -> np.ndarray:
-    """Curvature tensor G^{ij} = f^T Hf^{ij} + sum_k (d f^{ij}/d x_k) (Df^k)^T.
-
-    Each G^{ij} is a (d, q) matrix; it enters the finite-variation error ODE
-    through the scalar y^T G^{ij} f y.  Shape (..., q, d, d, q).
-    """
-    f = field.f_at(x)
-    df = field.df_at(x)
-    hf = field.hf_at(x)
-    term1 = np.einsum("...ka,...ijkl->...ijal", f, hf)
-    term2 = np.einsum("...ikj,...kla->...ijal", df, df)
-    return term1 + term2
-
-
 def scalar_field(f, df, d2f, growth_bound: float = 1.0) -> CoefficientField:
     """Coefficient field for a one-dimensional state and driver."""
     def f_cb(x):

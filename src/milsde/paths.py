@@ -80,17 +80,6 @@ def coarse_anchor(grid: Grid, fine_index: int) -> int:
     return ((fine_index - 1) // grid.fine_factor) * grid.fine_factor
 
 
-def cell_anchors(grid: Grid) -> np.ndarray:
-    """Anchor fine-index for every fine cell.
-
-    Entry ``j`` anchors the cell (t_j, t_{j+1}]; it equals
-    ``coarse_anchor(grid, j + 1)``.  Left-point integrands on cell ``j`` are
-    evaluated as ``path[j] - path[anchor[j]]``.
-    """
-    j = np.arange(grid.fine_count)
-    return (j // grid.fine_factor) * grid.fine_factor
-
-
 def cell_size(fine_count: int, coarse_n: int) -> int:
     """Fine cells per coarse cell; ``coarse_n`` must divide ``fine_count``."""
     if coarse_n < 1 or fine_count % coarse_n:
@@ -292,16 +281,6 @@ class PathBundle:
     def fine_increments(self) -> np.ndarray:
         """Driver increments over fine cells, shape (n_paths, fine_count, d)."""
         return np.diff(self.y, axis=1)
-
-
-def sample_brownian(grid: Grid, dim_m: int, seed_key: tuple) -> np.ndarray:
-    """One m-dimensional Brownian path on the fine grid, W_0 = 0.
-
-    ``seed_key`` is (master_seed, path_index); the result is bit-identical
-    for equal keys regardless of scheduling.
-    """
-    master_seed, path_index = seed_key
-    return simulate_bundle(brownian_motion_driver(dim_m), grid, master_seed, [path_index]).w[0]
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,

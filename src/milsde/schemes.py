@@ -30,7 +30,6 @@ import numpy as np
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
 from .paths import PathBundle, cache_blocks, cell_size, cell_split
-from .stats import StatSeries
 
 
 @dataclass(frozen=True)
@@ -227,32 +226,3 @@ def reference(problem: SdeProblem, bundle: PathBundle) -> SchemeOutput:
     out = milstein(problem, bundle, bundle.grid.fine_count, iterated="exact")
     return SchemeOutput(out.values, "reference", "fine", bundle.grid.fine_count,
                         out.diverged, out.first_bad)
-
-
-_ALPHA = {"sqrt_n": 0.5, "n": 1.0, "n2": 2.0}
-
-
-def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
-                  alpha: str = "n") -> StatSeries:
-    """Normalized error alpha_n (X^n - X) at the coarse grid points."""
-    if alpha not in _ALPHA:
-        raise ValueError(f"alpha must be one of {sorted(_ALPHA)}")
-    n = scheme_out.coarse_n
-    if reference_out.grid_level != "fine":
-        raise ValueError("reference must live on the fine grid")
-    if scheme_out.n_paths != reference_out.n_paths:
-        raise ValueError("scheme and reference were run on different bundles")
-    ref_T = reference_out.values.shape[1] - 1
-    if scheme_out.grid_level == "fine":
-        if scheme_out.values.shape[1] != ref_T + 1:
-            raise ValueError("fine grids disagree between scheme and reference")
-        ref = reference_out.values
-        times = np.arange(ref_T + 1) / ref_T
-    else:
-        if ref_T % n:
-            raise ValueError("coarse grid does not divide the reference grid")
-        ref = reference_out.values[:, ::ref_T // n]
-        times = np.arange(n + 1) / n
-    scale = float(n) ** _ALPHA[alpha]
-    values = scale * (scheme_out.values - ref)
-    return StatSeries(kind="U", grid_level=scheme_out.grid_level, times=times, values=values)

@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from milsde import (cli, limits, model, montecarlo, oracles, paths, schemes,
-                    stats)
+from milsde import cli, crosscheck, model, montecarlo, oracles, paths, schemes, stats
 
 E6 = math.e / 6  # 0.45304697...
 
@@ -26,7 +25,7 @@ def record(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_quartic_time_averages():
     # exact expectation of the (a) statistic is 1 at t = 1 for every n
-    analytic_ok = all(oracles.exact_quartic_mean(n, 1.0) == 1.0
+    analytic_ok = all(crosscheck.exact_quartic_mean(n, 1.0) == 1.0
                       for n in (16, 64, 256))
     t0 = time.monotonic()
     rows = oracles.run_case("7.3", n=64, paths=10_000, fine_factor=64, seed=1)
@@ -74,7 +73,7 @@ def test_criterion_04_finite_variation_exactness():
     gaps = []
     for n in (4, 64, 512):
         t = np.arange(n + 1) / n
-        n1, m1 = stats.fv_exact_nm(t, n)
+        n1, m1 = crosscheck.fv_exact_nm(t, n)
         gaps.append(max(abs(n * n * n1 - 1 / 3), abs(n * n * m1 - 1 / 6)))
     ok = max(gaps) <= 1e-12
     record(4, ok, "max |n^2 (N, M) - (1/3, 1/6)| = %.2e over n in {4, 64, 512}"
@@ -88,8 +87,8 @@ def test_criterion_05_ode_error_limit():
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(256, 1), 1, [0])
     out = schemes.milstein(prob, bundle, 256)
     ref = schemes.reference(prob, bundle)
-    scheme_val = schemes.error_process(out, ref, alpha="n2").values[0, -1, 0]
-    ode_val = limits.fv_error_ode(prob).u[-1, 0]
+    scheme_val = crosscheck.error_process(out, ref, alpha="n2")[0, -1, 0]
+    ode_val = crosscheck.fv_error_ode(prob).u[-1, 0]
     elapsed = time.monotonic() - t0
     ok = abs(scheme_val + E6) <= 0.01 * E6 and abs(ode_val + E6) <= 1e-6
     record(5, ok, "n^2 U^n = %.6f, ODE integrator %.9f, target %.9f; "
@@ -176,7 +175,7 @@ def test_criterion_10_identity_suite():
     fv_gaps = {}
     for r in (32, 64):
         b = paths.simulate_bundle(spec, paths.make_grid(n, r), 1, [0])
-        cube = stats.cube_functional(b.y[0, :, 0], n)
+        cube = crosscheck.cube_functional(b.y[0, :, 0], n)
         integral = stats.dn(paths.cell_split(b.fine_increments(), n)).sum()
         fv_gaps[r] = abs(cube - integral)
     fv_ok = fv_gaps[64] < fv_gaps[32] and fv_gaps[64] < 2.0 / 64
@@ -185,7 +184,7 @@ def test_criterion_10_identity_suite():
                                paths.make_grid(n, 64), 3, range(32))
     y = bm.y[:, :, 0]
     dyc, disp = cells = paths.cell_split(bm.fine_increments(), n)
-    resid = (3 * stats.cube_functional(y, n)
+    resid = (3 * crosscheck.cube_functional(y, n)
              - 3 * stats.dn(cells).sum(axis=(1, 2))[:, 0, 0, 0]
              - 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2))
              - (dyc[..., 0] ** 3).sum(axis=(1, 2)))

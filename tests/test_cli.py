@@ -13,6 +13,17 @@ def parse(verb, **flags):
     return cli.parse_config(verb, flags)
 
 
+def below_subgrid_floor(fine_factor):
+    """Each sub-grid case at ``fine_factor`` below 3, with its config error.
+
+    One sub-cell per cell makes every within-cell displacement 0, two every
+    integral nested twice within a cell.
+    """
+    return [(["lemma-check", "--case", case, "--fine-factor", fine_factor, "--n", "16",
+              "--paths", "200", "--seed", "1"], f"case '{case}' needs fine_factor >= 3")
+            for case in ("null", "7.4", "7.4a", "7.4b", "7.6")]
+
+
 class TestParseConfig:
     def test_minimal_flags_get_defaults(self):
         cfg = parse("rate", model="gbm", scheme="milstein", n_list="16,32,64,128",
@@ -114,19 +125,14 @@ class TestMain:
         (["rate", "--model", "gbm", "--n-list", "16,32,64", "--seed", "1"], "8x span"),
         (["rate", "--model", "gbm", "--n-list", "0,16,128", "--seed", "1"],
          "n_list entries must be >= 1"),
-    ] + [
-        # one sub-cell per cell: every within-cell displacement is 0
-        (["lemma-check", "--case", case, "--fine-factor", "1", "--n", "16",
-          "--paths", "200", "--seed", "1"], f"case '{case}' needs fine_factor >= 2")
-        for case in ("null", "7.4", "7.4a", "7.4b", "7.6")
-    ] + [
+    ] + below_subgrid_floor("1") + [
         (["lemma-check", "--case", "7.3", "--paths", str(1 << 32), "--seed", "1"],
          "paths must be < 2^32"),
         (["limit-sim", "--model", "gbm", "--draws", str(1 << 32), "--seed", "1"],
          "draws must be < 2^32"),
         (["rate", "--model", "gbm", "--n-list", "", "--seed", "1"],
          "at least 3 grid sizes, got 0"),
-    ])
+    ] + below_subgrid_floor("2"))
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
         def no_work(config):
@@ -265,6 +271,20 @@ class TestMain:
             assert (tmp_path / f"t1{suffix}").read_bytes() == \
                 (tmp_path / f"t2{suffix}").read_bytes()
 
+    @pytest.mark.parametrize("argv,code", [
+        (["lemma-check", "--case", "7.2a", "--n", "32"], 0),
+        (["rate", "--model", "det-exp", "--n-list", "16,32,64,128", "--paths", "1",
+          "--fine-factor", "1", "--slope-lo", "-0.2", "--slope-hi", "-0.1"], 1),
+    ])
+    def test_closed_stdout_keeps_the_verdict(self, argv, code, tmp_path, monkeypatch):
+        # milsde ... | head: the reader is gone before the table is printed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed_pipe, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", closed_pipe)
+            assert cli.main(argv + ["--seed", "1", "--out", str(tmp_path / "r")]) == code
+        assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
+
     def test_unwritable_output_is_runtime_failure(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
@@ -321,4 +341,14 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "--seed is required" in done.stderr
-    assert sorted(os.listdir(tmp_path)) == ["det.csv", "det.json"]
+    # a verb loads only what it runs: neither scipy nor the test-only references
+    gate = ("import sys, milsde, milsde.cli\n"
+            "milsde.cli.build_parser()\n"
+            "code = milsde.cli.main(%r)\n"
+            "loaded = [m for m in ('scipy', 'milsde.crosscheck') if m in sys.modules]\n"
+            "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n"
+            % (argv[3:] + ["--seed", "1", "--out", str(tmp_path / "gate")]))
+    done = subprocess.run([sys.executable, "-c", gate], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["det.csv", "det.json", "gate.csv", "gate.json"]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from milsde import limits, model, paths, rng, schemes
+from milsde import crosscheck, limits, model, paths, rng, schemes
 
 
 def limit_inputs(problem, fine_count, seed, n_draws):
@@ -203,9 +203,9 @@ class TestSimulateU:
         grid = paths.Grid(4096, 1)
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
         x_ref = prob.closed_form(bundle)
-        dm_fv, dn_fv = limits.fv_deterministic_mn(prob.driver, grid.times())
+        dm_fv, dn_fv = crosscheck.fv_deterministic_mn(prob.driver, grid.times())
         u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), dm_fv, dn_fv)
-        ode = limits.fv_error_ode(prob)
+        ode = crosscheck.fv_error_ode(prob)
         assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
 
 
@@ -216,9 +216,9 @@ class TestItoErrorLimit:
                                  db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x)
         grid, bundle, aux = limit_inputs(prob, 128, 9, 4)
         x_ref = schemes.reference(prob, bundle).values
-        u = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
-                                   aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
-                                   grid.times())
+        u = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                       aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
+                                       grid.times())
         assert np.all(u == 0.0)
 
     def test_matches_general_construction_pathwise(self):
@@ -233,9 +233,9 @@ class TestItoErrorLimit:
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         dn_bar = limits.drift_correct(dn, prob.driver, grid.times())
         u_general = u_at_every_node(prob, x_ref, bundle.fine_increments(), dm, dn_bar)
-        u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
-                                           aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
-                                           grid.times())
+        u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                               aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
+                                               grid.times())
         assert np.max(np.abs(u_general - u_display)) < 1e-10
 
     def test_gbm_variance_cross_check(self):
@@ -246,9 +246,9 @@ class TestItoErrorLimit:
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         dy = bundle.fine_increments()
         u_general = limits.simulate_u(prob, x_ref, dy, dm, dn)
-        u_display = limits.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
-                                           aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
-                                           grid.times())
+        u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
+                                               aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
+                                               grid.times())
         v1 = u_general[:, 0].var(ddof=1)
         v2 = u_display[:, -1, 0].var(ddof=1)
         assert np.allclose(u_general, u_display[:, -1], atol=1e-10)
@@ -263,7 +263,7 @@ class TestItoErrorLimit:
 class TestFvErrorOde:
     def test_unit_density_closed_form(self):
         # U_t = -(t/6) e^t for the exponential problem
-        res = limits.fv_error_ode(model.make_det_exp())
+        res = crosscheck.fv_error_ode(model.make_det_exp())
         assert res.u[-1, 0] == pytest.approx(-np.e / 6, abs=1e-9)
         mid = res.u[len(res.u) // 2, 0]
         assert mid == pytest.approx(-(0.5 / 6) * np.exp(0.5), abs=1e-9)
@@ -272,12 +272,12 @@ class TestFvErrorOde:
         fld = model.scalar_field(lambda x: np.ones_like(x), lambda x: 0.0 * x,
                                  lambda x: 0.0 * x)
         prob = model.SdeProblem(field=fld, driver=paths.time_driver(), x0=1.0)
-        res = limits.fv_error_ode(prob)
+        res = crosscheck.fv_error_ode(prob)
         assert np.all(res.u == 0.0)
 
     def test_rejects_martingale_driver(self):
         with pytest.raises(ValueError, match="finite-variation"):
-            limits.fv_error_ode(model.make_gbm())
+            crosscheck.fv_error_ode(model.make_gbm())
 
     def test_ramp_density_matches_scheme_error(self):
         # driver density y(s) = s: the n^2-scaled scheme error at n = 512
@@ -292,7 +292,7 @@ class TestFvErrorOde:
                                  lambda x: 0.0 * x)
         prob = model.SdeProblem(field=fld, driver=spec, x0=1.0,
                                 closed_form=None, label="ramp-exp")
-        res = limits.fv_error_ode(prob)
+        res = crosscheck.fv_error_ode(prob)
         n = 512
         b = paths.simulate_bundle(spec, paths.make_grid(n, 16), 1, [0])
         out = schemes.milstein(prob, b, n)

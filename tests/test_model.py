@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milsde import model, paths, schemes
+from milsde import crosscheck, model, paths, schemes
 
 
 def scalar_linear():
@@ -78,19 +78,19 @@ class TestCorrectionPairing:
 
 class TestOdeCurvature:
     def test_linear(self):
-        g = model.ode_curvature(scalar_linear(), np.array([[1.0]]))
+        g = crosscheck.ode_curvature(scalar_linear(), np.array([[1.0]]))
         assert g.shape == (1, 1, 1, 1, 1)
         assert g[0, 0, 0, 0, 0] == 1.0
 
     def test_constant_field(self):
         fld = model.scalar_field(lambda x: np.ones_like(x), lambda x: 0.0 * x,
                                  lambda x: 0.0 * x)
-        g = model.ode_curvature(fld, np.array([[2.0]]))
+        g = crosscheck.ode_curvature(fld, np.array([[2.0]]))
         assert g[0, 0, 0, 0, 0] == 0.0
 
     def test_square(self):
         # f = x^2 at x = 1: f^T Hf + f_1 (Df)^T = 1*2 + 2*2 = 6
-        g = model.ode_curvature(scalar_square(), np.array([[1.0]]))
+        g = crosscheck.ode_curvature(scalar_square(), np.array([[1.0]]))
         assert g[0, 0, 0, 0, 0] == 6.0
 
 

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from milsde import oracles, paths, rng
+from milsde import crosscheck, oracles, paths, rng
 
 
 class TestExactQuarticMean:
     def test_unit_at_endpoint(self):
         for n in (4, 64, 256, 1000):
-            assert oracles.exact_quartic_mean(n, 1.0) == 1.0
+            assert crosscheck.exact_quartic_mean(n, 1.0) == 1.0
 
     def test_interior_formula(self):
         n, t = 64, 0.77
         k = int(np.floor(n * t))
-        assert oracles.exact_quartic_mean(n, t) == k / n + (n * t - k) / n ** 3
+        assert crosscheck.exact_quartic_mean(n, t) == k / n + (n * t - k) / n ** 3
 
 
 class TestDeterministicCases:

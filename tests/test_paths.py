@@ -61,18 +61,12 @@ class TestCoarseAnchor:
             if k % g.fine_factor:
                 assert g.time_of(paths.coarse_anchor(g, k)) == np.floor(n * t) / n
 
-    def test_cell_anchors_match_right_endpoint(self):
-        g = paths.make_grid(8, 16)
-        anchors = paths.cell_anchors(g)
-        for j in range(g.fine_count):
-            assert anchors[j] == paths.coarse_anchor(g, j + 1)
-
 
 class TestSampleBrownian:
     def test_deterministic(self):
         g = paths.make_grid(4, 16)
-        w1 = paths.sample_brownian(g, 2, (123, 7))
-        w2 = paths.sample_brownian(g, 2, (123, 7))
+        w1 = paths.simulate_bundle(paths.brownian_motion_driver(2), g, 123, [7]).w[0]
+        w2 = paths.simulate_bundle(paths.brownian_motion_driver(2), g, 123, [7]).w[0]
         assert np.array_equal(w1, w2)
         assert np.all(w1[0] == 0.0)
 
@@ -81,7 +75,7 @@ class TestSampleBrownian:
         g = paths.make_grid(4, 16)
         spec = paths.brownian_motion_driver(1)
         batch = paths.simulate_bundle(spec, g, 99, range(10))
-        solo = paths.sample_brownian(g, 1, (99, 7))
+        solo = paths.simulate_bundle(spec, g, 99, [7]).w[0]
         assert np.array_equal(batch.w[7], solo)
 
     def test_terminal_variance(self):
@@ -117,14 +111,14 @@ class TestBuildDriver:
     def test_identity_driver_is_bitwise(self):
         g = paths.make_grid(8, 8)
         spec = paths.brownian_motion_driver(1)
-        w = paths.sample_brownian(g, 1, (3, 0))
+        w = paths.simulate_bundle(spec, g, 3, [0]).w[0]
         y, a_int = paths.build_driver(spec, w, g)
         assert np.array_equal(y, w)
         assert np.all(a_int == 0.0)
 
     def test_pure_drift_exact(self):
         g = paths.make_grid(8, 8)
-        w = paths.sample_brownian(g, 1, (3, 0))
+        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, [0]).w[0]
         y, a_int = paths.build_driver(paths.time_driver(), w, g)
         assert np.array_equal(y[:, 0], g.times())
         assert np.array_equal(a_int, y)
@@ -164,7 +158,7 @@ class TestBuildDriver:
         bad = 1.0 / 15.0
         spec = paths.DriverSpec(dim_d=1, dim_m=1,
                                 sigma=lambda s: np.array([[np.inf if s == bad else 1.0]]))
-        w = paths.sample_brownian(g, 1, (0, 0))
+        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 0, [0]).w[0]
         with pytest.raises(ValueError, match="non-finite"):
             paths.build_driver(spec, w, g)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milsde import model, montecarlo, paths, schemes
+from milsde import crosscheck, model, montecarlo, paths, schemes
 
 
 def det_exp_bundle(n, r, seed=1, n_paths=1):
@@ -280,24 +280,22 @@ class TestErrorProcess:
         gbm = model.make_gbm()
         b = paths.simulate_bundle(gbm.driver, paths.make_grid(8, 8), 5, range(4))
         ref = schemes.reference(gbm, b)
-        series = schemes.error_process(ref, ref, alpha="n")
-        assert np.all(series.values == 0.0)
-        assert series.kind == "U"
+        assert np.all(crosscheck.error_process(ref, ref, alpha="n") == 0.0)
 
     def test_det_exp_second_order_limit(self):
         prob, b = det_exp_bundle(256, 1)
         out = schemes.milstein(prob, b, 256)
         ref = schemes.reference(prob, b)
-        series = schemes.error_process(out, ref, alpha="n2")
-        assert series.values[0, -1, 0] == pytest.approx(-np.e / 6, rel=0.01)
+        err = crosscheck.error_process(out, ref, alpha="n2")
+        assert err[0, -1, 0] == pytest.approx(-np.e / 6, rel=0.01)
 
     def test_gbm_variance_toward_limit(self):
         gbm = model.make_gbm()
         b = paths.simulate_bundle(gbm.driver, paths.make_grid(128, 1), 2, range(10_000))
         out = schemes.milstein(gbm, b, 128)
         ref = schemes.reference(gbm, b)
-        series = schemes.error_process(out, ref, alpha="n")
-        v = series.values[:, -1, 0].var(ddof=1)
+        err = crosscheck.error_process(out, ref, alpha="n")
+        v = err[:, -1, 0].var(ddof=1)
         assert abs(v - np.e / 6) <= 0.1 * np.e / 6
 
     def test_alpha_validation(self):
@@ -306,7 +304,7 @@ class TestErrorProcess:
         out = schemes.euler(gbm, b, 8)
         ref = schemes.reference(gbm, b)
         with pytest.raises(ValueError, match="alpha"):
-            schemes.error_process(out, ref, alpha="n3")
+            crosscheck.error_process(out, ref, alpha="n3")
 
     def test_rate_separation(self):
         # fitted Euler slope minus Milstein slope is at least 0.35 on gbm

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milsde import paths, stats
+from milsde import crosscheck, paths, stats
 
 
 def time_bundle(n, r, seed=1):
@@ -151,29 +151,29 @@ class TestCubeFunctional:
     def test_unit_slope_exact(self):
         for n in (4, 64, 512):
             b = time_bundle(n, 1)
-            val = stats.cube_functional(b.y[0, :, 0], n)
+            val = crosscheck.cube_functional(b.y[0, :, 0], n)
             assert n ** 2 * val == pytest.approx(1 / 3, abs=1e-13)
 
     def test_single_increment(self):
         y = np.array([0.0, 2.0])
-        assert stats.cube_functional(y, 1) == pytest.approx(8 / 3, rel=1e-15)
+        assert crosscheck.cube_functional(y, 1) == pytest.approx(8 / 3, rel=1e-15)
 
     def test_interior_time_respects_left_open_anchor(self):
         y = np.array([0.0, 1.0, 3.0, 4.0, 8.0])
         # at the coarse point 1/2 the anchor jumps a full cell back, so the
         # partial term is the whole first coarse increment: (3-0)^3 / 3
-        assert stats.cube_functional(y, 2, t_index=2) == pytest.approx(9.0, rel=1e-15)
+        assert crosscheck.cube_functional(y, 2, t_index=2) == pytest.approx(9.0, rel=1e-15)
         # mid second cell: first full increment plus the partial (4-3)^3
-        assert stats.cube_functional(y, 2, t_index=3) == pytest.approx(28 / 3, rel=1e-15)
+        assert crosscheck.cube_functional(y, 2, t_index=3) == pytest.approx(28 / 3, rel=1e-15)
         # endpoint: both coarse increments, (3^3 + 5^3) / 3
-        assert stats.cube_functional(y, 2, t_index=4) == pytest.approx(152 / 3, rel=1e-15)
+        assert crosscheck.cube_functional(y, 2, t_index=4) == pytest.approx(152 / 3, rel=1e-15)
 
     def test_quadratic_density_exact_value(self):
         # exact samples of Y_t = t^2/2: the scaled cube sum is
         # 1/12 - 1/(24 n^2), approaching the 1/12 limit
         for n in (4, 64, 512):
             t = np.arange(n + 1) / n
-            val = stats.cube_functional(t ** 2 / 2, n)
+            val = crosscheck.cube_functional(t ** 2 / 2, n)
             assert n ** 2 * val == pytest.approx(1 / 12 - 1 / (24 * n ** 2), rel=1e-10)
 
     def test_fv_agreement_halves_with_subgrid(self):
@@ -184,7 +184,7 @@ class TestCubeFunctional:
         for r in (8, 16, 32, 64):
             b = quadratic_time_bundle(n, r)
             nv = at_end(stats.dn(cells(b, n)))[0, 0, 0, 0]
-            cube = stats.cube_functional(b.y[0, :, 0], n)
+            cube = crosscheck.cube_functional(b.y[0, :, 0], n)
             gaps[r] = abs(cube - nv)
         assert gaps[16] / gaps[8] == pytest.approx(0.5, abs=0.1)
         assert gaps[64] / gaps[32] == pytest.approx(0.5, abs=0.1)
@@ -194,7 +194,7 @@ class TestCubeFunctional:
         n, r = 16, 32
         b = bm_bundle(n, r, seed=3, n_paths=5)
         y = b.y[:, :, 0]
-        cube3 = 3 * stats.cube_functional(y, n)
+        cube3 = 3 * crosscheck.cube_functional(y, n)
         dyc, disp = c = cells(b, n)
         s3 = 3 * at_end(stats.dn(c))[:, 0, 0, 0]
         corr = 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2)) \
@@ -203,7 +203,7 @@ class TestCubeFunctional:
 
     def test_fv_exact_pair(self):
         b = time_bundle(64, 1)
-        n1, m1 = stats.fv_exact_nm(b.y[0, :, 0], 64)
+        n1, m1 = crosscheck.fv_exact_nm(b.y[0, :, 0], 64)
         assert m1 == n1 / 2.0
         assert 64 ** 2 * n1 == pytest.approx(1 / 3, abs=1e-13)
 
@@ -228,29 +228,3 @@ class TestEmpiricalQv:
         # increments on grids of 4 and 8 cells
         with pytest.raises(ValueError, match="equal shapes"):
             stats.covariation(np.zeros((1, 4)), np.zeros((1, 8)))
-
-
-class TestFvLimitQuadrature:
-    def test_unit_density(self):
-        n1, m1 = stats.fv_limit_quadrature(lambda s: 1.0)
-        assert (n1, m1) == pytest.approx((1 / 3, 1 / 6), rel=1e-12)
-
-    def test_ramp_density(self):
-        n1, m1 = stats.fv_limit_quadrature(lambda s: s)
-        assert (n1, m1) == pytest.approx((1 / 12, 1 / 24), rel=1e-10)
-
-    def test_zero_density(self):
-        assert stats.fv_limit_quadrature(lambda s: 0.0) == (0.0, 0.0)
-
-    def test_constant_density_matches_discrete_exactly(self):
-        # for constant densities the scaled cube sum equals the limit at
-        # every n, the deterministic-exactness case
-        for c in (1.0, 2.0):
-            spec = paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.zeros((1, 1)),
-                                    drift=np.array([c]))
-            for n in (4, 64):
-                b = paths.simulate_bundle(spec, paths.make_grid(n, 1), 1, [0])
-                n_exact, m_exact = stats.fv_exact_nm(b.y[0, :, 0], n)
-                n_lim, m_lim = stats.fv_limit_quadrature(lambda s: c)
-                assert n ** 2 * n_exact == pytest.approx(n_lim, rel=1e-12)
-                assert n ** 2 * m_exact == pytest.approx(m_lim, rel=1e-12)
