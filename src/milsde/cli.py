@@ -62,10 +62,12 @@ _COMMON = {"config": "flat key = value config file; flags override",
            "out": "output base path for .json/.csv",
            "threads": "worker threads (speed only)"}
 
-# sample-size floors: error-law compares two samples, limit-sim takes moments
+# sample-size floors: error-law compares two samples, limit-sim and the
+# lemma-check bands take moments (a 3-SE band on 10 paths is no check)
 _LEAST = {("error-law", "paths"): montecarlo.LAW_MIN_SAMPLES,
           ("error-law", "draws"): montecarlo.LAW_MIN_SAMPLES,
-          ("limit-sim", "draws"): montecarlo.MOMENT_MIN_SAMPLES}
+          ("limit-sim", "draws"): montecarlo.MOMENT_MIN_SAMPLES,
+          ("lemma-check", "paths"): montecarlo.MOMENT_MIN_SAMPLES}
 
 
 class ExperimentConfig(SimpleNamespace):

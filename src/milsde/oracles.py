@@ -7,6 +7,15 @@ Ito sums; time integrals use a per-coarse-cell trapezoid whose nodes carry
 the left-open anchor, so the quartic case keeps its exact unit expectation
 up to O(1/fine_factor^2).
 
+A stochastic case runs its paths in chunks of :data:`paths.DEFAULT_CHUNK`,
+the unit of threading and of stream-key hashing, and each chunk in
+:func:`paths.cache_blocks` of paths: a block is drawn into a reused buffer,
+cell-split into a second and reduced to its per-path statistics, its
+products formed in reused work arrays, before the next block is drawn.  So
+an oracle chunk holds one block's buffers, never a full-size noise or cell
+split.  A block bounds memory only: each path's statistics see the same
+arithmetic in any block, so no result depends on it.
+
 Case ids double as the CLI vocabulary:
     7.2a 7.2b 7.2c 7.2r   deterministic quadrature checks
     7.3a .. 7.3e          quartic time averages of four Brownian paths
@@ -23,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo, rng, stats
-from .paths import (Grid, brownian_family, brownian_motion_driver, cell_split, over_chunks,
+from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, cache_blocks, over_chunks,
                     running_sum, simulate_bundle)
-
-_CHUNK = 500  # paths per chunk: the 4-channel 7.3 paths bound an oracle run's memory
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,58 @@ def _trapz_cells(values_nodes: np.ndarray) -> np.ndarray:
     return (full + half) * (1.0 / (n * r))
 
 
+def _blockwise(grid: Grid, channels: int, chunk_fill, block_stats, slots: int = 0,
+               own: int = 0):
+    """The chunk function of :func:`paths.over_chunks` for one oracle statistic.
+
+    A chunk runs in :func:`paths.cache_blocks` of paths.  ``chunk_fill(idx)``
+    prepares the chunk (hashes its stream keys) and returns ``fill(blk,
+    out)``, which writes the fine increments of paths ``idx[blk]`` to
+    ``out``, (paths, fine_count, channels).  Each block is filled into one
+    reused buffer and cell-split into a second, both channel-major, and
+    ``block_stats(dyc, disp, work)`` reduces it to per-path arrays before
+    the next block is drawn: ``dyc`` is (channels, paths, n, r), ``disp``
+    its zero-started running sum along the cell, (channels, paths, n, r + 1),
+    and ``work`` holds ``slots`` reused (paths, n, r) arrays for products.
+    ``own`` is how many more such arrays ``block_stats`` allocates itself;
+    all of them together size the block.
+    """
+    n, r, fine = grid.coarse_n, grid.fine_factor, grid.fine_count
+    row_bytes = ((2 * channels + slots + own) * fine + channels * n) * np.dtype(float).itemsize
+
+    def chunk_stats(idx):
+        fill = chunk_fill(idx)
+        blocks = cache_blocks(len(idx), row_bytes)
+        rows = blocks[0].stop
+        noise = np.empty((channels, rows, fine))
+        disp = np.empty((channels, rows, n, r + 1))
+        disp[..., 0] = 0.0
+        work = np.empty((slots, rows, n, r))
+        parts = []
+        for blk in blocks:
+            m = blk.stop - blk.start
+            fill(blk, noise[:, :m].transpose(1, 2, 0))
+            dyc = noise[:, :m].reshape(channels, m, n, r)
+            np.cumsum(dyc, axis=3, out=disp[:, :m, :, 1:])
+            parts.append(block_stats(dyc, disp[:, :m], work[:, :m]))
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    return chunk_stats
+
+
+def _oracle_noise(grid: Grid, seed: int, channels: int):
+    """``chunk_fill`` of :func:`_blockwise` for the oracle streams: a chunk
+    hashes its Philox keys once, and each block draws its slice of them."""
+    scale = np.sqrt(grid.fine_dt)
+
+    def chunk_fill(idx):
+        keys = rng.philox_keys(seed, rng.ORACLE, idx, channels)
+        return lambda blk, out: rng.normal_matrix(keys[blk], (grid.fine_count, 1),
+                                                  scale=scale, out=out)
+
+    return chunk_fill
+
+
 # (W, B, U, V) column picks from four independent paths, with targets
 _QUARTIC_CASES = {
     "7.3a": ((0, 0, 0, 0), 1.0),
@@ -72,36 +131,65 @@ _NESTED_CASES = {
              ("pair_inner", (0, 1, 2, 3), 0.0)),
 }
 
+# work slots of a family's block: the 7.3 combos share five product
+# prefixes, the 7.4 sub-cases read four distinct inner integrals; one more
+# slot holds the product being reduced
+_QUARTIC_SLOTS = 6
+_NESTED_SLOTS = 5
 
-def quartic_time_average(cells: tuple, combo: tuple) -> np.ndarray:
-    """Per-path n^2 int prod_i P_i^(n) ds for a 4-column combination.
 
-    ``cells`` is the :func:`paths.cell_split` of the (B, T-1, 4) increment columns.
+def quartic_time_average(nodes: np.ndarray, combos: list, work: np.ndarray) -> list:
+    """Per-path n^2 int prod_i P_i^(n) ds for each 4-column combination.
+
+    ``nodes`` holds the node values 1..r of each column, (columns, B, n, r).
+    Each product prefix shared by several combos is formed once, always in
+    the order ((a*b)*c)*d, into the (B, n, r) arrays of ``work``: one per
+    distinct prefix of length 2 or 3, and one more for the full product.
     """
-    nodes = cells[1][:, :, 1:]
-    prod = nodes[..., combo[0]] * nodes[..., combo[1]] * nodes[..., combo[2]] * nodes[..., combo[3]]
-    return nodes.shape[1] ** 2 * _trapz_cells(prod)
+    prefixes, out = {}, []
+    for combo in combos:
+        prod = nodes[combo[0]]
+        for k in range(2, len(combo)):
+            if combo[:k] not in prefixes:
+                prefixes[combo[:k]] = np.multiply(prod, nodes[combo[k - 1]],
+                                                  out=work[len(prefixes)])
+            prod = prefixes[combo[:k]]
+        prod = np.multiply(prod, nodes[combo[-1]], out=work[-1])
+        out.append(nodes.shape[2] ** 2 * _trapz_cells(prod))
+    return out
 
 
-def nested_time_average(cells: tuple, kind: str, combo: tuple) -> np.ndarray:
+def nested_time_average(dyc: np.ndarray, disp: np.ndarray, specs: list,
+                        work: np.ndarray) -> list:
     """Per-path statistics of the nested-integral time averages.
 
-    ``cells`` is the :func:`paths.cell_split` of the (B, T-1, 4) increment columns.
+    ``dyc`` and ``disp`` are a block's channel-major increments and
+    displacements (see :func:`_blockwise`); ``specs`` lists (kind, combo)
+    pairs.  Each within-cell integral ``inner(u, v)`` is formed once for all
+    of them, into its own (B, n, r) array of ``work``; the last one holds
+    the integrand or product at hand.
     """
-    dyc, disp = cells
+    inners, out = {}, []
+    prod = work[-1]
 
     def inner(u, v):
         # within-cell left-point integral of column u against column v, nodes 1..r
-        return running_sum(disp[:, :, :-1, u] * dyc[..., v], axis=2)[:, :, 1:]
+        if (u, v) not in inners:
+            np.multiply(disp[u, :, :, :-1], dyc[v], out=prod)
+            inners[u, v] = np.cumsum(prod, axis=2, out=work[len(inners)])
+        return inners[u, v]
 
-    w, b, u, v = combo
-    if kind == "inner_product":
-        prod = inner(w, b) * inner(u, v)
-    elif kind == "pair_inner":
-        prod = disp[:, :, 1:, w] * disp[:, :, 1:, b] * inner(u, v)
-    else:
-        raise ValueError(f"unknown nested statistic '{kind}'")
-    return dyc.shape[1] ** 2 * _trapz_cells(prod)
+    for kind, (w, b, u, v) in specs:
+        if kind == "inner_product":
+            np.multiply(inner(w, b), inner(u, v), out=prod)
+        elif kind == "pair_inner":
+            uv = inner(u, v)
+            np.multiply(disp[w, :, :, 1:], disp[b, :, :, 1:], out=prod)
+            np.multiply(prod, uv, out=prod)
+        else:
+            raise ValueError(f"unknown nested statistic '{kind}'")
+        out.append(dyc.shape[2] ** 2 * _trapz_cells(prod))
+    return out
 
 
 def _row(case, subcase, n, sample, target, null_budget=None,
@@ -128,12 +216,22 @@ def _fingerprint_rows(n: int, fine_factor: int, seed: int, over) -> list:
     driver = brownian_motion_driver(1)
     scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
 
-    def chunk_stats(idx):
-        bundle = simulate_bundle(driver, grid, seed, idx)
-        cells = cell_split(bundle.fine_increments(), n)
+    def chunk_fill(idx):
+        # the driver's increments, differenced from its path values as
+        # PathBundle.fine_increments does; simulate_bundle hashes each
+        # block's keys itself
+        def fill(blk, out):
+            y = simulate_bundle(driver, grid, seed, idx[blk]).y
+            np.subtract(y[:, 1:], y[:, :-1], out=out)
+        return fill
+
+    def block_stats(dyc, disp, work):
+        cells = (dyc[0, ..., None], disp[0, ..., None])  # the (B, n, r, d) layout of stats
         return tuple((scale * stats.fingerprints(stats.dm(cells), stats.dn(cells), cells[0])).T)
 
-    mm, nn, nm, nw, mw = over(chunk_stats)
+    # own: the bundle's w and y, dz and its running sum, dm, the outer product
+    # and dn, and the products of the covariations
+    mm, nn, nm, nw, mw = over(_blockwise(grid, 1, chunk_fill, block_stats, own=10))
     budget = 0.5 / fine_factor
     return [
         _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
@@ -148,12 +246,11 @@ def _drift_coupling_rows(n: int, fine_factor: int, seed: int, over) -> list:
     # n int (W^(n))^2 ds against the unit drift: target c^{12} a / 2 = 1/2
     grid = Grid(n, fine_factor)
 
-    def chunk_stats(idx):
-        dw = brownian_family(grid, seed, idx, rng.ORACLE)
-        nodes = cell_split(dw, n)[1][:, :, 1:, 0]
-        return (n * _trapz_cells(nodes ** 2),)
+    def block_stats(dyc, disp, work):
+        nodes = disp[0, :, :, 1:]
+        return (n * _trapz_cells(np.multiply(nodes, nodes, out=work[0])),)
 
-    (vals,) = over(chunk_stats)
+    (vals,) = over(_blockwise(grid, 1, _oracle_noise(grid, seed, 1), block_stats, slots=1))
     return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, vals, 0.5)]
 
 
@@ -165,10 +262,9 @@ def _null_rows(n: int, fine_factor: int, seed: int, over) -> list:
     tau_left = (np.arange(r) * dt)  # elapsed time at left nodes
     tau_nodes = (np.arange(1, r + 1) * dt)
 
-    def chunk_stats(idx):
-        dyc, disp = cell_split(brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
-        dw, db = dyc[..., 0], dyc[..., 1]
-        w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
+    def block_stats(dyc, disp, work):
+        dw, db = dyc
+        w_left, w_nodes = disp[0, :, :, :-1], disp[0, :, :, 1:]
         inner_wb = running_sum(w_left * db, axis=2)
         inner_aw = running_sum(tau_left * dw, axis=2)
         return (n * (w_left * tau_left * db).sum(axis=(1, 2)),
@@ -180,6 +276,8 @@ def _null_rows(n: int, fine_factor: int, seed: int, over) -> list:
     budget = 0.5 / fine_factor
     labels = ("n int W^(n) A^(n) dB", "n int W^(n) A^(n) dt", "n int (int W^(n) dB) dt",
               "n int (int A^(n) dW) dB", "n int (int A^(n) dW) dt")
+    # own: the two within-cell integrals, their integrands and two products
+    chunk_stats = _blockwise(grid, 2, _oracle_noise(grid, seed, 2), block_stats, own=5)
     return [_row("null", label, n, sample, 0.0, null_budget=budget)
             for label, sample in zip(labels, over(chunk_stats))]
 
@@ -284,7 +382,7 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     """
     if case.startswith("7.2"):
         return _det_rows(case, n)
-    over = functools.partial(over_chunks, paths, _CHUNK, threads=threads)
+    over = functools.partial(over_chunks, paths, DEFAULT_CHUNK, threads=threads)
     if case == "7.6":
         return _fingerprint_rows(n, fine_factor, seed, over)
     if case == "7.7-80":
@@ -295,16 +393,23 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     if not specs:
         raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
     grid = Grid(n, fine_factor)
+    kinds = [(kind, combo) for _, _, kind, combo, _ in specs]
+    # a case id is either quartic (7.3*) or nested (7.4*), never both
+    if kinds[0][0] == "quartic":
+        combos = [combo for _, combo in kinds]
+        slots = _QUARTIC_SLOTS
 
-    def chunk_stats(idx):
-        cells = cell_split(brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
-        return [quartic_time_average(cells, combo) if kind == "quartic"
-                else nested_time_average(cells, kind, combo)
-                for _, _, kind, combo, _ in specs]
+        def block_stats(dyc, disp, work):
+            return quartic_time_average(disp[..., 1:], combos, work)
+    else:
+        slots = _NESTED_SLOTS
 
+        def block_stats(dyc, disp, work):
+            return nested_time_average(dyc, disp, kinds, work)
+
+    samples = over(_blockwise(grid, 4, _oracle_noise(grid, seed, 4), block_stats, slots=slots))
     rows = []
-    for (row_case, label, _, _, target), sample in zip(
-            specs, over(chunk_stats)):
+    for (row_case, label, _, _, target), sample in zip(specs, samples):
         budget = 0.5 / fine_factor if target == 0.0 else None
         rows.append(_row(row_case, label, n, sample, target, null_budget=budget))
     return rows

@@ -131,18 +131,30 @@ def cache_blocks(count: int, row_bytes: int) -> list:
 def over_chunks(total: int, chunk: int, chunk_fn, threads: int = 1) -> tuple:
     """Run ``chunk_fn`` over 0..total-1 in chunks of consecutive indices.
 
-    ``chunk_fn(idx)`` returns arrays of ``len(idx)`` rows, each concatenated
-    across chunks in index order.  Its locals are freed when it returns, but
-    a returned view pins its base; memory peaks near one chunk per worker,
-    and ``threads > 1`` runs that many chunks at once.
+    ``chunk_fn(idx)`` returns arrays of ``len(idx)`` rows.  Each is copied
+    into its rows of a result allocated at the first chunk, in index order,
+    so nothing a chunk returns outlives it: its locals and any base a
+    returned view pins are freed before the next chunk runs.  Memory peaks
+    near one chunk per worker, and ``threads > 1`` runs that many chunks at
+    once.
     """
     chunks = [np.arange(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    outs = []
+
+    def store(idx, part):
+        if not outs:
+            outs.extend(np.empty((total, *col.shape[1:]), dtype=col.dtype) for col in part)
+        for out, col in zip(outs, part):
+            out[idx[0]:idx[0] + len(idx)] = col
+
     if threads <= 1 or len(chunks) <= 1:
-        parts = [chunk_fn(idx) for idx in chunks]
+        for idx in chunks:
+            store(idx, chunk_fn(idx))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk_fn, chunks))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+            for idx, part in zip(chunks, pool.map(chunk_fn, chunks)):
+                store(idx, part)
+    return tuple(outs)
 
 
 @dataclass(frozen=True)
@@ -293,8 +305,9 @@ def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
     (n_paths, fine_count, channels * width).  It is written to ``out`` when
     given.  The running sum along the time axis is the path.
     """
-    return rng.normal_matrix(master_seed, component, path_indices, (grid.fine_count, width),
-                             channels=channels, scale=np.sqrt(grid.fine_dt), out=out)
+    keys = rng.philox_keys(master_seed, component, path_indices, channels)
+    return rng.normal_matrix(keys, (grid.fine_count, width), scale=np.sqrt(grid.fine_dt),
+                             out=out)
 
 
 def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:

@@ -9,13 +9,14 @@ chunking and thread count irrelevant to the output.
 
 A key's Philox key is numpy's ``SeedSequence(entropy=master_seed,
 spawn_key=(component, path_index, channel)).generate_state(2, uint64)``.
-:func:`normal_matrix` hashes the keys of a whole batch at once with
-:func:`philox_keys`, a vectorised copy of that seed_seq hash (O'Neill 2014),
-and draws them all through one generator by setting its state, so a stream
-costs no per-key ``SeedSequence`` or ``Philox`` set-up.  A path index must
-be below :data:`INDEX_LIMIT` (one 32-bit word).  :func:`stream` builds the
-same generator the numpy way; it is the reference the hash and the draws
-are tested against.
+:func:`philox_keys` hashes the keys of a whole chunk at once, a vectorised
+copy of that seed_seq hash (O'Neill 2014), and :func:`normal_matrix` draws
+any slice of them through one generator by setting its state, so a stream
+costs no per-key ``SeedSequence`` or ``Philox`` set-up, and a chunk drawn
+block by block hashes its keys once.  A path index must be below
+:data:`INDEX_LIMIT` (one 32-bit word).  :func:`stream` builds the same
+generator the numpy way; it is the reference the hash and the draws are
+tested against.
 """
 
 import numpy as np
@@ -113,27 +114,27 @@ def philox_keys(master_seed: int, component: int, path_indices, channels: int) -
     return np.stack([state[0] | state[1] << high, state[2] | state[3] << high], axis=-1)
 
 
-def normal_matrix(master_seed: int, component: int, path_indices, shape: tuple,
-                  channels: int = 1, scale: float = 1.0, out: np.ndarray = None) -> np.ndarray:
-    """Scaled standard normals for every (path index, channel) slot.
+def normal_matrix(keys: np.ndarray, shape: tuple, scale: float = 1.0,
+                  out: np.ndarray = None) -> np.ndarray:
+    """Scaled standard normals for every slot of a (B, channels, 2) key array.
 
-    Slot (b, c) draws a ``shape`` = (rows, k) matrix from its stream in
+    Slot (b, c) draws a ``shape`` = (rows, k) matrix from the stream whose
+    Philox key is ``keys[b, c]`` (a slice of :func:`philox_keys`) in
     row-major order, multiplies it by ``scale`` and writes it to
-    ``out[b, :, c*k:(c+1)*k]``.  ``out`` has shape (B, rows, channels * k)
-    and is allocated when not given.  One generator serves the whole call,
-    so no generator is shared between threads.
+    ``out[b, :, c*k:(c+1)*k]``.  ``out`` has shape (B, rows, channels * k),
+    may be any strided view, and is allocated when not given; it is
+    returned.  One generator serves the whole call, so no generator is
+    shared between threads.
     """
     rows, k = shape
-    idx = np.asarray(path_indices, dtype=np.int64)
-    keys = philox_keys(master_seed, component, idx, channels)
     if out is None:
-        out = np.empty((len(idx), rows, channels * k))
+        out = np.empty((keys.shape[0], rows, keys.shape[1] * k))
     gen = np.random.Generator(np.random.Philox())
     state = gen.bit_generator.state  # a fresh state: empty buffer, no spare word
     counter = np.zeros(4, dtype=np.uint64)
     draw = np.empty(shape)
-    for b in range(len(idx)):
-        for c in range(channels):
+    for b in range(keys.shape[0]):
+        for c in range(keys.shape[1]):
             state["state"] = {"counter": counter, "key": keys[b, c]}
             gen.bit_generator.state = state
             gen.standard_normal(out=draw)

@@ -1,16 +1,19 @@
 """The blocked passes over the fine grid against whole-array references.
 
-``iterated_integrals``, ``simulate_mn`` and ``simulate_u`` run through
-:func:`paths.cache_blocks`.  Here ``paths.BLOCK_BYTES`` is set so that every
-pass runs in blocks of one row, of three rows (which divides none of the
-counts below) and in a single block, and each result is compared with the
-whole-array formulation kept in this file.
+``iterated_integrals``, ``simulate_mn``, ``simulate_u`` and every stochastic
+oracle case run through :func:`paths.cache_blocks`.  Here
+``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one row,
+of three rows (which divides none of the counts below) and in a single
+block, and each result is compared with the whole-array formulation kept in
+this file.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from milsde import limits, model, paths, rng, schemes, stats
+from milsde import limits, model, oracles, paths, rng, schemes, stats
 
 PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
 
@@ -98,7 +101,7 @@ def block_rows(request, monkeypatch):
         lengths.append((count, [b.stop - b.start for b in blocks]))
         return blocks
 
-    for module in (schemes, limits):
+    for module in (schemes, limits, oracles):
         monkeypatch.setattr(module, "cache_blocks", sized)
     yield
     assert lengths, "no pass ran through cache_blocks"
@@ -153,3 +156,67 @@ def test_simulate_u(block_rows, case, timed):
     got = limits.simulate_u(prob, x_ref, dy, dm, dn)
     want = u_whole(prob, x_ref, dy, dm, dn)
     assert got.shape == (PATHS, q) and np.array_equal(got, want)
+
+
+def oracle_whole(case, n, fine_factor, n_paths, seed):
+    """Per-path samples of an oracle case in row order, each chunk statistic
+    formed over all paths at once from the channel-last cell split."""
+    grid = paths.Grid(n, fine_factor)
+    idx = np.arange(n_paths)
+    trapz = oracles._trapz_cells
+    if case == "7.6":
+        bundle = paths.simulate_bundle(paths.brownian_motion_driver(1), grid, seed, idx)
+        cells = paths.cell_split(bundle.fine_increments(), n)
+        scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)
+        mm, nn, nm, nw, mw = (scale * stats.fingerprints(stats.dm(cells), stats.dn(cells),
+                                                         cells[0])).T
+        return [nn, mm, nm, nw, mw]
+    if case == "7.7-80":
+        nodes = paths.cell_split(paths.brownian_family(grid, seed, idx, rng.ORACLE), n)[1]
+        return [n * trapz(nodes[:, :, 1:, 0] ** 2)]
+    if case == "null":
+        r, dt = fine_factor, grid.fine_dt
+        tau_left, tau_nodes = np.arange(r) * dt, np.arange(1, r + 1) * dt
+        dyc, disp = paths.cell_split(
+            paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
+        dw, db = dyc[..., 0], dyc[..., 1]
+        w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
+        inner_wb = paths.running_sum(w_left * db, axis=2)
+        inner_aw = paths.running_sum(tau_left * dw, axis=2)
+        return [n * (w_left * tau_left * db).sum(axis=(1, 2)),
+                n * trapz(w_nodes * tau_nodes),
+                n * trapz(inner_wb[:, :, 1:]),
+                n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)),
+                n * trapz(inner_aw[:, :, 1:])]
+    dyc, disp = paths.cell_split(
+        paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
+
+    def inner(u, v):
+        return paths.running_sum(disp[:, :, :-1, u] * dyc[..., v], axis=2)[:, :, 1:]
+
+    nodes, out = disp[:, :, 1:], []
+    for _, _, kind, (w, b, u, v), _ in oracles._statistic_specs(case):
+        if kind == "quartic":
+            prod = nodes[..., w] * nodes[..., b] * nodes[..., u] * nodes[..., v]
+        elif kind == "inner_product":
+            prod = inner(w, b) * inner(u, v)
+        else:
+            prod = nodes[..., w] * nodes[..., b] * inner(u, v)
+        out.append(n ** 2 * trapz(prod))
+    return out
+
+
+ORACLE_CASES = ("7.3", "7.3d", "7.4", "7.4a", "7.6", "7.7-80", "null")
+
+
+@pytest.mark.parametrize("n_paths", [PATHS, 2], ids=["paths-7", "paths-2"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_blocks(block_rows, case, n_paths):
+    # 2 paths are fewer than one block of three
+    n, fine_factor, seed = COARSE, 4, 13
+    rows = oracles.run_case(case, n=n, paths=n_paths, fine_factor=fine_factor, seed=seed)
+    samples = oracle_whole(case, n, fine_factor, n_paths, seed)
+    assert len(rows) == len(samples)
+    for row, sample in zip(rows, samples):
+        assert row.estimate == float(sample.mean())
+        assert row.se == float(sample.std(ddof=1) / math.sqrt(n_paths))

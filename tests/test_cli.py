@@ -190,6 +190,19 @@ class TestMain:
         assert not os.listdir(tmp_path)
         assert parse("limit-sim", model="gbm", draws=30, seed=1).draws == 30
 
+    def test_small_lemma_check_paths_exit_two_before_simulating(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli.oracles, "run_case", no_work)
+        code = cli.main(["lemma-check", "--case", "7.3", "--n", "32", "--paths", "10",
+                         "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"paths must be >= {cli.montecarlo.MOMENT_MIN_SAMPLES}" in \
+            capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+        assert parse("lemma-check", case="7.3", paths=30, seed=1).paths == 30
+
     def test_small_error_law_samples_exit_two_before_simulating(self, tmp_path,
                                                                  capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -251,10 +264,10 @@ class TestMain:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    # each size spans two chunks: 500 paths per oracle chunk, 1000 otherwise
+    # each size spans two chunks of paths.DEFAULT_CHUNK (1000) paths
     @pytest.mark.parametrize("argv", [
-        ["lemma-check", "--case", "7.3", "--n", "8", "--fine-factor", "4", "--paths", "700"],
-        ["lemma-check", "--case", "null", "--n", "8", "--fine-factor", "4", "--paths", "700"],
+        ["lemma-check", "--case", "7.3", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
+        ["lemma-check", "--case", "null", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
         ["limit-sim", "--model", "gbm-drift", "--draws", "1200", "--fine-count", "32"],
         ["error-law", "--model", "gbm", "--n", "8", "--fine-factor", "2", "--paths", "1200",
          "--draws", "1200", "--fine-count", "32", "--ks-threshold", "1"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,9 @@ class TestBrownianCases:
         for n in grids:
             grid = paths.Grid(n, 32)
             p = paths.brownian_family(grid, 17, np.arange(1500), rng.ORACLE, channels=4)
-            stat = oracles.quartic_time_average(paths.cell_split(p, n), (0, 0, 0, 0))
+            nodes = np.moveaxis(paths.cell_split(p, n)[1][:, :, 1:], -1, 0)
+            work = np.empty((3,) + nodes.shape[1:])  # two prefixes and the product
+            stat = oracles.quartic_time_average(nodes, [(0, 0, 0, 0)], work)[0]
             variances.append(stat.var(ddof=1))
         slope = np.polyfit(np.log(grids), np.log(variances), 1)[0]
         assert -1.3 <= slope <= -0.7
@@ -84,3 +88,26 @@ class TestBrownianCases:
         a = oracles.run_case("7.3a", n=16, paths=400, fine_factor=16, seed=9)[0]
         b = oracles.run_case("7.3a", n=16, paths=400, fine_factor=16, seed=9)[0]
         assert a.estimate == b.estimate and a.se == b.se
+
+
+def _traced_peak(**kwargs):
+    tracemalloc.start()
+    try:
+        oracles.run_case("7.3", **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quartic_chunk_memory_is_one_block():
+    # a block's noise, cell split and products fit paths.BLOCK_BYTES; beside
+    # them only the chunk's keys and the five per-path results (a chunk's
+    # parts and the output) grow with the paths, so a full-size noise or
+    # split array, or a block buffer kept per block, breaks the bound
+    size = dict(n=16, fine_factor=64, seed=1)
+    oracles.run_case("7.3", paths=50, **size)  # warm caches
+    n_paths = 2000
+    peak = _traced_peak(paths=n_paths, **size)
+    results = 2 * 5 * n_paths * 8
+    assert peak < 2 * paths.BLOCK_BYTES + results
+    assert peak <= 1.1 * _traced_peak(paths=400, **size)

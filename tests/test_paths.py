@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,20 @@ class TestOverChunks:
         assert all(len(idx) <= chunk and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
                    for idx in seen)
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(total))
+
+    def test_a_chunk_result_does_not_outlive_its_chunk(self):
+        # a returned view pins its chunk's full-size base; once stored, it
+        # must be gone before the next chunk allocates its own
+        bases = []
+
+        def chunk_fn(idx):
+            assert all(ref() is None for ref in bases), "an earlier chunk is still alive"
+            base = np.ones((len(idx), 64)) * idx[:, None]
+            bases.append(weakref.ref(base))
+            return (base[:, 3],)
+
+        (got,) = paths.over_chunks(10, 3, chunk_fn)
+        assert np.array_equal(got, np.arange(10.0)) and len(bases) == 4
 
 
 def _reference_path(seed, component, idx, shape, channel, grid):

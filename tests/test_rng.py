@@ -41,7 +41,8 @@ class TestPhiloxKeys:
 class TestNormalMatrix:
     def test_draws_the_reference_streams_and_rejects_indices_outside_one_word(self):
         shape = (16, 2)
-        got = rng.normal_matrix(3, rng.ORACLE, [5, WORD - 1], shape, channels=2, scale=0.5)
+        keys = rng.philox_keys(3, rng.ORACLE, [5, WORD - 1], 2)
+        got = rng.normal_matrix(keys, shape, scale=0.5)
         assert got.shape == (2, 16, 4)
         for b, idx in enumerate((5, WORD - 1)):
             for c in range(2):
@@ -49,7 +50,7 @@ class TestNormalMatrix:
                 assert np.array_equal(got[b, :, 2 * c:2 * c + 2], want)
         assert rng.INDEX_LIMIT == WORD
         with pytest.raises(ValueError, match="one 32-bit word"):
-            rng.normal_matrix(3, rng.ORACLE, [5, WORD + 9], shape, channels=2)
+            rng.normal_matrix(rng.philox_keys(3, rng.ORACLE, [5, WORD + 9], 2), shape)
 
     def test_threads_on_disjoint_indices_match_the_serial_draw(self):
         grid = paths.make_grid(8, 16)

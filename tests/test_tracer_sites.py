@@ -3,11 +3,14 @@
 ``perfbench/tracer.py`` replaces functions by name in the milsde modules
 that look them up.  A refactor that drops or renames one of those names
 breaks every traced benchmark run; this test shows it in about a second.
+A traced call must also still attribute its work to the right spans.
 """
 
+import json
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +31,21 @@ def test_tracer_installs_on_the_package():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_traced_lemma_check_attributes_draws_and_quartic_products(tmp_path):
+    # the benchmark's own child process, traced: every oracle normal is
+    # counted by the rng span, and the quartic products have their own span
+    n, fine_factor, n_paths = 8, 4, 50
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
+            repr(time.monotonic()), "1", "lemma-check", "--case", "7.3", "--n", str(n),
+            "--fine-factor", str(fine_factor), "--paths", str(n_paths), "--seed", "1",
+            "--out", str(tmp_path / "report")]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["rng.normals"] == n_paths * n * fine_factor * 4
+    assert layers["oracles.quartic_time_average.calls"] >= 1
