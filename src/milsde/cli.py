@@ -376,8 +376,9 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
     q = problem.field.dim_q
 
     def chunk_fn(idx):
-        real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count)
-        return real.u_end, stats.fingerprints(real.dm, real.dn, real.dw)
+        real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count,
+                                       fingerprints=True)
+        return real.u_end, real.fingerprints
 
     u_all, fps = over_chunks(config.draws, DEFAULT_CHUNK, chunk_fn, config.threads)
     lines = ["draw," + ",".join([f"u_{i+1}" for i in range(q)]

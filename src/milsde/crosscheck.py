@@ -16,7 +16,7 @@ For a finite-variation driver the limit law degenerates to an ODE, solved
 here to high accuracy by step-halved Richardson extrapolation
 (:func:`fv_error_ode`), with its limit pair (N, M) from Gauss-Legendre
 quadrature (:func:`fv_limit_quadrature`) and its deterministic limit
-increments (:func:`fv_deterministic_mn`) for :func:`limits.simulate_u`.
+increments (:func:`fv_deterministic_mn`) for :func:`limits.integrate_u`.
 """
 
 import math
@@ -168,7 +168,7 @@ def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
 
     N^j_t = (1/3) int y y^T y_j ds and M = N/2, integrated by trapezoid
     over each cell of the given grid; shape (1, T-1, d, d, d).  Feeding
-    these into :func:`limits.simulate_u` must reproduce the finite-variation
+    these into :func:`limits.integrate_u` must reproduce the finite-variation
     error ODE.
     """
     y = driver.drift_at(times)

@@ -13,23 +13,23 @@ independent of the driver's W.  V is always assembled on the fly from
 in the driver shifts N by the deterministic matrix (1/2) int c_s a^p_s ds.
 M and N are carried as increments over the fine cells, never as running
 series: the three sigma factors are contracted once per time step and
-applied to the flattened noise increments.  V exists only for one cache
-block of paths at a time (:func:`paths.cache_blocks`); dM and dN are the
-full-size outputs.
+applied to the flattened noise increments.
 
 The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
-the fine grid; only the endpoint U_1 is kept.  The integrator builds its
-forcing and coupling terms for one cache block of time steps at a time,
-transposes them to time-major in cache and steps through them, so none of
-its terms is ever full-size.
+the fine grid; only the endpoint U_1 is kept.  U needs each increment of
+M and N once, in time order, so the integrator forms V, dM and dN (drift
+correction included) for one cache block of time steps at a time, builds
+its forcing and coupling terms from them, transposes those to time-major
+in cache and steps through them: neither dM, dN nor any term of U is ever
+full-size.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
+from . import rng, stats
 from .model import SdeProblem
 from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, cache_blocks,
                     over_chunks, simulate_bundle)
@@ -45,11 +45,23 @@ class AuxiliaryNoise:
     ``db`` has shape (n_paths, T-1, m, m, m) indexed [p, i, j]; ``dwbar``
     has shape (n_paths, T-1, m).  Streams are keyed per (path, channel) so
     the families are independent of each other and of every driver path.
+    The increments are those of the steps from ``start`` of ``grid`` on: all
+    of them as sampled, one time block of them after :meth:`steps`.
     """
 
     grid: Grid
     db: np.ndarray
     dwbar: np.ndarray
+    start: int = 0
+
+    def steps(self, blk: slice) -> "AuxiliaryNoise":
+        """The increments of the time steps ``blk`` of these, as views."""
+        return replace(self, db=self.db[:, blk], dwbar=self.dwbar[:, blk],
+                       start=self.start + blk.start)
+
+    def times(self) -> np.ndarray:
+        """The grid nodes these increments span, T of them."""
+        return self.grid.times()[self.start:self.start + self.db.shape[1] + 1]
 
 
 def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> AuxiliaryNoise:
@@ -77,19 +89,20 @@ def assemble_v_increments(aux: AuxiliaryNoise, dw: np.ndarray) -> np.ndarray:
 
 
 def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tuple:
-    """Increments (dM, dN) of the limit processes over the fine cells.
+    """Increments (dM, dN) of the limit processes over the cells of ``aux``.
 
     Returns two arrays of shape (n_paths, T-1, d, d, d) indexed [j, row, col].
-    ``dw`` must be the driver's own Brownian increments, (n_paths, T-1, m);
-    the diagonal of V couples to them.  The three sigma factors are
-    contracted once per time step, so each family costs one two-operand
-    product with the flattened noise increments.  V is assembled for one
-    block of paths at a time and the products are written into the
-    preallocated outputs.
+    ``dw`` must be the driver's own Brownian increments over the same cells,
+    (n_paths, T-1, m); the diagonal of V couples to them.  The three sigma
+    factors are contracted once per time step, so each family costs one
+    two-operand product with the flattened noise increments.  V is
+    assembled for one block of paths at a time and the products are written
+    into the preallocated outputs.  :func:`simulate_u` calls this on one
+    time block of the noise at a time.
     """
     d = driver.dim_d
     B, T, m = dw.shape
-    sig = driver.sigma_at(aux.grid.times()[:-1])
+    sig = driver.sigma_at(aux.times()[:-1])
     # sigma^{jp} sigma^{au} sigma^{cv} per step: row (p*m + u)*m + v meets the
     # flattened [p, u, v] noise entry, column (j*d + a)*d + c the [j, a, c] one
     cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
@@ -112,7 +125,11 @@ def _trapezoid_increments(integrand: np.ndarray, times: np.ndarray) -> np.ndarra
 
 
 def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.ndarray:
-    """Add the deterministic drift shift (1/2) int c_s a^p_s ds to the dN^p increments."""
+    """Add the deterministic drift shift (1/2) int c_s a^p_s ds to the dN^p increments.
+
+    ``times`` are the nodes of the cells of ``dn``: the whole grid or one
+    block of it give the same shift per cell.
+    """
     if not driver.has_drift:
         return dn
     c = driver.c_at(times)
@@ -121,31 +138,36 @@ def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.n
     return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
-def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
-               dm: np.ndarray, dn: np.ndarray) -> np.ndarray:
+def integrate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
+                increments) -> np.ndarray:
     """Integrate the limit error SDE along a reference solution path.
 
     dU^i = U^T Df^i(X) dY - sum_{jk} f^{ij}_k(X) tr(h^k(X) dM^j)
            - (1/2) sum_j tr(f^T Hf^{ij} f dN^j),  U_0 = 0.
 
     ``x_ref`` is (n_paths, T, q), ``dy`` the driver increments
-    (n_paths, T-1, d); dM and dN as returned by :func:`simulate_mn`
-    (drift-corrected when the driver has a drift).  Left-point Euler on the
+    (n_paths, T-1, d); ``increments(blk)`` returns the (drift-corrected)
+    dM and dN of the time steps ``blk``, each (n_paths, len(blk), d, d, d).
+    It is called once per block, in time order.  Left-point Euler on the
     fine grid; returns U at the last node, shape (n_paths, q).  The loop is
     causal: truncating every input to its first k cells gives U at node k.
     """
     B, T, q = x_ref.shape
     d = dy.shape[2]
+    m = problem.driver.dim_m
     field = problem.field
     cur = np.zeros((B, q))
     step = np.empty((B, q))
     # a block's values per step and path: X, f, Df, h and Hf; the forcing,
-    # N term and coupling, batch- and time-major; the dY, dM and dN copied
-    row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d + 2 * d ** 3
+    # N term and coupling, batch- and time-major; the dY copied; the noise
+    # views, V and its diagonal; dM, dN and the drift-corrected dN
+    row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d \
+        + 2 * m ** 3 + 3 * m + 3 * d ** 3
     for blk in cache_blocks(T - 1, B * row * x_ref.itemsize):
         # the block's inputs, copied out of the full-size arrays once so that
         # the products below read contiguous memory
-        x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a[:, blk]) for a in (x_ref, dy, dm, dn))
+        x_left, dy_b = (np.ascontiguousarray(a[:, blk]) for a in (x_ref, dy))
+        dm_b, dn_b = (np.ascontiguousarray(a) for a in increments(blk))
         f = field.f_at(x_left)
         df = field.df_at(x_left)
         h = np.einsum("xtika,xtkc->xtiac", df, f)
@@ -167,43 +189,63 @@ def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
     return cur
 
 
+def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray, dw: np.ndarray,
+               aux: AuxiliaryNoise, fps: np.ndarray = None) -> np.ndarray:
+    """U_1 of the limit error SDE driven by the driver's own noise and ``aux``.
+
+    ``x_ref`` is (n_paths, T, q), ``dy`` and ``dw`` the driver's increments
+    (n_paths, T-1, d) and its Brownian increments (n_paths, T-1, m), ``aux``
+    the auxiliary noise of the same cells.  :func:`integrate_u` takes dM and
+    dN one time block at a time from :func:`simulate_mn` on that block's
+    noise, drift-corrected there, so they never exist at full size.
+    ``fps``, when given, is an (n_paths, 5) array to which each block adds
+    the :func:`stats.fingerprints` of its dM, dN and dW.
+    """
+    def increments(blk):
+        block = aux.steps(blk)
+        dm, dn = simulate_mn(problem.driver, dw[:, blk], block)
+        dn = drift_correct(dn, problem.driver, block.times())
+        if fps is not None:
+            np.add(fps, stats.fingerprints(dm, dn, dw[:, blk]), out=fps)
+        return dm, dn
+
+    return integrate_u(problem, x_ref, dy, increments)
+
+
 @dataclass(frozen=True)
 class LimitRealization:
-    """One batch of limit draws: the driving increments and the endpoints U_1.
+    """One batch of limit draws.
 
-    ``dw`` is (n_paths, T-1, m); ``dm`` and ``dn`` are the (drift-corrected)
-    limit increments of :func:`simulate_mn`; ``u_end`` is (n_paths, q).
+    ``u_end`` holds the endpoints U_1, (n_paths, q); ``fingerprints`` the
+    (n_paths, 5) :func:`stats.fingerprints` of the drift-corrected limit
+    increments when they were asked for, and None otherwise.
     """
 
-    dw: np.ndarray
-    dm: np.ndarray
-    dn: np.ndarray
     u_end: np.ndarray
+    fingerprints: np.ndarray = None
 
 
 def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
-                     fine_count: int = 4096) -> LimitRealization:
+                     fine_count: int = 4096, fingerprints: bool = False) -> LimitRealization:
     """Sample the limit law of the normalized scheme error.
 
     Draws a fresh driver path (its own stream family), the auxiliary
     families, the reference solution along the path, and integrates the
     limit SDE.  The driver's drift correction is applied automatically.
-    The bundle is dropped once its increments and reference are taken, and
-    the auxiliary noise once M and N are built.
+    The bundle is dropped once its increments and reference are taken; an
+    identity driver's Y is its W, so its dW is its dY.
     """
     grid = Grid(fine_count, 1)
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
                              component=rng.LIMIT_W)
     x_ref = reference(problem, bundle).values
     dy = bundle.fine_increments()
-    dw = np.diff(bundle.w, axis=1)
+    dw = dy if bundle.y is bundle.w else np.diff(bundle.w, axis=1)
     del bundle
     aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
-    dm, dn = simulate_mn(problem.driver, dw, aux)
-    del aux
-    dn = drift_correct(dn, problem.driver, grid.times())
-    u_end = simulate_u(problem, x_ref, dy, dm, dn)
-    return LimitRealization(dw=dw, dm=dm, dn=dn, u_end=u_end)
+    fps = np.zeros((len(dy), len(stats.FINGERPRINTS))) if fingerprints else None
+    u_end = simulate_u(problem, x_ref, dy, dw, aux, fps)
+    return LimitRealization(u_end=u_end, fingerprints=fps)
 
 
 def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,

@@ -13,8 +13,9 @@ depend only on (master_seed, path_index), never on batch composition.
 Per-step passes over the fine grid (the Milstein K, the limit M/N and U)
 run through :func:`cache_blocks`: consecutive slices whose temporaries hold
 about ``BLOCK_BYTES``, so a pass keeps its working set in cache and builds
-no full-size temporary.  A pass that recurs in time (U) is sliced along
-time; the others are sliced along paths, whose slices are contiguous.  A
+no full-size temporary.  A pass that recurs in time (U, and the limit M/N
+it forms per block) is sliced along time; the others are sliced along
+paths, whose slices are contiguous.  A
 block is a memory bound, not a setting: no result depends on it.
 """
 
@@ -271,7 +272,8 @@ def ito_embedding_driver(label: str = "ito-embed") -> DriverSpec:
 class PathBundle:
     """Coupled batch of driving paths on one grid.
 
-    ``w`` is (n_paths, fine_count+1, m) and ``y`` is (n_paths, fine_count+1, d).
+    ``w`` is (n_paths, fine_count+1, m) and ``y`` is (n_paths, fine_count+1, d);
+    for a constant sigma = I and no drift ``y`` is ``w`` itself, not a copy.
     ``a_int`` is the deterministic drift integral, (fine_count+1, d), shared
     by every path.  A bundle is immutable after construction; every scheme
     and functional evaluated on it reads the same realizations, which is the
@@ -315,10 +317,12 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
 
     y_k = sum_{j<k} sigma(t_j) dW_j + a_int_k with
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
-    telescope, so they are evaluated directly on the path values (this keeps
-    y bit-identical to w for the identity driver).  Accepts a single path
-    (fine_count+1, m) or a batch (n_paths, fine_count+1, m); ``a_int`` is
-    deterministic and returned once, shape (fine_count+1, d).
+    telescope, so they are evaluated directly on the path values.  For a
+    constant sigma = I the driver is its Brownian path: without a drift the
+    batch ``y`` returned is ``w`` itself, and with one it is w + a_int.
+    Accepts a single path (fine_count+1, m) or a batch
+    (n_paths, fine_count+1, m); ``a_int`` is deterministic and returned
+    once, shape (fine_count+1, d).
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 2
@@ -338,7 +342,7 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
         sig = np.asarray(spec.sigma, dtype=float)
         if not np.isfinite(sig).all():
             raise ValueError("sigma matrix contains non-finite entries")
-        y = np.einsum("dm,bkm->bkd", sig, w)
+        y = w if np.array_equal(sig, np.eye(len(sig))) else np.einsum("dm,bkm->bkd", sig, w)
 
     a_int = np.zeros((grid.fine_count + 1, spec.dim_d))
     if spec.drift is not None:

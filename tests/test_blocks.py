@@ -1,7 +1,8 @@
 """The blocked passes over the fine grid against whole-array references.
 
-``iterated_integrals``, ``simulate_mn``, ``simulate_u`` and every stochastic
-oracle case run through :func:`paths.cache_blocks`.  Here
+``iterated_integrals``, ``simulate_mn``, ``simulate_u`` (which forms dM and
+dN per time block) and every stochastic oracle case run through
+:func:`paths.cache_blocks`.  Here
 ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one row,
 of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
@@ -145,6 +146,9 @@ def test_simulate_mn(block_rows, case, timed):
 
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
 def test_simulate_u(block_rows, case, timed):
+    # V, dM and dN formed and drift-corrected one time block at a time,
+    # against whole-size dM/dN, the whole-grid drift correction and the
+    # whole-array integrator; the embedding case is the one with a drift
     prob = _problem(case, timed)
     grid, dw, aux = _limit_inputs(prob)
     r = np.random.default_rng(11)
@@ -153,7 +157,7 @@ def test_simulate_u(block_rows, case, timed):
     dy = r.standard_normal((PATHS, FINE, d)) / np.sqrt(FINE)
     dm, dn = mn_whole(prob.driver, dw, aux)
     dn = limits.drift_correct(dn, prob.driver, grid.times())
-    got = limits.simulate_u(prob, x_ref, dy, dm, dn)
+    got = limits.simulate_u(prob, x_ref, dy, dw, aux)
     want = u_whole(prob, x_ref, dy, dm, dn)
     assert got.shape == (PATHS, q) and np.array_equal(got, want)
 

@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from milsde import crosscheck, limits, model, paths, rng, schemes
+from milsde import crosscheck, limits, model, paths, rng, schemes, stats
 
 
 def limit_inputs(problem, fine_count, seed, n_draws):
@@ -14,7 +15,7 @@ def limit_inputs(problem, fine_count, seed, n_draws):
     return grid, bundle, aux
 
 
-def u_at_every_node(problem, x_ref, dy, dm, dn):
+def u_at_every_node(problem, x_ref, dy, dw, aux):
     """U at each fine node: U_1 of the inputs truncated to each prefix.
 
     The integrator is causal, so the endpoint of the first k cells is U at
@@ -23,8 +24,14 @@ def u_at_every_node(problem, x_ref, dy, dm, dn):
     steps = dy.shape[1]
     u = np.zeros((x_ref.shape[0], steps + 1, x_ref.shape[2]))
     for k in range(1, steps + 1):
-        u[:, k] = limits.simulate_u(problem, x_ref[:, :k + 1], dy[:, :k], dm[:, :k], dn[:, :k])
+        u[:, k] = limits.simulate_u(problem, x_ref[:, :k + 1], dy[:, :k], dw[:, :k],
+                                    aux.steps(slice(0, k)))
     return u
+
+
+def given_increments(dm, dn):
+    """The ``increments`` of :func:`limits.integrate_u` for whole arrays."""
+    return lambda blk: (dm[:, blk], dn[:, blk])
 
 
 class TestAuxiliaryNoise:
@@ -174,9 +181,9 @@ class TestSimulateU:
         prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1),
                                 x0=1.0)
         grid, bundle, aux = limit_inputs(prob, 256, 5, 8)
-        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
-        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), dm, dn)
+        dy = bundle.fine_increments()
+        u = limits.simulate_u(prob, x_ref, dy, dy, aux)
         assert u.shape == (8, 1) and np.all(u == 0.0)
 
     def test_linearity_in_forcing(self):
@@ -185,8 +192,8 @@ class TestSimulateU:
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
         dy = bundle.fine_increments()
-        u1 = limits.simulate_u(prob, x_ref, dy, dm, dn)
-        u2 = limits.simulate_u(prob, x_ref, dy, 2 * dm, 2 * dn)
+        u1 = limits.integrate_u(prob, x_ref, dy, given_increments(dm, dn))
+        u2 = limits.integrate_u(prob, x_ref, dy, given_increments(2 * dm, 2 * dn))
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
 
     def test_gbm_second_moment(self):
@@ -204,7 +211,8 @@ class TestSimulateU:
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
         x_ref = prob.closed_form(bundle)
         dm_fv, dn_fv = crosscheck.fv_deterministic_mn(prob.driver, grid.times())
-        u = limits.simulate_u(prob, x_ref, bundle.fine_increments(), dm_fv, dn_fv)
+        u = limits.integrate_u(prob, x_ref, bundle.fine_increments(),
+                               given_increments(dm_fv, dn_fv))
         ode = crosscheck.fv_error_ode(prob)
         assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
 
@@ -230,9 +238,8 @@ class TestItoErrorLimit:
                                  d2b=lambda x: -np.cos(x), x0=0.7, label="trig")
         grid, bundle, aux = limit_inputs(prob, 512, 21, 32)
         x_ref = schemes.reference(prob, bundle).values
-        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
-        dn_bar = limits.drift_correct(dn, prob.driver, grid.times())
-        u_general = u_at_every_node(prob, x_ref, bundle.fine_increments(), dm, dn_bar)
+        u_general = u_at_every_node(prob, x_ref, bundle.fine_increments(),
+                                    np.diff(bundle.w, axis=1), aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                                grid.times())
@@ -243,9 +250,8 @@ class TestItoErrorLimit:
         prob = model.make_gbm_drift(alpha=1.0, beta=0.0)
         grid, bundle, aux = limit_inputs(prob, 512, 23, 4000)
         x_ref = prob.closed_form(bundle)
-        dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
-        dy = bundle.fine_increments()
-        u_general = limits.simulate_u(prob, x_ref, dy, dm, dn)
+        dy, dw = bundle.fine_increments(), np.diff(bundle.w, axis=1)
+        u_general = limits.simulate_u(prob, x_ref, dy, dw, aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                                grid.times())
@@ -256,7 +262,8 @@ class TestItoErrorLimit:
         # every node of the path, on the first 32 draws: the prefix walk
         # costs one integration per node
         sub = slice(0, 32)
-        u_nodes = u_at_every_node(prob, x_ref[sub], dy[sub], dm[sub], dn[sub])
+        aux_sub = replace(aux, db=aux.db[sub], dwbar=aux.dwbar[sub])
+        u_nodes = u_at_every_node(prob, x_ref[sub], dy[sub], dw[sub], aux_sub)
         assert np.allclose(u_nodes, u_display[sub], atol=1e-10)
 
 
@@ -302,12 +309,39 @@ class TestFvErrorOde:
         assert err[-1] == pytest.approx(res.u[-1, 0], rel=0.01)
 
 
+class TestFingerprints:
+    @pytest.mark.parametrize("make", [model.make_gbm, model.make_gbm_drift],
+                             ids=["gbm", "gbm-drift"])
+    def test_block_sums_match_whole_array_sums(self, make):
+        # limit-sim's fingerprints are summed per time block of U; against
+        # sums over whole-size dM, dN and dW they move in the last bits only
+        prob, fine_count, draws = make(), 4096, 40
+        real = limits.draw_error_limit(prob, 3, range(draws), fine_count, fingerprints=True)
+        grid, bundle, aux = limit_inputs(prob, fine_count, 3, draws)
+        dw = np.diff(bundle.w, axis=1)
+        dm, dn = limits.simulate_mn(prob.driver, dw, aux)
+        dn = limits.drift_correct(dn, prob.driver, grid.times())
+        want = stats.fingerprints(dm, dn, dw)
+        # relative to the sum of |products|: [M,W] is a sum around zero
+        m, n, w = dm[..., 0, 0, 0], dn[..., 0, 0, 0], dw[..., 0]
+        scale = np.stack([np.abs(a * b).sum(axis=1)
+                          for a, b in ((m, m), (n, n), (n, m), (n, w), (m, w))], axis=1)
+        assert real.fingerprints.shape == (draws, len(stats.FINGERPRINTS))
+        assert np.all(np.abs(real.fingerprints - want) <= 1e-13 * scale)
+        np.testing.assert_allclose(real.fingerprints.mean(axis=0), want.mean(axis=0),
+                                   rtol=1e-13)
+        # the endpoints do not depend on whether the fingerprints are taken
+        plain = limits.draw_error_limit(prob, 3, range(draws), fine_count)
+        assert plain.fingerprints is None and np.array_equal(plain.u_end, real.u_end)
+
+
 class TestChunkMemory:
     def test_limit_chunk_peak_is_bounded(self):
         # the limit side holds a fixed number of (draws, fine_count) arrays
-        # at once: the reference, dY, dW, the auxiliary noise and dM/dN, with
-        # every other term built one cache block at a time; a running series
-        # or a full-size temporary kept alive again would break the bound
+        # at once: the reference, dY (which is dW for gbm) and the auxiliary
+        # noise, with dM, dN and every other term built one cache block of
+        # time steps at a time; full-size dM/dN, a second dW, a running
+        # series or a full-size temporary kept alive again would break it
         draws, fine_count = 1000, 1024
         limits.sample_error_limit_end(model.make_gbm(), 2, 50, fine_count)  # warm caches
         tracemalloc.start()
@@ -316,4 +350,4 @@ class TestChunkMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * draws * fine_count * 8
+        assert peak <= 5 * draws * fine_count * 8

@@ -117,6 +117,26 @@ class TestBuildDriver:
         assert np.array_equal(y, w)
         assert np.all(a_int == 0.0)
 
+    def test_identity_driver_is_its_path(self):
+        # sigma = I without a drift returns the batch w itself; any other
+        # sigma, or a drift, builds a new y and leaves w as it was
+        g = paths.make_grid(4, 4)
+        w = paths.simulate_bundle(paths.brownian_motion_driver(2), g, 3, range(3)).w
+        kept = w.copy()
+        y, _ = paths.build_driver(paths.brownian_motion_driver(2), w, g)
+        assert y is w
+        bundle = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, range(2))
+        assert bundle.y is bundle.w
+        others = [paths.DriverSpec(dim_d=2, dim_m=2, sigma=np.diag([1.0, 2.0])),
+                  paths.DriverSpec(dim_d=2, dim_m=2, sigma=np.eye(2), drift=np.ones(2)),
+                  paths.DriverSpec(dim_d=2, dim_m=2, sigma=lambda s: np.eye(2))]
+        for spec in others:
+            y, a_int = paths.build_driver(spec, w, g)
+            assert y is not w and not np.shares_memory(y, w)
+            np.testing.assert_allclose(y, np.einsum("dm,bkm->bkd", spec.sigma_at([0.0])[0], w)
+                                       + a_int, rtol=0, atol=1e-14)
+        assert np.array_equal(w, kept)
+
     def test_pure_drift_exact(self):
         g = paths.make_grid(8, 8)
         w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, [0]).w[0]

@@ -49,3 +49,26 @@ def test_traced_lemma_check_attributes_draws_and_quartic_products(tmp_path):
     layers = json.loads(result.read_text())["layers"]
     assert layers["rng.normals"] == n_paths * n * fine_factor * 4
     assert layers["oracles.quartic_time_average.calls"] >= 1
+
+
+def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
+    # the scheme side draws one normal per path and fine cell; the limit side
+    # one per draw and cell for W, each B^{pij} and each Wbar^p.  dM and dN
+    # are formed per time block inside U, never for a whole chunk
+    n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 128, 1000, 1000, 1
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
+            repr(time.monotonic()), "1", "error-law", "--model", "gbm", "--n", str(n),
+            "--fine-factor", str(fine_factor), "--fine-count", str(fine_count),
+            "--paths", str(n_paths), "--draws", str(draws), "--seed", "2",
+            "--out", str(tmp_path / "report")]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["rng.normals"] == (n_paths * n * fine_factor
+                                     + draws * fine_count * (1 + m ** 3 + m))
+    assert layers["limits.simulate_u.calls"] >= 1
+    assert layers["limits.simulate_mn.calls"] >= 1
+    assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
