@@ -18,6 +18,7 @@ so reruns with different values produce byte-identical reports.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import limits, montecarlo, oracles, rng, schemes, stats
 from .model import builtin_models, get_model
-from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
+from .paths import DEFAULT_CHUNK, MAX_FINE_COUNT, make_grid, over_chunks, simulate_bundle
 
 SCHEMA_VERSION = "v1"
 OUT_DIR_ENV = "MILSDE_OUT_DIR"
@@ -204,19 +205,29 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append(f"case '{case}' needs fine_factor >= {oracles.SUBGRID_MIN_FINE_FACTOR}: "
                           f"with fewer sub-cells per cell its within-cell integrals are all 0")
 
+    # the fine grids the run builds, each held to the allocation guard of
+    # paths.Grid here rather than when the run starts
     n_list, fine_factor = values["n_list"], values["fine_factor"] or 1
+    grids = {}
+    if "n" in keys and values["n"] is not None and not case.startswith("7.2"):
+        grids["n x fine_factor"] = values["n"] * fine_factor
+    if "fine_count" in keys and values["fine_count"] is not None:
+        grids["fine_count"] = values["fine_count"]
     if "n_list" in keys and n_list is not None:
         if n_list and min(n_list) < 1:
             errors.append("n_list entries must be >= 1")
         else:
-            fine = max(n_list, default=0) * fine_factor
+            fine = grids["max(n_list) x fine_factor"] = max(n_list, default=0) * fine_factor
             for n in n_list:
                 if fine % n:
                     errors.append(f"n={n} does not divide the fine grid of {fine} "
                                   f"(= max(n_list) x fine_factor)")
-            if len(n_list) < montecarlo.RATE_MIN_SIZES:
+            sizes = len(set(n_list))
+            if sizes < len(n_list):
+                errors.append("n_list entries must be distinct")
+            if sizes < montecarlo.RATE_MIN_SIZES:
                 errors.append(f"rate fits need at least {montecarlo.RATE_MIN_SIZES} "
-                              f"grid sizes, got {len(n_list)}")
+                              f"grid sizes, got {sizes}")
             elif max(n_list) < montecarlo.RATE_MIN_SPAN * min(n_list):
                 errors.append(f"rate fits need an {montecarlo.RATE_MIN_SPAN}x span of "
                               f"grid sizes, got {max(n_list)}/{min(n_list)}")
@@ -229,7 +240,21 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append("slope_lo and slope_hi must both be given as numbers")
         else:
             band = (values["slope_lo"], values["slope_hi"])
+            if not (math.isfinite(band[0]) and math.isfinite(band[1]) and band[0] < band[1]):
+                errors.append(f"the slope band must be finite with slope_lo < slope_hi, "
+                              f"got [{band[0]}, {band[1]}]")
     values["slope_lo"], values["slope_hi"] = band or (None, None)
+
+    # a KS distance lies in [0, 1]: a threshold outside (0, 1) passes every
+    # run or none
+    ks = values["ks_threshold"]
+    if "ks_threshold" in keys and ks is not None and not 0.0 < ks < 1.0:
+        errors.append(f"ks_threshold must lie strictly between 0 and 1, got {ks}")
+
+    for name, cells in grids.items():
+        if cells > MAX_FINE_COUNT:
+            errors.append(f"a grid of {cells} fine cells ({name}) is too large: "
+                          f"at most {MAX_FINE_COUNT}")
 
     if errors:
         raise ConfigError(errors)
@@ -288,7 +313,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple:
 
     def chunk_fn(idx):
         out = runner(problem, simulate_bundle(problem.driver, grid, config.seed, idx),
-                     config.n, "exact")
+                     config.n)
         return out.values, out.diverged
 
     values, flags = over_chunks(config.paths, DEFAULT_CHUNK, chunk_fn, config.threads)

@@ -36,8 +36,7 @@ def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
                   alpha: str = "n") -> np.ndarray:
     """Normalized error alpha_n (X^n - X) at the scheme's grid points.
 
-    Shape (n_paths, n_times, q): the coarse points, or every fine node for a
-    scheme output on the fine grid.
+    Shape (n_paths, n + 1, q); for n = fine_count these are every fine node.
     """
     if alpha not in _ALPHA:
         raise ValueError(f"alpha must be one of {sorted(_ALPHA)}")
@@ -47,14 +46,9 @@ def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
     if scheme_out.n_paths != reference_out.n_paths:
         raise ValueError("scheme and reference were run on different bundles")
     ref_T = reference_out.values.shape[1] - 1
-    if scheme_out.grid_level == "fine":
-        if scheme_out.values.shape[1] != ref_T + 1:
-            raise ValueError("fine grids disagree between scheme and reference")
-        ref = reference_out.values
-    else:
-        if ref_T % n:
-            raise ValueError("coarse grid does not divide the reference grid")
-        ref = reference_out.values[:, ::ref_T // n]
+    if ref_T % n:
+        raise ValueError("coarse grid does not divide the reference grid")
+    ref = reference_out.values[:, ::ref_T // n]
     scale = float(n) ** _ALPHA[alpha]
     return scale * (scheme_out.values - ref)
 

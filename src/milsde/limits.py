@@ -19,10 +19,10 @@ The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
 the fine grid; only the endpoint U_1 is kept.  U needs each increment of
 M and N once, in time order, so the integrator forms V, dM and dN (drift
-correction included) for one cache block of time steps at a time, builds
-its forcing and coupling terms from them, transposes those to time-major
-in cache and steps through them: neither dM, dN nor any term of U is ever
-full-size.
+correction included) over all paths of one cache block of time steps at a
+time, builds its forcing and coupling terms from them, transposes those to
+time-major in cache and steps through them: neither dM, dN nor any term of
+U is ever full-size.
 """
 
 from dataclasses import dataclass, replace
@@ -95,10 +95,9 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tupl
     ``dw`` must be the driver's own Brownian increments over the same cells,
     (n_paths, T-1, m); the diagonal of V couples to them.  The three sigma
     factors are contracted once per time step, so each family costs one
-    two-operand product with the flattened noise increments.  V is
-    assembled for one block of paths at a time and the products are written
-    into the preallocated outputs.  :func:`simulate_u` calls this on one
-    time block of the noise at a time.
+    two-operand product with the flattened noise increments.
+    :func:`simulate_u` calls this on one cache block of time steps at a
+    time, so V, dM and dN are formed whole for that block.
     """
     d = driver.dim_d
     B, T, m = dw.shape
@@ -106,15 +105,9 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tupl
     # sigma^{jp} sigma^{au} sigma^{cv} per step: row (p*m + u)*m + v meets the
     # flattened [p, u, v] noise entry, column (j*d + a)*d + c the [j, a, c] one
     cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
-    cube_m, cube_n = (SQRT6 / 6.0) * cube, (SQRT3 / 3.0) * cube
-    dm = np.empty((B, T, d ** 3))
-    dn = np.empty((B, T, d ** 3))
-    db = aux.db.reshape(B, T, m ** 3)
-    # a path's working set: V, its diagonal and the dM/dN rows it writes
-    for blk in cache_blocks(B, T * (m ** 3 + 2 * m + 2 * d ** 3) * dw.itemsize):
-        dv = assemble_v_increments(replace(aux, db=aux.db[blk], dwbar=aux.dwbar[blk]), dw[blk])
-        np.einsum("btk,tkl->btl", dv.reshape(-1, T, m ** 3), cube_n, out=dn[blk])
-        np.einsum("btk,tkl->btl", db[blk], cube_m, out=dm[blk])
+    dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
+    dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube)
+    dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (SQRT6 / 6.0) * cube)
     return dm.reshape(B, T, d, d, d), dn.reshape(B, T, d, d, d)
 
 

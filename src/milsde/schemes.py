@@ -10,17 +10,12 @@ diffs and splits one cache block of paths at a time
 (:func:`paths.cache_blocks`), so the fine increments and their cell split
 never exist at full size.
 
-Two evaluations of K are available:
-
-``fine``   raw left-point sums over the fine sub-grid, the Z functional's
-           per-cell sum :func:`stats.k_fine`; a single sub-cell gives K = 0
-           and the scheme degrades to Euler.
-``exact``  the fine sums with their symmetric part replaced by the exact
-           identity (dY dY^T - cell QV)/2, using the driver's deterministic
-           quadratic variation.  For a one-dimensional driver this is the
-           exact iterated integral (for Brownian noise, ((dW)^2 - dt)/2);
-           in higher dimension only the antisymmetric (Levy-area) part
-           still comes from the sub-grid.
+K is the sub-grid sum :func:`stats.k_fine` (the Z functional's per-cell
+left-point sum) with its symmetric part replaced by the exact identity
+(dY dY^T - cell QV)/2, using the driver's deterministic quadratic
+variation.  For a one-dimensional driver this is the exact iterated
+integral (for Brownian noise, ((dW)^2 - dt)/2); in higher dimension only
+the antisymmetric (Levy-area) part still comes from the sub-grid.
 """
 
 from dataclasses import dataclass
@@ -57,39 +52,34 @@ def _flag_divergence(values: np.ndarray) -> tuple:
     return diverged, first_bad
 
 
-def iterated_integrals(bundle: PathBundle, coarse_n: int, mode: str = "exact") -> np.ndarray:
+def iterated_integrals(bundle: PathBundle, coarse_n: int) -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    if mode not in ("fine", "exact"):
-        raise ValueError(f"unknown iterated-integral mode '{mode}'")
     r = cell_size(bundle.grid.fine_count, coarse_n)
     y = bundle.y
     B, d = bundle.n_paths, bundle.driver.dim_d
     kmat = np.empty((B, coarse_n, d, d))
-    qv_emp = np.empty_like(kmat) if mode == "exact" else None
+    qv_emp = np.empty_like(kmat)
     # a block of paths is diffed and split in cache: its increments and
     # their running sum, about 2r + 1 fine values per cell and path
     for blk in cache_blocks(B, (2 * r + 1) * coarse_n * d * y.itemsize):
         cells = cell_split(np.diff(y[blk], axis=1), coarse_n)
         kmat[blk] = stats.k_fine(cells)
-        if qv_emp is not None:
-            qv_emp[blk] = np.swapaxes(cells[0], -1, -2) @ cells[0]
-    if mode == "fine":
-        return kmat
+        qv_emp[blk] = np.swapaxes(cells[0], -1, -2) @ cells[0]
     edges = np.arange(coarse_n + 1) / coarse_n
     qv_exact = bundle.driver.cell_qv(edges)
     return kmat + 0.5 * (qv_emp - qv_exact)
 
 
 def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.ndarray,
-                            coarse_n: int, mode: str = "exact") -> np.ndarray:
+                            coarse_n: int) -> np.ndarray:
     """K on ``coarse_n`` cells from K on a finer base grid that it divides.
 
     Chen's identity for left-point sums: a coarse cell's K is the sum of its
     base cells' K_j plus the left-point sum of the driver over the base
-    grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The
-    exact mode then swaps the base cells' exact QV for the coarse cell's, so
-    the result equals :func:`iterated_integrals` at ``coarse_n`` up to
-    rounding.  ``dybase`` holds the driver's increments over the base grid,
+    grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The base
+    cells' exact QV is then swapped for the coarse cell's, so the result
+    equals :func:`iterated_integrals` at ``coarse_n`` up to rounding.
+    ``dybase`` holds the driver's increments over the base grid,
     shape (n_paths, base, d), shared by every fold of one bundle.  The cost
     is O(n_paths * base * d^2), with no sub-grid pass.
     """
@@ -97,20 +87,14 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.nd
     m = cell_size(base, coarse_n)
     kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
         + stats.k_fine(cell_split(dybase, coarse_n))
-    if mode == "exact":
-        qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
-        qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
-        kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
+    qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
+    qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
     return kmat
 
 
-def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-          grid_level: str = "coarse") -> SchemeOutput:
-    """Euler scheme X_{k+1} = X_k + f(X_k)(Y_{k+1} - Y_k) on the coarse grid.
-
-    With ``grid_level="fine"`` the continuous-type interpolant
-    X_t = X_{n(t)} + f(X_{n(t)})(Y_t - Y_{n(t)}) is returned at fine nodes.
-    """
+def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int) -> SchemeOutput:
+    """Euler scheme X_{k+1} = X_k + f(X_k)(Y_{k+1} - Y_k) on the coarse grid."""
     r = cell_size(bundle.grid.fine_count, coarse_n)
     y = bundle.y
     B = bundle.n_paths
@@ -118,35 +102,26 @@ def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     coarse = np.empty((B, coarse_n + 1, q))
     x = np.broadcast_to(problem.x0, (B, q)).copy()
     coarse[:, 0] = x
-    fine_vals = None
-    if grid_level == "fine":
-        fine_vals = np.empty((B, bundle.grid.fine_count + 1, q))
-        fine_vals[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(coarse_n):
             fk = problem.field.f_at(x)
-            if grid_level == "fine":
-                dy_in = y[:, k * r + 1:(k + 1) * r + 1] - y[:, k * r, None]
-                fine_vals[:, k * r + 1:(k + 1) * r + 1] = (
-                    x[:, None] + np.einsum("bqd,btd->btq", fk, dy_in))
             dy = y[:, (k + 1) * r] - y[:, k * r]
             x = x + np.einsum("bqd,bd->bq", fk, dy)
             coarse[:, k + 1] = x
-    values = fine_vals if grid_level == "fine" else coarse
-    diverged, first_bad = _flag_divergence(values)
-    return SchemeOutput(values, "euler", grid_level, coarse_n, diverged, first_bad)
+    diverged, first_bad = _flag_divergence(coarse)
+    return SchemeOutput(coarse, "euler", "coarse", coarse_n, diverged, first_bad)
 
 
 def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-             iterated: str = "exact", kmat: np.ndarray = None) -> SchemeOutput:
+             kmat: np.ndarray = None) -> SchemeOutput:
     """Second-order scheme: Euler plus the iterated-integral correction.
 
-    ``kmat`` is K on the ``coarse_n`` cells in mode ``iterated``; it is
-    computed from the bundle when not given.
+    ``kmat`` is K on the ``coarse_n`` cells; it is computed from the bundle
+    when not given.
     """
     r = cell_size(bundle.grid.fine_count, coarse_n)
     if kmat is None:
-        kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
+        kmat = iterated_integrals(bundle, coarse_n)
     y = bundle.y
     B = bundle.n_paths
     q = problem.field.dim_q
@@ -177,7 +152,7 @@ def has_ito_embedding(problem: SdeProblem) -> bool:
 
 
 def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-                   iterated: str = "exact", kmat: np.ndarray = None) -> SchemeOutput:
+                   kmat: np.ndarray = None) -> SchemeOutput:
     """Milstein step for dX = a(X) dW + b(X) dt, written out term by term.
 
     X_{k+1} = X_k + a dW + b dt + a a' K_WW + a b' K_Wt + a' b K_tW
@@ -189,7 +164,7 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
         raise ValueError("this scheme needs the (W, t) embedding with f = (a(x), b(x))")
     r = cell_size(bundle.grid.fine_count, coarse_n)
     if kmat is None:
-        kmat = iterated_integrals(bundle, coarse_n, mode=iterated)
+        kmat = iterated_integrals(bundle, coarse_n)
     y = bundle.y
     B = bundle.n_paths
     out = np.empty((B, coarse_n + 1, 1))
@@ -223,6 +198,6 @@ def reference(problem: SdeProblem, bundle: PathBundle) -> SchemeOutput:
         diverged, first_bad = _flag_divergence(values)
         return SchemeOutput(values, "reference", "fine", bundle.grid.fine_count,
                             diverged, first_bad)
-    out = milstein(problem, bundle, bundle.grid.fine_count, iterated="exact")
+    out = milstein(problem, bundle, bundle.grid.fine_count)
     return SchemeOutput(out.values, "reference", "fine", bundle.grid.fine_count,
                         out.diverged, out.first_bad)

@@ -1,7 +1,7 @@
 """The blocked passes over the fine grid against whole-array references.
 
-``iterated_integrals``, ``simulate_mn``, ``simulate_u`` (which forms dM and
-dN per time block) and every stochastic oracle case run through
+``iterated_integrals``, ``simulate_u`` (which forms dM and dN per time
+block with ``simulate_mn``) and every stochastic oracle case run through
 :func:`paths.cache_blocks`.  Here
 ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one row,
 of three rows (which divides none of the counts below) and in a single
@@ -19,11 +19,9 @@ from milsde import limits, model, oracles, paths, rng, schemes, stats
 PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
 
 
-def k_whole(bundle, coarse_n, mode):
+def k_whole(bundle, coarse_n):
     cells = paths.cell_split(bundle.fine_increments(), coarse_n)
     kmat = stats.k_fine(cells)
-    if mode == "fine":
-        return kmat
     qv_emp = np.swapaxes(cells[0], -1, -2) @ cells[0]
     qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
     return kmat + 0.5 * (qv_emp - qv_exact)
@@ -119,13 +117,12 @@ IDS = [f"{case}-{'callable' if timed else 'constant'}" for case, timed in CASES]
 
 
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
-@pytest.mark.parametrize("mode", ["fine", "exact"])
-def test_iterated_integrals(block_rows, case, timed, mode):
+def test_iterated_integrals(block_rows, case, timed):
     prob = _problem(case, timed)
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
-    got = schemes.iterated_integrals(bundle, COARSE, mode)
-    assert np.array_equal(got, k_whole(bundle, COARSE, mode))
+    got = schemes.iterated_integrals(bundle, COARSE)
+    assert np.array_equal(got, k_whole(bundle, COARSE))
 
 
 def _limit_inputs(prob):
@@ -137,11 +134,16 @@ def _limit_inputs(prob):
 
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
 def test_simulate_mn(block_rows, case, timed):
+    # dM and dN of each block of time steps (sized by block_rows through
+    # limits.cache_blocks), as simulate_u asks for them, against the same
+    # steps of the whole-grid increments: sigma is read at the block's nodes
     prob = _problem(case, timed)
     _, dw, aux = _limit_inputs(prob)
-    for got, want in zip(limits.simulate_mn(prob.driver, dw, aux),
-                         mn_whole(prob.driver, dw, aux)):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    whole = mn_whole(prob.driver, dw, aux)
+    for blk in limits.cache_blocks(FINE, 1):
+        for got, want in zip(limits.simulate_mn(prob.driver, dw[:, blk], aux.steps(blk)),
+                             whole):
+            assert got.shape == want[:, blk].shape and np.array_equal(got, want[:, blk])
 
 
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)

@@ -132,7 +132,32 @@ class TestMain:
          "draws must be < 2^32"),
         (["rate", "--model", "gbm", "--n-list", "", "--seed", "1"],
          "at least 3 grid sizes, got 0"),
-    ] + below_subgrid_floor("2"))
+    ] + below_subgrid_floor("2") + [
+        (["rate", "--model", "gbm", "--n-list", "16,16,128", "--fine-factor", "2",
+          "--paths", "200", "--seed", "1"], "n_list entries must be distinct"),
+        (["simulate", "--model", "gbm", "--n", "100000", "--fine-factor", "1000",
+          "--seed", "1"], "100000000 fine cells (n x fine_factor) is too large"),
+        (["lemma-check", "--case", "7.3", "--n", "100000", "--fine-factor", "1000",
+          "--seed", "1"], "100000000 fine cells (n x fine_factor) is too large"),
+        (["error-law", "--model", "gbm", "--n", "100000", "--fine-factor", "1000",
+          "--seed", "1"], "100000000 fine cells (n x fine_factor) is too large"),
+        (["rate", "--model", "gbm", "--n-list", "16,32,131072", "--fine-factor", "1024",
+          "--seed", "1"], "134217728 fine cells (max(n_list) x fine_factor) is too large"),
+        (["error-law", "--model", "gbm", "--fine-count", "100000000", "--seed", "1"],
+         "100000000 fine cells (fine_count) is too large"),
+        (["limit-sim", "--model", "gbm", "--fine-count", "100000000", "--seed", "1"],
+         "100000000 fine cells (fine_count) is too large"),
+        (["error-law", "--model", "gbm", "--seed", "6", "--ks-threshold", "5"],
+         "ks_threshold must lie strictly between 0 and 1, got 5.0"),
+        (["error-law", "--model", "gbm", "--seed", "6", "--ks-threshold", "nan"],
+         "ks_threshold must lie strictly between 0 and 1, got nan"),
+        (["error-law", "--model", "gbm", "--seed", "6", "--ks-threshold", "0"],
+         "ks_threshold must lie strictly between 0 and 1, got 0.0"),
+        (["rate", "--model", "gbm", "--slope-lo", "1", "--slope-hi", "-1", "--seed", "1"],
+         "slope_lo < slope_hi, got [1.0, -1.0]"),
+        (["rate", "--model", "gbm", "--slope-lo=-inf", "--slope-hi", "-1", "--seed", "1"],
+         "slope_lo < slope_hi, got [-inf, -1.0]"),
+    ])
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
         def no_work(config):
@@ -140,6 +165,23 @@ class TestMain:
         monkeypatch.setattr(cli, "run", no_work)  # 2^32 paths would never end
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv,messages", [
+        (["rate", "--model", "gbm", "--n-list", "16,16,131072", "--fine-factor", "1024",
+          "--slope-lo", "nan", "--slope-hi", "-1"],
+         ["n_list entries must be distinct", "got 2", "(max(n_list) x fine_factor) is too large",
+          "slope_lo < slope_hi, got [nan, -1.0]"]),
+        (["error-law", "--model", "gbm", "--fine-count", "100000000", "--ks-threshold", "1"],
+         ["(fine_count) is too large", "strictly between 0 and 1, got 1.0"]),
+    ])
+    def test_grid_and_threshold_errors_are_listed_together(self, argv, messages, tmp_path,
+                                                           capsys):
+        code = cli.main(argv + ["--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        for message in messages + ["seed must be >= 0"]:
+            assert message in err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("verb", ["error-law", "lemma-check"])
@@ -270,7 +312,7 @@ class TestMain:
         ["lemma-check", "--case", "null", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
         ["limit-sim", "--model", "gbm-drift", "--draws", "1200", "--fine-count", "32"],
         ["error-law", "--model", "gbm", "--n", "8", "--fine-factor", "2", "--paths", "1200",
-         "--draws", "1200", "--fine-count", "32", "--ks-threshold", "1"],
+         "--draws", "1200", "--fine-count", "32", "--ks-threshold", "0.5"],
         ["simulate", "--model", "gbm", "--scheme", "milstein", "--n", "4",
          "--fine-factor", "2", "--paths", "1200"],
     ], ids=["lemma-7.3", "lemma-null", "limit-sim", "error-law", "simulate"])

@@ -87,6 +87,8 @@ class TestFitRate:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
             montecarlo.fit_rate([16, 32], [1.0, 0.5])
+        with pytest.raises(ValueError, match="at least 3 distinct"):
+            montecarlo.fit_rate([16, 16, 128], [1.0, 1.0, 0.1])
         with pytest.raises(ValueError, match="8x"):
             montecarlo.fit_rate([16, 32, 64], [1.0, 0.5, 0.25])
         with pytest.raises(ValueError, match="positive"):

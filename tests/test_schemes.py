@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milsde import crosscheck, model, montecarlo, paths, schemes
+from milsde import crosscheck, model, montecarlo, paths, schemes, stats
 
 
 def det_exp_bundle(n, r, seed=1, n_paths=1):
@@ -26,14 +26,6 @@ class TestEuler:
         out = schemes.euler(prob, b, 4)
         assert out.values[0, -1, 0] == 2.44140625
 
-    def test_fine_interpolant(self):
-        prob, b = det_exp_bundle(4, 4)
-        out = schemes.euler(prob, b, 4, grid_level="fine")
-        # within each cell the interpolant is X_k (1 + (t - t_k))
-        coarse = schemes.euler(prob, b, 4).values
-        assert np.allclose(out.values[0, ::4, 0], coarse[0, :, 0], atol=1e-14)
-        assert np.isclose(out.values[0, 1, 0], 1.0 * (1 + 1 / 16), atol=1e-15)
-
     def test_grid_mismatch(self):
         prob, b = det_exp_bundle(4, 4)
         with pytest.raises(ValueError, match="does not divide"):
@@ -41,21 +33,16 @@ class TestEuler:
 
 
 class TestIteratedIntegrals:
-    def test_fine_mode_single_subcell_vanishes(self):
-        prob, b = det_exp_bundle(8, 1)
-        k = schemes.iterated_integrals(b, 8, mode="fine")
-        assert np.all(k == 0.0)
-
     def test_exact_mode_time_driver(self):
         # pure drift: every cell integral is exactly h^2 / 2
         prob, b = det_exp_bundle(8, 8)
-        k = schemes.iterated_integrals(b, 8, mode="exact")
+        k = schemes.iterated_integrals(b, 8)
         assert np.allclose(k[0, :, 0, 0], 0.5 / 64, rtol=0, atol=1e-16)
 
     def test_exact_mode_brownian_identity(self):
         gbm = model.make_gbm()
         b = paths.simulate_bundle(gbm.driver, paths.make_grid(4, 32), 9, range(16))
-        k = schemes.iterated_integrals(b, 4, mode="exact")
+        k = schemes.iterated_integrals(b, 4)
         dw = np.diff(b.w[:, ::32, 0], axis=1)
         assert np.allclose(k[:, :, 0, 0], (dw ** 2 - 0.25) / 2, atol=1e-15)
 
@@ -65,30 +52,26 @@ class TestIteratedIntegrals:
         gaps = {}
         for r in (16, 64, 256):
             b = paths.simulate_bundle(gbm.driver, paths.make_grid(8, r), 21, range(400))
-            k_fine = schemes.iterated_integrals(b, 8, mode="fine")[:, :, 0, 0]
+            cells = paths.cell_split(b.fine_increments(), 8)
+            k_fine = stats.k_fine(cells)[:, :, 0, 0]
             dw = np.diff(b.w[:, ::r, 0], axis=1)
             exact = (dw ** 2 - 1.0 / 8.0) / 2
             gaps[r] = np.sqrt(np.mean((k_fine - exact) ** 2))
         assert gaps[64] / gaps[16] == pytest.approx(0.5, abs=0.12)
         assert gaps[256] / gaps[64] == pytest.approx(0.5, abs=0.12)
 
-    def test_unknown_mode(self):
-        prob, b = det_exp_bundle(4, 2)
-        with pytest.raises(ValueError, match="mode"):
-            schemes.iterated_integrals(b, 4, mode="wrong")
-
     def test_single_subcell_exact_mode_is_the_identity(self):
         # r = 1: the left-point sum vanishes, so K is (dY dY^T - cell QV) / 2
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(8, 4), 3, range(5))
-        k = schemes.iterated_integrals(b, 32, mode="exact")
+        k = schemes.iterated_integrals(b, 32)
         dy = np.diff(b.y, axis=1)
         qv = prob.driver.cell_qv(np.arange(33) / 32)
         assert np.array_equal(k, 0.5 * (dy[..., :, None] * dy[..., None, :] - qv))
 
 
 # time-varying sigma, not smooth at s = 0: the Gauss rule's cell QVs are then
-# not additive across cells, so the exact mode's QV swap is exercised
+# not additive across cells, so the fold's QV swap is exercised
 _DRIVERS = {
     "bm": paths.brownian_motion_driver(1),
     "ito-embed": paths.ito_embedding_driver(),
@@ -104,22 +87,22 @@ _DRIVERS = {
 
 class TestChenFold:
     @settings(max_examples=40, deadline=None)
-    @given(driver=st.sampled_from(sorted(_DRIVERS)), mode=st.sampled_from(["fine", "exact"]),
+    @given(driver=st.sampled_from(sorted(_DRIVERS)),
            n_list=st.lists(st.integers(1, 48), min_size=1, max_size=3).filter(
                lambda ns: math.lcm(*ns) <= 192),
            r=st.integers(1, 4), seed=st.integers(0, 1000))
-    @example(driver="scaled-2d", mode="exact", n_list=[12, 32], r=2, seed=1)
-    @example(driver="scaled-1d", mode="fine", n_list=[12, 32], r=1, seed=2)
-    def test_fold_matches_direct(self, driver, mode, n_list, r, seed):
+    @example(driver="scaled-2d", n_list=[12, 32], r=2, seed=1)
+    @example(driver="scaled-1d", n_list=[12, 32], r=1, seed=2)
+    def test_fold_matches_direct(self, driver, n_list, r, seed):
         # folding the base-level K to every n equals summing each n's
         # sub-grid directly; tolerance is rounding relative to K's scale
         base = math.lcm(*n_list)
         b = paths.simulate_bundle(_DRIVERS[driver], paths.make_grid(base, r), seed, range(4))
-        kbase = schemes.iterated_integrals(b, base, mode)
+        kbase = schemes.iterated_integrals(b, base)
         dybase = np.diff(b.y[:, ::r], axis=1)
         for n in n_list:
-            folded = schemes.fold_iterated_integrals(b, kbase, dybase, n, mode)
-            direct = schemes.iterated_integrals(b, n, mode)
+            folded = schemes.fold_iterated_integrals(b, kbase, dybase, n)
+            direct = schemes.iterated_integrals(b, n)
             assert folded.shape == direct.shape
             np.testing.assert_allclose(folded, direct, rtol=1e-12,
                                        atol=1e-12 * np.abs(direct).max())
@@ -141,13 +124,12 @@ class TestChenFold:
 
     @settings(max_examples=12, deadline=None)
     @given(n_list=st.sampled_from([(4, 8, 32), (12, 32), (6, 16, 48), (16, 32, 64, 128)]),
-           fine_factor=st.sampled_from([3, 6]), mode=st.sampled_from(["fine", "exact"]),
-           seed=st.integers(0, 1000))
-    def test_milstein_pair_agrees_through_the_engine(self, n_list, fine_factor, mode, seed):
+           fine_factor=st.sampled_from([3, 6]), seed=st.integers(0, 1000))
+    def test_milstein_pair_agrees_through_the_engine(self, n_list, fine_factor, seed):
         # criterion 10c on folded K: both schemes read the same matrices
         prob = model.make_gbm_drift()
         runs = [montecarlo.scheme_error_samples(prob, scheme, n_list, 40, fine_factor,
-                                                seed, iterated=mode, chunk=25)
+                                                seed, chunk=25)
                 for scheme in ("milstein", "milstein54")]
         for n in n_list:
             assert np.max(np.abs(runs[0]["err"][n] - runs[1]["err"][n])) <= 1e-12
@@ -168,13 +150,6 @@ class TestMilstein:
         out = schemes.milstein(gbm, b, 1)
         w = b.y[:, -1, 0]
         assert np.allclose(out.values[:, -1, 0], 1 + w + (w ** 2 - 1) / 2, atol=1e-12)
-
-    def test_fine_mode_single_subcell_matches_euler(self):
-        gbm = model.make_gbm()
-        b = paths.simulate_bundle(gbm.driver, paths.make_grid(16, 1), 5, range(32))
-        mil = schemes.milstein(gbm, b, 16, iterated="fine")
-        eul = schemes.euler(gbm, b, 16)
-        assert np.array_equal(mil.values, eul.values)
 
     def test_coupling_monotone_on_det_exp(self):
         prob, b = det_exp_bundle(512, 1)
@@ -240,13 +215,12 @@ class TestMilsteinIto54:
         w = b.w[:, -1, 0]
         assert np.allclose(out.values[:, -1, 0], 1 + w + (w ** 2 - 1) / 2, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["exact", "fine"])
-    def test_agrees_with_general_scheme(self, mode):
+    def test_agrees_with_general_scheme(self):
         # same bundle, same per-cell integrals: agreement at rounding level
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(64, 16), 11, range(64))
-        general = schemes.milstein(prob, b, 64, iterated=mode)
-        explicit = schemes.milstein_ito54(prob, b, 64, iterated=mode)
+        general = schemes.milstein(prob, b, 64)
+        explicit = schemes.milstein_ito54(prob, b, 64)
         assert np.max(np.abs(general.values - explicit.values)) <= 1e-12
 
 
