@@ -32,7 +32,18 @@ class TestEuler:
             schemes.euler(prob, b, 3)
 
 
+def k_subgrid(bundle, coarse_n):
+    # the left-point sub-grid sum alone, without the exact symmetric part:
+    # a K that the schemes accept through ``kmat``
+    return stats.k_fine(paths.cell_split(bundle.fine_increments(), coarse_n))
+
+
 class TestIteratedIntegrals:
+    def test_fine_mode_single_subcell_vanishes(self):
+        prob, b = det_exp_bundle(8, 1)
+        k = k_subgrid(b, 8)
+        assert np.all(k == 0.0)
+
     def test_exact_mode_time_driver(self):
         # pure drift: every cell integral is exactly h^2 / 2
         prob, b = det_exp_bundle(8, 8)
@@ -151,6 +162,14 @@ class TestMilstein:
         w = b.y[:, -1, 0]
         assert np.allclose(out.values[:, -1, 0], 1 + w + (w ** 2 - 1) / 2, atol=1e-12)
 
+    def test_fine_mode_single_subcell_matches_euler(self):
+        # r = 1: the sub-grid K vanishes, so the correction adds nothing
+        gbm = model.make_gbm()
+        b = paths.simulate_bundle(gbm.driver, paths.make_grid(16, 1), 5, range(32))
+        mil = schemes.milstein(gbm, b, 16, kmat=k_subgrid(b, 16))
+        eul = schemes.euler(gbm, b, 16)
+        assert np.array_equal(mil.values, eul.values)
+
     def test_coupling_monotone_on_det_exp(self):
         prob, b = det_exp_bundle(512, 1)
         errors = []
@@ -215,12 +234,15 @@ class TestMilsteinIto54:
         w = b.w[:, -1, 0]
         assert np.allclose(out.values[:, -1, 0], 1 + w + (w ** 2 - 1) / 2, atol=1e-12)
 
-    def test_agrees_with_general_scheme(self):
-        # same bundle, same per-cell integrals: agreement at rounding level
+    @pytest.mark.parametrize("mode", ["exact", "fine"])
+    def test_agrees_with_general_scheme(self, mode):
+        # same bundle, same per-cell integrals: agreement at rounding level,
+        # for the schemes' own K and for the sub-grid sum handed in as kmat
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(64, 16), 11, range(64))
-        general = schemes.milstein(prob, b, 64)
-        explicit = schemes.milstein_ito54(prob, b, 64)
+        kmat = k_subgrid(b, 64) if mode == "fine" else None
+        general = schemes.milstein(prob, b, 64, kmat=kmat)
+        explicit = schemes.milstein_ito54(prob, b, 64, kmat=kmat)
         assert np.max(np.abs(general.values - explicit.values)) <= 1e-12
 
 
