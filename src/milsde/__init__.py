@@ -9,7 +9,7 @@ from .montecarlo import (ExperimentReport, RateFit, compare_distributions,
                          null_limit_check, null_tolerance, run_error_law,
                          run_rate_experiment)
 from .paths import (DriverSpec, Grid, PathBundle, brownian_motion_driver,
-                    build_driver, coarse_anchor, ito_embedding_driver,
+                    build_driver, ito_embedding_driver,
                     make_grid, simulate_bundle, time_driver)
 from .schemes import (SchemeOutput, euler, fold_iterated_integrals, has_ito_embedding,
                       iterated_integrals, milstein, milstein_ito54, reference)

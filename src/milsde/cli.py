@@ -204,6 +204,10 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
                 values["fine_factor"] in range(1, oracles.SUBGRID_MIN_FINE_FACTOR):
             errors.append(f"case '{case}' needs fine_factor >= {oracles.SUBGRID_MIN_FINE_FACTOR}: "
                           f"with fewer sub-cells per cell its within-cell integrals are all 0")
+        elif case.startswith("7.2") and values["n"] is not None and \
+                values["n"] < oracles.QUADRATURE_MIN_N:
+            errors.append(f"case '{case}' needs n >= {oracles.QUADRATURE_MIN_N}: below it "
+                          f"the 3/n band of a 7.2 case holds 0, so a zero estimate passes")
 
     # the fine grids the run builds, each held to the allocation guard of
     # paths.Grid here rather than when the run starts

@@ -41,8 +41,6 @@ def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
     if alpha not in _ALPHA:
         raise ValueError(f"alpha must be one of {sorted(_ALPHA)}")
     n = scheme_out.coarse_n
-    if reference_out.grid_level != "fine":
-        raise ValueError("reference must live on the fine grid")
     if scheme_out.n_paths != reference_out.n_paths:
         raise ValueError("scheme and reference were run on different bundles")
     ref_T = reference_out.values.shape[1] - 1

@@ -136,14 +136,8 @@ def fit_rate(n_list, errors) -> RateFit:
                    residuals=tuple(float(v) for v in ly - pred))
 
 
-def _euler(problem, bundle, n, kmat=None):
-    return schemes.euler(problem, bundle, n)
-
-
-_euler.reads_k = False  # the only scheme without an iterated-integral term
-
 _SCHEMES = {
-    "euler": _euler,
+    "euler": schemes.euler,
     "milstein": schemes.milstein,
     "milstein54": schemes.milstein_ito54,
 }
@@ -219,8 +213,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         # K is summed over the sub-grid once, at the base level, and folded
         # to each coarser n just before that level's step loop; it is built
         # before the reference so that their temporaries never coexist
-        kbase = schemes.iterated_integrals(bundle, base) \
-            if getattr(runner, "reads_k", True) else None
+        kbase = schemes.iterated_integrals(bundle, base) if scheme != "euler" else None
         ref = schemes.reference(problem, bundle)
         # the driver's base-grid increments, shared by every fold; made after
         # the reference so that they are not live at its peak
@@ -229,9 +222,11 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         kept = ~ref.diverged
         err, sup = [], []
         for n in n_list:
-            kmat = kbase if kbase is None or n == base else \
-                schemes.fold_iterated_integrals(bundle, kbase, dybase, n)
-            out = runner(problem, bundle, n, kmat=kmat)
+            if kbase is None:  # Euler, the only scheme without K
+                out = runner(problem, bundle, n)
+            else:
+                out = runner(problem, bundle, n, kmat=kbase if n == base else
+                             schemes.fold_iterated_integrals(bundle, kbase, dybase, n))
             kept &= ~out.diverged
             with np.errstate(over="ignore", invalid="ignore"):  # on diverged rows only
                 err.append(out.values[:, -1] - ref_end)

@@ -350,6 +350,9 @@ SUBGRID_CASES = ("7.4", "7.4a", "7.4b", "7.6", "null")
 # dM, the int A dW of a null row) is still 0 at a cell's first two nodes, so
 # at fine_factor 2 such a statistic is exactly 0 and a null row passes at 0 +- 0
 SUBGRID_MIN_FINE_FACTOR = 3
+# the least n of a 7.2 case: its band is 3/n wide, and below 13 the band
+# around 7.2c's target 0.2403 holds 0, so a zero estimate would pass
+QUADRATURE_MIN_N = 13
 
 
 def case_ids() -> tuple:

@@ -20,7 +20,7 @@ block is a memory bound, not a setting: no result depends on it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,29 +56,9 @@ class Grid:
         # k/fine_count from index arithmetic; never an accumulated float sum
         return np.arange(self.fine_count + 1) / self.fine_count
 
-    def time_of(self, fine_index: int) -> float:
-        return fine_index / self.fine_count
-
-    def coarse_indices(self) -> np.ndarray:
-        """Fine indices of the coarse grid points."""
-        return np.arange(self.coarse_n + 1) * self.fine_factor
-
 
 def make_grid(coarse_n: int, fine_factor: int) -> Grid:
     return Grid(int(coarse_n), int(fine_factor))
-
-
-def coarse_anchor(grid: Grid, fine_index: int) -> int:
-    """Fine index of the coarse anchor of the point ``t_{fine_index}``.
-
-    Greatest coarse-point index strictly below ``fine_index`` (left-open
-    convention), except that the origin anchors to itself.
-    """
-    if fine_index < 0 or fine_index > grid.fine_count:
-        raise ValueError(f"fine index {fine_index} outside 0..{grid.fine_count}")
-    if fine_index == 0:
-        return 0
-    return ((fine_index - 1) // grid.fine_factor) * grid.fine_factor
 
 
 def cell_size(fine_count: int, coarse_n: int) -> int:
@@ -285,8 +265,6 @@ class PathBundle:
     w: np.ndarray
     y: np.ndarray
     a_int: np.ndarray
-    master_seed: int
-    path_indices: np.ndarray = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -319,15 +297,11 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
     telescope, so they are evaluated directly on the path values.  For a
     constant sigma = I the driver is its Brownian path: without a drift the
-    batch ``y`` returned is ``w`` itself, and with one it is w + a_int.
-    Accepts a single path (fine_count+1, m) or a batch
-    (n_paths, fine_count+1, m); ``a_int`` is deterministic and returned
-    once, shape (fine_count+1, d).
+    ``y`` returned is ``w`` itself, and with one it is w + a_int.  ``w`` is
+    a batch (n_paths, fine_count+1, m); ``a_int`` is deterministic and
+    returned once, shape (fine_count+1, d).
     """
     w = np.asarray(w, dtype=float)
-    single = w.ndim == 2
-    if single:
-        w = w[None]
     if w.shape[-1] != spec.dim_m:
         raise ValueError(f"driver expects {spec.dim_m} Brownian components, got {w.shape[-1]}")
     left_times = grid.times()[:-1]
@@ -358,8 +332,6 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
                 raise ValueError("drift vector contains non-finite entries")
             a_int = grid.times()[:, None] * a
         y = y + a_int
-    if single:
-        return y[0], a_int
     return y, a_int
 
 
@@ -377,5 +349,4 @@ def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
                          out=w[:, 1:])
     np.cumsum(dw, axis=1, out=dw)  # in place: the increments become W_1..W_T
     y, a_int = build_driver(spec, w, grid)
-    return PathBundle(grid=grid, driver=spec, w=w, y=y, a_int=a_int,
-                      master_seed=master_seed, path_indices=path_indices)
+    return PathBundle(grid=grid, driver=spec, w=w, y=y, a_int=a_int)

@@ -1,14 +1,17 @@
 """Solvers on a path bundle: Euler, Milstein and reference solutions.
 
-The Milstein correction per coarse cell is sum_{ab} h^i_{ba} K_{ab}, where
-h^i = (Df^i)^T f and K_{ab} integrates the within-cell displacement of
-driver component a against the increments of component b.  A rate run
-builds K once per bundle, at the base level lcm(n_list), and folds it to
-each coarser n with Chen's identity (:func:`fold_iterated_integrals`), so
-the fine sub-grid is summed once, not once per n.  The sub-grid pass
-diffs and splits one cache block of paths at a time
-(:func:`paths.cache_blocks`), so the fine increments and their cell split
-never exist at full size.
+A scheme is its step x_{k+1} = step(x_k, dY_k, k), run by one coarse loop
+(:func:`_march`).  Milstein's step is Euler's plus the correction
+sum_{ab} h^i_{ba} K_{ab} per cell; the Ito form writes it out term by term.
+
+In the correction h^i = (Df^i)^T f, and K_{ab} integrates the within-cell
+displacement of driver component a against the increments of component b.
+A rate run builds K once per bundle, at the base level lcm(n_list), and
+folds it to each coarser n with Chen's identity
+(:func:`fold_iterated_integrals`), so the fine sub-grid is summed once, not
+once per n.  The sub-grid pass diffs and splits one cache block of paths at
+a time (:func:`paths.cache_blocks`), so the fine increments and their cell
+split never exist at full size.
 
 K is the sub-grid sum :func:`stats.k_fine` (the Z functional's per-cell
 left-point sum) with its symmetric part replaced by the exact identity
@@ -30,8 +33,6 @@ from .paths import PathBundle, cache_blocks, cell_size, cell_split
 @dataclass(frozen=True)
 class SchemeOutput:
     values: np.ndarray  # (n_paths, n_times, q)
-    scheme_id: str
-    grid_level: str  # "coarse" or "fine"
     coarse_n: int
     diverged: np.ndarray  # (n_paths,) bool
     first_bad: np.ndarray  # (n_paths,) fine/coarse index of first bad value, -1 if none
@@ -93,52 +94,48 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.nd
     return kmat
 
 
-def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int) -> SchemeOutput:
-    """Euler scheme X_{k+1} = X_k + f(X_k)(Y_{k+1} - Y_k) on the coarse grid."""
-    r = cell_size(bundle.grid.fine_count, coarse_n)
-    y = bundle.y
-    B = bundle.n_paths
-    q = problem.field.dim_q
-    coarse = np.empty((B, coarse_n + 1, q))
-    x = np.broadcast_to(problem.x0, (B, q)).copy()
-    coarse[:, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(coarse_n):
-            fk = problem.field.f_at(x)
-            dy = y[:, (k + 1) * r] - y[:, k * r]
-            x = x + np.einsum("bqd,bd->bq", fk, dy)
-            coarse[:, k + 1] = x
-    diverged, first_bad = _flag_divergence(coarse)
-    return SchemeOutput(coarse, "euler", "coarse", coarse_n, diverged, first_bad)
+def _march(problem: SdeProblem, bundle: PathBundle, coarse_n: int, step) -> SchemeOutput:
+    """Run ``x = step(x, dy, k)`` from x0 over the ``coarse_n`` cells.
 
-
-def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
-             kmat: np.ndarray = None) -> SchemeOutput:
-    """Second-order scheme: Euler plus the iterated-integral correction.
-
-    ``kmat`` is K on the ``coarse_n`` cells; it is computed from the bundle
-    when not given.
+    ``x`` is (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d);
+    a path that leaves the band is flagged, never raised.
     """
     r = cell_size(bundle.grid.fine_count, coarse_n)
-    if kmat is None:
-        kmat = iterated_integrals(bundle, coarse_n)
-    y = bundle.y
-    B = bundle.n_paths
-    q = problem.field.dim_q
+    y, B, q = bundle.y, bundle.n_paths, problem.field.dim_q
     out = np.empty((B, coarse_n + 1, q))
     x = np.broadcast_to(problem.x0, (B, q)).copy()
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(coarse_n):
-            fk = problem.field.f_at(x)
-            hk = correction_pairing(problem.field, x)
-            dy = y[:, (k + 1) * r] - y[:, k * r]
-            x = x + np.einsum("bqd,bd->bq", fk, dy) \
-                  + np.einsum("biac,bca->bi", hk, kmat[:, k])
+            x = step(x, y[:, (k + 1) * r] - y[:, k * r], k)
             out[:, k + 1] = x
-    level = "fine" if coarse_n == bundle.grid.fine_count else "coarse"
     diverged, first_bad = _flag_divergence(out)
-    return SchemeOutput(out, "milstein", level, coarse_n, diverged, first_bad)
+    return SchemeOutput(out, coarse_n, diverged, first_bad)
+
+
+def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int) -> SchemeOutput:
+    """Euler scheme X_{k+1} = X_k + f(X_k)(Y_{k+1} - Y_k) on the coarse grid."""
+    f_at = problem.field.f_at
+    return _march(problem, bundle, coarse_n,
+                  lambda x, dy, k: x + np.einsum("bqd,bd->bq", f_at(x), dy))
+
+
+def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
+             kmat: np.ndarray = None) -> SchemeOutput:
+    """Second-order scheme: the Euler step plus the correction sum h K.
+
+    ``kmat`` is K on the ``coarse_n`` cells; it is computed from the bundle
+    when not given.
+    """
+    if kmat is None:
+        kmat = iterated_integrals(bundle, coarse_n)
+    fld = problem.field
+
+    def step(x, dy, k):
+        return x + np.einsum("bqd,bd->bq", fld.f_at(x), dy) \
+                 + np.einsum("biac,bca->bi", correction_pairing(fld, x), kmat[:, k])
+
+    return _march(problem, bundle, coarse_n, step)
 
 
 def has_ito_embedding(problem: SdeProblem) -> bool:
@@ -162,28 +159,20 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     """
     if not has_ito_embedding(problem):
         raise ValueError("this scheme needs the (W, t) embedding with f = (a(x), b(x))")
-    r = cell_size(bundle.grid.fine_count, coarse_n)
     if kmat is None:
         kmat = iterated_integrals(bundle, coarse_n)
-    y = bundle.y
-    B = bundle.n_paths
-    out = np.empty((B, coarse_n + 1, 1))
-    x = np.full(B, problem.x0[0])
-    out[:, 0, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(coarse_n):
-            f = problem.field.f_at(x[:, None])
-            df = problem.field.df_at(x[:, None])
-            a, b = f[:, 0, 0], f[:, 0, 1]
-            da, db = df[:, 0, 0, 0], df[:, 0, 0, 1]
-            dy = y[:, (k + 1) * r] - y[:, k * r]
-            kc = kmat[:, k]
-            x = (x + a * dy[:, 0] + b * dy[:, 1]
-                 + a * da * kc[:, 0, 0] + a * db * kc[:, 0, 1]
-                 + da * b * kc[:, 1, 0] + b * db * kc[:, 1, 1])
-            out[:, k + 1, 0] = x
-    diverged, first_bad = _flag_divergence(out)
-    return SchemeOutput(out, "milstein_ito54", "coarse", coarse_n, diverged, first_bad)
+    fld = problem.field
+
+    def step(x, dy, k):
+        f, df = fld.f_at(x), fld.df_at(x)
+        a, b = f[:, 0, 0], f[:, 0, 1]
+        da, db = df[:, 0, 0, 0], df[:, 0, 0, 1]
+        kc, x = kmat[:, k], x[:, 0]
+        return (x + a * dy[:, 0] + b * dy[:, 1]
+                + a * da * kc[:, 0, 0] + a * db * kc[:, 0, 1]
+                + da * b * kc[:, 1, 0] + b * db * kc[:, 1, 1])[:, None]
+
+    return _march(problem, bundle, coarse_n, step)
 
 
 def reference(problem: SdeProblem, bundle: PathBundle) -> SchemeOutput:
@@ -196,8 +185,5 @@ def reference(problem: SdeProblem, bundle: PathBundle) -> SchemeOutput:
     if problem.closed_form is not None:
         values = np.asarray(problem.closed_form(bundle), dtype=float)
         diverged, first_bad = _flag_divergence(values)
-        return SchemeOutput(values, "reference", "fine", bundle.grid.fine_count,
-                            diverged, first_bad)
-    out = milstein(problem, bundle, bundle.grid.fine_count)
-    return SchemeOutput(out.values, "reference", "fine", bundle.grid.fine_count,
-                        out.diverged, out.first_bad)
+        return SchemeOutput(values, bundle.grid.fine_count, diverged, first_bad)
+    return milstein(problem, bundle, bundle.grid.fine_count)

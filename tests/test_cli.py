@@ -157,6 +157,8 @@ class TestMain:
          "slope_lo < slope_hi, got [1.0, -1.0]"),
         (["rate", "--model", "gbm", "--slope-lo=-inf", "--slope-hi", "-1", "--seed", "1"],
          "slope_lo < slope_hi, got [-inf, -1.0]"),
+        (["lemma-check", "--case", "7.2c", "--n", "8", "--paths", "30", "--seed", "1"],
+         "case '7.2c' needs n >= 13"),
     ])
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
@@ -174,6 +176,8 @@ class TestMain:
           "slope_lo < slope_hi, got [nan, -1.0]"]),
         (["error-law", "--model", "gbm", "--fine-count", "100000000", "--ks-threshold", "1"],
          ["(fine_count) is too large", "strictly between 0 and 1, got 1.0"]),
+        (["lemma-check", "--case", "7.2a", "--n", "1", "--paths", "0"],
+         ["case '7.2a' needs n >= 13", "paths must be >= 30"]),
     ])
     def test_grid_and_threshold_errors_are_listed_together(self, argv, messages, tmp_path,
                                                            capsys):

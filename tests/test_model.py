@@ -148,7 +148,7 @@ class TestBuiltinModels:
         g = paths.make_grid(1, 4)
         b = paths.simulate_bundle(prob.driver, g, 1, [0])
         frozen = paths.PathBundle(g, prob.driver, np.zeros_like(b.w),
-                                  np.zeros_like(b.y), b.a_int, 1, b.path_indices)
+                                  np.zeros_like(b.y), b.a_int)
         assert np.isclose(prob.closed_form(frozen)[0, -1, 0], np.exp(-0.5), atol=1e-15)
 
     def test_det_exp_closed_form(self):

@@ -18,12 +18,12 @@ class TestMakeGrid:
         g = paths.make_grid(4, 2)
         assert g.fine_count == 8
         assert len(g.times()) == 9
-        assert np.array_equal(g.coarse_indices(), [0, 2, 4, 6, 8])
+        assert np.array_equal(g.times()[::g.fine_factor] * g.coarse_n, range(5))
 
     def test_exact_endpoint(self):
         g = paths.make_grid(64, 64)
         assert g.fine_count == 4096
-        assert g.time_of(4096) == 1.0
+        assert g.times()[-1] == 1.0
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -35,32 +35,32 @@ class TestMakeGrid:
 
 
 class TestCoarseAnchor:
-    def test_mid_cell(self):
-        g = paths.make_grid(4, 2)
-        assert paths.coarse_anchor(g, 3) == 2
+    # the anchor as :func:`paths.cell_split` applies it: the displacement of
+    # node j of cell c is y at that node minus y at the cell's anchor, exact
+    # on the integer path y_k = k^2
+    @staticmethod
+    def displacements(g):
+        y = np.arange(g.fine_count + 1.0) ** 2
+        return y, paths.cell_split(np.diff(y)[None, :, None], g.coarse_n)[1][0, ..., 0]
 
     def test_coarse_point_jumps_back(self):
-        # at a coarse point the left-open convention anchors a full cell back
+        # at a coarse point the left-open convention anchors a full cell back:
+        # t_2 closes cell 0, so its displacement is taken from t_0
         g = paths.make_grid(4, 2)
-        assert paths.coarse_anchor(g, 2) == 0
-
-    def test_origin(self):
-        g = paths.make_grid(4, 2)
-        assert paths.coarse_anchor(g, 0) == 0
-
-    def test_out_of_range(self):
-        g = paths.make_grid(4, 2)
-        with pytest.raises(ValueError):
-            paths.coarse_anchor(g, 9)
+        y, disp = self.displacements(g)
+        assert disp[0, 2] == y[2] - y[0]
 
     def test_anchor_law_off_grid(self):
         # time(anchor(k)) = floor(n t)/n whenever t_k is not a coarse point
         g = paths.make_grid(8, 16)
-        n = g.coarse_n
+        n, r = g.coarse_n, g.fine_factor
+        y, disp = self.displacements(g)
         for k in range(1, g.fine_count + 1):
-            t = g.time_of(k)
-            if k % g.fine_factor:
-                assert g.time_of(paths.coarse_anchor(g, k)) == np.floor(n * t) / n
+            t = g.times()[k]
+            if k % r:
+                anchor = int(np.floor(n * t)) * r
+                assert g.times()[anchor] == np.floor(n * t) / n
+                assert disp[k // r, k % r] == y[k] - y[anchor]
 
 
 class TestSampleBrownian:
@@ -112,7 +112,7 @@ class TestBuildDriver:
     def test_identity_driver_is_bitwise(self):
         g = paths.make_grid(8, 8)
         spec = paths.brownian_motion_driver(1)
-        w = paths.simulate_bundle(spec, g, 3, [0]).w[0]
+        w = paths.simulate_bundle(spec, g, 3, [0]).w
         y, a_int = paths.build_driver(spec, w, g)
         assert np.array_equal(y, w)
         assert np.all(a_int == 0.0)
@@ -139,10 +139,10 @@ class TestBuildDriver:
 
     def test_pure_drift_exact(self):
         g = paths.make_grid(8, 8)
-        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, [0]).w[0]
+        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, [0]).w
         y, a_int = paths.build_driver(paths.time_driver(), w, g)
-        assert np.array_equal(y[:, 0], g.times())
-        assert np.array_equal(a_int, y)
+        assert np.array_equal(y[0, :, 0], g.times())
+        assert np.array_equal(a_int, y[0])
 
     def test_drift_integral_stored_once(self):
         g = paths.make_grid(4, 4)
@@ -179,7 +179,7 @@ class TestBuildDriver:
         bad = 1.0 / 15.0
         spec = paths.DriverSpec(dim_d=1, dim_m=1,
                                 sigma=lambda s: np.array([[np.inf if s == bad else 1.0]]))
-        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 0, [0]).w[0]
+        w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 0, [0]).w
         with pytest.raises(ValueError, match="non-finite"):
             paths.build_driver(spec, w, g)
 

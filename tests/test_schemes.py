@@ -179,15 +179,23 @@ class TestMilstein:
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_divergence_flagged_and_counted(self):
+        # x' = 100 x^2 from 1e3 overflows within 16 steps; every scheme's
+        # step runs in the shared loop, which flags the paths and never raises
+        zero = lambda x: 0.0 * x
         fld = model.scalar_field(lambda x: x ** 2, lambda x: 2 * x,
                                  lambda x: 2 * np.ones_like(x), growth_bound=1e9)
         spec = paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.zeros((1, 1)),
                                 drift=np.array([100.0]), label="blowup")
         prob = model.SdeProblem(field=fld, driver=spec, x0=1e3)
-        b = paths.simulate_bundle(spec, paths.make_grid(16, 1), 1, range(3))
-        out = schemes.euler(prob, b, 16)
-        assert out.diverged.all()
-        assert (out.first_bad > 0).all()
+        ito = model.ito_problem(a=zero, da=zero, d2a=zero, b=lambda x: 100 * x ** 2,
+                                db=lambda x: 200 * x, d2b=lambda x: 200 * np.ones_like(x),
+                                x0=1e3, growth_bound=1e9)
+        for scheme, problem in ((schemes.euler, prob), (schemes.milstein, prob),
+                                (schemes.milstein_ito54, ito)):
+            b = paths.simulate_bundle(problem.driver, paths.make_grid(16, 1), 1, range(3))
+            out = scheme(problem, b, 16)
+            assert out.diverged.all(), scheme.__name__
+            assert (out.first_bad > 0).all(), scheme.__name__
 
     def test_divergence_flag_catches_nan_inf_and_overflow(self):
         # each bad value sits at a known (path, step, component); the single
@@ -268,7 +276,9 @@ class TestReference:
         fine = schemes.milstein(prob, b, 1 << 14).values[:, -1, 0]
         coarse = schemes.milstein(prob, b, 1 << 12).values[:, -1, 0]
         assert np.sqrt(np.mean((fine - coarse) ** 2)) < 1e-3
-        assert schemes.reference(prob, b).scheme_id == "reference"
+        # without a closed form the reference is Milstein on every fine cell
+        assert np.array_equal(schemes.reference(prob, b).values,
+                              schemes.milstein(prob, b, g.fine_count).values)
 
 
 class TestErrorProcess:

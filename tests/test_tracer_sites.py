@@ -72,3 +72,24 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     assert layers["limits.simulate_u.calls"] >= 1
     assert layers["limits.simulate_mn.calls"] >= 1
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
+
+
+def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
+    # the scheme side of a rate fit: one Milstein run per chunk and n, one
+    # correction per coarse step, and K and the reference once per chunk
+    n_list, n_paths, chunks = (16, 32, 64, 128), 2000, 2
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
+            repr(time.monotonic()), "1", "rate", "--model", "gbm-drift", "--scheme",
+            "milstein", "--n-list", ",".join(map(str, n_list)), "--fine-factor", "8",
+            "--paths", str(n_paths), "--seed", "1", "--out", str(tmp_path / "report")]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["schemes.steps"] == n_paths * sum(n_list)
+    assert layers["schemes.milstein.calls"] == chunks * len(n_list)
+    assert layers["model.correction_pairing.calls"] == chunks * sum(n_list)
+    assert layers["schemes.iterated_integrals.calls"] == chunks
+    assert layers["schemes.reference.calls"] == chunks
