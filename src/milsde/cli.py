@@ -195,6 +195,11 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append(f"scheme 'milstein54' needs the (W, t) embedding with "
                           f"f = (a(x), b(x)); model '{model}' is not of that form")
 
+    if verb in ("rate", "error-law") and model in builtin_models() and \
+            values["fine_factor"] == 1 and get_model(model).closed_form is None:
+        errors.append(f"model '{model}' has no closed form, so its reference is Milstein on the "
+                      f"fine grid: it needs fine_factor >= 2 to be finer than the scheme")
+
     if "case" in keys:
         if not case:
             errors.append("--case is required")

@@ -6,6 +6,7 @@ reference reaches its value by another route than the code it checks:
 
 - :func:`error_process`, the normalized error of a scheme against its
   reference solution, for the rate and law checks of the schemes;
+- :func:`cell_split`, the whole-array form of :func:`paths.stream_cells`;
 - :func:`cube_functional` and :func:`fv_exact_nm`, the exact cube-sum form
   of the N functional, against the increments of :mod:`stats`;
 - :func:`exact_quartic_mean`, the exact mean of the 7.3a statistic;
@@ -26,7 +27,7 @@ import numpy as np
 
 from .limits import SQRT3, SQRT6, _trapezoid_increments
 from .model import CoefficientField, SdeProblem
-from .paths import DriverSpec, cell_size
+from .paths import DriverSpec, cell_size, running_sum
 from .schemes import SchemeOutput
 
 _ALPHA = {"sqrt_n": 0.5, "n": 1.0, "n2": 2.0}
@@ -49,6 +50,14 @@ def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
     ref = reference_out.values[:, ::ref_T // n]
     scale = float(n) ** _ALPHA[alpha]
     return scale * (scheme_out.values - ref)
+
+
+def cell_split(inc: np.ndarray, coarse_n: int) -> tuple:
+    """Fine increments (B, fine_count, ...) as (inc, disp) in ``coarse_n`` cells:
+    (B, coarse_n, r, ...) and its running sum from 0 along the cell, r + 1 nodes."""
+    r = cell_size(inc.shape[1], coarse_n)
+    inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
+    return inc, running_sum(inc, axis=2)
 
 
 def cube_functional(y: np.ndarray, coarse_n: int, t_index: int = -1) -> np.ndarray:

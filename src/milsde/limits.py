@@ -232,7 +232,7 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
                              component=rng.LIMIT_W)
     x_ref = reference(problem, bundle).values
-    dy = bundle.fine_increments()
+    dy = np.diff(bundle.y, axis=1)
     dw = dy if bundle.y is bundle.w else np.diff(bundle.w, axis=1)
     del bundle
     aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)

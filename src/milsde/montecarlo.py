@@ -215,9 +215,6 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         # before the reference so that their temporaries never coexist
         kbase = schemes.iterated_integrals(bundle, base) if scheme != "euler" else None
         ref = schemes.reference(problem, bundle)
-        # the driver's base-grid increments, shared by every fold; made after
-        # the reference so that they are not live at its peak
-        dybase = np.diff(bundle.y[:, ::grid.fine_count // base], axis=1)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged
         err, sup = [], []
@@ -226,7 +223,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                 out = runner(problem, bundle, n)
             else:
                 out = runner(problem, bundle, n, kmat=kbase if n == base else
-                             schemes.fold_iterated_integrals(bundle, kbase, dybase, n))
+                             schemes.fold_iterated_integrals(bundle, kbase, n))
             kept &= ~out.diverged
             with np.errstate(over="ignore", invalid="ignore"):  # on diverged rows only
                 err.append(out.values[:, -1] - ref_end)

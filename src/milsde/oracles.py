@@ -8,13 +8,13 @@ the left-open anchor, so the quartic case keeps its exact unit expectation
 up to O(1/fine_factor^2).
 
 A stochastic case runs its paths in chunks of :data:`paths.DEFAULT_CHUNK`,
-the unit of threading and of stream-key hashing, and each chunk in
-:func:`paths.cache_blocks` of paths: a block is drawn into a reused buffer,
+the unit of threading and of stream-key hashing, and each chunk through
+:func:`paths.stream_cells`: a block of paths is drawn into a reused buffer,
 cell-split into a second and reduced to its per-path statistics, its
-products formed in reused work arrays, before the next block is drawn.  So
-an oracle chunk holds one block's buffers, never a full-size noise or cell
-split.  A block bounds memory only: each path's statistics see the same
-arithmetic in any block, so no result depends on it.
+products formed in the streamer's reused work slots, before the next block
+is drawn.  So an oracle chunk holds one block's buffers, never a full-size
+noise or cell split.  A block bounds memory only: each path's statistics
+see the same arithmetic in any block, so no result depends on it.
 
 Case ids double as the CLI vocabulary:
     7.2a 7.2b 7.2c 7.2r   deterministic quadrature checks
@@ -25,15 +25,14 @@ Case ids double as the CLI vocabulary:
     null                  the five vanishing mixed statistics
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import montecarlo, rng, stats
-from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, cache_blocks, over_chunks,
-                    running_sum, simulate_bundle)
+from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, over_chunks, simulate_bundle,
+                    stream_cells)
 
 
 @dataclass(frozen=True)
@@ -50,59 +49,16 @@ class OracleRow:
 
 
 def _trapz_cells(values_nodes: np.ndarray) -> np.ndarray:
-    """Per-cell trapezoid of node values 1..r (node 0 vanishes), summed.
-
-    values_nodes is (B, n, r) on the n*r fine cells of [0, 1]; the result
-    is (B,).
-    """
+    """Per-path sum of the per-cell trapezoids of (B, n, r) node values 1..r
+    on the n*r fine cells of [0, 1], node 0 of every cell being 0: (B,)."""
     _, n, r = values_nodes.shape
     full = values_nodes[:, :, :-1].sum(axis=(1, 2))
     half = 0.5 * values_nodes[:, :, -1].sum(axis=1)
     return (full + half) * (1.0 / (n * r))
 
 
-def _blockwise(grid: Grid, channels: int, chunk_fill, block_stats, slots: int = 0,
-               own: int = 0):
-    """The chunk function of :func:`paths.over_chunks` for one oracle statistic.
-
-    A chunk runs in :func:`paths.cache_blocks` of paths.  ``chunk_fill(idx)``
-    prepares the chunk (hashes its stream keys) and returns ``fill(blk,
-    out)``, which writes the fine increments of paths ``idx[blk]`` to
-    ``out``, (paths, fine_count, channels).  Each block is filled into one
-    reused buffer and cell-split into a second, both channel-major, and
-    ``block_stats(dyc, disp, work)`` reduces it to per-path arrays before
-    the next block is drawn: ``dyc`` is (channels, paths, n, r), ``disp``
-    its zero-started running sum along the cell, (channels, paths, n, r + 1),
-    and ``work`` holds ``slots`` reused (paths, n, r) arrays for products.
-    ``own`` is how many more such arrays ``block_stats`` allocates itself;
-    all of them together size the block.
-    """
-    n, r, fine = grid.coarse_n, grid.fine_factor, grid.fine_count
-    row_bytes = ((2 * channels + slots + own) * fine + channels * n) * np.dtype(float).itemsize
-
-    def chunk_stats(idx):
-        fill = chunk_fill(idx)
-        blocks = cache_blocks(len(idx), row_bytes)
-        rows = blocks[0].stop
-        noise = np.empty((channels, rows, fine))
-        disp = np.empty((channels, rows, n, r + 1))
-        disp[..., 0] = 0.0
-        work = np.empty((slots, rows, n, r))
-        parts = []
-        for blk in blocks:
-            m = blk.stop - blk.start
-            fill(blk, noise[:, :m].transpose(1, 2, 0))
-            dyc = noise[:, :m].reshape(channels, m, n, r)
-            np.cumsum(dyc, axis=3, out=disp[:, :m, :, 1:])
-            parts.append(block_stats(dyc, disp[:, :m], work[:, :m]))
-        return tuple(np.concatenate(col) for col in zip(*parts))
-
-    return chunk_stats
-
-
 def _oracle_noise(grid: Grid, seed: int, channels: int):
-    """``chunk_fill`` of :func:`_blockwise` for the oracle streams: a chunk
-    hashes its Philox keys once, and each block draws its slice of them."""
+    """The oracle streams as a chunk_fill: a chunk hashes its keys once."""
     scale = np.sqrt(grid.fine_dt)
 
     def chunk_fill(idx):
@@ -164,7 +120,7 @@ def nested_time_average(dyc: np.ndarray, disp: np.ndarray, specs: list,
     """Per-path statistics of the nested-integral time averages.
 
     ``dyc`` and ``disp`` are a block's channel-major increments and
-    displacements (see :func:`_blockwise`); ``specs`` lists (kind, combo)
+    displacements (see :func:`paths.stream_cells`); ``specs`` lists (kind, combo)
     pairs.  Each within-cell integral ``inner(u, v)`` is formed once for all
     of them, into its own (B, n, r) array of ``work``; the last one holds
     the integrand or product at hand.
@@ -211,75 +167,73 @@ def _row(case, subcase, n, sample, target, null_budget=None,
                      target=target, tolerance=tol, passed=passed, note=note)
 
 
-def _fingerprint_rows(n: int, fine_factor: int, seed: int, over) -> list:
-    grid = Grid(n, fine_factor)
+def _fingerprint_rows(grid: Grid, seed: int, over) -> list:
+    n = grid.coarse_n
     driver = brownian_motion_driver(1)
     scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
 
     def chunk_fill(idx):
-        # the driver's increments, differenced from its path values as
-        # PathBundle.fine_increments does; simulate_bundle hashes each
-        # block's keys itself
+        # the driver's increments, differenced from its path values;
+        # simulate_bundle hashes each block's keys itself
         def fill(blk, out):
             y = simulate_bundle(driver, grid, seed, idx[blk]).y
             np.subtract(y[:, 1:], y[:, :-1], out=out)
         return fill
 
     def block_stats(dyc, disp, work):
-        cells = (dyc[0, ..., None], disp[0, ..., None])  # the (B, n, r, d) layout of stats
+        cells = (np.moveaxis(dyc, 0, -1), np.moveaxis(disp, 0, -1))  # the layout of stats
         return tuple((scale * stats.fingerprints(stats.dm(cells), stats.dn(cells), cells[0])).T)
 
     # own: the bundle's w and y, dz and its running sum, dm, the outer product
     # and dn, and the products of the covariations
-    mm, nn, nm, nw, mw = over(_blockwise(grid, 1, chunk_fill, block_stats, own=10))
-    budget = 0.5 / fine_factor
+    mm, nn, nm, nw, mw = over(1, block_stats, own=10, chunk_fill=chunk_fill)
     return [
         _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
         _row("7.6", "n2[M,M] -> 1/6", n, mm, 1.0 / 6.0, relative_tol=0.05),
         _row("7.6", "n2[N,M] -> 1/3", n, nm, 1.0 / 3.0, relative_tol=0.05),
         _row("7.6", "n[N,W] -> 1/2", n, nw, 0.5, relative_tol=0.05),
-        _row("7.6", "n[M,W] -> 0", n, mw, 0.0, null_budget=budget),
+        _row("7.6", "n[M,W] -> 0", n, mw, 0.0, null_budget=0.5 / grid.fine_factor),
     ]
 
 
-def _drift_coupling_rows(n: int, fine_factor: int, seed: int, over) -> list:
+def _drift_coupling_rows(grid: Grid, over) -> list:
     # n int (W^(n))^2 ds against the unit drift: target c^{12} a / 2 = 1/2
-    grid = Grid(n, fine_factor)
+    n = grid.coarse_n
 
     def block_stats(dyc, disp, work):
         nodes = disp[0, :, :, 1:]
         return (n * _trapz_cells(np.multiply(nodes, nodes, out=work[0])),)
 
-    (vals,) = over(_blockwise(grid, 1, _oracle_noise(grid, seed, 1), block_stats, slots=1))
+    (vals,) = over(1, block_stats, slots=1)
     return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, vals, 0.5)]
 
 
-def _null_rows(n: int, fine_factor: int, seed: int, over) -> list:
+def _null_rows(grid: Grid, over) -> list:
     """The five vanishing mixed martingale/drift statistics."""
-    grid = Grid(n, fine_factor)
-    r = fine_factor
-    dt = grid.fine_dt
+    n, r, dt = grid.coarse_n, grid.fine_factor, grid.fine_dt
     tau_left = (np.arange(r) * dt)  # elapsed time at left nodes
     tau_nodes = (np.arange(1, r + 1) * dt)
 
     def block_stats(dyc, disp, work):
         dw, db = dyc
         w_left, w_nodes = disp[0, :, :, :-1], disp[0, :, :, 1:]
-        inner_wb = running_sum(w_left * db, axis=2)
-        inner_aw = running_sum(tau_left * dw, axis=2)
-        return (n * (w_left * tau_left * db).sum(axis=(1, 2)),
-                n * _trapz_cells(w_nodes * tau_nodes),
-                n * _trapz_cells(inner_wb[:, :, 1:]),
-                n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)),
-                n * _trapz_cells(inner_aw[:, :, 1:]))
+        prod, inner = work  # a product, and a within-cell integral at nodes 1..r
+        np.multiply(w_left, tau_left, out=prod)
+        wa_db = n * np.multiply(prod, db, out=prod).sum(axis=(1, 2))
+        wa_dt = n * _trapz_cells(np.multiply(w_nodes, tau_nodes, out=prod))
+        np.multiply(w_left, db, out=prod)
+        wb_dt = n * _trapz_cells(np.cumsum(prod, axis=2, out=inner))
+        np.multiply(tau_left, dw, out=prod)
+        np.cumsum(prod, axis=2, out=inner)
+        # int A dW at the left nodes, the first of which is 0, against dB
+        np.multiply(0.0, db[..., 0], out=prod[..., 0])
+        np.multiply(inner[..., :-1], db[..., 1:], out=prod[..., 1:])
+        return wa_db, wa_dt, wb_dt, n * prod.sum(axis=(1, 2)), n * _trapz_cells(inner)
 
-    budget = 0.5 / fine_factor
     labels = ("n int W^(n) A^(n) dB", "n int W^(n) A^(n) dt", "n int (int W^(n) dB) dt",
               "n int (int A^(n) dW) dB", "n int (int A^(n) dW) dt")
-    # own: the two within-cell integrals, their integrands and two products
-    chunk_stats = _blockwise(grid, 2, _oracle_noise(grid, seed, 2), block_stats, own=5)
-    return [_row("null", label, n, sample, 0.0, null_budget=budget)
-            for label, sample in zip(labels, over(chunk_stats))]
+    return [_row("null", label, n, sample, 0.0, null_budget=0.5 / r)
+            for label, sample in zip(labels, over(2, block_stats, slots=2))]
 
 
 # Deterministic densities for the quadrature cases, with antiderivatives.
@@ -385,17 +339,27 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     """
     if case.startswith("7.2"):
         return _det_rows(case, n)
-    over = functools.partial(over_chunks, paths, DEFAULT_CHUNK, threads=threads)
+    grid = Grid(n, fine_factor)
+
+    def over(channels, reduce, slots=0, own=0, chunk_fill=None):
+        # per-path samples of reduce, each chunk streamed with chunk_fill(idx)
+        chunk_fill = chunk_fill or _oracle_noise(grid, seed, channels)
+
+        def chunk_stats(idx):
+            return stream_cells(len(idx), grid.fine_count, n, channels, chunk_fill(idx),
+                                reduce, slots, own)
+
+        return over_chunks(paths, DEFAULT_CHUNK, chunk_stats, threads)
+
     if case == "7.6":
-        return _fingerprint_rows(n, fine_factor, seed, over)
+        return _fingerprint_rows(grid, seed, over)
     if case == "7.7-80":
-        return _drift_coupling_rows(n, fine_factor, seed, over)
+        return _drift_coupling_rows(grid, over)
     if case == "null":
-        return _null_rows(n, fine_factor, seed, over)
+        return _null_rows(grid, over)
     specs = _statistic_specs(case)
     if not specs:
         raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
-    grid = Grid(n, fine_factor)
     kinds = [(kind, combo) for _, _, kind, combo, _ in specs]
     # a case id is either quartic (7.3*) or nested (7.4*), never both
     if kinds[0][0] == "quartic":
@@ -410,9 +374,7 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
         def block_stats(dyc, disp, work):
             return nested_time_average(dyc, disp, kinds, work)
 
-    samples = over(_blockwise(grid, 4, _oracle_noise(grid, seed, 4), block_stats, slots=slots))
-    rows = []
-    for (row_case, label, _, _, target), sample in zip(specs, samples):
-        budget = 0.5 / fine_factor if target == 0.0 else None
-        rows.append(_row(row_case, label, n, sample, target, null_budget=budget))
-    return rows
+    samples = over(4, block_stats, slots=slots)
+    return [_row(row_case, label, n, sample, target,
+                 null_budget=0.5 / fine_factor if target == 0.0 else None)
+            for (row_case, label, _, _, target), sample in zip(specs, samples)]

@@ -10,13 +10,12 @@ back a full coarse cell (left-open convention), so the anchor of the point
 Paths are generated per path index from splittable streams; a path's values
 depend only on (master_seed, path_index), never on batch composition.
 
-Per-step passes over the fine grid (the Milstein K, the limit M/N and U)
-run through :func:`cache_blocks`: consecutive slices whose temporaries hold
-about ``BLOCK_BYTES``, so a pass keeps its working set in cache and builds
-no full-size temporary.  A pass that recurs in time (U, and the limit M/N
-it forms per block) is sliced along time; the others are sliced along
-paths, whose slices are contiguous.  A
-block is a memory bound, not a setting: no result depends on it.
+Per-step passes over the fine grid run in :func:`cache_blocks`, slices
+whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
+built.  Every pass over the cells of a coarse grid (K, its fold and the
+oracle cases) is a :func:`stream_cells` over blocks of paths; U, which
+recurs in time, runs in blocks of time.  A block bounds memory only: no
+result depends on it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -84,20 +83,6 @@ def running_sum(inc: np.ndarray, axis: int = 1) -> np.ndarray:
     return out
 
 
-def cell_split(inc: np.ndarray, coarse_n: int) -> tuple:
-    """Split fine increments (B, fine_count, ...) into ``coarse_n`` cells.
-
-    Returns (inc, disp): the increments per cell, shape (B, coarse_n, r, ...),
-    and their running sum along the cell axis, shape (B, coarse_n, r+1, ...).
-    ``disp[:, :, :-1]`` is the displacement from the cell anchor at the left
-    node of each sub-cell and ``disp[:, :, 1:]`` the displacement at its
-    right node.
-    """
-    r = cell_size(inc.shape[1], coarse_n)
-    inc = inc.reshape(inc.shape[0], coarse_n, r, *inc.shape[2:])
-    return inc, running_sum(inc, axis=2)
-
-
 def cache_blocks(count: int, row_bytes: int) -> list:
     """Consecutive non-empty slices that cover 0..count-1 in order.
 
@@ -107,6 +92,38 @@ def cache_blocks(count: int, row_bytes: int) -> list:
     """
     rows = max(1, BLOCK_BYTES // max(1, row_bytes))
     return [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
+
+
+def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill, reduce,
+                 slots: int = 0, own: int = 0) -> tuple:
+    """Fill, cell-split and reduce ``count`` rows one cache block at a time.
+
+    ``fill(blk, out)`` writes the fine increments of rows ``blk`` to ``out``,
+    (rows, fine_count, channels), a view of a reused channel-major buffer;
+    ``reduce(dyc, disp, work)`` turns them into per-row arrays, which
+    :func:`over_chunks` copies into their rows of the result.  ``dyc`` is
+    (channels, rows, coarse_n, r), ``disp`` its running sum from 0 along
+    each cell, r + 1 nodes, and ``work`` ``slots`` reused (rows, coarse_n, r)
+    arrays, contiguous as one; with the ``own`` arrays of that size that
+    ``reduce`` allocates they size the block.
+    """
+    r = cell_size(fine_count, coarse_n)
+    row_bytes = ((2 * channels + slots + own) * fine_count + channels * coarse_n) * 8
+    rows = cache_blocks(count, row_bytes)[0].stop
+    inc = np.empty((channels, rows, fine_count))
+    disp = np.empty((channels, rows, coarse_n, r + 1))
+    disp[..., 0] = 0.0
+    work = np.empty(slots * rows * fine_count)
+
+    def block(idx):
+        m = len(idx)
+        fill(slice(idx[0], idx[0] + m), inc[:, :m].transpose(1, 2, 0))
+        dyc = inc[:, :m].reshape(channels, m, coarse_n, r)
+        np.cumsum(dyc, axis=3, out=disp[:, :m, :, 1:])
+        slot = work[:slots * m * fine_count].reshape(slots, m, coarse_n, r)
+        return reduce(dyc, disp[:, :m], slot)
+
+    return over_chunks(count, rows, block)
 
 
 def over_chunks(total: int, chunk: int, chunk_fn, threads: int = 1) -> tuple:
@@ -136,6 +153,16 @@ def over_chunks(total: int, chunk: int, chunk_fn, threads: int = 1) -> tuple:
             for idx, part in zip(chunks, pool.map(chunk_fn, chunks)):
                 store(idx, part)
     return tuple(outs)
+
+
+def _coefficient_at(coef, times: np.ndarray, shape: tuple) -> np.ndarray:
+    """A constant or callable coefficient at the given times, shape (T, *shape)."""
+    times = np.asarray(times, dtype=float)
+    if callable(coef):
+        out = np.stack([np.asarray(coef(t), dtype=float) for t in times])
+    else:
+        out = np.broadcast_to(np.asarray(coef, dtype=float), (len(times), *shape)).copy()
+    return out.reshape(len(times), *shape)
 
 
 @dataclass(frozen=True)
@@ -180,25 +207,11 @@ class DriverSpec:
 
     def sigma_at(self, times: np.ndarray) -> np.ndarray:
         """Volatility matrices at the given times, shape (T, d, m)."""
-        times = np.asarray(times, dtype=float)
-        if callable(self.sigma):
-            out = np.stack([np.asarray(self.sigma(t), dtype=float) for t in times])
-        else:
-            out = np.broadcast_to(np.asarray(self.sigma, dtype=float),
-                                  (len(times), self.dim_d, self.dim_m)).copy()
-        return out.reshape(len(times), self.dim_d, self.dim_m)
+        return _coefficient_at(self.sigma, times, (self.dim_d, self.dim_m))
 
     def drift_at(self, times: np.ndarray) -> np.ndarray:
-        """Drift vectors at the given times, shape (T, d)."""
-        times = np.asarray(times, dtype=float)
-        if self.drift is None:
-            return np.zeros((len(times), self.dim_d))
-        if callable(self.drift):
-            out = np.stack([np.asarray(self.drift(t), dtype=float) for t in times])
-        else:
-            out = np.broadcast_to(np.asarray(self.drift, dtype=float),
-                                  (len(times), self.dim_d)).copy()
-        return out.reshape(len(times), self.dim_d)
+        """Drift vectors at the given times, shape (T, d); zero without a drift."""
+        return _coefficient_at(0.0 if self.drift is None else self.drift, times, (self.dim_d,))
 
     def c_at(self, times: np.ndarray) -> np.ndarray:
         s = self.sigma_at(times)
@@ -269,10 +282,6 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return self.w.shape[0]
-
-    def fine_increments(self) -> np.ndarray:
-        """Driver increments over fine cells, shape (n_paths, fine_count, d)."""
-        return np.diff(self.y, axis=1)
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,

@@ -9,9 +9,9 @@ displacement of driver component a against the increments of component b.
 A rate run builds K once per bundle, at the base level lcm(n_list), and
 folds it to each coarser n with Chen's identity
 (:func:`fold_iterated_integrals`), so the fine sub-grid is summed once, not
-once per n.  The sub-grid pass diffs and splits one cache block of paths at
-a time (:func:`paths.cache_blocks`), so the fine increments and their cell
-split never exist at full size.
+once per n.  Both run in :func:`paths.stream_cells`, which differences and
+splits one cache block of paths at a time, so the fine increments and their
+cell split never exist at full size.
 
 K is the sub-grid sum :func:`stats.k_fine` (the Z functional's per-cell
 left-point sum) with its symmetric part replaced by the exact identity
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
-from .paths import PathBundle, cache_blocks, cell_size, cell_split
+from .paths import PathBundle, cell_size, stream_cells
 
 
 @dataclass(frozen=True)
@@ -53,41 +53,56 @@ def _flag_divergence(values: np.ndarray) -> tuple:
     return diverged, first_bad
 
 
+def _k_block(dyc: np.ndarray, disp: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """:func:`stats.k_fine` of a :func:`paths.stream_cells` block.
+
+    The matmul's rounding follows the layout of its left operand, so for d > 1
+    the left nodes are copied to the d work slots in the whole-array layout."""
+    d, m, n, r = dyc.shape
+    left = np.moveaxis(disp[..., :-1], 0, -1)
+    if d > 1:
+        left = work.reshape(m, n, r, d)
+        for c in range(d):  # a channel at a time: a gather along d goes element by element
+            left[..., c] = disp[c, ..., :-1]
+    return stats.k_fine((np.moveaxis(dyc, 0, -1), left))
+
+
+def _increments(y: np.ndarray, step: int):
+    """The :func:`paths.stream_cells` fill of the driver's moves over every ``step`` fine cells."""
+    def fill(blk, out):
+        for c in range(y.shape[2]):
+            np.subtract(y[blk, step::step, c], y[blk, :-step:step, c], out=out[..., c])
+    return fill
+
+
 def iterated_integrals(bundle: PathBundle, coarse_n: int) -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    r = cell_size(bundle.grid.fine_count, coarse_n)
-    y = bundle.y
-    B, d = bundle.n_paths, bundle.driver.dim_d
-    kmat = np.empty((B, coarse_n, d, d))
-    qv_emp = np.empty_like(kmat)
-    # a block of paths is diffed and split in cache: its increments and
-    # their running sum, about 2r + 1 fine values per cell and path
-    for blk in cache_blocks(B, (2 * r + 1) * coarse_n * d * y.itemsize):
-        cells = cell_split(np.diff(y[blk], axis=1), coarse_n)
-        kmat[blk] = stats.k_fine(cells)
-        qv_emp[blk] = np.swapaxes(cells[0], -1, -2) @ cells[0]
-    edges = np.arange(coarse_n + 1) / coarse_n
-    qv_exact = bundle.driver.cell_qv(edges)
-    return kmat + 0.5 * (qv_emp - qv_exact)
+    qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+
+    def reduce(dyc, disp, work):
+        dy = np.moveaxis(dyc, 0, -1)
+        return (_k_block(dyc, disp, work) + 0.5 * (np.swapaxes(dy, -1, -2) @ dy - qv_exact),)
+
+    return stream_cells(bundle.n_paths, bundle.grid.fine_count, coarse_n, bundle.driver.dim_d,
+                        _increments(bundle.y, 1), reduce, slots=bundle.driver.dim_d)[0]
 
 
-def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, dybase: np.ndarray,
-                            coarse_n: int) -> np.ndarray:
+def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int) -> np.ndarray:
     """K on ``coarse_n`` cells from K on a finer base grid that it divides.
 
     Chen's identity for left-point sums: a coarse cell's K is the sum of its
     base cells' K_j plus the left-point sum of the driver over the base
     grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The base
     cells' exact QV is then swapped for the coarse cell's, so the result
-    equals :func:`iterated_integrals` at ``coarse_n`` up to rounding.
-    ``dybase`` holds the driver's increments over the base grid,
-    shape (n_paths, base, d), shared by every fold of one bundle.  The cost
-    is O(n_paths * base * d^2), with no sub-grid pass.
+    equals :func:`iterated_integrals` at ``coarse_n`` up to rounding.  The
+    cost is O(n_paths * base * d^2), with no sub-grid pass.
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
-    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
-        + stats.k_fine(cell_split(dybase, coarse_n))
+    (kfine,) = stream_cells(n_paths, base, coarse_n, d,
+                            _increments(bundle.y, cell_size(bundle.grid.fine_count, base)),
+                            lambda dyc, disp, work: (_k_block(dyc, disp, work),), slots=d)
+    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) + kfine
     qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
     qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
     kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)

@@ -1,9 +1,10 @@
 """Path functionals of the discretization error analysis, as increments.
 
-Each functional takes ``cells = (dyc, disp)``, the :func:`paths.cell_split`
-of the driver's fine increments at the coarse count n, and returns its
-left-point increment over every sub-cell.  The integrand of a sub-cell reads
-its left node relative to the coarse anchor, so it resets at coarse points.
+Each functional takes ``cells = (dyc, disp)``, fine increments (B, n, r, d)
+in n cells and their running sum from each cell's anchor, (B, n, r + 1, d),
+and returns its left-point increment over every sub-cell.  The integrand of
+a sub-cell reads its left node relative to the anchor, so it resets at
+coarse points.
 
     dz  (B, n, r, d, d)     (Y - Y@anchor)_a dY_c
     dm  (B, n, r, d, d, d)  (Z - Z@anchor)_ac dY_p, indexed [p, a, c]
@@ -37,9 +38,9 @@ def dz(cells: tuple) -> np.ndarray:
 
 
 def k_fine(cells: tuple) -> np.ndarray:
-    """``dz(cells).sum(axis=2)``, the sub-grid part of the Milstein K, without forming dz."""
+    """``dz(cells).sum(axis=2)`` without forming dz, from the first r (left) nodes of disp."""
     dyc, disp = cells
-    return np.swapaxes(disp[:, :, :-1], -1, -2) @ dyc
+    return np.swapaxes(disp[:, :, :dyc.shape[2]], -1, -2) @ dyc
 
 
 def dm(cells: tuple) -> np.ndarray:

@@ -155,7 +155,7 @@ def test_criterion_09_drift_correction_constant():
     for start in range(0, 10_000, 1000):
         idx = np.arange(start, start + 1000)
         bundle = paths.simulate_bundle(driver, grid, 1, idx)
-        dyc, disp = paths.cell_split(bundle.fine_increments(), 64)
+        dyc, disp = crosscheck.cell_split(np.diff(bundle.y, axis=1), 64)
         # entry (1,1) of the second driving component: int (W^(n))^2 ds
         vals = (disp[:, :, :-1, 0] ** 2 * dyc[..., 1]).sum(axis=(1, 2))
         total += vals.sum()
@@ -176,14 +176,14 @@ def test_criterion_10_identity_suite():
     for r in (32, 64):
         b = paths.simulate_bundle(spec, paths.make_grid(n, r), 1, [0])
         cube = crosscheck.cube_functional(b.y[0, :, 0], n)
-        integral = stats.dn(paths.cell_split(b.fine_increments(), n)).sum()
+        integral = stats.dn(crosscheck.cell_split(np.diff(b.y, axis=1), n)).sum()
         fv_gaps[r] = abs(cube - integral)
     fv_ok = fv_gaps[64] < fv_gaps[32] and fv_gaps[64] < 2.0 / 64
 
     bm = paths.simulate_bundle(paths.brownian_motion_driver(1),
                                paths.make_grid(n, 64), 3, range(32))
     y = bm.y[:, :, 0]
-    dyc, disp = cells = paths.cell_split(bm.fine_increments(), n)
+    dyc, disp = cells = crosscheck.cell_split(np.diff(bm.y, axis=1), n)
     resid = (3 * crosscheck.cube_functional(y, n)
              - 3 * stats.dn(cells).sum(axis=(1, 2))[:, 0, 0, 0]
              - 3 * (disp[:, :, :-1, 0] * dyc[..., 0] ** 2).sum(axis=(1, 2))
@@ -195,7 +195,7 @@ def test_criterion_10_identity_suite():
     ibp_gap = 0.0
     for drv in (paths.brownian_motion_driver(1), paths.ito_embedding_driver()):
         b = paths.simulate_bundle(drv, paths.make_grid(16, 16), 5, range(16))
-        cells = paths.cell_split(b.fine_increments(), 16)
+        cells = crosscheck.cell_split(np.diff(b.y, axis=1), 16)
         dm = stats.dm(cells)
         ibp_gap = max(ibp_gap, float(np.max(np.abs(
             stats.dn(cells) - dm - np.swapaxes(dm, -1, -2) - stats.dc(cells)))))

@@ -1,26 +1,28 @@
 """The blocked passes over the fine grid against whole-array references.
 
-``iterated_integrals``, ``simulate_u`` (which forms dM and dN per time
-block with ``simulate_mn``) and every stochastic oracle case run through
-:func:`paths.cache_blocks`.  Here
-``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one row,
-of three rows (which divides none of the counts below) and in a single
+``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
+oracle case run through :func:`paths.stream_cells` over blocks of paths,
+and ``simulate_u`` (which forms dM and dN per time block with
+``simulate_mn``) through :func:`paths.cache_blocks` over blocks of time.
+Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
+row, of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
 this file.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from milsde import limits, model, oracles, paths, rng, schemes, stats
+from milsde import crosscheck, limits, model, oracles, paths, rng, schemes, stats
 
 PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
 
 
 def k_whole(bundle, coarse_n):
-    cells = paths.cell_split(bundle.fine_increments(), coarse_n)
+    cells = crosscheck.cell_split(np.diff(bundle.y, axis=1), coarse_n)
     kmat = stats.k_fine(cells)
     qv_emp = np.swapaxes(cells[0], -1, -2) @ cells[0]
     qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
@@ -92,15 +94,16 @@ def _problem(case, timed):
 def block_rows(request, monkeypatch):
     """Sets ``paths.BLOCK_BYTES`` per pass so that a block holds the given
     number of rows (all of them for None), then checks the blocks used."""
-    rows, lengths = request.param, []
+    rows, lengths, cache_blocks = request.param, [], paths.cache_blocks
 
     def sized(count, row_bytes):
         monkeypatch.setattr(paths, "BLOCK_BYTES", row_bytes * (rows or count))
-        blocks = paths.cache_blocks(count, row_bytes)
+        blocks = cache_blocks(count, row_bytes)
         lengths.append((count, [b.stop - b.start for b in blocks]))
         return blocks
 
-    for module in (schemes, limits, oracles):
+    # where the streamer and the time-sliced U pass look it up
+    for module in (paths, limits):
         monkeypatch.setattr(module, "cache_blocks", sized)
     yield
     assert lengths, "no pass ran through cache_blocks"
@@ -121,8 +124,44 @@ def test_iterated_integrals(block_rows, case, timed):
     prob = _problem(case, timed)
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
-    got = schemes.iterated_integrals(bundle, COARSE)
-    assert np.array_equal(got, k_whole(bundle, COARSE))
+    # r = 8 and 64: at d > 1 and r >= 32 the matmul's rounding follows its
+    # left operand's layout, which the streamed K must match
+    for coarse_n in (COARSE, 1):
+        got = schemes.iterated_integrals(bundle, coarse_n)
+        assert np.array_equal(got, k_whole(bundle, coarse_n))
+
+
+def fold_whole(bundle, kbase, coarse_n):
+    n_paths, base, d = kbase.shape[:3]
+    m = base // coarse_n
+    dybase = np.diff(bundle.y[:, ::FINE // base], axis=1)
+    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
+        + stats.k_fine(crosscheck.cell_split(dybase, coarse_n))
+    qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
+    qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    return kmat + 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
+
+
+@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
+def test_fold_iterated_integrals(block_rows, case, timed):
+    # K on the base grid of 16 cells, folded to 8, 4 and 1 cells
+    prob = _problem(case, timed)
+    base = 2 * COARSE
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(base, FINE // base), 5,
+                                   range(PATHS))
+    kbase = k_whole(bundle, base)
+    for coarse_n in (COARSE, 4, 1):
+        got = schemes.fold_iterated_integrals(bundle, kbase, coarse_n)
+        assert np.array_equal(got, fold_whole(bundle, kbase, coarse_n))
+
+
+def test_only_the_streamer_and_u_read_cache_blocks():
+    # block_rows patches cache_blocks in paths (stream_cells) and limits (the
+    # time-sliced U pass); a pass that looked it up elsewhere would run
+    # unpatched, so the block tests above could not see its blocks
+    src = pathlib.Path(paths.__file__).parent
+    readers = sorted(f.stem for f in src.glob("*.py") if "cache_blocks" in f.read_text())
+    assert readers == ["limits", "paths"]
 
 
 def _limit_inputs(prob):
@@ -172,18 +211,18 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
     trapz = oracles._trapz_cells
     if case == "7.6":
         bundle = paths.simulate_bundle(paths.brownian_motion_driver(1), grid, seed, idx)
-        cells = paths.cell_split(bundle.fine_increments(), n)
+        cells = crosscheck.cell_split(np.diff(bundle.y, axis=1), n)
         scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)
         mm, nn, nm, nw, mw = (scale * stats.fingerprints(stats.dm(cells), stats.dn(cells),
                                                          cells[0])).T
         return [nn, mm, nm, nw, mw]
     if case == "7.7-80":
-        nodes = paths.cell_split(paths.brownian_family(grid, seed, idx, rng.ORACLE), n)[1]
+        nodes = crosscheck.cell_split(paths.brownian_family(grid, seed, idx, rng.ORACLE), n)[1]
         return [n * trapz(nodes[:, :, 1:, 0] ** 2)]
     if case == "null":
         r, dt = fine_factor, grid.fine_dt
         tau_left, tau_nodes = np.arange(r) * dt, np.arange(1, r + 1) * dt
-        dyc, disp = paths.cell_split(
+        dyc, disp = crosscheck.cell_split(
             paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
         dw, db = dyc[..., 0], dyc[..., 1]
         w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
@@ -194,7 +233,7 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
                 n * trapz(inner_wb[:, :, 1:]),
                 n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)),
                 n * trapz(inner_aw[:, :, 1:])]
-    dyc, disp = paths.cell_split(
+    dyc, disp = crosscheck.cell_split(
         paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
 
     def inner(u, v):

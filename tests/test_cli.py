@@ -159,6 +159,16 @@ class TestMain:
          "slope_lo < slope_hi, got [-inf, -1.0]"),
         (["lemma-check", "--case", "7.2c", "--n", "8", "--paths", "30", "--seed", "1"],
          "case '7.2c' needs n >= 13"),
+        (["rate", "--model", "ou", "--n-list", "2,4,16", "--fine-factor", "1", "--paths", "2",
+          "--seed", "0", "--slope-lo", "-3", "--slope-hi", "3"],
+         "model 'ou' has no closed form, so its reference is Milstein on the fine grid: "
+         "it needs fine_factor >= 2"),
+        (["rate", "--model", "ou", "--scheme", "euler", "--n-list", "2,4,16",
+          "--fine-factor", "1", "--paths", "2", "--seed", "0", "--slope-lo", "-3",
+          "--slope-hi", "3"], "model 'ou' has no closed form"),
+        (["error-law", "--model", "ou", "--n", "4", "--fine-factor", "1", "--fine-count", "16",
+          "--paths", "1000", "--draws", "1000", "--seed", "1"],
+         "model 'ou' has no closed form"),
     ])
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
@@ -178,6 +188,8 @@ class TestMain:
          ["(fine_count) is too large", "strictly between 0 and 1, got 1.0"]),
         (["lemma-check", "--case", "7.2a", "--n", "1", "--paths", "0"],
          ["case '7.2a' needs n >= 13", "paths must be >= 30"]),
+        (["error-law", "--model", "ou", "--fine-factor", "1", "--paths", "10"],
+         ["model 'ou' has no closed form", "paths must be >= 1000"]),
     ])
     def test_grid_and_threshold_errors_are_listed_together(self, argv, messages, tmp_path,
                                                            capsys):

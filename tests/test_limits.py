@@ -182,7 +182,7 @@ class TestSimulateU:
                                 x0=1.0)
         grid, bundle, aux = limit_inputs(prob, 256, 5, 8)
         x_ref = schemes.reference(prob, bundle).values
-        dy = bundle.fine_increments()
+        dy = np.diff(bundle.y, axis=1)
         u = limits.simulate_u(prob, x_ref, dy, dy, aux)
         assert u.shape == (8, 1) and np.all(u == 0.0)
 
@@ -191,7 +191,7 @@ class TestSimulateU:
         grid, bundle, aux = limit_inputs(prob, 256, 6, 16)
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
-        dy = bundle.fine_increments()
+        dy = np.diff(bundle.y, axis=1)
         u1 = limits.integrate_u(prob, x_ref, dy, given_increments(dm, dn))
         u2 = limits.integrate_u(prob, x_ref, dy, given_increments(2 * dm, 2 * dn))
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
@@ -211,7 +211,7 @@ class TestSimulateU:
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
         x_ref = prob.closed_form(bundle)
         dm_fv, dn_fv = crosscheck.fv_deterministic_mn(prob.driver, grid.times())
-        u = limits.integrate_u(prob, x_ref, bundle.fine_increments(),
+        u = limits.integrate_u(prob, x_ref, np.diff(bundle.y, axis=1),
                                given_increments(dm_fv, dn_fv))
         ode = crosscheck.fv_error_ode(prob)
         assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
@@ -238,7 +238,7 @@ class TestItoErrorLimit:
                                  d2b=lambda x: -np.cos(x), x0=0.7, label="trig")
         grid, bundle, aux = limit_inputs(prob, 512, 21, 32)
         x_ref = schemes.reference(prob, bundle).values
-        u_general = u_at_every_node(prob, x_ref, bundle.fine_increments(),
+        u_general = u_at_every_node(prob, x_ref, np.diff(bundle.y, axis=1),
                                     np.diff(bundle.w, axis=1), aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
@@ -250,7 +250,7 @@ class TestItoErrorLimit:
         prob = model.make_gbm_drift(alpha=1.0, beta=0.0)
         grid, bundle, aux = limit_inputs(prob, 512, 23, 4000)
         x_ref = prob.closed_form(bundle)
-        dy, dw = bundle.fine_increments(), np.diff(bundle.w, axis=1)
+        dy, dw = np.diff(bundle.y, axis=1), np.diff(bundle.w, axis=1)
         u_general = limits.simulate_u(prob, x_ref, dy, dw, aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],

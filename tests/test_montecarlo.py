@@ -141,10 +141,9 @@ class TestRateExperiment:
         bundle = paths.simulate_bundle(gbm.driver, grid, 13, range(300))
         ref = schemes.reference(gbm, bundle).values[:, -1]
         kbase = schemes.iterated_integrals(bundle, 128)
-        dybase = np.diff(bundle.y, axis=1)
         for n in (32, 128):
             kmat = kbase if n == 128 else \
-                schemes.fold_iterated_integrals(bundle, kbase, dybase, n)
+                schemes.fold_iterated_integrals(bundle, kbase, n)
             manual = schemes.milstein(gbm, bundle, n, kmat=kmat).values[:, -1] - ref
             assert np.array_equal(manual, data["err"][n])
         # the shared reference couples the endpoints across n

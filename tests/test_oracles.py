@@ -55,7 +55,7 @@ class TestBrownianCases:
         for n in grids:
             grid = paths.Grid(n, 32)
             p = paths.brownian_family(grid, 17, np.arange(1500), rng.ORACLE, channels=4)
-            nodes = np.moveaxis(paths.cell_split(p, n)[1][:, :, 1:], -1, 0)
+            nodes = np.moveaxis(crosscheck.cell_split(p, n)[1][:, :, 1:], -1, 0)
             work = np.empty((3,) + nodes.shape[1:])  # two prefixes and the product
             stat = oracles.quartic_time_average(nodes, [(0, 0, 0, 0)], work)[0]
             variances.append(stat.var(ddof=1))
@@ -90,10 +90,10 @@ class TestBrownianCases:
         assert a.estimate == b.estimate and a.se == b.se
 
 
-def _traced_peak(**kwargs):
+def _traced_peak(case="7.3", **kwargs):
     tracemalloc.start()
     try:
-        oracles.run_case("7.3", **kwargs)
+        oracles.run_case(case, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,3 +111,22 @@ def test_quartic_chunk_memory_is_one_block():
     results = 2 * 5 * n_paths * 8
     assert peak < 2 * paths.BLOCK_BYTES + results
     assert peak <= 1.1 * _traced_peak(paths=400, **size)
+
+
+# peak of one oracle chunk in paths.BLOCK_BYTES, beyond its per-path outputs;
+# measured 0.41 (7.6) to 1.09 (null) at n = 16, fine_factor = 64
+CHUNK_PEAK_BLOCKS = 1.25
+
+
+@pytest.mark.parametrize("case", ["7.3", "7.4", "7.6", "7.7-80", "null"])
+def test_oracle_chunk_memory_is_one_block(case):
+    # a chunk of paths.DEFAULT_CHUNK paths holds one block of the streamer:
+    # its increments, cell split and work slots, and what the case's reduction
+    # allocates, all sized to fit paths.BLOCK_BYTES.  Only the per-path
+    # outputs grow with the paths: the chunk's result and the run's.
+    size = dict(n=16, fine_factor=64, seed=1)
+    oracles.run_case(case, paths=50, **size)  # warm caches
+    rows = len(oracles.run_case(case, paths=30, **size))
+    outputs = 2 * rows * paths.DEFAULT_CHUNK * 8
+    peak = _traced_peak(case, paths=paths.DEFAULT_CHUNK, **size)
+    assert peak < CHUNK_PEAK_BLOCKS * paths.BLOCK_BYTES + outputs

@@ -1,11 +1,12 @@
 import threading
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from milsde import limits, paths, rng
+from milsde import crosscheck, limits, paths, rng
 
 
 class TestMakeGrid:
@@ -35,13 +36,13 @@ class TestMakeGrid:
 
 
 class TestCoarseAnchor:
-    # the anchor as :func:`paths.cell_split` applies it: the displacement of
+    # the anchor as :func:`crosscheck.cell_split` applies it: the displacement of
     # node j of cell c is y at that node minus y at the cell's anchor, exact
     # on the integer path y_k = k^2
     @staticmethod
     def displacements(g):
         y = np.arange(g.fine_count + 1.0) ** 2
-        return y, paths.cell_split(np.diff(y)[None, :, None], g.coarse_n)[1][0, ..., 0]
+        return y, crosscheck.cell_split(np.diff(y)[None, :, None], g.coarse_n)[1][0, ..., 0]
 
     def test_coarse_point_jumps_back(self):
         # at a coarse point the left-open convention anchors a full cell back:
@@ -169,7 +170,7 @@ class TestBuildDriver:
         g = paths.make_grid(8, 16)
         spec = paths.brownian_motion_driver(2)
         b = paths.simulate_bundle(spec, g, 42, range(4))
-        fine = b.fine_increments().reshape(4, 8, 16, 2).sum(axis=2)
+        fine = np.diff(b.y, axis=1).reshape(4, 8, 16, 2).sum(axis=2)
         coarse = np.diff(b.y[:, ::16], axis=1)
         assert np.allclose(fine, coarse, rtol=0, atol=1e-14)
 
@@ -213,7 +214,7 @@ class TestCellSplit:
     def test_views_match_cell_loop(self, coarse_n):
         b = paths.simulate_bundle(paths.brownian_motion_driver(2), paths.make_grid(12, 1),
                                   3, range(5))
-        inc, disp = paths.cell_split(b.fine_increments(), coarse_n)
+        inc, disp = crosscheck.cell_split(np.diff(b.y, axis=1), coarse_n)
         r = 12 // coarse_n
         assert inc.shape == (5, coarse_n, r, 2) and disp.shape == (5, coarse_n, r + 1, 2)
         for k in range(coarse_n):
@@ -230,7 +231,52 @@ class TestCellSplit:
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="does not divide"):
-            paths.cell_split(np.zeros((1, 13, 1)), 5)
+            crosscheck.cell_split(np.zeros((1, 13, 1)), 5)
+
+
+class TestStreamCells:
+    @settings(max_examples=150, deadline=None)
+    @given(count=st.integers(1, 12), n=st.integers(1, 5), r=st.integers(1, 6),
+           channels=st.integers(1, 3), rows=st.integers(1, 13), slots=st.integers(0, 2),
+           seed=st.integers(0, 1 << 16))
+    def test_blocks_match_the_whole_split(self, count, n, r, channels, rows, slots, seed):
+        # each block's increments and displacements are those of the whole
+        # split in its rows, whatever the block size
+        inc = np.random.default_rng(seed).standard_normal((count, n * r, channels))
+        want_inc, want_disp = crosscheck.cell_split(inc, n)
+        filled, seen = [], []
+
+        def fill(blk, out):
+            assert out.shape == (blk.stop - blk.start, n * r, channels)
+            out[...] = inc[blk]
+            filled.append(blk)
+
+        def reduce(dyc, disp, work):
+            blk = filled[-1]
+            assert np.array_equal(dyc, np.moveaxis(want_inc[blk], -1, 0))
+            assert np.array_equal(disp, np.moveaxis(want_disp[blk], -1, 0))
+            assert np.all(disp[..., 0] == 0.0) and not np.signbit(disp[..., 0]).any()
+            assert work.shape == (slots, len(dyc[0]), n, r) and work.flags.c_contiguous
+            seen.append(blk)
+            return np.moveaxis(disp[..., -1], 0, -1), dyc[0, :, 0, 0]
+
+        def blocks(total, row_bytes):
+            return [slice(s, min(s + rows, total)) for s in range(0, total, rows)]
+
+        with mock.patch.object(paths, "cache_blocks", blocks):
+            ends, first = paths.stream_cells(count, n * r, n, channels, fill, reduce, slots)
+        assert seen == blocks(count, 0)
+        assert np.array_equal(ends, want_disp[:, :, -1]) and np.array_equal(first, inc[:, 0, 0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(fine_count=st.integers(1, 64), coarse_n=st.integers(1, 64))
+    def test_rejects_non_divisor(self, fine_count, coarse_n):
+        def fill(blk, out):
+            raise AssertionError("a block was filled")
+
+        assume(fine_count % coarse_n)
+        with pytest.raises(ValueError, match="does not divide"):
+            paths.stream_cells(3, fine_count, coarse_n, 1, fill, fill)
 
 
 class TestCacheBlocks:

@@ -35,7 +35,7 @@ class TestEuler:
 def k_subgrid(bundle, coarse_n):
     # the left-point sub-grid sum alone, without the exact symmetric part:
     # a K that the schemes accept through ``kmat``
-    return stats.k_fine(paths.cell_split(bundle.fine_increments(), coarse_n))
+    return stats.k_fine(crosscheck.cell_split(np.diff(bundle.y, axis=1), coarse_n))
 
 
 class TestIteratedIntegrals:
@@ -63,7 +63,7 @@ class TestIteratedIntegrals:
         gaps = {}
         for r in (16, 64, 256):
             b = paths.simulate_bundle(gbm.driver, paths.make_grid(8, r), 21, range(400))
-            cells = paths.cell_split(b.fine_increments(), 8)
+            cells = crosscheck.cell_split(np.diff(b.y, axis=1), 8)
             k_fine = stats.k_fine(cells)[:, :, 0, 0]
             dw = np.diff(b.w[:, ::r, 0], axis=1)
             exact = (dw ** 2 - 1.0 / 8.0) / 2
@@ -110,9 +110,8 @@ class TestChenFold:
         base = math.lcm(*n_list)
         b = paths.simulate_bundle(_DRIVERS[driver], paths.make_grid(base, r), seed, range(4))
         kbase = schemes.iterated_integrals(b, base)
-        dybase = np.diff(b.y[:, ::r], axis=1)
         for n in n_list:
-            folded = schemes.fold_iterated_integrals(b, kbase, dybase, n)
+            folded = schemes.fold_iterated_integrals(b, kbase, n)
             direct = schemes.iterated_integrals(b, n)
             assert folded.shape == direct.shape
             np.testing.assert_allclose(folded, direct, rtol=1e-12,
@@ -122,16 +121,14 @@ class TestChenFold:
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(16, 4), 8, range(3))
         kbase = schemes.iterated_integrals(b, 16)
-        dybase = np.diff(b.y[:, ::4], axis=1)
-        assert np.array_equal(schemes.fold_iterated_integrals(b, kbase, dybase, 16), kbase)
+        assert np.array_equal(schemes.fold_iterated_integrals(b, kbase, 16), kbase)
 
     def test_base_must_be_divisible(self):
         prob = model.make_gbm()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(12, 2), 8, range(3))
         kbase = schemes.iterated_integrals(b, 12)
-        dybase = np.diff(b.y[:, ::2], axis=1)
         with pytest.raises(ValueError, match="does not divide"):
-            schemes.fold_iterated_integrals(b, kbase, dybase, 8)
+            schemes.fold_iterated_integrals(b, kbase, 8)
 
     @settings(max_examples=12, deadline=None)
     @given(n_list=st.sampled_from([(4, 8, 32), (12, 32), (6, 16, 48), (16, 32, 64, 128)]),

@@ -22,7 +22,7 @@ def quadratic_time_bundle(n, r, seed=1):
 
 
 def cells(bundle, n):
-    return paths.cell_split(bundle.fine_increments(), n)
+    return crosscheck.cell_split(np.diff(bundle.y, axis=1), n)
 
 
 def at_end(inc):
@@ -220,7 +220,7 @@ class TestEmpiricalQv:
 
     def test_smooth_path_qv_vanishes(self):
         b = time_bundle(4, 256)
-        dy = b.fine_increments()
+        dy = np.diff(b.y, axis=1)
         qv = stats.covariation(dy, dy)[0]
         assert qv == pytest.approx(1.0 / 1024, rel=1e-10)
 
