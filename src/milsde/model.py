@@ -59,17 +59,19 @@ class SdeProblem:
             raise ValueError(f"x0 must have shape ({self.field.dim_q},)")
 
 
-def correction_pairing(field: CoefficientField, x) -> np.ndarray:
+def correction_pairing(field: CoefficientField, x, f: np.ndarray = None) -> np.ndarray:
     """Gradient/coefficient pairing h^i = (Df^i)^T f driving the
     second-order scheme correction.  Shape (..., q, d, d).
 
-    A non-finite pairing is returned for the scheme's divergence flag to
-    drop when it comes from a diverged state or from overflow; a field that
-    divides by zero or is invalid at a finite state raises, see
-    :func:`_check_nonfinite_pairing`."""
-    f = field.f_at(x)
-    df = field.df_at(x)
-    out = np.einsum("...ika,...kb->...iab", df, f)
+    ``f`` is ``field.f_at(x)`` when the caller has it already, as a scheme
+    step does; otherwise it is evaluated here.  A non-finite pairing is
+    returned for the scheme's divergence flag to drop when it comes from a
+    diverged state or from overflow; a field that divides by zero or is
+    invalid at a finite state raises, see :func:`_check_nonfinite_pairing`,
+    which evaluates f and Df afresh."""
+    if f is None:
+        f = field.f_at(x)
+    out = np.einsum("...ika,...kb->...iab", field.df_at(x), f)
     if not np.isfinite(out).all():
         _check_nonfinite_pairing(field, x, out)
     return out
@@ -113,22 +115,25 @@ def scalar_field(f, df, d2f, growth_bound: float = 1.0) -> CoefficientField:
                             growth_bound=growth_bound)
 
 
+def _pair(w, z, x) -> np.ndarray:
+    """(w(v), z(v)) along a last axis for v = x[..., 0], each broadcast to v."""
+    v = x[..., 0]
+    out = np.empty((*v.shape, 2))
+    out[..., 0] = w(v)
+    out[..., 1] = z(v)
+    return out
+
+
 def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientField:
     """Coefficient field (a(x), b(x)) against the (W, t) driver pair."""
     def f_cb(x):
-        v = x[..., 0]
-        return np.stack([np.broadcast_to(a(v), v.shape),
-                         np.broadcast_to(b(v), v.shape)], axis=-1)[..., None, :]
+        return _pair(a, b, x)[..., None, :]
 
     def df_cb(x):
-        v = x[..., 0]
-        return np.stack([np.broadcast_to(da(v), v.shape),
-                         np.broadcast_to(db(v), v.shape)], axis=-1)[..., None, None, :]
+        return _pair(da, db, x)[..., None, None, :]
 
     def hf_cb(x):
-        v = x[..., 0]
-        return np.stack([np.broadcast_to(d2a(v), v.shape),
-                         np.broadcast_to(d2b(v), v.shape)], axis=-1)[..., None, :, None, None]
+        return _pair(d2a, d2b, x)[..., None, :, None, None]
 
     return CoefficientField(dim_q=1, dim_d=2, f=f_cb, df=df_cb, hf=hf_cb,
                             growth_bound=growth_bound)

@@ -53,18 +53,25 @@ def _flag_divergence(values: np.ndarray) -> tuple:
     return diverged, first_bad
 
 
-def _k_block(dyc: np.ndarray, disp: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """:func:`stats.k_fine` of a :func:`paths.stream_cells` block.
+def _channel_last(src: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``src``, (d, ...) channel-major, as a (..., d) matmul operand.
 
-    The matmul's rounding follows the layout of its left operand, so for d > 1
-    the left nodes are copied to the d work slots in the whole-array layout."""
-    d, m, n, r = dyc.shape
-    left = np.moveaxis(disp[..., :-1], 0, -1)
-    if d > 1:
-        left = work.reshape(m, n, r, d)
-        for c in range(d):  # a channel at a time: a gather along d goes element by element
-            left[..., c] = disp[c, ..., :-1]
-    return stats.k_fine((np.moveaxis(dyc, 0, -1), left))
+    A matmul's rounding follows the layout of its left operand, and one on
+    two views of a buffer runs as a syrk, slower than a gemm; so for d > 1
+    ``src`` is copied to the d work slots in the whole-array layout.  At
+    d = 1 the copy costs more than it saves, so ``src`` is only moved."""
+    d = src.shape[0]
+    if d == 1:
+        return np.moveaxis(src, 0, -1)
+    out = work.reshape(*src.shape[1:], d)
+    for c in range(d):  # a channel at a time: a gather along d goes element by element
+        out[..., c] = src[c]
+    return out
+
+
+def _k_block(dyc: np.ndarray, disp: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """:func:`stats.k_fine` of a :func:`paths.stream_cells` block."""
+    return stats.k_fine((np.moveaxis(dyc, 0, -1), _channel_last(disp[..., :-1], work)))
 
 
 def _increments(y: np.ndarray, step: int):
@@ -80,8 +87,9 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int) -> np.ndarray:
     qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
 
     def reduce(dyc, disp, work):
-        dy = np.moveaxis(dyc, 0, -1)
-        return (_k_block(dyc, disp, work) + 0.5 * (np.swapaxes(dy, -1, -2) @ dy - qv_exact),)
+        kmat = _k_block(dyc, disp, work)  # K is formed before the QV reuses its work slots
+        qv = np.swapaxes(_channel_last(dyc, work), -1, -2) @ np.moveaxis(dyc, 0, -1)
+        return (kmat + 0.5 * (qv - qv_exact),)
 
     return stream_cells(bundle.n_paths, bundle.grid.fine_count, coarse_n, bundle.driver.dim_d,
                         _increments(bundle.y, 1), reduce, slots=bundle.driver.dim_d)[0]
@@ -96,13 +104,25 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
     cells' exact QV is then swapped for the coarse cell's, so the result
     equals :func:`iterated_integrals` at ``coarse_n`` up to rounding.  The
     cost is O(n_paths * base * d^2), with no sub-grid pass.
+
+    For d > 1 the base cells are summed by m - 1 whole-array adds, in the
+    order numpy's sum takes along a middle axis, so the bits are the same;
+    at d = 1 the cell axis is innermost, which numpy sums pairwise, so the
+    sum stays numpy's.
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
-    (kfine,) = stream_cells(n_paths, base, coarse_n, d,
-                            _increments(bundle.y, cell_size(bundle.grid.fine_count, base)),
-                            lambda dyc, disp, work: (_k_block(dyc, disp, work),), slots=d)
-    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) + kfine
+    (kmat,) = stream_cells(n_paths, base, coarse_n, d,
+                           _increments(bundle.y, cell_size(bundle.grid.fine_count, base)),
+                           lambda dyc, disp, work: (_k_block(dyc, disp, work),), slots=d)
+    cells = kbase.reshape(n_paths, coarse_n, m, d, d)
+    if d == 1:
+        kmat += cells.sum(axis=2)
+    else:
+        ksum = cells[:, :, 0].copy()
+        for j in range(1, m):
+            ksum += cells[:, :, j]
+        kmat += ksum
     qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
     qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
     kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
@@ -147,8 +167,9 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     fld = problem.field
 
     def step(x, dy, k):
-        return x + np.einsum("bqd,bd->bq", fld.f_at(x), dy) \
-                 + np.einsum("biac,bca->bi", correction_pairing(fld, x), kmat[:, k])
+        f = fld.f_at(x)
+        return x + np.einsum("bqd,bd->bq", f, dy) \
+                 + np.einsum("biac,bca->bi", correction_pairing(fld, x, f), kmat[:, k])
 
     return _march(problem, bundle, coarse_n, step)
 

@@ -144,13 +144,15 @@ def fold_whole(bundle, kbase, coarse_n):
 
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
 def test_fold_iterated_integrals(block_rows, case, timed):
-    # K on the base grid of 16 cells, folded to 8, 4 and 1 cells
+    # K on the base grid of 16 cells, folded to 8, 4, 2 and 1 cells: m = 2
+    # to 16 base cells per coarse cell, which a d > 1 fold sums by whole-array
+    # adds and a d = 1 fold by numpy's pairwise sum (from m = 8 on)
     prob = _problem(case, timed)
     base = 2 * COARSE
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(base, FINE // base), 5,
                                    range(PATHS))
     kbase = k_whole(bundle, base)
-    for coarse_n in (COARSE, 4, 1):
+    for coarse_n in (COARSE, 4, 2, 1):
         got = schemes.fold_iterated_integrals(bundle, kbase, coarse_n)
         assert np.array_equal(got, fold_whole(bundle, kbase, coarse_n))
 

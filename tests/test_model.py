@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from milsde import crosscheck, model, paths, schemes
+from test_blocks import _trig_field
 
 
 def scalar_linear():
@@ -65,8 +66,11 @@ class TestCorrectionPairing:
     def test_nonfinite_raises(self):
         fld = model.scalar_field(lambda x: x / 0.0, lambda x: np.ones_like(x),
                                  lambda x: 0.0 * x)
+        x = np.array([[1.0]])
         with pytest.raises(FloatingPointError):
-            model.correction_pairing(fld, np.array([[1.0]]))
+            model.correction_pairing(fld, x)
+        with pytest.raises(FloatingPointError):  # a step's own f is checked the same way
+            model.correction_pairing(fld, x, fld.f_at(x))
 
     def test_overflow_and_diverged_states_do_not_raise(self):
         # x^2 pairs to 2 x^3: it overflows at 1e144 while f and Df stay
@@ -74,6 +78,43 @@ class TestCorrectionPairing:
         with np.errstate(over="ignore"):
             h = model.correction_pairing(scalar_square(), np.array([[1e144], [1e160], [2.0]]))
         assert np.isinf(h[:2]).all() and h[2, 0, 0, 0] == 16.0
+
+    @pytest.mark.parametrize("name", [*model.builtin_models(), "trig2", "square"])
+    def test_a_given_f_leaves_every_bit(self, name):
+        # a scheme step passes the f it has evaluated; at ordinary,
+        # overflowing (x^2 at 1e144), diverged and non-finite states the
+        # pairing is the one that evaluates f itself, bit for bit
+        fld = {"trig2": _trig_field, "square": scalar_square}.get(
+            name, lambda: model.get_model(name).field)()
+        states = np.array([0.3, -1.7, 2.0, 1e144, 1e160, np.inf, np.nan])
+        x = np.stack([states, 0.5 * states[::-1]], axis=-1)[:, :fld.dim_q]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = model.correction_pairing(fld, x)
+            got = model.correction_pairing(fld, x, fld.f_at(x))
+        assert got.shape == want.shape == (len(states), fld.dim_q, fld.dim_d, fld.dim_d)
+        assert got.tobytes() == want.tobytes()
+
+
+def _stacked(w, z, x):
+    """The pair (w(v), z(v)) as ito_field's callbacks once formed it: a stack
+    of the two values broadcast to v = x[..., 0]."""
+    v = x[..., 0]
+    return np.stack([np.broadcast_to(w(v), v.shape), np.broadcast_to(z(v), v.shape)], axis=-1)
+
+
+class TestItoField:
+    @pytest.mark.parametrize("shape", [(1,), (5, 1), (3, 4, 1)], ids=["state", "1d", "2d"])
+    def test_callbacks_match_the_stacked_pair(self, shape):
+        # b and its derivatives return Python scalars, which must broadcast
+        a, da, d2a = np.sin, np.cos, lambda x: -np.sin(x)
+        b, db, d2b = (lambda x: 1.0), (lambda x: 0.5), (lambda x: 0.0)
+        fld = model.ito_field(a, da, d2a, b, db, d2b)
+        x = np.random.default_rng(3).standard_normal(shape)
+        for got, want in ((fld.f(x), _stacked(a, b, x)[..., None, :]),
+                          (fld.df(x), _stacked(da, db, x)[..., None, None, :]),
+                          (fld.hf(x), _stacked(d2a, d2b, x)[..., None, :, None, None])):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestOdeCurvature:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from milsde import crosscheck, limits, paths, rng
 
@@ -235,14 +235,22 @@ class TestCellSplit:
 
 
 class TestStreamCells:
+    # cells up to SCAN_ADDS long are scanned by adds, longer ones by a cumsum
     @settings(max_examples=150, deadline=None)
-    @given(count=st.integers(1, 12), n=st.integers(1, 5), r=st.integers(1, 6),
+    @given(count=st.integers(1, 12), n=st.integers(1, 5),
+           r=st.one_of(st.integers(1, 6),
+                       st.integers(paths.SCAN_ADDS - 1, 2 * paths.SCAN_ADDS)),
            channels=st.integers(1, 3), rows=st.integers(1, 13), slots=st.integers(0, 2),
            seed=st.integers(0, 1 << 16))
+    @example(count=5, n=2, r=paths.SCAN_ADDS, channels=2, rows=2, slots=1, seed=0)
+    @example(count=5, n=2, r=paths.SCAN_ADDS + 1, channels=2, rows=2, slots=1, seed=0)
     def test_blocks_match_the_whole_split(self, count, n, r, channels, rows, slots, seed):
         # each block's increments and displacements are those of the whole
-        # split in its rows, whatever the block size
-        inc = np.random.default_rng(seed).standard_normal((count, n * r, channels))
+        # split in its rows, whatever the block size and the scan; signed
+        # zeros among the increments check that both scans keep the bits
+        gen = np.random.default_rng(seed)
+        inc = gen.standard_normal((count, n * r, channels))
+        inc[gen.random(inc.shape) < 0.1] = -0.0
         want_inc, want_disp = crosscheck.cell_split(inc, n)
         filled, seen = [], []
 
@@ -254,7 +262,9 @@ class TestStreamCells:
         def reduce(dyc, disp, work):
             blk = filled[-1]
             assert np.array_equal(dyc, np.moveaxis(want_inc[blk], -1, 0))
-            assert np.array_equal(disp, np.moveaxis(want_disp[blk], -1, 0))
+            want = np.moveaxis(want_disp[blk], -1, 0)
+            assert np.array_equal(disp, want) and np.array_equal(np.signbit(disp),
+                                                                 np.signbit(want))
             assert np.all(disp[..., 0] == 0.0) and not np.signbit(disp[..., 0]).any()
             assert work.shape == (slots, len(dyc[0]), n, r) and work.flags.c_contiguous
             seen.append(blk)
