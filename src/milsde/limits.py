@@ -20,9 +20,9 @@ SDE driven by (Y, M, N), integrated here with left-point Euler steps on
 the fine grid; only the endpoint U_1 is kept.  U needs each increment of
 M and N once, in time order, so the integrator forms V, dM and dN (drift
 correction included) over all paths of one cache block of time steps at a
-time, builds its forcing and coupling terms from them, transposes those to
-time-major in cache and steps through them: neither dM, dN nor any term of
-U is ever full-size.
+time, from that block's noise copied contiguous once, builds its forcing
+and coupling terms from them, transposes those to time-major in cache and
+steps through them: neither dM, dN nor any term of U is ever full-size.
 """
 
 from dataclasses import dataclass, replace
@@ -55,8 +55,13 @@ class AuxiliaryNoise:
     start: int = 0
 
     def steps(self, blk: slice) -> "AuxiliaryNoise":
-        """The increments of the time steps ``blk`` of these, as views."""
-        return replace(self, db=self.db[:, blk], dwbar=self.dwbar[:, blk],
+        """The increments of the time steps ``blk`` of these, copied contiguous.
+
+        A time slice of the sampled arrays is strided per path, and numpy
+        pays its per-row loop cost on every operand that reads one.
+        """
+        return replace(self, db=np.ascontiguousarray(self.db[:, blk]),
+                       dwbar=np.ascontiguousarray(self.dwbar[:, blk]),
                        start=self.start + blk.start)
 
     def times(self) -> np.ndarray:
@@ -153,7 +158,7 @@ def integrate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
     step = np.empty((B, q))
     # a block's values per step and path: X, f, Df, h and Hf; the forcing,
     # N term and coupling, batch- and time-major; the dY copied; the noise
-    # views, V and its diagonal; dM, dN and the drift-corrected dN
+    # copies, V and its diagonal; dM, dN and the drift-corrected dN
     row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d \
         + 2 * m ** 3 + 3 * m + 3 * d ** 3
     for blk in cache_blocks(T - 1, B * row * x_ref.itemsize):
@@ -195,11 +200,12 @@ def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray, dw: np.nd
     the :func:`stats.fingerprints` of its dM, dN and dW.
     """
     def increments(blk):
-        block = aux.steps(blk)
-        dm, dn = simulate_mn(problem.driver, dw[:, blk], block)
+        # the block's noise, copied contiguous once for every product below
+        block, dw_b = aux.steps(blk), np.ascontiguousarray(dw[:, blk])
+        dm, dn = simulate_mn(problem.driver, dw_b, block)
         dn = drift_correct(dn, problem.driver, block.times())
         if fps is not None:
-            np.add(fps, stats.fingerprints(dm, dn, dw[:, blk]), out=fps)
+            np.add(fps, stats.fingerprints(dm, dn, dw_b), out=fps)
         return dm, dn
 
     return integrate_u(problem, x_ref, dy, increments)

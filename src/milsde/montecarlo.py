@@ -214,7 +214,8 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         # to each coarser n just before that level's step loop; it is built
         # before the reference so that their temporaries never coexist
         kbase = schemes.iterated_integrals(bundle, base) if scheme != "euler" else None
-        ref = schemes.reference(problem, bundle)
+        # the reference keeps the base grid's nodes, all that the levels read
+        ref = schemes.reference(problem, bundle, every=grid.fine_count // base)
         ref_end = ref.values[:, -1]
         kept = ~ref.diverged
         err, sup = [], []
@@ -230,7 +231,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                 # the gap and its square overwrite the scheme's values, which
                 # are not read again; sqrt is monotone, so it follows the max
                 gap = out.values
-                gap -= ref.values[:, ::(grid.fine_count // n)]
+                gap -= ref.values[:, ::(base // n)]
                 gap *= gap
                 sup.append(np.sqrt(np.add.reduce(gap, axis=2).max(axis=1)))
         return (kept, *err, *sup)

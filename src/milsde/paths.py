@@ -13,7 +13,8 @@ depend only on (master_seed, path_index), never on batch composition.
 Per-step passes over the fine grid run in :func:`cache_blocks`, slices
 whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
 built.  Every pass over the cells of a coarse grid (K, its fold and the
-oracle cases) is a :func:`stream_cells` over blocks of paths; U, which
+oracle cases) is a :func:`stream_cells` over blocks of paths, and a
+closed-form reference solution runs in blocks of paths too; U, which
 recurs in time, runs in blocks of time.  A block bounds memory only: no
 result depends on it.
 """
@@ -318,7 +319,8 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
     telescope, so they are evaluated directly on the path values.  For a
     constant sigma = I the driver is its Brownian path: without a drift the
-    ``y`` returned is ``w`` itself, and with one it is w + a_int.  ``w`` is
+    ``y`` returned is ``w`` itself, and with one it is w + a_int.  Any other
+    ``y`` is a fresh array, so a_int is added to it in place.  ``w`` is
     a batch (n_paths, fine_count+1, m); ``a_int`` is deterministic and
     returned once, shape (fine_count+1, d).
     """
@@ -352,7 +354,10 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
             if not np.isfinite(a).all():
                 raise ValueError("drift vector contains non-finite entries")
             a_int = grid.times()[:, None] * a
-        y = y + a_int
+        if y is w:
+            y = y + a_int
+        else:  # a fresh array: no second full-size pass
+            y += a_int
     return y, a_int
 
 

@@ -19,15 +19,19 @@ left-point sum) with its symmetric part replaced by the exact identity
 variation.  For a one-dimensional driver this is the exact iterated
 integral (for Brownian noise, ((dW)^2 - dt)/2); in higher dimension only
 the antisymmetric (Levy-area) part still comes from the sub-grid.
+
+The reference (:func:`reference`) is checked for divergence at every fine
+node but kept only at the nodes a caller reads; a rate run keeps the base
+grid's, which every level's grid is a subset of.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
-from .paths import PathBundle, cell_size, stream_cells
+from .paths import PathBundle, cache_blocks, cell_size, stream_cells
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,9 @@ class SchemeOutput:
     values: np.ndarray  # (n_paths, n_times, q)
     coarse_n: int
     diverged: np.ndarray  # (n_paths,) bool
-    first_bad: np.ndarray  # (n_paths,) fine/coarse index of first bad value, -1 if none
+    # (n_paths,) node of the first bad value, -1 if none: a coarse index for a
+    # scheme, a fine index for the reference, which checks every fine node
+    first_bad: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -211,15 +217,30 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     return _march(problem, bundle, coarse_n, step)
 
 
-def reference(problem: SdeProblem, bundle: PathBundle) -> SchemeOutput:
-    """Fine-grid stand-in for the exact solution.
+def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1) -> SchemeOutput:
+    """Fine-grid stand-in for the exact solution, kept at every ``every``-th fine node.
 
-    The closed form is used when the model has one; otherwise the
+    The closed form is used when the model has one, evaluated on one
+    :func:`paths.cache_blocks` slice of paths at a time; otherwise the
     second-order scheme is run with every fine cell as its own step, which
-    carries O(1/fine_count) error of its own.
+    carries O(1/fine_count) error of its own.  Either way the divergence
+    check reads every fine node, so ``first_bad`` is a fine-node index,
+    while ``values`` hold only the fine_count / every + 1 kept nodes
+    (``coarse_n`` of them cells).  ``every`` must divide fine_count.
     """
-    if problem.closed_form is not None:
-        values = np.asarray(problem.closed_form(bundle), dtype=float)
-        diverged, first_bad = _flag_divergence(values)
-        return SchemeOutput(values, bundle.grid.fine_count, diverged, first_bad)
-    return milstein(problem, bundle, bundle.grid.fine_count)
+    fine, q = bundle.grid.fine_count, problem.field.dim_q
+    cells = cell_size(fine, every)
+    if problem.closed_form is None:
+        full = milstein(problem, bundle, fine)
+        values = full.values if every == 1 else full.values[:, ::every].copy()
+        return SchemeOutput(values, cells, full.diverged, full.first_bad)
+    values = np.empty((bundle.n_paths, cells + 1, q))
+    diverged = np.empty(bundle.n_paths, dtype=bool)
+    first_bad = np.empty(bundle.n_paths, dtype=np.intp)
+    # per path: the closed form's fine values and the check's two byte masks
+    for blk in cache_blocks(bundle.n_paths, (fine + 1) * q * 10):
+        full = np.asarray(problem.closed_form(replace(bundle, w=bundle.w[blk], y=bundle.y[blk])),
+                          dtype=float)
+        diverged[blk], first_bad[blk] = _flag_divergence(full)
+        values[blk] = full[:, ::every]
+    return SchemeOutput(values, cells, diverged, first_bad)

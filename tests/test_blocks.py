@@ -2,8 +2,9 @@
 
 ``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
 oracle case run through :func:`paths.stream_cells` over blocks of paths,
-and ``simulate_u`` (which forms dM and dN per time block with
-``simulate_mn``) through :func:`paths.cache_blocks` over blocks of time.
+the closed-form ``reference`` through :func:`paths.cache_blocks` over
+blocks of paths, and ``simulate_u`` (which forms dM and dN per time block
+with ``simulate_mn``) through it over blocks of time.
 Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
 row, of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
@@ -102,8 +103,8 @@ def block_rows(request, monkeypatch):
         lengths.append((count, [b.stop - b.start for b in blocks]))
         return blocks
 
-    # where the streamer and the time-sliced U pass look it up
-    for module in (paths, limits):
+    # where the streamer, the time-sliced U pass and the reference look it up
+    for module in (paths, limits, schemes):
         monkeypatch.setattr(module, "cache_blocks", sized)
     yield
     assert lengths, "no pass ran through cache_blocks"
@@ -158,12 +159,84 @@ def test_fold_iterated_integrals(block_rows, case, timed):
 
 
 def test_only_the_streamer_and_u_read_cache_blocks():
-    # block_rows patches cache_blocks in paths (stream_cells) and limits (the
-    # time-sliced U pass); a pass that looked it up elsewhere would run
-    # unpatched, so the block tests above could not see its blocks
+    # block_rows patches cache_blocks in paths (stream_cells), limits (the
+    # time-sliced U pass) and schemes (the reference's closed form, blocked
+    # over paths); a pass that looked it up elsewhere would run unpatched,
+    # so the block tests here could not see its blocks
     src = pathlib.Path(paths.__file__).parent
     readers = sorted(f.stem for f in src.glob("*.py") if "cache_blocks" in f.read_text())
-    assert readers == ["limits", "paths"]
+    assert readers == ["limits", "paths", "schemes"]
+
+
+def _gbm_with_bad_nodes():
+    # gbm's closed form made +inf at fine node 5 where W_5 > 0.4 and NaN at
+    # node 7 where W_7 < 0: both sit between the kept nodes of every = 4
+    # and 8, so only a check of every fine node flags them
+    gbm = model.make_gbm()
+
+    def cf(bundle):
+        out = gbm.closed_form(bundle)
+        w = bundle.w[..., 0]
+        out[w[:, 5] > 0.4, 5] = np.inf
+        out[w[:, 7] < 0.0, 7] = np.nan
+        return out
+
+    return model.SdeProblem(field=gbm.field, driver=gbm.driver, x0=gbm.x0, closed_form=cf,
+                            label="gbm-bad-nodes")
+
+
+REFERENCE_CASES = {"gbm": model.make_gbm, "gbm-drift": model.make_gbm_drift,
+                   "det-exp": model.make_det_exp, "bad-nodes": _gbm_with_bad_nodes}
+
+
+def _whole_flags(values):
+    bad = ~np.all(np.abs(values) <= model.DIVERGENCE_LIMIT, axis=2)
+    diverged = bad.any(axis=1)
+    return diverged, np.where(diverged, bad.argmax(axis=1), -1)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_reference_keeps_every_kth_node(block_rows, case):
+    # the closed form, evaluated one block of paths at a time and thinned,
+    # against the whole-bundle closed form and its flags on every fine node
+    prob = REFERENCE_CASES[case]()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    whole = np.asarray(prob.closed_form(bundle), dtype=float)
+    diverged, first_bad = _whole_flags(whole)
+    if case == "bad-nodes":
+        w = bundle.w[..., 0]
+        want = np.where(w[:, 5] > 0.4, 5, np.where(w[:, 7] < 0.0, 7, -1))
+        assert set(want) == {-1, 5, 7} and np.array_equal(first_bad, want)
+    for every in (1, 4, COARSE, FINE):
+        ref = schemes.reference(prob, bundle, every=every)
+        assert ref.values.shape == (PATHS, FINE // every + 1, 1)
+        assert ref.coarse_n == FINE // every
+        assert np.array_equal(ref.values, whole[:, ::every], equal_nan=True)
+        assert np.array_equal(ref.diverged, diverged)
+        assert np.array_equal(ref.first_bad, first_bad)
+
+
+def test_reference_without_closed_form_keeps_every_kth_node():
+    # ou has no closed form: Milstein on every fine cell, flagged there and
+    # thinned after
+    prob = model.make_ou()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    full = schemes.milstein(prob, bundle, FINE)
+    for every in (1, 4, COARSE, FINE):
+        ref = schemes.reference(prob, bundle, every=every)
+        assert np.array_equal(ref.values, full.values[:, ::every])
+        assert np.array_equal(ref.diverged, full.diverged)
+        assert np.array_equal(ref.first_bad, full.first_bad)
+
+
+def test_reference_rejects_a_step_that_does_not_divide_the_grid():
+    prob = model.make_gbm()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(2))
+    with pytest.raises(ValueError, match="does not divide"):
+        schemes.reference(prob, bundle, every=3)
 
 
 def _limit_inputs(prob):

@@ -196,6 +196,27 @@ class TestSimulateU:
         u2 = limits.integrate_u(prob, x_ref, dy, given_increments(2 * dm, 2 * dn))
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("make", [model.make_gbm, model.make_gbm_drift],
+                             ids=["gbm", "gbm-drift"])
+    def test_blocks_read_contiguous_noise(self, monkeypatch, make):
+        # simulate_u copies each time block's noise once, so V, dM and dN are
+        # formed from contiguous operands, not from views strided per path
+        prob = make()
+        grid, bundle, aux = limit_inputs(prob, 256, 6, 16)
+        seen, simulate_mn = [], limits.simulate_mn
+
+        def recording(driver, dw, block):
+            seen.append(len(block.times()) - 1)
+            for a in (dw, block.db, block.dwbar):
+                assert a.flags.c_contiguous and a.shape[:2] == (16, seen[-1])
+            return simulate_mn(driver, dw, block)
+
+        monkeypatch.setattr(paths, "BLOCK_BYTES", 1 << 16)  # several time blocks
+        monkeypatch.setattr(limits, "simulate_mn", recording)
+        dy, dw = np.diff(bundle.y, axis=1), np.diff(bundle.w, axis=1)
+        limits.simulate_u(prob, schemes.reference(prob, bundle).values, dy, dw, aux)
+        assert len(seen) > 1 and sum(seen) == grid.fine_count
+
     def test_gbm_second_moment(self):
         real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),
                                        fine_count=1024)

@@ -217,13 +217,13 @@ class TestErrorLaw:
         assert 0.2 < s[:, 0].std() < 1.5
 
 
-def _scheme_chunk_arrays(fine_factor, n_list, paths_n=1000):
-    """tracemalloc peak of a gbm rate chunk in arrays of paths x fine_count."""
-    montecarlo.scheme_error_samples(model.make_gbm(), "milstein", n_list, 50,
+def _scheme_chunk_arrays(fine_factor, n_list, paths_n=1000, make=model.make_gbm):
+    """tracemalloc peak of a rate chunk in arrays of paths x fine_count."""
+    montecarlo.scheme_error_samples(make(), "milstein", n_list, 50,
                                     fine_factor, 1)  # warm caches
     tracemalloc.start()
     try:
-        montecarlo.scheme_error_samples(model.make_gbm(), "milstein", n_list, paths_n,
+        montecarlo.scheme_error_samples(make(), "milstein", n_list, paths_n,
                                         fine_factor, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -233,14 +233,21 @@ def _scheme_chunk_arrays(fine_factor, n_list, paths_n=1000):
 
 class TestChunkMemory:
     def test_scheme_chunk_peak_is_bounded(self):
-        # a gbm rate chunk holds the bundle's W (which is its Y) and the
-        # reference at full size; K's increments and cell split are built
-        # one cache block at a time and the divergence check makes no float
-        # copy of the values
-        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 3
+        # a gbm rate chunk holds one full-size array, the bundle's W (which
+        # is its Y); the reference is kept at the base grid's nodes only and
+        # its closed form evaluated one cache block of paths at a time, K's
+        # increments and cell split are built one cache block at a time and
+        # the divergence check makes no float copy of the values
+        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 2
 
     def test_scheme_chunk_peak_is_bounded_at_n_128(self):
         # the sup error is reduced in the scheme's own values, reading the
-        # coarse reference rows in place, so a finer coarsest level (n = 128
+        # kept reference rows in place, so a finer coarsest level (n = 128
         # on the same fine grid) adds no full-size temporary
-        assert _scheme_chunk_arrays(8, [16, 32, 64, 128]) <= 3
+        assert _scheme_chunk_arrays(8, [16, 32, 64, 128]) <= 2
+
+    def test_drift_scheme_chunk_peak_is_bounded(self):
+        # a gbm-drift chunk holds W and the two-channel Y, three arrays; Y
+        # gets its drift in place, so a second full-size Y is never built,
+        # and the reference adds no full-size array
+        assert _scheme_chunk_arrays(8, [16, 32, 64, 128], make=model.make_gbm_drift) <= 4.5
