@@ -17,12 +17,18 @@ applied to the flattened noise increments.
 
 The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
-the fine grid; only the endpoint U_1 is kept.  U needs each increment of
-M and N once, in time order, so the integrator forms V, dM and dN (drift
-correction included) over all paths of one cache block of time steps at a
-time, from that block's noise copied contiguous once, builds its forcing
-and coupling terms from them, transposes those to time-major in cache and
-steps through them: neither dM, dN nor any term of U is ever full-size.
+the fine grid along the reference solution X; only the endpoint U_1 is
+kept.  U needs each step's X, dY, dW, dM and dN once, in time order, so a
+limit chunk holds only its noise (the driver's W, its Y when Y is not W,
+and the auxiliary families) and the integrator forms the rest over all
+paths of one cache block of time steps at a time: X at the block's left
+nodes from the reference on the block's cells (a marched reference
+carries its last state into the next block), dY and dW as differences of
+the block's nodes, and V, dM and dN (drift correction included) from
+that block's noise copied contiguous once.  It builds its forcing and
+coupling terms from them, transposes those to time-major in cache and
+steps through them: neither X, dY, dW, dM, dN nor any term of U is ever
+full-size.
 """
 
 from dataclasses import dataclass, replace
@@ -31,8 +37,8 @@ import numpy as np
 
 from . import rng, stats
 from .model import SdeProblem
-from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, brownian_family, cache_blocks,
-                    over_chunks, simulate_bundle)
+from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, PathBundle, brownian_family,
+                    cache_blocks, over_chunks, simulate_bundle)
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -66,7 +72,7 @@ class AuxiliaryNoise:
 
     def times(self) -> np.ndarray:
         """The grid nodes these increments span, T of them."""
-        return self.grid.times()[self.start:self.start + self.db.shape[1] + 1]
+        return self.grid.times(slice(self.start, self.start + self.db.shape[1] + 1))
 
 
 def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> AuxiliaryNoise:
@@ -136,36 +142,33 @@ def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.n
     return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
-def integrate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
-                increments) -> np.ndarray:
+def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.ndarray:
     """Integrate the limit error SDE along a reference solution path.
 
     dU^i = U^T Df^i(X) dY - sum_{jk} f^{ij}_k(X) tr(h^k(X) dM^j)
            - (1/2) sum_j tr(f^T Hf^{ij} f dN^j),  U_0 = 0.
 
-    ``x_ref`` is (n_paths, T, q), ``dy`` the driver increments
-    (n_paths, T-1, d); ``increments(blk)`` returns the (drift-corrected)
-    dM and dN of the time steps ``blk``, each (n_paths, len(blk), d, d, d).
-    It is called once per block, in time order.  Left-point Euler on the
-    fine grid; returns U at the last node, shape (n_paths, q).  The loop is
-    causal: truncating every input to its first k cells gives U at node k.
+    ``inputs(blk)`` returns, for the time steps ``blk`` of the ``steps``
+    fine steps, the reference X at their left nodes (n_paths, len(blk), q),
+    the driver's moves dY over them (n_paths, len(blk), d) and their
+    (drift-corrected) dM and dN, each (n_paths, len(blk), d, d, d).  It is
+    called once per cache block of steps, in time order.  Left-point Euler
+    on the fine grid; returns U at the last node, shape (n_paths, q).  The
+    loop is causal: stopping the inputs after k steps gives U at node k.
     """
-    B, T, q = x_ref.shape
-    d = dy.shape[2]
-    m = problem.driver.dim_m
-    field = problem.field
-    cur = np.zeros((B, q))
-    step = np.empty((B, q))
+    field, driver = problem.field, problem.driver
+    q, d, m = field.dim_q, driver.dim_d, driver.dim_m
+    cur = np.zeros((n_paths, q))
+    step = np.empty((n_paths, q))
     # a block's values per step and path: X, f, Df, h and Hf; the forcing,
-    # N term and coupling, batch- and time-major; the dY copied; the noise
-    # copies, V and its diagonal; dM, dN and the drift-corrected dN
+    # N term and coupling, batch- and time-major; dY; the noise copies, dW,
+    # V and its diagonal; dM, dN and the drift-corrected dN
     row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d \
         + 2 * m ** 3 + 3 * m + 3 * d ** 3
-    for blk in cache_blocks(T - 1, B * row * x_ref.itemsize):
-        # the block's inputs, copied out of the full-size arrays once so that
-        # the products below read contiguous memory
-        x_left, dy_b = (np.ascontiguousarray(a[:, blk]) for a in (x_ref, dy))
-        dm_b, dn_b = (np.ascontiguousarray(a) for a in increments(blk))
+    for blk in cache_blocks(steps, n_paths * row * 8):
+        # the block's inputs, contiguous so that the products below read
+        # contiguous memory
+        x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a) for a in inputs(blk))
         f = field.f_at(x_left)
         df = field.df_at(x_left)
         h = np.einsum("xtika,xtkc->xtiac", df, f)
@@ -174,9 +177,7 @@ def integrate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
         forcing = np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm_b)
         np.negative(forcing, out=forcing)
         coupling = np.einsum("xtikj,xtj->xtik", df, dy_b)
-        n_term = np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, field.hf_at(x_left), f, dn_b)
-        n_term *= 0.5
-        forcing -= n_term
+        forcing -= _n_term(f, field.hf_at(x_left), dn_b)
         # time-major for the loop, transposed while the block is in cache
         forcing = np.ascontiguousarray(forcing.transpose(1, 0, 2))
         coupling = np.ascontiguousarray(coupling.transpose(1, 0, 2, 3))
@@ -187,28 +188,54 @@ def integrate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray,
     return cur
 
 
-def simulate_u(problem: SdeProblem, x_ref: np.ndarray, dy: np.ndarray, dw: np.ndarray,
-               aux: AuxiliaryNoise, fps: np.ndarray = None) -> np.ndarray:
-    """U_1 of the limit error SDE driven by the driver's own noise and ``aux``.
+def _n_term(f: np.ndarray, hf: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """(1/2) sum_j tr(f^T Hf^{ij} f dN^j) per path and step, (..., q).
 
-    ``x_ref`` is (n_paths, T, q), ``dy`` and ``dw`` the driver's increments
-    (n_paths, T-1, d) and its Brownian increments (n_paths, T-1, m), ``aux``
-    the auxiliary noise of the same cells.  :func:`integrate_u` takes dM and
-    dN one time block at a time from :func:`simulate_mn` on that block's
-    noise, drift-corrected there, so they never exist at full size.
-    ``fps``, when given, is an (n_paths, 5) array to which each block adds
-    the :func:`stats.fingerprints` of its dM, dN and dW.
+    f^T Hf^{ij} f is contracted first, one (q, d^3) coefficient per path and
+    step, so the sum against dN is one two-operand product.
     """
-    def increments(blk):
-        # the block's noise, copied contiguous once for every product below
-        block, dw_b = aux.steps(blk), np.ascontiguousarray(dw[:, blk])
-        dm, dn = simulate_mn(problem.driver, dw_b, block)
-        dn = drift_correct(dn, problem.driver, block.times())
-        if fps is not None:
-            np.add(fps, stats.fingerprints(dm, dn, dw_b), out=fps)
-        return dm, dn
+    q, d = f.shape[-2:]
+    coef = np.einsum("...ka,...ijkc->...ijca", f, np.einsum("...ijkl,...lc->...ijkc", hf, f))
+    out = np.einsum("...iz,...z->...i", coef.reshape(*coef.shape[:-4], q, d ** 3),
+                    dn.reshape(*dn.shape[:-3], d ** 3))
+    out *= 0.5
+    return out
 
-    return integrate_u(problem, x_ref, dy, increments)
+
+def simulate_u(problem: SdeProblem, bundle: PathBundle, aux: AuxiliaryNoise,
+               fps: np.ndarray = None) -> np.ndarray:
+    """U_1 of the limit error SDE along ``bundle``, driven by its own paths and ``aux``.
+
+    ``aux`` is the auxiliary noise of the bundle's fine cells.
+    :func:`integrate_u` takes its inputs one time block at a time, formed
+    here from the block's nodes and noise: X at the block's left nodes from
+    :func:`schemes.reference` on the block's cells (a marched reference
+    carries its last state into the next block), dY and dW as differences
+    of the block's nodes (one array when Y is W), and dM and dN from
+    :func:`simulate_mn` on the block's noise, drift-corrected there.  None
+    of them ever exists at full size.  ``fps``, when given, is an
+    (n_paths, 5) array to which each block adds the
+    :func:`stats.fingerprints` of its dM, dN and dW.
+    """
+    y, w, driver = bundle.y, bundle.w, problem.driver
+    x = None  # the reference at the next block's first node
+
+    def inputs(blk):
+        nonlocal x
+        ref = reference(problem, bundle, cells=blk, x=x)
+        x = ref.values[:, -1]
+        nodes = slice(blk.start, blk.stop + 1)
+        dy = np.diff(y[:, nodes], axis=1)
+        dw = dy if y is w else np.diff(w[:, nodes], axis=1)
+        # the block's noise, copied contiguous once for every product below
+        block = aux.steps(blk)
+        dm, dn = simulate_mn(driver, dw, block)
+        dn = drift_correct(dn, driver, block.times())
+        if fps is not None:
+            np.add(fps, stats.fingerprints(dm, dn, dw), out=fps)
+        return ref.values[:, :-1], dy, dm, dn
+
+    return integrate_u(problem, bundle.n_paths, bundle.grid.fine_count, inputs)
 
 
 @dataclass(frozen=True)
@@ -228,22 +255,19 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
                      fine_count: int = 4096, fingerprints: bool = False) -> LimitRealization:
     """Sample the limit law of the normalized scheme error.
 
-    Draws a fresh driver path (its own stream family), the auxiliary
-    families, the reference solution along the path, and integrates the
-    limit SDE.  The driver's drift correction is applied automatically.
-    The bundle is dropped once its increments and reference are taken; an
-    identity driver's Y is its W, so its dW is its dY.
+    Draws a fresh driver path (its own stream family) and the auxiliary
+    families, and integrates the limit SDE along the reference solution of
+    that path.  The driver's drift correction is applied automatically.
+    The chunk holds only the noise: the bundle's W (and its Y when Y is not
+    W) and the auxiliary families; the reference, dY, dW, dM and dN are
+    formed one time block at a time inside :func:`simulate_u`.
     """
     grid = Grid(fine_count, 1)
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
                              component=rng.LIMIT_W)
-    x_ref = reference(problem, bundle).values
-    dy = np.diff(bundle.y, axis=1)
-    dw = dy if bundle.y is bundle.w else np.diff(bundle.w, axis=1)
-    del bundle
     aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
-    fps = np.zeros((len(dy), len(stats.FINGERPRINTS))) if fingerprints else None
-    u_end = simulate_u(problem, x_ref, dy, dw, aux, fps)
+    fps = np.zeros((bundle.n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
+    u_end = simulate_u(problem, bundle, aux, fps)
     return LimitRealization(u_end=u_end, fingerprints=fps)
 
 

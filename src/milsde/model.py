@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import (DriverSpec, PathBundle, brownian_motion_driver,
-                    ito_embedding_driver, time_driver)
+from .paths import DriverSpec, brownian_motion_driver, ito_embedding_driver, time_driver
 
 DIVERGENCE_LIMIT = 1e150  # a state beyond this magnitude has diverged
 
@@ -43,7 +42,13 @@ class CoefficientField:
 @dataclass(frozen=True)
 class SdeProblem:
     """Coefficient field, driver and starting point, plus an optional
-    closed-form path map (bundle -> exact solution on the fine grid)."""
+    closed-form path map.
+
+    ``closed_form(w, y, t)`` maps the driver's Brownian path ``w``
+    (n_paths, T, m) and path ``y`` (n_paths, T, d) at the nodes ``t`` (T,)
+    to the exact solution at those nodes, (n_paths, T, q).  It must act node
+    by node: its value at a node reads that node's w, y and t only, so that
+    it may be evaluated on any block of paths and of nodes."""
 
     field: CoefficientField
     driver: DriverSpec
@@ -155,17 +160,15 @@ def _scaled_exp(out: np.ndarray, x0: float) -> np.ndarray:
 
 
 def _gbm_closed_form(x0: float):
-    def cf(bundle: PathBundle) -> np.ndarray:
-        t = bundle.grid.times()
-        out = bundle.y[:, :, 0] - 0.5 * t
+    def cf(w, y, t) -> np.ndarray:
+        out = y[:, :, 0] - 0.5 * t
         return _scaled_exp(out, x0)
     return cf
 
 
 def _gbm_drift_closed_form(x0: float, alpha: float, beta: float):
-    def cf(bundle: PathBundle) -> np.ndarray:
-        t = bundle.grid.times()
-        out = alpha * bundle.w[:, :, 0]
+    def cf(w, y, t) -> np.ndarray:
+        out = alpha * w[:, :, 0]
         out += (beta - 0.5 * alpha ** 2) * t
         return _scaled_exp(out, x0)
     return cf
@@ -183,10 +186,9 @@ def make_det_exp(x0: float = 1.0) -> SdeProblem:
     """dX = X dt via the deterministic driver Y_t = t; solution x0 e^t."""
     one = np.ones_like
 
-    def cf(bundle: PathBundle) -> np.ndarray:
-        t = bundle.grid.times()
+    def cf(w, y, t) -> np.ndarray:
         vals = x0 * np.exp(t)
-        return np.broadcast_to(vals[:, None], (bundle.n_paths, len(t), 1)).copy()
+        return np.broadcast_to(vals[:, None], (len(y), len(t), 1)).copy()
 
     return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), lambda x: 0.0 * x),
                       driver=time_driver(), x0=x0, closed_form=cf, label="det-exp")

@@ -15,8 +15,8 @@ whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
 built.  Every pass over the cells of a coarse grid (K, its fold and the
 oracle cases) is a :func:`stream_cells` over blocks of paths, and a
 closed-form reference solution runs in blocks of paths too; U, which
-recurs in time, runs in blocks of time.  A block bounds memory only: no
-result depends on it.
+recurs in time, runs in blocks of time, and so do the reference, dY and
+dW it reads.  A block bounds memory only: no result depends on it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -56,9 +56,10 @@ class Grid:
     def fine_dt(self) -> float:
         return 1.0 / self.fine_count
 
-    def times(self) -> np.ndarray:
+    def times(self, nodes: slice = slice(None)) -> np.ndarray:
+        """The fine nodes ``nodes`` (all of them by default) as times."""
         # k/fine_count from index arithmetic; never an accumulated float sum
-        return np.arange(self.fine_count + 1) / self.fine_count
+        return np.arange(*nodes.indices(self.fine_count + 1)) / self.fine_count
 
 
 def make_grid(coarse_n: int, fine_factor: int) -> Grid:

@@ -22,10 +22,12 @@ the antisymmetric (Levy-area) part still comes from the sub-grid.
 
 The reference (:func:`reference`) is checked for divergence at every fine
 node but kept only at the nodes a caller reads; a rate run keeps the base
-grid's, which every level's grid is a subset of.
+grid's, which every level's grid is a subset of.  It runs on all fine
+cells or on one block of them, so the limit side walks the grid one time
+block at a time, carrying a marched reference's state between blocks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,15 +92,19 @@ def _increments(y: np.ndarray, step: int):
 
 def iterated_integrals(bundle: PathBundle, coarse_n: int) -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    return _cell_k(bundle.y, coarse_n, bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n))
 
+
+def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray) -> np.ndarray:
+    """K on ``coarse_n`` cells of the nodes of ``y``, whose exact QV per cell is ``qv_exact``."""
     def reduce(dyc, disp, work):
         kmat = _k_block(dyc, disp, work)  # K is formed before the QV reuses its work slots
         qv = np.swapaxes(_channel_last(dyc, work), -1, -2) @ np.moveaxis(dyc, 0, -1)
         return (kmat + 0.5 * (qv - qv_exact),)
 
-    return stream_cells(bundle.n_paths, bundle.grid.fine_count, coarse_n, bundle.driver.dim_d,
-                        _increments(bundle.y, 1), reduce, slots=bundle.driver.dim_d)[0]
+    d = y.shape[2]
+    return stream_cells(len(y), y.shape[1] - 1, coarse_n, d, _increments(y, 1), reduce,
+                        slots=d)[0]
 
 
 def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int) -> np.ndarray:
@@ -135,16 +141,17 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
     return kmat
 
 
-def _march(problem: SdeProblem, bundle: PathBundle, coarse_n: int, step) -> SchemeOutput:
-    """Run ``x = step(x, dy, k)`` from x0 over the ``coarse_n`` cells.
+def _march(x0, y: np.ndarray, coarse_n: int, step) -> SchemeOutput:
+    """Run ``x = step(x, dy, k)`` from ``x0`` over ``coarse_n`` cells of the nodes of ``y``.
 
-    ``x`` is (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d);
-    a path that leaves the band is flagged, never raised.
+    ``x0`` is the start state, (q,) or one per path (n_paths, q); ``x`` is
+    (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d).  A
+    path that leaves the band is flagged, never raised.
     """
-    r = cell_size(bundle.grid.fine_count, coarse_n)
-    y, B, q = bundle.y, bundle.n_paths, problem.field.dim_q
+    r = cell_size(y.shape[1] - 1, coarse_n)
+    B, q = len(y), np.shape(x0)[-1]
     out = np.empty((B, coarse_n + 1, q))
-    x = np.broadcast_to(problem.x0, (B, q)).copy()
+    x = np.broadcast_to(x0, (B, q)).copy()
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(coarse_n):
@@ -157,7 +164,7 @@ def _march(problem: SdeProblem, bundle: PathBundle, coarse_n: int, step) -> Sche
 def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int) -> SchemeOutput:
     """Euler scheme X_{k+1} = X_k + f(X_k)(Y_{k+1} - Y_k) on the coarse grid."""
     f_at = problem.field.f_at
-    return _march(problem, bundle, coarse_n,
+    return _march(problem.x0, bundle.y, coarse_n,
                   lambda x, dy, k: x + np.einsum("bqd,bd->bq", f_at(x), dy))
 
 
@@ -170,14 +177,17 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     """
     if kmat is None:
         kmat = iterated_integrals(bundle, coarse_n)
-    fld = problem.field
+    return _march(problem.x0, bundle.y, coarse_n, _milstein_step(problem.field, kmat))
 
+
+def _milstein_step(fld, kmat: np.ndarray):
+    """Milstein's step on cells whose K is ``kmat``, (n_paths, cells, d, d)."""
     def step(x, dy, k):
         f = fld.f_at(x)
         return x + np.einsum("bqd,bd->bq", f, dy) \
                  + np.einsum("biac,bca->bi", correction_pairing(fld, x, f), kmat[:, k])
 
-    return _march(problem, bundle, coarse_n, step)
+    return step
 
 
 def has_ito_embedding(problem: SdeProblem) -> bool:
@@ -214,33 +224,48 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
                 + a * da * kc[:, 0, 0] + a * db * kc[:, 0, 1]
                 + da * b * kc[:, 1, 0] + b * db * kc[:, 1, 1])[:, None]
 
-    return _march(problem, bundle, coarse_n, step)
+    return _march(problem.x0, bundle.y, coarse_n, step)
 
 
-def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1) -> SchemeOutput:
+def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
+              cells: slice = None, x: np.ndarray = None) -> SchemeOutput:
     """Fine-grid stand-in for the exact solution, kept at every ``every``-th fine node.
 
-    The closed form is used when the model has one, evaluated on one
-    :func:`paths.cache_blocks` slice of paths at a time; otherwise the
-    second-order scheme is run with every fine cell as its own step, which
-    carries O(1/fine_count) error of its own.  Either way the divergence
-    check reads every fine node, so ``first_bad`` is a fine-node index,
-    while ``values`` hold only the fine_count / every + 1 kept nodes
-    (``coarse_n`` of them cells).  ``every`` must divide fine_count.
+    ``cells`` is a slice of the fine cells with its start and stop given,
+    all of them by default; the solution runs over its nodes, ``cells.start``
+    to ``cells.stop``.  The closed form is used when the model has one,
+    evaluated on those nodes one :func:`paths.cache_blocks` slice of paths
+    at a time.  Otherwise the second-order scheme is run with every fine
+    cell as its own step, which carries O(1/fine_count) error of its own,
+    from the states ``x`` at node ``cells.start`` (x0 when not given); its K
+    is formed on these cells only.  A caller that walks the grid in blocks
+    of cells, passing each block's last values as the next block's ``x``,
+    gets the whole-grid values block by block, bit for bit, and never holds
+    a whole-grid K or solution.  Either way the divergence check reads every
+    node, so ``first_bad`` is a fine-node index counted from ``cells.start``,
+    while ``values`` hold only the len(cells) / every + 1 kept nodes
+    (``coarse_n`` of them cells).  ``every`` must divide len(cells).
     """
-    fine, q = bundle.grid.fine_count, problem.field.dim_q
-    cells = cell_size(fine, every)
+    if cells is None:
+        cells = slice(0, bundle.grid.fine_count)
+    count, q = cells.stop - cells.start, problem.field.dim_q
+    kept = cell_size(count, every)
+    nodes = slice(cells.start, cells.stop + 1)
+    times = bundle.grid.times(nodes)
     if problem.closed_form is None:
-        full = milstein(problem, bundle, fine)
+        y = bundle.y[:, nodes]
+        kmat = _cell_k(y, count, bundle.driver.cell_qv(times))
+        full = _march(problem.x0 if x is None else x, y, count,
+                      _milstein_step(problem.field, kmat))
         values = full.values if every == 1 else full.values[:, ::every].copy()
-        return SchemeOutput(values, cells, full.diverged, full.first_bad)
-    values = np.empty((bundle.n_paths, cells + 1, q))
+        return SchemeOutput(values, kept, full.diverged, full.first_bad)
+    values = np.empty((bundle.n_paths, kept + 1, q))
     diverged = np.empty(bundle.n_paths, dtype=bool)
     first_bad = np.empty(bundle.n_paths, dtype=np.intp)
-    # per path: the closed form's fine values and the check's two byte masks
-    for blk in cache_blocks(bundle.n_paths, (fine + 1) * q * 10):
-        full = np.asarray(problem.closed_form(replace(bundle, w=bundle.w[blk], y=bundle.y[blk])),
+    # per path: the closed form's values at the nodes and the check's two byte masks
+    for blk in cache_blocks(bundle.n_paths, (count + 1) * q * 10):
+        full = np.asarray(problem.closed_form(bundle.w[blk, nodes], bundle.y[blk, nodes], times),
                           dtype=float)
         diverged[blk], first_bad[blk] = _flag_divergence(full)
         values[blk] = full[:, ::every]
-    return SchemeOutput(values, cells, diverged, first_bad)
+    return SchemeOutput(values, kept, diverged, first_bad)

@@ -3,8 +3,8 @@
 ``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
 oracle case run through :func:`paths.stream_cells` over blocks of paths,
 the closed-form ``reference`` through :func:`paths.cache_blocks` over
-blocks of paths, and ``simulate_u`` (which forms dM and dN per time block
-with ``simulate_mn``) through it over blocks of time.
+blocks of paths, and ``simulate_u`` (which forms the reference, dY, dW,
+dM and dN per time block) through it over blocks of time.
 Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
 row, of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
@@ -48,7 +48,10 @@ def u_whole(problem, x_ref, dy, dm, dn):
     f, df, hf = field.f_at(x_left), field.df_at(x_left), field.hf_at(x_left)
     h = np.einsum("xtika,xtkc->xtiac", df, f)
     forcing = -np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm)
-    forcing -= 0.5 * np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn)
+    # f^T Hf f contracted first, then one product against dN
+    coef = np.einsum("xtka,xtijkc->xtijca", f, np.einsum("xtijkl,xtlc->xtijkc", hf, f))
+    forcing -= 0.5 * np.einsum("xtiz,xtz->xti", coef.reshape(B, T - 1, q, -1),
+                               dn.reshape(B, T - 1, -1))
     coupling = np.einsum("xtikj,xtj->xtik", df, dy)
     cur = np.zeros((B, q))
     for t in range(T - 1):
@@ -174,11 +177,11 @@ def _gbm_with_bad_nodes():
     # and 8, so only a check of every fine node flags them
     gbm = model.make_gbm()
 
-    def cf(bundle):
-        out = gbm.closed_form(bundle)
-        w = bundle.w[..., 0]
-        out[w[:, 5] > 0.4, 5] = np.inf
-        out[w[:, 7] < 0.0, 7] = np.nan
+    def cf(w, y, t):
+        out = gbm.closed_form(w, y, t)
+        w = w[..., 0]
+        out[(w > 0.4) & (t == 5 / FINE)] = np.inf
+        out[(w < 0.0) & (t == 7 / FINE)] = np.nan
         return out
 
     return model.SdeProblem(field=gbm.field, driver=gbm.driver, x0=gbm.x0, closed_form=cf,
@@ -202,7 +205,7 @@ def test_reference_keeps_every_kth_node(block_rows, case):
     prob = REFERENCE_CASES[case]()
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
-    whole = np.asarray(prob.closed_form(bundle), dtype=float)
+    whole = np.asarray(prob.closed_form(bundle.w, bundle.y, bundle.grid.times()), dtype=float)
     diverged, first_bad = _whole_flags(whole)
     if case == "bad-nodes":
         w = bundle.w[..., 0]
@@ -229,6 +232,31 @@ def test_reference_without_closed_form_keeps_every_kth_node():
         assert np.array_equal(ref.values, full.values[:, ::every])
         assert np.array_equal(ref.diverged, full.diverged)
         assert np.array_equal(ref.first_bad, full.first_bad)
+
+
+@pytest.mark.parametrize("case", ["gbm", "bad-nodes", "ou", "field2-callable"])
+def test_reference_walks_blocks_of_cells(block_rows, case):
+    # blocks of cells, each started from the last values of the one before,
+    # give the whole-grid reference node for node, with its flags
+    prob = _problem("field2", True) if case == "field2-callable" else \
+        model.make_ou() if case == "ou" else REFERENCE_CASES[case]()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    whole = schemes.reference(prob, bundle)
+    x, values, first_bad = None, [], np.full(PATHS, -1)
+    for cells in (slice(0, 8), slice(8, 11), slice(11, 12), slice(12, FINE)):
+        ref = schemes.reference(prob, bundle, cells=cells, x=x)
+        assert ref.values.shape == (PATHS, cells.stop - cells.start + 1, prob.field.dim_q)
+        assert ref.coarse_n == cells.stop - cells.start
+        x = ref.values[:, -1]
+        values.append(ref.values[:, :-1])
+        first_bad = np.where((first_bad < 0) & ref.diverged, cells.start + ref.first_bad,
+                             first_bad)
+    values.append(x[:, None])
+    assert np.array_equal(np.concatenate(values, axis=1), whole.values, equal_nan=True)
+    assert np.array_equal(first_bad, whole.first_bad)
+    if case == "bad-nodes":
+        assert set(first_bad) == {-1, 5, 7}
 
 
 def test_reference_rejects_a_step_that_does_not_divide_the_grid():
@@ -260,22 +288,28 @@ def test_simulate_mn(block_rows, case, timed):
             assert got.shape == want[:, blk].shape and np.array_equal(got, want[:, blk])
 
 
-@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
-def test_simulate_u(block_rows, case, timed):
-    # V, dM and dN formed and drift-corrected one time block at a time,
-    # against whole-size dM/dN, the whole-grid drift correction and the
-    # whole-array integrator; the embedding case is the one with a drift
-    prob = _problem(case, timed)
-    grid, dw, aux = _limit_inputs(prob)
-    r = np.random.default_rng(11)
-    q, d = prob.field.dim_q, prob.driver.dim_d
-    x_ref = r.uniform(-1.0, 1.5, (PATHS, FINE + 1, q))
-    dy = r.standard_normal((PATHS, FINE, d)) / np.sqrt(FINE)
-    dm, dn = mn_whole(prob.driver, dw, aux)
+# the shapes of CASES, all marched (no closed form), and two closed forms:
+# gbm, whose Y is its W, and the (W, t) embedding with a drift
+U_CASES = {**{i: (lambda c=c, t=t: _problem(c, t)) for i, (c, t) in zip(IDS, CASES)},
+           "gbm-closed-form": model.make_gbm, "gbm-drift-closed-form": model.make_gbm_drift}
+
+
+@pytest.mark.parametrize("case", U_CASES)
+def test_simulate_u(block_rows, case):
+    # the reference, dY, dW, dM and dN formed (and dN drift-corrected) one
+    # time block at a time, against the whole-grid reference, np.diff of the
+    # paths, whole-size dM/dN, the whole-grid drift correction and the
+    # whole-array integrator
+    prob = U_CASES[case]()
+    grid = paths.Grid(FINE, 1)
+    bundle = paths.simulate_bundle(prob.driver, grid, 9, range(PATHS), component=rng.LIMIT_W)
+    aux = limits.sample_aux(grid, prob.driver.dim_m, 9, range(PATHS))
+    dm, dn = mn_whole(prob.driver, np.diff(bundle.w, axis=1), aux)
     dn = limits.drift_correct(dn, prob.driver, grid.times())
-    got = limits.simulate_u(prob, x_ref, dy, dw, aux)
-    want = u_whole(prob, x_ref, dy, dm, dn)
-    assert got.shape == (PATHS, q) and np.array_equal(got, want)
+    x_ref = schemes.reference(prob, bundle).values
+    got = limits.simulate_u(prob, bundle, aux)
+    want = u_whole(prob, x_ref, np.diff(bundle.y, axis=1), dm, dn)
+    assert got.shape == (PATHS, prob.field.dim_q) and np.array_equal(got, want)
 
 
 def oracle_whole(case, n, fine_factor, n_paths, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from milsde import crosscheck, limits, model, paths, rng, schemes, stats
+from test_blocks import _trig_field
 
 
 def limit_inputs(problem, fine_count, seed, n_draws):
@@ -15,23 +16,31 @@ def limit_inputs(problem, fine_count, seed, n_draws):
     return grid, bundle, aux
 
 
-def u_at_every_node(problem, x_ref, dy, dw, aux):
-    """U at each fine node: U_1 of the inputs truncated to each prefix.
+def whole_inputs(problem, bundle, aux):
+    """Whole-array X, dY, dM and dN of :func:`limits.simulate_u` on ``bundle``."""
+    dm, dn = limits.simulate_mn(problem.driver, np.diff(bundle.w, axis=1), aux)
+    dn = limits.drift_correct(dn, problem.driver, bundle.grid.times())
+    return schemes.reference(problem, bundle).values, np.diff(bundle.y, axis=1), dm, dn
 
-    The integrator is causal, so the endpoint of the first k cells is U at
-    node k.  Shape (n_paths, T, q) with U_0 = 0.
+
+def u_at_every_node(problem, bundle, aux):
+    """U at each fine node: U_1 of the inputs stopped after each step k.
+
+    The integrator is causal, so the endpoint of the first k steps is U at
+    node k.  Shape (n_paths, T, q) with U_0 = 0; U_1 is the simulator's.
     """
+    x_ref, dy, dm, dn = whole_inputs(problem, bundle, aux)
     steps = dy.shape[1]
     u = np.zeros((x_ref.shape[0], steps + 1, x_ref.shape[2]))
     for k in range(1, steps + 1):
-        u[:, k] = limits.simulate_u(problem, x_ref[:, :k + 1], dy[:, :k], dw[:, :k],
-                                    aux.steps(slice(0, k)))
+        u[:, k] = limits.integrate_u(problem, len(dy), k, given_inputs(x_ref, dy, dm, dn))
+    assert np.array_equal(u[:, -1], limits.simulate_u(problem, bundle, aux))
     return u
 
 
-def given_increments(dm, dn):
-    """The ``increments`` of :func:`limits.integrate_u` for whole arrays."""
-    return lambda blk: (dm[:, blk], dn[:, blk])
+def given_inputs(x_ref, dy, dm, dn):
+    """The ``inputs`` of :func:`limits.integrate_u` for whole arrays."""
+    return lambda blk: (x_ref[:, blk], dy[:, blk], dm[:, blk], dn[:, blk])
 
 
 class TestAuxiliaryNoise:
@@ -181,9 +190,7 @@ class TestSimulateU:
         prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1),
                                 x0=1.0)
         grid, bundle, aux = limit_inputs(prob, 256, 5, 8)
-        x_ref = schemes.reference(prob, bundle).values
-        dy = np.diff(bundle.y, axis=1)
-        u = limits.simulate_u(prob, x_ref, dy, dy, aux)
+        u = limits.simulate_u(prob, bundle, aux)
         assert u.shape == (8, 1) and np.all(u == 0.0)
 
     def test_linearity_in_forcing(self):
@@ -192,8 +199,8 @@ class TestSimulateU:
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
         dy = np.diff(bundle.y, axis=1)
-        u1 = limits.integrate_u(prob, x_ref, dy, given_increments(dm, dn))
-        u2 = limits.integrate_u(prob, x_ref, dy, given_increments(2 * dm, 2 * dn))
+        u1 = limits.integrate_u(prob, 16, 256, given_inputs(x_ref, dy, dm, dn))
+        u2 = limits.integrate_u(prob, 16, 256, given_inputs(x_ref, dy, 2 * dm, 2 * dn))
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("make", [model.make_gbm, model.make_gbm_drift],
@@ -213,9 +220,25 @@ class TestSimulateU:
 
         monkeypatch.setattr(paths, "BLOCK_BYTES", 1 << 16)  # several time blocks
         monkeypatch.setattr(limits, "simulate_mn", recording)
-        dy, dw = np.diff(bundle.y, axis=1), np.diff(bundle.w, axis=1)
-        limits.simulate_u(prob, schemes.reference(prob, bundle).values, dy, dw, aux)
+        limits.simulate_u(prob, bundle, aux)
         assert len(seen) > 1 and sum(seen) == grid.fine_count
+
+    @pytest.mark.parametrize("field", ["embedding", "field2"])
+    def test_n_term_matches_four_operand_einsum(self, field):
+        # the N term through the (q, d^3) coefficient f^T Hf f per path and
+        # step, against the four-operand contraction it replaced
+        if field == "field2":
+            fld = _trig_field()
+        else:
+            fld = model.ito_field(a=np.sin, da=np.cos, d2a=lambda x: -np.sin(x), b=np.cos,
+                                  db=lambda x: -np.sin(x), d2b=lambda x: -np.cos(x))
+        r = np.random.default_rng(4)
+        q, d = fld.dim_q, fld.dim_d
+        x = r.uniform(-1.0, 1.5, (6, 9, q))
+        dn = r.standard_normal((6, 9, d, d, d))
+        f, hf = fld.f_at(x), fld.hf_at(x)
+        want = 0.5 * np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn)
+        np.testing.assert_allclose(limits._n_term(f, hf, dn), want, rtol=1e-12, atol=1e-15)
 
     def test_gbm_second_moment(self):
         real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),
@@ -230,10 +253,10 @@ class TestSimulateU:
         prob = model.make_det_exp()
         grid = paths.Grid(4096, 1)
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
-        x_ref = prob.closed_form(bundle)
+        x_ref = prob.closed_form(bundle.w, bundle.y, grid.times())
         dm_fv, dn_fv = crosscheck.fv_deterministic_mn(prob.driver, grid.times())
-        u = limits.integrate_u(prob, x_ref, np.diff(bundle.y, axis=1),
-                               given_increments(dm_fv, dn_fv))
+        u = limits.integrate_u(prob, 1, 4096, given_inputs(x_ref, np.diff(bundle.y, axis=1),
+                                                          dm_fv, dn_fv))
         ode = crosscheck.fv_error_ode(prob)
         assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
 
@@ -259,8 +282,7 @@ class TestItoErrorLimit:
                                  d2b=lambda x: -np.cos(x), x0=0.7, label="trig")
         grid, bundle, aux = limit_inputs(prob, 512, 21, 32)
         x_ref = schemes.reference(prob, bundle).values
-        u_general = u_at_every_node(prob, x_ref, np.diff(bundle.y, axis=1),
-                                    np.diff(bundle.w, axis=1), aux)
+        u_general = u_at_every_node(prob, bundle, aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                                grid.times())
@@ -270,9 +292,8 @@ class TestItoErrorLimit:
         # a(x) = x, b = 0: the display and the general route agree in law
         prob = model.make_gbm_drift(alpha=1.0, beta=0.0)
         grid, bundle, aux = limit_inputs(prob, 512, 23, 4000)
-        x_ref = prob.closed_form(bundle)
-        dy, dw = np.diff(bundle.y, axis=1), np.diff(bundle.w, axis=1)
-        u_general = limits.simulate_u(prob, x_ref, dy, dw, aux)
+        x_ref = prob.closed_form(bundle.w, bundle.y, grid.times())
+        u_general = limits.simulate_u(prob, bundle, aux)
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                                grid.times())
@@ -283,8 +304,9 @@ class TestItoErrorLimit:
         # every node of the path, on the first 32 draws: the prefix walk
         # costs one integration per node
         sub = slice(0, 32)
+        bundle_sub = replace(bundle, w=bundle.w[sub], y=bundle.y[sub])
         aux_sub = replace(aux, db=aux.db[sub], dwbar=aux.dwbar[sub])
-        u_nodes = u_at_every_node(prob, x_ref[sub], dy[sub], dw[sub], aux_sub)
+        u_nodes = u_at_every_node(prob, bundle_sub, aux_sub)
         assert np.allclose(u_nodes, u_display[sub], atol=1e-10)
 
 
@@ -312,9 +334,6 @@ class TestFvErrorOde:
         # approaches the ODE value within 1%
         spec = paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.zeros((1, 1)),
                                 drift=lambda s: np.array([s]), label="ramp")
-
-        def closed_form(bundle):
-            return np.exp(bundle.y[:, :, 0])[..., None]
 
         fld = model.scalar_field(lambda x: x, lambda x: np.ones_like(x),
                                  lambda x: 0.0 * x)
@@ -356,19 +375,26 @@ class TestFingerprints:
         assert plain.fingerprints is None and np.array_equal(plain.u_end, real.u_end)
 
 
+# (draws, fine_count) arrays that one limit chunk may hold at its peak
+LIMIT_CHUNK_ARRAYS = {"gbm": 3.5, "gbm-drift": 6.0, "ou": 6.0}
+
+
 class TestChunkMemory:
-    def test_limit_chunk_peak_is_bounded(self):
+    @pytest.mark.parametrize("name", LIMIT_CHUNK_ARRAYS)
+    def test_limit_chunk_peak_is_bounded(self, name):
         # the limit side holds a fixed number of (draws, fine_count) arrays
-        # at once: the reference, dY (which is dW for gbm) and the auxiliary
-        # noise, with dM, dN and every other term built one cache block of
-        # time steps at a time; full-size dM/dN, a second dW, a running
-        # series or a full-size temporary kept alive again would break it
-        draws, fine_count = 1000, 1024
-        limits.sample_error_limit_end(model.make_gbm(), 2, 50, fine_count)  # warm caches
+        # at once: the driver's W (and Y when Y is not W; gbm-drift and ou
+        # hold a two-component Y) and the auxiliary noise, with the
+        # reference, dY, dW, dM, dN and every other term built one cache
+        # block of time steps at a time.  A full-size reference, K, dY or dW
+        # kept alive again would break it (before these were blocked the
+        # chunk read 4.21, 7.02 and 8.26 arrays)
+        prob, draws, fine_count = model.get_model(name), 1000, 1024
+        limits.sample_error_limit_end(prob, 2, 50, fine_count)  # warm caches
         tracemalloc.start()
         try:
-            limits.sample_error_limit_end(model.make_gbm(), 2, draws, fine_count)
+            limits.sample_error_limit_end(prob, 2, draws, fine_count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * draws * fine_count * 8
+        assert peak <= LIMIT_CHUNK_ARRAYS[name] * draws * fine_count * 8

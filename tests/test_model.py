@@ -188,21 +188,20 @@ class TestBuiltinModels:
         prob = model.make_gbm()
         g = paths.make_grid(1, 4)
         b = paths.simulate_bundle(prob.driver, g, 1, [0])
-        frozen = paths.PathBundle(g, prob.driver, np.zeros_like(b.w),
-                                  np.zeros_like(b.y), b.a_int)
-        assert np.isclose(prob.closed_form(frozen)[0, -1, 0], np.exp(-0.5), atol=1e-15)
+        frozen = prob.closed_form(np.zeros_like(b.w), np.zeros_like(b.y), g.times())
+        assert np.isclose(frozen[0, -1, 0], np.exp(-0.5), atol=1e-15)
 
     def test_det_exp_closed_form(self):
         prob = model.make_det_exp()
         g = paths.make_grid(4, 4)
         b = paths.simulate_bundle(prob.driver, g, 1, [0])
-        assert np.isclose(prob.closed_form(b)[0, -1, 0], np.e, atol=1e-14)
+        assert np.isclose(prob.closed_form(b.w, b.y, g.times())[0, -1, 0], np.e, atol=1e-14)
 
     def test_gbm_terminal_mean_is_martingale(self):
         prob = model.make_gbm()
         g = paths.make_grid(1, 1)
         b = paths.simulate_bundle(prob.driver, g, 33, range(100_000))
-        x1 = prob.closed_form(b)[:, -1, 0]
+        x1 = prob.closed_form(b.w, b.y, g.times())[:, -1, 0]
         se = x1.std(ddof=1) / np.sqrt(x1.size)
         assert abs(x1.mean() - 1.0) < 3 * se
 
@@ -218,6 +217,6 @@ class TestBuiltinModels:
             g = paths.make_grid(1 << 14, 1)
             b = paths.simulate_bundle(prob.driver, g, 17, range(100))
             solved = schemes.milstein(prob, b, g.fine_count).values[:, -1, 0]
-            exact = prob.closed_form(b)[:, -1, 0]
+            exact = prob.closed_form(b.w, b.y, g.times())[:, -1, 0]
             rms = np.sqrt(np.mean((solved - exact) ** 2))
             assert rms < 1e-3, name

@@ -54,7 +54,10 @@ def test_traced_lemma_check_attributes_draws_and_quartic_products(tmp_path):
 def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     # the scheme side draws one normal per path and fine cell; the limit side
     # one per draw and cell for W, each B^{pij} and each Wbar^p.  dM and dN
-    # are formed per time block inside U, never for a whole chunk
+    # are formed per time block inside U, never for a whole chunk.  The
+    # tracer wraps the limit side by the names limits looks up, so each of
+    # its sites records calls; the scheme side calls the reference once for
+    # its one chunk, the limit side once per time block of U
     n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 128, 1000, 1000, 1
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -69,8 +72,11 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     layers = json.loads(result.read_text())["layers"]
     assert layers["rng.normals"] == (n_paths * n * fine_factor
                                      + draws * fine_count * (1 + m ** 3 + m))
-    assert layers["limits.simulate_u.calls"] >= 1
-    assert layers["limits.simulate_mn.calls"] >= 1
+    for site in ("limits.sample_aux", "limits.simulate_mn", "limits.simulate_u",
+                 "schemes.reference"):
+        assert layers[f"{site}.calls"] >= 1, site
+    assert layers["limits.simulate_u.calls"] == 1
+    assert layers["schemes.reference.calls"] > 2
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
 
 
