@@ -29,7 +29,8 @@ import numpy as np
 
 from . import limits, montecarlo, oracles, rng, schemes, stats
 from .model import builtin_models, get_model
-from .paths import DEFAULT_CHUNK, MAX_FINE_COUNT, make_grid, over_chunks, simulate_bundle
+from .paths import (DEFAULT_CHUNK, MAX_FINE_COUNT, MAX_THREADS, make_grid, over_chunks,
+                    simulate_bundle)
 
 SCHEMA_VERSION = "v1"
 OUT_DIR_ENV = "MILSDE_OUT_DIR"
@@ -178,6 +179,8 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
                 errors.append(f"{key} must be >= {least}")
             elif key in ("paths", "draws") and values[key] >= rng.INDEX_LIMIT:
                 errors.append(f"{key} must be < 2^32: path indices are 32-bit keys")
+            elif key == "threads" and values[key] > MAX_THREADS:
+                errors.append(f"threads must be <= {MAX_THREADS}, got {values[key]}")
 
     model, scheme, case = values["model"], values["scheme"], values["case"]
     if "model" in keys:

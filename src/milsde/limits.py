@@ -28,7 +28,8 @@ the block's nodes, and V, dM and dN (drift correction included) from
 that block's noise copied contiguous once.  It builds its forcing and
 coupling terms from them, transposes those to time-major in cache and
 steps through them: neither X, dY, dW, dM, dN nor any term of U is ever
-full-size.
+full-size.  Sigma's cube is formed once per chunk, and a draw whose
+reference leaves the band at any node makes the chunk raise.
 """
 
 from dataclasses import dataclass, replace
@@ -99,23 +100,35 @@ def assemble_v_increments(aux: AuxiliaryNoise, dw: np.ndarray) -> np.ndarray:
     return dv
 
 
-def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise) -> tuple:
+def sigma_cube(driver: DriverSpec, times: np.ndarray) -> np.ndarray:
+    """sigma^{jp} sigma^{au} sigma^{cv} at each of ``times``, (T, m^3, d^3).
+
+    Row (p*m + u)*m + v meets the flattened [p, u, v] noise entry, column
+    (j*d + a)*d + c the [j, a, c] one.
+    """
+    d, m = driver.dim_d, driver.dim_m
+    sig = driver.sigma_at(times)
+    return np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(len(times), m ** 3, d ** 3)
+
+
+def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise,
+                cube: np.ndarray = None) -> tuple:
     """Increments (dM, dN) of the limit processes over the cells of ``aux``.
 
     Returns two arrays of shape (n_paths, T-1, d, d, d) indexed [j, row, col].
     ``dw`` must be the driver's own Brownian increments over the same cells,
     (n_paths, T-1, m); the diagonal of V couples to them.  The three sigma
-    factors are contracted once per time step, so each family costs one
-    two-operand product with the flattened noise increments.
-    :func:`simulate_u` calls this on one cache block of time steps at a
-    time, so V, dM and dN are formed whole for that block.
+    factors are contracted once per time step (``cube``, the
+    :func:`sigma_cube` at the cells' left nodes, formed here when not
+    given), so each family costs one two-operand product with the
+    flattened noise increments.  :func:`simulate_u` calls this on one cache
+    block of time steps at a time, so V, dM and dN are formed whole for
+    that block, and forms the cube once for all of them.
     """
     d = driver.dim_d
     B, T, m = dw.shape
-    sig = driver.sigma_at(aux.times()[:-1])
-    # sigma^{jp} sigma^{au} sigma^{cv} per step: row (p*m + u)*m + v meets the
-    # flattened [p, u, v] noise entry, column (j*d + a)*d + c the [j, a, c] one
-    cube = np.einsum("tjp,tau,tcv->tpuvjac", sig, sig, sig).reshape(T, m ** 3, d ** 3)
+    if cube is None:
+        cube = sigma_cube(driver, aux.times()[:-1])
     dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
     dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube)
     dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (SQRT6 / 6.0) * cube)
@@ -174,7 +187,7 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
         h = np.einsum("xtika,xtkc->xtiac", df, f)
         # U-independent increments and U-coupling matrices
         # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j
-        forcing = np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm_b)
+        forcing = _m_term(df, h, dm_b)
         np.negative(forcing, out=forcing)
         coupling = np.einsum("xtikj,xtj->xtik", df, dy_b)
         forcing -= _n_term(f, field.hf_at(x_left), dn_b)
@@ -188,22 +201,40 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
     return cur
 
 
+def _flat_product(coef: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """sum over [j, row, col] of coef[..., i, j, row, col] dz[..., j, row, col], (..., q).
+
+    One two-operand product of a (q, d^3) coefficient per path and step
+    with the flattened increments.
+    """
+    q, d = coef.shape[-4:-2]
+    return np.einsum("...iz,...z->...i", coef.reshape(*coef.shape[:-4], q, d ** 3),
+                     dz.reshape(*dz.shape[:-3], d ** 3))
+
+
+def _m_term(df: np.ndarray, h: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """sum_{jk} (Df^i)_{kj} tr(h^k dM^j) per path and step, (..., q).
+
+    Df h is contracted first, one (q, d^3) coefficient per path and step, so
+    the sum against dM is one two-operand product.
+    """
+    return _flat_product(np.einsum("...ikj,...kac->...ijca", df, h), dm)
+
+
 def _n_term(f: np.ndarray, hf: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """(1/2) sum_j tr(f^T Hf^{ij} f dN^j) per path and step, (..., q).
 
     f^T Hf^{ij} f is contracted first, one (q, d^3) coefficient per path and
     step, so the sum against dN is one two-operand product.
     """
-    q, d = f.shape[-2:]
     coef = np.einsum("...ka,...ijkc->...ijca", f, np.einsum("...ijkl,...lc->...ijkc", hf, f))
-    out = np.einsum("...iz,...z->...i", coef.reshape(*coef.shape[:-4], q, d ** 3),
-                    dn.reshape(*dn.shape[:-3], d ** 3))
+    out = _flat_product(coef, dn)
     out *= 0.5
     return out
 
 
 def simulate_u(problem: SdeProblem, bundle: PathBundle, aux: AuxiliaryNoise,
-               fps: np.ndarray = None) -> np.ndarray:
+               fps: np.ndarray = None, diverged: np.ndarray = None) -> np.ndarray:
     """U_1 of the limit error SDE along ``bundle``, driven by its own paths and ``aux``.
 
     ``aux`` is the auxiliary noise of the bundle's fine cells.
@@ -212,24 +243,29 @@ def simulate_u(problem: SdeProblem, bundle: PathBundle, aux: AuxiliaryNoise,
     :func:`schemes.reference` on the block's cells (a marched reference
     carries its last state into the next block), dY and dW as differences
     of the block's nodes (one array when Y is W), and dM and dN from
-    :func:`simulate_mn` on the block's noise, drift-corrected there.  None
-    of them ever exists at full size.  ``fps``, when given, is an
-    (n_paths, 5) array to which each block adds the
-    :func:`stats.fingerprints` of its dM, dN and dW.
+    :func:`simulate_mn` on the block's noise, drift-corrected there, with
+    sigma's cube formed once for every block.  None of them ever exists at
+    full size.  ``fps``, when given, is an (n_paths, 5) array to which each
+    block adds the :func:`stats.fingerprints` of its dM, dN and dW;
+    ``diverged``, when given, an (n_paths,) bool array that each block
+    marks with the paths whose reference left the band on its nodes.
     """
     y, w, driver = bundle.y, bundle.w, problem.driver
     x = None  # the reference at the next block's first node
+    cube = sigma_cube(driver, bundle.grid.times()[:-1])
 
     def inputs(blk):
         nonlocal x
         ref = reference(problem, bundle, cells=blk, x=x)
         x = ref.values[:, -1]
+        if diverged is not None:
+            np.logical_or(diverged, ref.diverged, out=diverged)
         nodes = slice(blk.start, blk.stop + 1)
         dy = np.diff(y[:, nodes], axis=1)
         dw = dy if y is w else np.diff(w[:, nodes], axis=1)
         # the block's noise, copied contiguous once for every product below
         block = aux.steps(blk)
-        dm, dn = simulate_mn(driver, dw, block)
+        dm, dn = simulate_mn(driver, dw, block, cube[blk])
         dn = drift_correct(dn, driver, block.times())
         if fps is not None:
             np.add(fps, stats.fingerprints(dm, dn, dw), out=fps)
@@ -260,14 +296,20 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     that path.  The driver's drift correction is applied automatically.
     The chunk holds only the noise: the bundle's W (and its Y when Y is not
     W) and the auxiliary families; the reference, dY, dW, dM and dN are
-    formed one time block at a time inside :func:`simulate_u`.
+    formed one time block at a time inside :func:`simulate_u`.  A draw whose
+    reference leaves the band at any fine node has no meaningful U, so any
+    such draw raises ArithmeticError, naming how many there are.
     """
     grid = Grid(fine_count, 1)
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
                              component=rng.LIMIT_W)
     aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
     fps = np.zeros((bundle.n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
-    u_end = simulate_u(problem, bundle, aux, fps)
+    diverged = np.zeros(bundle.n_paths, dtype=bool)
+    u_end = simulate_u(problem, bundle, aux, fps, diverged)
+    if diverged.any():
+        raise ArithmeticError(f"{int(diverged.sum())} draws diverged in the limit law's "
+                              "reference solution")
     return LimitRealization(u_end=u_end, fingerprints=fps)
 
 

@@ -7,6 +7,14 @@ dropped from every coarseness (pairwise exclusion).
 
 Determinism: path statistics run through :func:`paths.over_chunks`, so
 reports are byte-identical for any chunk size or worker count.
+
+Memory: a rate chunk is one pass over cache blocks of paths
+(:func:`paths.stream_paths`).  Each block is drawn and assembled, then
+reduced to what the levels read: the driver at the base grid
+lcm(n_list)'s nodes, K on its cells and the reference at its nodes,
+flagged at every fine node.  The levels then run on base-grid arrays only,
+so no fine path of the whole chunk is ever held, except the fine Y that a
+model without a closed form marches its reference over.
 """
 
 import math
@@ -16,7 +24,9 @@ import numpy as np
 
 from . import limits, schemes
 from .model import SdeProblem
-from .paths import DEFAULT_CHUNK, make_grid, over_chunks, simulate_bundle
+# simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
+from .paths import (DEFAULT_CHUNK, PathBundle, make_grid, over_chunks, path_source,  # noqa: F401
+                    simulate_bundle, stream_paths)
 
 RATE_MIN_SIZES = 3  # grid sizes a rate fit needs
 RATE_MIN_SPAN = 8  # least max(n) / min(n) of a rate fit
@@ -207,20 +217,45 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                              f"of {grid.fine_count}")
     runner = _SCHEMES[scheme]
     base = math.lcm(*n_list)  # divides the fine grid, since every n does
+    every = grid.fine_count // base
+    # what depends on the grid alone is formed once per chunk, not per block
+    qv_base = problem.driver.cell_qv(np.arange(base + 1) / base)
+
+    def reduce(bundle):
+        # one block of paths reduced to what the levels read: Y at the base
+        # nodes, K summed over the sub-grid once, at the base level (the
+        # levels fold it), and the reference there, flagged at every fine
+        # node; a marched reference needs the fine Y of every path instead
+        out = [bundle.y[:, ::every]]
+        if scheme != "euler":  # Euler, the only scheme without K
+            out.append(schemes.iterated_integrals(bundle, base, qv_base))
+        if problem.closed_form is None:
+            out.append(bundle.y)
+        else:
+            ref = schemes.reference(problem, bundle, every=every)
+            out += [ref.values, ref.diverged]
+        return out
+
+    def base_grid(idx):
+        """The chunk on the base grid: its driver, K and reference, and the paths kept."""
+        source = path_source(problem.driver, grid, seed, idx)
+        ybase, *cols = stream_paths(source, reduce)
+        kbase = cols.pop(0) if scheme != "euler" else None
+        if problem.closed_form is None:  # the march runs across all of the chunk's paths
+            fine = PathBundle(grid, problem.driver, None, cols.pop(), source.a_int)
+            ref = schemes.reference(problem, fine, every=every)
+            cols = [ref.values, ref.diverged]
+        ref_values, diverged = cols
+        bundle = PathBundle(make_grid(base, 1), problem.driver, None, ybase,
+                            source.a_int[::every])
+        return bundle, kbase, ref_values, ~diverged
 
     def work(idx):
-        bundle = simulate_bundle(problem.driver, grid, seed, idx)
-        # K is summed over the sub-grid once, at the base level, and folded
-        # to each coarser n just before that level's step loop; it is built
-        # before the reference so that their temporaries never coexist
-        kbase = schemes.iterated_integrals(bundle, base) if scheme != "euler" else None
-        # the reference keeps the base grid's nodes, all that the levels read
-        ref = schemes.reference(problem, bundle, every=grid.fine_count // base)
-        ref_end = ref.values[:, -1]
-        kept = ~ref.diverged
+        bundle, kbase, ref_values, kept = base_grid(idx)
+        ref_end = ref_values[:, -1]
         err, sup = [], []
         for n in n_list:
-            if kbase is None:  # Euler, the only scheme without K
+            if kbase is None:
                 out = runner(problem, bundle, n)
             else:
                 out = runner(problem, bundle, n, kmat=kbase if n == base else
@@ -231,7 +266,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                 # the gap and its square overwrite the scheme's values, which
                 # are not read again; sqrt is monotone, so it follows the max
                 gap = out.values
-                gap -= ref.values[:, ::(base // n)]
+                gap -= ref_values[:, ::(base // n)]
                 gap *= gap
                 sup.append(np.sqrt(np.add.reduce(gap, axis=2).max(axis=1)))
         return (kept, *err, *sup)

@@ -12,11 +12,15 @@ depend only on (master_seed, path_index), never on batch composition.
 
 Per-step passes over the fine grid run in :func:`cache_blocks`, slices
 whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
-built.  Every pass over the cells of a coarse grid (K, its fold and the
-oracle cases) is a :func:`stream_cells` over blocks of paths, and a
-closed-form reference solution runs in blocks of paths too; U, which
-recurs in time, runs in blocks of time, and so do the reference, dY and
-dW it reads.  A block bounds memory only: no result depends on it.
+built.  A rate chunk draws, assembles and reduces its driver paths one
+block of paths at a time (:func:`stream_paths` over a :class:`PathSource`,
+which forms the keys and coefficients every block shares once), so its
+fine paths never exist whole.  Every pass over the cells of a coarse grid
+(K, its fold and the oracle cases) is a :func:`stream_cells` over blocks
+of paths, and a closed-form reference solution runs in blocks of paths
+too; a marched reference, which recurs in time, walks blocks of cells,
+and U runs in blocks of time, and so do the reference, dY and dW it
+reads.  A block bounds memory only: no result depends on it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +32,7 @@ from . import rng
 
 MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
 DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
+MAX_THREADS = 64  # most worker threads a verb runs its chunks on
 BLOCK_BYTES = 1 << 21  # working set of one block of :func:`cache_blocks`
 # longest cell that :func:`stream_cells` scans by whole-block adds: at its
 # block sizes the adds take 0.14-0.99x numpy's cumsum time for r = 2..16 and
@@ -284,7 +289,9 @@ class PathBundle:
     ``a_int`` is the deterministic drift integral, (fine_count+1, d), shared
     by every path.  A bundle is immutable after construction; every scheme
     and functional evaluated on it reads the same realizations, which is the
-    coupling contract.
+    coupling contract.  ``w`` is None in a bundle made for readers of Y
+    alone (the schemes, K and a marched reference); a sampled bundle always
+    has it.
     """
 
     grid: Grid
@@ -295,7 +302,7 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.w.shape[0]
+        return self.y.shape[0]
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
@@ -308,12 +315,52 @@ def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
     (n_paths, fine_count, channels * width).  It is written to ``out`` when
     given.  The running sum along the time axis is the path.
     """
-    keys = rng.philox_keys(master_seed, component, path_indices, channels)
+    return _brownian(grid, rng.philox_keys(master_seed, component, path_indices, channels),
+                     width, out)
+
+
+def _brownian(grid: Grid, keys: np.ndarray, width: int, out: np.ndarray = None) -> np.ndarray:
+    """:func:`brownian_family` of the streams whose Philox keys are ``keys``."""
     return rng.normal_matrix(keys, (grid.fine_count, width), scale=np.sqrt(grid.fine_dt),
                              out=out)
 
 
-def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
+def driver_coefficients(spec: DriverSpec, grid: Grid) -> tuple:
+    """(sigma, a_int) of ``spec`` on ``grid``, checked finite, for :func:`build_driver`.
+
+    ``sigma`` is the constant (d, m) matrix, or a callable sigma at the
+    left nodes, (fine_count, d, m); ``a_int`` is the drift integral
+    a_int_k = sum_{j<k} a(t_j) dt, (fine_count+1, d).  Every path of a grid
+    shares both, so a batch forms them once.
+    """
+    left_times = grid.times()[:-1]
+    if callable(spec.sigma):
+        sig = spec.sigma_at(left_times)
+        if not np.isfinite(sig).all():
+            bad = int(np.argwhere(~np.isfinite(sig).reshape(len(left_times), -1).all(axis=1))[0, 0])
+            raise ValueError(f"sigma evaluated non-finite at t={left_times[bad]:g}")
+    else:
+        sig = np.asarray(spec.sigma, dtype=float)
+        if not np.isfinite(sig).all():
+            raise ValueError("sigma matrix contains non-finite entries")
+
+    a_int = np.zeros((grid.fine_count + 1, spec.dim_d))
+    if callable(spec.drift):
+        a = spec.drift_at(left_times)
+        if not np.isfinite(a).all():
+            bad = int(np.argwhere(~np.isfinite(a).all(axis=1))[0, 0])
+            raise ValueError(f"drift evaluated non-finite at t={left_times[bad]:g}")
+        a_int = running_sum(a * grid.fine_dt, axis=0)
+    elif spec.drift is not None:
+        a = np.asarray(spec.drift, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError("drift vector contains non-finite entries")
+        a_int = grid.times()[:, None] * a
+    return sig, a_int
+
+
+def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid,
+                 coefficients: tuple = None) -> tuple:
     """Assemble (y, a_int) from a Brownian path by left-point sums.
 
     y_k = sum_{j<k} sigma(t_j) dW_j + a_int_k with
@@ -323,38 +370,19 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
     ``y`` returned is ``w`` itself, and with one it is w + a_int.  Any other
     ``y`` is a fresh array, so a_int is added to it in place.  ``w`` is
     a batch (n_paths, fine_count+1, m); ``a_int`` is deterministic and
-    returned once, shape (fine_count+1, d).
+    returned once, shape (fine_count+1, d).  ``coefficients`` is
+    :func:`driver_coefficients` of ``spec`` and ``grid``, formed here when
+    not given.
     """
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != spec.dim_m:
         raise ValueError(f"driver expects {spec.dim_m} Brownian components, got {w.shape[-1]}")
-    left_times = grid.times()[:-1]
-
+    sig, a_int = coefficients or driver_coefficients(spec, grid)
     if callable(spec.sigma):
-        sig = spec.sigma_at(left_times)
-        if not np.isfinite(sig).all():
-            bad = int(np.argwhere(~np.isfinite(sig).reshape(len(left_times), -1).all(axis=1))[0, 0])
-            raise ValueError(f"sigma evaluated non-finite at t={left_times[bad]:g}")
         y = running_sum(np.einsum("tdm,btm->btd", sig, np.diff(w, axis=1)), axis=1)
     else:
-        sig = np.asarray(spec.sigma, dtype=float)
-        if not np.isfinite(sig).all():
-            raise ValueError("sigma matrix contains non-finite entries")
         y = w if np.array_equal(sig, np.eye(len(sig))) else np.einsum("dm,bkm->bkd", sig, w)
-
-    a_int = np.zeros((grid.fine_count + 1, spec.dim_d))
     if spec.drift is not None:
-        if callable(spec.drift):
-            a = spec.drift_at(left_times)
-            if not np.isfinite(a).all():
-                bad = int(np.argwhere(~np.isfinite(a).all(axis=1))[0, 0])
-                raise ValueError(f"drift evaluated non-finite at t={left_times[bad]:g}")
-            a_int = running_sum(a * grid.fine_dt, axis=0)
-        else:
-            a = np.asarray(spec.drift, dtype=float)
-            if not np.isfinite(a).all():
-                raise ValueError("drift vector contains non-finite entries")
-            a_int = grid.times()[:, None] * a
         if y is w:
             y = y + a_int
         else:  # a fresh array: no second full-size pass
@@ -362,18 +390,80 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid) -> tuple:
     return y, a_int
 
 
-def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
-                    path_indices, component: int = rng.DRIVER_W) -> PathBundle:
-    """Generate a coupled batch of driver paths for the given path indices.
+@dataclass(frozen=True)
+class PathSource:
+    """The driver paths of a batch of path indices, drawn any block of rows at a time.
+
+    What every block shares is formed once: each path's Philox key,
+    (n_paths, 1, 2), and the :func:`driver_coefficients` (sigma at the left
+    nodes and a_int).  The :meth:`bundle` of any rows equals those rows of
+    the whole batch's bundle, bit for bit.
+    """
+
+    spec: DriverSpec
+    grid: Grid
+    keys: np.ndarray
+    coefficients: tuple
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.keys)
+
+    @property
+    def a_int(self) -> np.ndarray:
+        return self.coefficients[1]
+
+    def bundle(self, rows: slice = slice(None), out: np.ndarray = None) -> PathBundle:
+        """The bundle of the paths ``rows``: their increments drawn, summed and assembled.
+
+        W is written to the first paths of ``out`` when given, a buffer a
+        caller reuses for every block.
+        """
+        grid, m = self.grid, self.spec.dim_m
+        keys = self.keys[rows]
+        w = np.empty((len(keys), grid.fine_count + 1, m)) if out is None else out[:len(keys)]
+        w[:, 0] = 0.0
+        dw = _brownian(grid, keys, m, out=w[:, 1:])
+        np.cumsum(dw, axis=1, out=dw)  # in place: the increments become W_1..W_T
+        y, a_int = build_driver(self.spec, w, grid, self.coefficients)
+        return PathBundle(grid=grid, driver=self.spec, w=w, y=y, a_int=a_int)
+
+
+def path_source(spec: DriverSpec, grid: Grid, master_seed: int, path_indices,
+                component: int = rng.DRIVER_W) -> PathSource:
+    """The :class:`PathSource` of the given path indices' driver paths.
 
     ``component`` selects the stream family; limit-law draws use their own
     family so they are independent of the scheme paths under one seed.
     """
     path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
-    w = np.empty((len(path_indices), grid.fine_count + 1, spec.dim_m))
-    w[:, 0] = 0.0
-    dw = brownian_family(grid, master_seed, path_indices, component, width=spec.dim_m,
-                         out=w[:, 1:])
-    np.cumsum(dw, axis=1, out=dw)  # in place: the increments become W_1..W_T
-    y, a_int = build_driver(spec, w, grid)
-    return PathBundle(grid=grid, driver=spec, w=w, y=y, a_int=a_int)
+    return PathSource(spec, grid, rng.philox_keys(master_seed, component, path_indices, 1),
+                      driver_coefficients(spec, grid))
+
+
+def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
+                    path_indices, component: int = rng.DRIVER_W) -> PathBundle:
+    """Generate a coupled batch of driver paths for the given path indices.
+
+    It is the whole batch of :func:`path_source` as one bundle.
+    """
+    return path_source(spec, grid, master_seed, path_indices, component).bundle()
+
+
+def stream_paths(source: PathSource, reduce) -> tuple:
+    """Draw, assemble and reduce the paths of ``source`` one cache block of paths at a time.
+
+    ``reduce(bundle)`` turns the :meth:`PathSource.bundle` of one block of
+    rows into per-row arrays, which :func:`over_chunks` copies into their
+    rows of the result before the next block is drawn, so they may be views
+    of the bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so the
+    batch's fine paths never exist at full size, and every block draws its
+    W into one reused buffer: a fresh one per block would be paged in anew
+    each time.
+    """
+    spec = source.spec
+    row_bytes = (spec.dim_m + spec.dim_d) * (source.grid.fine_count + 1) * 8
+    rows = cache_blocks(source.n_paths, row_bytes)[0].stop
+    w = np.empty((rows, source.grid.fine_count + 1, spec.dim_m))
+    return over_chunks(source.n_paths, rows,
+                       lambda idx: reduce(source.bundle(slice(idx[0], idx[0] + len(idx)), w)))

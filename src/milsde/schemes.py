@@ -11,7 +11,10 @@ folds it to each coarser n with Chen's identity
 (:func:`fold_iterated_integrals`), so the fine sub-grid is summed once, not
 once per n.  Both run in :func:`paths.stream_cells`, which differences and
 splits one cache block of paths at a time, so the fine increments and their
-cell split never exist at full size.
+cell split never exist at full size.  A rate chunk forms the base K one
+block of paths of its fine bundle at a time, with the base cells' exact QV
+given once; the fold and every level then read only a base-grid bundle,
+the driver at the base nodes.
 
 K is the sub-grid sum :func:`stats.k_fine` (the Z functional's per-cell
 left-point sum) with its symmetric part replaced by the exact identity
@@ -22,9 +25,12 @@ the antisymmetric (Levy-area) part still comes from the sub-grid.
 
 The reference (:func:`reference`) is checked for divergence at every fine
 node but kept only at the nodes a caller reads; a rate run keeps the base
-grid's, which every level's grid is a subset of.  It runs on all fine
-cells or on one block of them, so the limit side walks the grid one time
-block at a time, carrying a marched reference's state between blocks.
+grid's, which every level's grid is a subset of.  A closed form is
+evaluated on any block of paths, so a rate chunk evaluates it on each
+block it draws.  A marched reference walks its cells one cache block at a
+time, carrying its state between blocks, and runs on all fine cells or on
+one block of them, so the limit side walks the grid one time block at a
+time the same way.
 """
 
 from dataclasses import dataclass
@@ -90,9 +96,17 @@ def _increments(y: np.ndarray, step: int):
     return fill
 
 
-def iterated_integrals(bundle: PathBundle, coarse_n: int) -> np.ndarray:
-    """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d)."""
-    return _cell_k(bundle.y, coarse_n, bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n))
+def iterated_integrals(bundle: PathBundle, coarse_n: int,
+                       qv_exact: np.ndarray = None) -> np.ndarray:
+    """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d).
+
+    ``qv_exact`` is the driver's exact QV per cell,
+    ``bundle.driver.cell_qv`` of the cells' edges; it is formed here when not
+    given, and a caller that runs many blocks of paths forms it once.
+    """
+    if qv_exact is None:
+        qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    return _cell_k(bundle.y, coarse_n, qv_exact)
 
 
 def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray) -> np.ndarray:
@@ -237,12 +251,14 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     evaluated on those nodes one :func:`paths.cache_blocks` slice of paths
     at a time.  Otherwise the second-order scheme is run with every fine
     cell as its own step, which carries O(1/fine_count) error of its own,
-    from the states ``x`` at node ``cells.start`` (x0 when not given); its K
-    is formed on these cells only.  A caller that walks the grid in blocks
-    of cells, passing each block's last values as the next block's ``x``,
-    gets the whole-grid values block by block, bit for bit, and never holds
-    a whole-grid K or solution.  Either way the divergence check reads every
-    node, so ``first_bad`` is a fine-node index counted from ``cells.start``,
+    from the states ``x`` at node ``cells.start`` (x0 when not given).  It
+    walks the cells one :func:`paths.cache_blocks` block at a time, forming
+    each block's K and solution and carrying the block's last state into
+    the next, so it never holds K or the solution of all the cells; a
+    caller may walk the grid the same way, passing each call's last values
+    as the next call's ``x``, with the same bits.  Either way the
+    divergence check reads every node, so ``first_bad`` is a fine-node
+    index counted from ``cells.start``,
     while ``values`` hold only the len(cells) / every + 1 kept nodes
     (``coarse_n`` of them cells).  ``every`` must divide len(cells).
     """
@@ -250,20 +266,33 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
         cells = slice(0, bundle.grid.fine_count)
     count, q = cells.stop - cells.start, problem.field.dim_q
     kept = cell_size(count, every)
+    B = bundle.n_paths
+    values = np.empty((B, kept + 1, q))
+    diverged = np.zeros(B, dtype=bool)
+    first_bad = np.full(B, -1, dtype=np.intp)
+    if problem.closed_form is None:
+        # per cell and path: K and the state, and the check's byte masks
+        d = problem.driver.dim_d
+        x = np.broadcast_to(problem.x0 if x is None else x, (B, q))
+        values[:, 0] = x
+        for blk in cache_blocks(count, B * ((d * d + q) * 8 + 2 * q)):
+            nodes = slice(cells.start + blk.start, cells.start + blk.stop + 1)
+            y, steps = bundle.y[:, nodes], blk.stop - blk.start
+            kmat = _cell_k(y, steps, bundle.driver.cell_qv(bundle.grid.times(nodes)))
+            full = _march(x, y, steps, _milstein_step(problem.field, kmat))
+            x = full.values[:, -1]
+            # the kept nodes of this block, after its first, which the block before kept
+            first = -(-(blk.start + 1) // every) * every
+            values[:, first // every:blk.stop // every + 1] = \
+                full.values[:, first - blk.start::every]
+            first_bad = np.where(~diverged & full.diverged, blk.start + full.first_bad,
+                                 first_bad)
+            diverged |= full.diverged
+        return SchemeOutput(values, kept, diverged, first_bad)
     nodes = slice(cells.start, cells.stop + 1)
     times = bundle.grid.times(nodes)
-    if problem.closed_form is None:
-        y = bundle.y[:, nodes]
-        kmat = _cell_k(y, count, bundle.driver.cell_qv(times))
-        full = _march(problem.x0 if x is None else x, y, count,
-                      _milstein_step(problem.field, kmat))
-        values = full.values if every == 1 else full.values[:, ::every].copy()
-        return SchemeOutput(values, kept, full.diverged, full.first_bad)
-    values = np.empty((bundle.n_paths, kept + 1, q))
-    diverged = np.empty(bundle.n_paths, dtype=bool)
-    first_bad = np.empty(bundle.n_paths, dtype=np.intp)
     # per path: the closed form's values at the nodes and the check's two byte masks
-    for blk in cache_blocks(bundle.n_paths, (count + 1) * q * 10):
+    for blk in cache_blocks(B, (count + 1) * q * 10):
         full = np.asarray(problem.closed_form(bundle.w[blk, nodes], bundle.y[blk, nodes], times),
                           dtype=float)
         diverged[blk], first_bad[blk] = _flag_divergence(full)

@@ -1,10 +1,12 @@
 """The blocked passes over the fine grid against whole-array references.
 
+A rate chunk runs through :func:`paths.stream_paths` over blocks of paths,
 ``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
-oracle case run through :func:`paths.stream_cells` over blocks of paths,
+oracle case through :func:`paths.stream_cells` over blocks of paths,
 the closed-form ``reference`` through :func:`paths.cache_blocks` over
-blocks of paths, and ``simulate_u`` (which forms the reference, dY, dW,
-dM and dN per time block) through it over blocks of time.
+blocks of paths and the marched one over blocks of cells, and
+``simulate_u`` (which forms the reference, dY, dW, dM and dN per time
+block) through it over blocks of time.
 Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
 row, of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
@@ -17,7 +19,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from milsde import crosscheck, limits, model, oracles, paths, rng, schemes, stats
+from milsde import crosscheck, limits, model, montecarlo, oracles, paths, rng, schemes, stats
 
 PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
 
@@ -47,7 +49,9 @@ def u_whole(problem, x_ref, dy, dm, dn):
     field = problem.field
     f, df, hf = field.f_at(x_left), field.df_at(x_left), field.hf_at(x_left)
     h = np.einsum("xtika,xtkc->xtiac", df, f)
-    forcing = -np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm)
+    # Df h contracted first, then one product against dM
+    dfh = np.einsum("xtikj,xtkac->xtijca", df, h)
+    forcing = -np.einsum("xtiz,xtz->xti", dfh.reshape(B, T - 1, q, -1), dm.reshape(B, T - 1, -1))
     # f^T Hf f contracted first, then one product against dN
     coef = np.einsum("xtka,xtijkc->xtijca", f, np.einsum("xtijkl,xtlc->xtijkc", hf, f))
     forcing -= 0.5 * np.einsum("xtiz,xtz->xti", coef.reshape(B, T - 1, q, -1),
@@ -106,7 +110,7 @@ def block_rows(request, monkeypatch):
         lengths.append((count, [b.stop - b.start for b in blocks]))
         return blocks
 
-    # where the streamer, the time-sliced U pass and the reference look it up
+    # where the streamers, the time-sliced U pass and the reference look it up
     for module in (paths, limits, schemes):
         monkeypatch.setattr(module, "cache_blocks", sized)
     yield
@@ -115,8 +119,11 @@ def block_rows(request, monkeypatch):
         want = rows or count
         assert sum(got) == count and all(n == want for n in got[:-1])
         assert 0 < got[-1] <= want
-        if rows == 3:
-            assert got[-1] < 3  # the blocks do not divide the count
+    if rows == 3:
+        # a pass nested in a block of three (the cells of a limit time block
+        # that a marched reference walks) may have 3 rows; the passes the
+        # tests start have counts that 3 does not divide
+        assert any(got[-1] < 3 for _, got in lengths)
 
 
 CASES = [(case, timed) for case in ("gbm", "embedding", "field2") for timed in (False, True)]
@@ -138,7 +145,7 @@ def test_iterated_integrals(block_rows, case, timed):
 def fold_whole(bundle, kbase, coarse_n):
     n_paths, base, d = kbase.shape[:3]
     m = base // coarse_n
-    dybase = np.diff(bundle.y[:, ::FINE // base], axis=1)
+    dybase = np.diff(bundle.y[:, ::bundle.grid.fine_count // base], axis=1)
     kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
         + stats.k_fine(crosscheck.cell_split(dybase, coarse_n))
     qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
@@ -161,11 +168,85 @@ def test_fold_iterated_integrals(block_rows, case, timed):
         assert np.array_equal(got, fold_whole(bundle, kbase, coarse_n))
 
 
+def scheme_whole(prob, scheme, n_list, fine_factor, seed):
+    """A rate chunk from the whole bundle: K at the base grid lcm(n_list)
+    folded to each n, the reference at every fine node, and every level on
+    the fine paths; the errors, sups and kept mask of
+    :func:`montecarlo.scheme_error_samples`."""
+    grid = paths.make_grid(n_list[-1], fine_factor)
+    bundle = paths.simulate_bundle(prob.driver, grid, seed, range(PATHS))
+    ref = schemes.reference(prob, bundle)
+    base = math.lcm(*n_list)
+    kbase = k_whole(bundle, base)
+    runner = montecarlo._SCHEMES[scheme]
+    kept, err, sup = ~ref.diverged, {}, {}
+    for n in n_list:
+        if scheme == "euler":
+            out = runner(prob, bundle, n)
+        else:
+            kmat = kbase if n == base else fold_whole(bundle, kbase, n)
+            out = runner(prob, bundle, n, kmat=kmat)
+        kept &= ~out.diverged
+        gap = out.values - ref.values[:, ::grid.fine_count // n]
+        err[n] = gap[:, -1]
+        sup[n] = np.sqrt((gap ** 2).sum(axis=2).max(axis=1))
+    return err, sup, kept
+
+
+# every bundled model with each scheme it runs; ou has no closed form, so
+# its reference is marched over the fine Y of the whole chunk
+CHUNK_CASES = [(m, s) for m in ("gbm", "gbm-drift", "det-exp", "ou")
+               for s in ("euler", "milstein", "milstein54")
+               if s != "milstein54" or m in ("gbm-drift", "ou")]
+
+
+@pytest.mark.parametrize("name,scheme", CHUNK_CASES, ids=[f"{m}-{s}" for m, s in CHUNK_CASES])
+def test_scheme_chunk_streams_blocks_of_paths(block_rows, name, scheme):
+    # a rate chunk drawn, assembled and reduced one block of paths at a
+    # time, with its levels run on the base grid, against the same chunk
+    # from its whole bundle.  (2, 4, 8) has base 8 = max(n_list); (3, 4, 8)
+    # has base 24, three fine cells of 48 apart, between the coarsest grids
+    prob = model.get_model(name)
+    for n_list, fine_factor in (((2, 4, 8), FINE // 8), ((3, 4, 8), 6)):
+        got = montecarlo.scheme_error_samples(prob, scheme, n_list, PATHS, fine_factor, 5)
+        err, sup, kept = scheme_whole(prob, scheme, list(n_list), fine_factor, 5)
+        assert np.array_equal(got["kept"], kept)
+        for n in n_list:
+            assert np.array_equal(got["err"][n], err[n])
+            assert np.array_equal(got["sup"][n], sup[n])
+
+
+@pytest.mark.parametrize("closed_form", [False, True], ids=["marched", "closed-form"])
+def test_scheme_chunk_evaluates_coefficients_once(monkeypatch, closed_form):
+    # a callable sigma and drift are evaluated on the grid once per chunk
+    # (the left nodes for Y and a_int, the quadrature nodes of the exact
+    # QV), however many blocks of paths the chunk is drawn in
+    calls = []
+
+    def counted(fn):
+        return lambda t: calls.append(t) or fn(t)
+
+    drv = paths.DriverSpec(dim_d=2, dim_m=1,
+                           sigma=counted(lambda t: np.array([[1.0 + t], [0.0]])),
+                           drift=counted(lambda t: np.array([0.5 * t, 1.0])), label="timed")
+    ou = model.make_ou()
+    cf = model.make_gbm_drift().closed_form if closed_form else None
+    prob = model.SdeProblem(field=ou.field, driver=drv, x0=ou.x0, closed_form=cf, label="timed")
+    counts = []
+    for block_bytes in (1, paths.BLOCK_BYTES):
+        monkeypatch.setattr(paths, "BLOCK_BYTES", block_bytes)
+        calls.clear()
+        montecarlo.scheme_error_samples(prob, "milstein", (2, 4, 8), PATHS, FINE // 8, 5)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_only_the_streamer_and_u_read_cache_blocks():
-    # block_rows patches cache_blocks in paths (stream_cells), limits (the
-    # time-sliced U pass) and schemes (the reference's closed form, blocked
-    # over paths); a pass that looked it up elsewhere would run unpatched,
-    # so the block tests here could not see its blocks
+    # block_rows patches cache_blocks in paths (stream_cells and the rate
+    # chunk's stream_paths), limits (the time-sliced U pass) and schemes
+    # (the reference: a closed form blocked over paths, a march over
+    # cells); a pass that looked it up elsewhere would run unpatched, so
+    # the block tests here could not see its blocks
     src = pathlib.Path(paths.__file__).parent
     readers = sorted(f.stem for f in src.glob("*.py") if "cache_blocks" in f.read_text())
     assert readers == ["limits", "paths", "schemes"]
@@ -220,6 +301,14 @@ def test_reference_keeps_every_kth_node(block_rows, case):
         assert np.array_equal(ref.first_bad, first_bad)
 
 
+def _squared_noise():
+    # dX = X^2 dW from 2 has no closed form and leaves the band at fine
+    # node 19 on path 0 and 9 on path 1 of the seed below; the rest stay
+    fld = model.scalar_field(lambda x: x ** 2, lambda x: 2 * x, lambda x: 2 + 0 * x)
+    return model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1), x0=2.0,
+                            label="squared-noise")
+
+
 def test_reference_without_closed_form_keeps_every_kth_node():
     # ou has no closed form: Milstein on every fine cell, flagged there and
     # thinned after
@@ -232,6 +321,25 @@ def test_reference_without_closed_form_keeps_every_kth_node():
         assert np.array_equal(ref.values, full.values[:, ::every])
         assert np.array_equal(ref.diverged, full.diverged)
         assert np.array_equal(ref.first_bad, full.first_bad)
+
+
+@pytest.mark.parametrize("make", [model.make_ou, _squared_noise], ids=["ou", "squared-noise"])
+def test_marched_reference_walks_blocks_of_cells(block_rows, make):
+    # no closed form: Milstein on every fine cell, walked in blocks of cells
+    # inside reference, flagged there and thinned after, against one march
+    # over the grid, with the first bad node of a path that leaves the band
+    prob = make()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    with np.errstate(all="ignore"):
+        full = schemes.milstein(prob, bundle, FINE)
+        if prob.label == "squared-noise":
+            assert list(full.first_bad) == [19, 9] + [-1] * (PATHS - 2)
+        for every in (1, 4, COARSE, FINE):
+            ref = schemes.reference(prob, bundle, every=every)
+            assert np.array_equal(ref.values, full.values[:, ::every], equal_nan=True)
+            assert np.array_equal(ref.diverged, full.diverged)
+            assert np.array_equal(ref.first_bad, full.first_bad)
 
 
 @pytest.mark.parametrize("case", ["gbm", "bad-nodes", "ou", "field2-callable"])

@@ -169,6 +169,10 @@ class TestMain:
         (["error-law", "--model", "ou", "--n", "4", "--fine-factor", "1", "--fine-count", "16",
           "--paths", "1000", "--draws", "1000", "--seed", "1"],
          "model 'ou' has no closed form"),
+        (["lemma-check", "--case", "7.3", "--threads", "65", "--seed", "1"],
+         "threads must be <= 64, got 65"),
+        (["limit-sim", "--model", "gbm", "--threads", str(1 << 40), "--seed", "1"],
+         "threads must be <= 64"),
     ])
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
@@ -190,6 +194,8 @@ class TestMain:
          ["case '7.2a' needs n >= 13", "paths must be >= 30"]),
         (["error-law", "--model", "ou", "--fine-factor", "1", "--paths", "10"],
          ["model 'ou' has no closed form", "paths must be >= 1000"]),
+        (["limit-sim", "--model", "gbm", "--threads", "100", "--draws", "10"],
+         ["threads must be <= 64, got 100", "draws must be >= 30"]),
     ])
     def test_grid_and_threshold_errors_are_listed_together(self, argv, messages, tmp_path,
                                                            capsys):

@@ -212,11 +212,12 @@ class TestSimulateU:
         grid, bundle, aux = limit_inputs(prob, 256, 6, 16)
         seen, simulate_mn = [], limits.simulate_mn
 
-        def recording(driver, dw, block):
+        def recording(driver, dw, block, cube):
             seen.append(len(block.times()) - 1)
             for a in (dw, block.db, block.dwbar):
                 assert a.flags.c_contiguous and a.shape[:2] == (16, seen[-1])
-            return simulate_mn(driver, dw, block)
+            assert len(cube) == seen[-1]
+            return simulate_mn(driver, dw, block, cube)
 
         monkeypatch.setattr(paths, "BLOCK_BYTES", 1 << 16)  # several time blocks
         monkeypatch.setattr(limits, "simulate_mn", recording)
@@ -239,6 +240,42 @@ class TestSimulateU:
         f, hf = fld.f_at(x), fld.hf_at(x)
         want = 0.5 * np.einsum("xtka,xtijkl,xtlc,xtjca->xti", f, hf, f, dn)
         np.testing.assert_allclose(limits._n_term(f, hf, dn), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("field", ["embedding", "field2"])
+    def test_m_term_matches_three_operand_einsum(self, field):
+        # the M term through the (q, d^3) coefficient Df h per path and step,
+        # against the three-operand contraction it replaced
+        fld = _trig_field() if field == "field2" else model.ito_field(
+            a=np.sin, da=np.cos, d2a=lambda x: -np.sin(x), b=np.cos,
+            db=lambda x: -np.sin(x), d2b=lambda x: -np.cos(x))
+        r = np.random.default_rng(5)
+        q, d = fld.dim_q, fld.dim_d
+        x = r.uniform(-1.0, 1.5, (6, 9, q))
+        dm = r.standard_normal((6, 9, d, d, d))
+        df = fld.df_at(x)
+        h = np.einsum("xtika,xtkc->xtiac", df, fld.f_at(x))
+        want = np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm)
+        np.testing.assert_allclose(limits._m_term(df, h, dm), want, rtol=1e-12, atol=1e-15)
+
+    def test_a_diverged_reference_raises(self):
+        # gbm's closed form made +inf where W passes 1.5: those draws have no
+        # U, so the chunk raises, naming how many diverged
+        gbm = model.make_gbm()
+
+        def cf(w, y, t):
+            out = gbm.closed_form(w, y, t)
+            out[w[..., 0] > 1.5] = np.inf
+            return out
+
+        prob = model.SdeProblem(field=gbm.field, driver=gbm.driver, x0=gbm.x0, closed_form=cf,
+                                label="gbm-inf")
+        grid, bundle, _ = limit_inputs(prob, 256, 3, 200)
+        want = int((bundle.w[..., 0] > 1.5).any(axis=1).sum())
+        assert 0 < want < 200
+        with pytest.raises(ArithmeticError, match=f"^{want} draws diverged"):
+            with np.errstate(all="ignore"):
+                limits.draw_error_limit(prob, 3, range(200), fine_count=256)
+        assert limits.draw_error_limit(gbm, 3, range(200), fine_count=256).u_end.shape == (200, 1)
 
     def test_gbm_second_moment(self):
         real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),

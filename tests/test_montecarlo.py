@@ -233,21 +233,33 @@ def _scheme_chunk_arrays(fine_factor, n_list, paths_n=1000, make=model.make_gbm)
 
 class TestChunkMemory:
     def test_scheme_chunk_peak_is_bounded(self):
-        # a gbm rate chunk holds one full-size array, the bundle's W (which
-        # is its Y); the reference is kept at the base grid's nodes only and
-        # its closed form evaluated one cache block of paths at a time, K's
-        # increments and cell split are built one cache block at a time and
-        # the divergence check makes no float copy of the values
-        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 2
+        # a gbm rate chunk draws, assembles and reduces its paths one block
+        # of paths at a time, so no full-size array exists: what it holds is
+        # on the base grid (Y, K and the reference at its nodes), and the
+        # divergence check makes no float copy of the values
+        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 0.75
 
     def test_scheme_chunk_peak_is_bounded_at_n_128(self):
         # the sup error is reduced in the scheme's own values, reading the
         # kept reference rows in place, so a finer coarsest level (n = 128
         # on the same fine grid) adds no full-size temporary
-        assert _scheme_chunk_arrays(8, [16, 32, 64, 128]) <= 2
+        assert _scheme_chunk_arrays(8, [16, 32, 64, 128]) <= 1
 
     def test_drift_scheme_chunk_peak_is_bounded(self):
-        # a gbm-drift chunk holds W and the two-channel Y, three arrays; Y
-        # gets its drift in place, so a second full-size Y is never built,
-        # and the reference adds no full-size array
-        assert _scheme_chunk_arrays(8, [16, 32, 64, 128], make=model.make_gbm_drift) <= 4.5
+        # a gbm-drift block holds W and the two-channel Y, whose drift is
+        # added in place; the chunk keeps the base grid's Y, K (four
+        # channels) and reference
+        assert _scheme_chunk_arrays(8, [16, 32, 64, 128], make=model.make_gbm_drift) <= 2
+
+    def test_marched_scheme_chunk_peak_is_bounded(self):
+        # ou has no closed form: the chunk keeps the fine two-channel Y that
+        # its reference marches over, one block of cells at a time, so
+        # neither a fine K nor a fine solution is ever whole
+        assert _scheme_chunk_arrays(8, [16, 32, 128], make=model.make_ou) <= 4.5
+
+    def test_closed_form_chunk_peak_does_not_grow_with_the_fine_grid(self):
+        # a closed-form chunk holds no fine node beyond one block of paths,
+        # so 8 times the fine cells (at the same base grid) leave its peak
+        peaks = [_scheme_chunk_arrays(ff, [16, 32, 64, 128], make=model.make_gbm_drift) * ff
+                 for ff in (8, 64)]
+        assert peaks[1] <= 1.25 * peaks[0]

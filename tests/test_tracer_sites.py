@@ -82,8 +82,10 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
 
 def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     # the scheme side of a rate fit: one Milstein run per chunk and n, one
-    # correction per coarse step, and K and the reference once per chunk
-    n_list, n_paths, chunks = (16, 32, 64, 128), 2000, 2
+    # correction per coarse step, and K and the reference once per block of
+    # paths: a block holds W and the two-channel Y of 1025 fine nodes, 24600
+    # bytes a path, so 85 paths fill its 2 MB and a chunk of 1000 has 12
+    n_list, n_paths, chunks, blocks = (16, 32, 64, 128), 2000, 2, 12
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
@@ -97,5 +99,6 @@ def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     assert layers["schemes.steps"] == n_paths * sum(n_list)
     assert layers["schemes.milstein.calls"] == chunks * len(n_list)
     assert layers["model.correction_pairing.calls"] == chunks * sum(n_list)
-    assert layers["schemes.iterated_integrals.calls"] == chunks
-    assert layers["schemes.reference.calls"] == chunks
+    assert layers["schemes.iterated_integrals.calls"] == chunks * blocks
+    assert layers["schemes.reference.calls"] == chunks * blocks
+    assert layers["schemes.k_fine_cells"] == n_paths * max(n_list) * 8
