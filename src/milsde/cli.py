@@ -412,12 +412,8 @@ def _run_limit_sim(config: ExperimentConfig) -> tuple:
     problem = get_model(config.model)
     q = problem.field.dim_q
 
-    def chunk_fn(idx):
-        real = limits.draw_error_limit(problem, config.seed, idx, config.fine_count,
-                                       fingerprints=True)
-        return real.u_end, real.fingerprints
-
-    u_all, fps = over_chunks(config.draws, DEFAULT_CHUNK, chunk_fn, config.threads)
+    u_all, fps = limits.limit_samples(problem, config.seed, config.draws, config.fine_count,
+                                      config.threads, fingerprints=True)
     lines = ["draw," + ",".join([f"u_{i+1}" for i in range(q)]
                                 + [f"qv_{name}" for name in stats.FINGERPRINTS])]
     for draw, (u, fp) in enumerate(zip(u_all, fps)):

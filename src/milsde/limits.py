@@ -29,7 +29,8 @@ that block's noise copied contiguous once.  It builds its forcing and
 coupling terms from them, transposes those to time-major in cache and
 steps through them: neither X, dY, dW, dM, dN nor any term of U is ever
 full-size.  Sigma's cube is formed once per chunk, and a draw whose
-reference leaves the band at any node makes the chunk raise.
+reference leaves the band at any node is flagged; :func:`limit_samples`
+raises for the flagged draws of all its chunks.
 """
 
 from dataclasses import dataclass, replace
@@ -278,12 +279,14 @@ def simulate_u(problem: SdeProblem, bundle: PathBundle, aux: AuxiliaryNoise,
 class LimitRealization:
     """One batch of limit draws.
 
-    ``u_end`` holds the endpoints U_1, (n_paths, q); ``fingerprints`` the
-    (n_paths, 5) :func:`stats.fingerprints` of the drift-corrected limit
+    ``u_end`` holds the endpoints U_1, (n_paths, q); ``diverged`` marks the
+    draws whose reference left the band, (n_paths,) bool; ``fingerprints``
+    the (n_paths, 5) :func:`stats.fingerprints` of the drift-corrected limit
     increments when they were asked for, and None otherwise.
     """
 
     u_end: np.ndarray
+    diverged: np.ndarray
     fingerprints: np.ndarray = None
 
 
@@ -297,8 +300,8 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     The chunk holds only the noise: the bundle's W (and its Y when Y is not
     W) and the auxiliary families; the reference, dY, dW, dM and dN are
     formed one time block at a time inside :func:`simulate_u`.  A draw whose
-    reference leaves the band at any fine node has no meaningful U, so any
-    such draw raises ArithmeticError, naming how many there are.
+    reference leaves the band at any fine node has no meaningful U; it is
+    marked in ``diverged``, and :func:`limit_samples` raises for it.
     """
     grid = Grid(fine_count, 1)
     bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
@@ -307,20 +310,30 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     fps = np.zeros((bundle.n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
     diverged = np.zeros(bundle.n_paths, dtype=bool)
     u_end = simulate_u(problem, bundle, aux, fps, diverged)
+    return LimitRealization(u_end=u_end, diverged=diverged, fingerprints=fps)
+
+
+def limit_samples(problem: SdeProblem, master_seed: int, n_draws: int,
+                  fine_count: int = 4096, threads: int = 1, fingerprints: bool = False) -> tuple:
+    """Draws 0..n_draws-1 of the limit law: (u_end,), with their fingerprints appended
+    when asked for (see :class:`LimitRealization`).
+
+    Processes draws in chunks so large batches stay within memory; the
+    values per draw index are identical for any chunk size or worker count.
+    If any draw diverged, ArithmeticError names how many, over all chunks.
+    """
+    def chunk_fn(idx):
+        real = draw_error_limit(problem, master_seed, idx, fine_count, fingerprints)
+        return (real.diverged, real.u_end) + ((real.fingerprints,) if fingerprints else ())
+
+    diverged, *out = over_chunks(n_draws, DEFAULT_CHUNK, chunk_fn, threads)
     if diverged.any():
         raise ArithmeticError(f"{int(diverged.sum())} draws diverged in the limit law's "
                               "reference solution")
-    return LimitRealization(u_end=u_end, fingerprints=fps)
+    return tuple(out)
 
 
 def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,
                            fine_count: int = 4096, threads: int = 1) -> np.ndarray:
-    """Endpoint draws U_1 of the limit law, shape (n_draws, q).
-
-    Processes draws in chunks so large batches stay within memory; the
-    values per draw index are identical for any chunk size or worker count.
-    """
-    def chunk_fn(idx):
-        return (draw_error_limit(problem, master_seed, idx, fine_count).u_end,)
-
-    return over_chunks(n_draws, DEFAULT_CHUNK, chunk_fn, threads)[0]
+    """Endpoint draws U_1 of the limit law, shape (n_draws, q); see :func:`limit_samples`."""
+    return limit_samples(problem, master_seed, n_draws, fine_count, threads)[0]

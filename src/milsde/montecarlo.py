@@ -10,11 +10,12 @@ reports are byte-identical for any chunk size or worker count.
 
 Memory: a rate chunk is one pass over cache blocks of paths
 (:func:`paths.stream_paths`).  Each block is drawn and assembled, then
-reduced to what the levels read: the driver at the base grid
-lcm(n_list)'s nodes, K on its cells and the reference at its nodes,
-flagged at every fine node.  The levels then run on base-grid arrays only,
-so no fine path of the whole chunk is ever held, except the fine Y that a
-model without a closed form marches its reference over.
+reduced, in buffers reused by every block, to what the levels read: the
+driver at the base grid lcm(n_list)'s nodes, K on its cells and the
+reference at its nodes, flagged at every fine node.  The levels then run
+on base-grid arrays only, so no fine path of the whole chunk is ever held,
+except the fine Y that a model without a closed form marches its
+reference over.
 """
 
 import math
@@ -221,14 +222,14 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
     # what depends on the grid alone is formed once per chunk, not per block
     qv_base = problem.driver.cell_qv(np.arange(base + 1) / base)
 
-    def reduce(bundle):
+    def reduce(bundle, space):
         # one block of paths reduced to what the levels read: Y at the base
         # nodes, K summed over the sub-grid once, at the base level (the
         # levels fold it), and the reference there, flagged at every fine
         # node; a marched reference needs the fine Y of every path instead
         out = [bundle.y[:, ::every]]
         if scheme != "euler":  # Euler, the only scheme without K
-            out.append(schemes.iterated_integrals(bundle, base, qv_base))
+            out.append(schemes.iterated_integrals(bundle, base, qv_base, space))
         if problem.closed_form is None:
             out.append(bundle.y)
         else:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo, rng, stats
-from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, over_chunks, simulate_bundle,
-                    stream_cells)
+# simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
+from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, over_chunks,  # noqa: F401
+                    path_source, simulate_bundle, stream_cells)
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,12 @@ def _fingerprint_rows(grid: Grid, seed: int, over) -> list:
     scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
 
     def chunk_fill(idx):
-        # the driver's increments, differenced from its path values;
-        # simulate_bundle hashes each block's keys itself
+        # the driver's increments, differenced from its path values; the
+        # chunk's keys are hashed once, and each block drawn from them
+        source = path_source(driver, grid, seed, idx)
+
         def fill(blk, out):
-            y = simulate_bundle(driver, grid, seed, idx[blk]).y
+            y = source.bundle(blk).y
             np.subtract(y[:, 1:], y[:, :-1], out=out)
         return fill
 

@@ -14,8 +14,9 @@ Per-step passes over the fine grid run in :func:`cache_blocks`, slices
 whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
 built.  A rate chunk draws, assembles and reduces its driver paths one
 block of paths at a time (:func:`stream_paths` over a :class:`PathSource`,
-which forms the keys and coefficients every block shares once), so its
-fine paths never exist whole.  Every pass over the cells of a coarse grid
+which forms the keys and coefficients every block shares once, and a
+:class:`Workspace` of the buffers every block reuses), so its fine paths
+never exist whole.  Every pass over the cells of a coarse grid
 (K, its fold and the oracle cases) is a :func:`stream_cells` over blocks
 of paths, and a closed-form reference solution runs in blocks of paths
 too; a marched reference, which recurs in time, walks blocks of cells,
@@ -23,6 +24,7 @@ and U runs in blocks of time, and so do the reference, dY and dW it
 reads.  A block bounds memory only: no result depends on it.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +34,7 @@ from . import rng
 
 MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
 DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
-MAX_THREADS = 64  # most worker threads a verb runs its chunks on
+MAX_THREADS = 64  # most worker threads the CLI accepts (--threads), a config check
 BLOCK_BYTES = 1 << 21  # working set of one block of :func:`cache_blocks`
 # longest cell that :func:`stream_cells` scans by whole-block adds: at its
 # block sizes the adds take 0.14-0.99x numpy's cumsum time for r = 2..16 and
@@ -105,8 +107,29 @@ def cache_blocks(count: int, row_bytes: int) -> list:
     return [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
 
 
+class Workspace:
+    """Float buffers a caller keeps across the blocks of a pass, one per name.
+
+    A pass run once per block of paths asks for the same buffers every
+    block; taken from here they are allocated once, at the largest size
+    asked, and not paged in anew each block.  A workspace belongs to one
+    thread, and a buffer to one pass at a time.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        """An uninitialized contiguous array of ``shape``, the buffer ``name`` reused."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill, reduce,
-                 slots: int = 0, own: int = 0) -> tuple:
+                 slots: int = 0, own: int = 0, space: Workspace = None) -> tuple:
     """Fill, cell-split and reduce ``count`` rows one cache block at a time.
 
     ``fill(blk, out)`` writes the fine increments of rows ``blk`` to ``out``,
@@ -118,15 +141,18 @@ def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill
     arrays, contiguous as one; with the ``own`` arrays of that size that
     ``reduce`` allocates they size the block.  Up to ``SCAN_ADDS`` sub-cells
     the running sum is r whole-block copies and adds, else a cumsum along
-    the cell; both add in sequence, so their bits are equal.
+    the cell; both add in sequence, so their bits are equal.  The buffers
+    come from ``space`` when given, so a caller that streams many blocks of
+    paths reuses them.
     """
     r = cell_size(fine_count, coarse_n)
     row_bytes = ((2 * channels + slots + own) * fine_count + channels * coarse_n) * 8
     rows = cache_blocks(count, row_bytes)[0].stop
-    inc = np.empty((channels, rows, fine_count))
-    disp = np.empty((channels, rows, coarse_n, r + 1))
+    take = (space or Workspace()).take
+    inc = take("cells.inc", (channels, rows, fine_count))
+    disp = take("cells.disp", (channels, rows, coarse_n, r + 1))
     disp[..., 0] = 0.0
-    work = np.empty(slots * rows * fine_count)
+    work = take("cells.work", (slots * rows * fine_count,))
 
     def block(idx):
         m = len(idx)
@@ -453,17 +479,17 @@ def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
 def stream_paths(source: PathSource, reduce) -> tuple:
     """Draw, assemble and reduce the paths of ``source`` one cache block of paths at a time.
 
-    ``reduce(bundle)`` turns the :meth:`PathSource.bundle` of one block of
-    rows into per-row arrays, which :func:`over_chunks` copies into their
-    rows of the result before the next block is drawn, so they may be views
-    of the bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so the
-    batch's fine paths never exist at full size, and every block draws its
-    W into one reused buffer: a fresh one per block would be paged in anew
-    each time.
+    ``reduce(bundle, space)`` turns the :meth:`PathSource.bundle` of one
+    block of rows into per-row arrays, which :func:`over_chunks` copies into
+    their rows of the result before the next block is drawn, so they may be
+    views of the bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so
+    the batch's fine paths never exist at full size.  Every block draws its
+    W into one reused buffer and hands ``reduce`` one :class:`Workspace` for
+    its own passes: buffers fresh per block would be paged in anew each time.
     """
-    spec = source.spec
+    spec, space = source.spec, Workspace()
     row_bytes = (spec.dim_m + spec.dim_d) * (source.grid.fine_count + 1) * 8
     rows = cache_blocks(source.n_paths, row_bytes)[0].stop
-    w = np.empty((rows, source.grid.fine_count + 1, spec.dim_m))
-    return over_chunks(source.n_paths, rows,
-                       lambda idx: reduce(source.bundle(slice(idx[0], idx[0] + len(idx)), w)))
+    w = space.take("paths.w", (rows, source.grid.fine_count + 1, spec.dim_m))
+    return over_chunks(source.n_paths, rows, lambda idx: reduce(
+        source.bundle(slice(idx[0], idx[0] + len(idx)), w), space))

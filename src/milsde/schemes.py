@@ -39,7 +39,7 @@ import numpy as np
 
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
-from .paths import PathBundle, cache_blocks, cell_size, stream_cells
+from .paths import PathBundle, Workspace, cache_blocks, cell_size, stream_cells
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,22 @@ def _increments(y: np.ndarray, step: int):
     return fill
 
 
-def iterated_integrals(bundle: PathBundle, coarse_n: int,
-                       qv_exact: np.ndarray = None) -> np.ndarray:
+def iterated_integrals(bundle: PathBundle, coarse_n: int, qv_exact: np.ndarray = None,
+                       space: Workspace = None) -> np.ndarray:
     """Per-cell iterated-integral matrices K, shape (n_paths, coarse_n, d, d).
 
     ``qv_exact`` is the driver's exact QV per cell,
     ``bundle.driver.cell_qv`` of the cells' edges; it is formed here when not
-    given, and a caller that runs many blocks of paths forms it once.
+    given.  A caller that runs many blocks of paths forms it once and passes
+    one :class:`paths.Workspace` for the streamer's buffers.
     """
     if qv_exact is None:
         qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
-    return _cell_k(bundle.y, coarse_n, qv_exact)
+    return _cell_k(bundle.y, coarse_n, qv_exact, space)
 
 
-def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray) -> np.ndarray:
+def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray,
+            space: Workspace = None) -> np.ndarray:
     """K on ``coarse_n`` cells of the nodes of ``y``, whose exact QV per cell is ``qv_exact``."""
     def reduce(dyc, disp, work):
         kmat = _k_block(dyc, disp, work)  # K is formed before the QV reuses its work slots
@@ -118,7 +120,7 @@ def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray) -> np.ndarray:
 
     d = y.shape[2]
     return stream_cells(len(y), y.shape[1] - 1, coarse_n, d, _increments(y, 1), reduce,
-                        slots=d)[0]
+                        slots=d, space=space)[0]
 
 
 def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int) -> np.ndarray:
@@ -275,10 +277,11 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
         d = problem.driver.dim_d
         x = np.broadcast_to(problem.x0 if x is None else x, (B, q))
         values[:, 0] = x
+        space = Workspace()  # K's streamer buffers, reused by every block of cells
         for blk in cache_blocks(count, B * ((d * d + q) * 8 + 2 * q)):
             nodes = slice(cells.start + blk.start, cells.start + blk.stop + 1)
             y, steps = bundle.y[:, nodes], blk.stop - blk.start
-            kmat = _cell_k(y, steps, bundle.driver.cell_qv(bundle.grid.times(nodes)))
+            kmat = _cell_k(y, steps, bundle.driver.cell_qv(bundle.grid.times(nodes)), space)
             full = _march(x, y, steps, _milstein_step(problem.field, kmat))
             x = full.values[:, -1]
             # the kept nodes of this block, after its first, which the block before kept

@@ -257,9 +257,10 @@ class TestSimulateU:
         want = np.einsum("xtikj,xtkac,xtjca->xti", df, h, dm)
         np.testing.assert_allclose(limits._m_term(df, h, dm), want, rtol=1e-12, atol=1e-15)
 
-    def test_a_diverged_reference_raises(self):
+    def test_a_diverged_reference_raises(self, monkeypatch):
         # gbm's closed form made +inf where W passes 1.5: those draws have no
-        # U, so the chunk raises, naming how many diverged
+        # U, so each chunk marks them and the run raises, naming how many
+        # diverged over all of its chunks (four of 64 draws here)
         gbm = model.make_gbm()
 
         def cf(w, y, t):
@@ -270,12 +271,16 @@ class TestSimulateU:
         prob = model.SdeProblem(field=gbm.field, driver=gbm.driver, x0=gbm.x0, closed_form=cf,
                                 label="gbm-inf")
         grid, bundle, _ = limit_inputs(prob, 256, 3, 200)
-        want = int((bundle.w[..., 0] > 1.5).any(axis=1).sum())
-        assert 0 < want < 200
-        with pytest.raises(ArithmeticError, match=f"^{want} draws diverged"):
+        want = (bundle.w[..., 0] > 1.5).any(axis=1)
+        assert 0 < want[:64].sum() < want.sum() < 200
+        with np.errstate(all="ignore"):
+            real = limits.draw_error_limit(prob, 3, range(200), fine_count=256)
+        assert np.array_equal(real.diverged, want)
+        monkeypatch.setattr(limits, "DEFAULT_CHUNK", 64)
+        with pytest.raises(ArithmeticError, match=f"^{want.sum()} draws diverged"):
             with np.errstate(all="ignore"):
-                limits.draw_error_limit(prob, 3, range(200), fine_count=256)
-        assert limits.draw_error_limit(gbm, 3, range(200), fine_count=256).u_end.shape == (200, 1)
+                limits.sample_error_limit_end(prob, 3, 200, fine_count=256)
+        assert limits.sample_error_limit_end(gbm, 3, 200, fine_count=256).shape == (200, 1)
 
     def test_gbm_second_moment(self):
         real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),

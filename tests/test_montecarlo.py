@@ -235,9 +235,10 @@ class TestChunkMemory:
     def test_scheme_chunk_peak_is_bounded(self):
         # a gbm rate chunk draws, assembles and reduces its paths one block
         # of paths at a time, so no full-size array exists: what it holds is
-        # on the base grid (Y, K and the reference at its nodes), and the
-        # divergence check makes no float copy of the values
-        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 0.75
+        # on the base grid (Y, K and the reference at its nodes) and one
+        # block's reused buffers, and the divergence check makes no float
+        # copy of the values
+        assert _scheme_chunk_arrays(16, [8, 16, 32, 64]) <= 0.8
 
     def test_scheme_chunk_peak_is_bounded_at_n_128(self):
         # the sup error is reduced in the scheme's own values, reading the

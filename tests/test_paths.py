@@ -289,6 +289,29 @@ class TestStreamCells:
             paths.stream_cells(3, fine_count, coarse_n, 1, fill, fill)
 
 
+    def test_a_workspace_lends_its_buffers_to_every_call(self):
+        # a caller that streams many blocks of paths passes one workspace:
+        # every call fills the same buffers, with the results of fresh ones,
+        # and a call on fewer rows takes a prefix of them
+        inc = np.random.default_rng(3).standard_normal((7, 24, 2))
+        seen = []
+
+        def fill(blk, out):
+            out[...] = inc[blk]
+
+        def reduce(dyc, disp, work):
+            seen.append((dyc, disp, work))
+            return (disp[..., -1].sum(axis=0),)
+
+        want = paths.stream_cells(7, 24, 6, 2, fill, reduce, slots=1)[0]
+        space = paths.Workspace()
+        for count in (7, 5):
+            got = paths.stream_cells(count, 24, 6, 2, fill, reduce, slots=1, space=space)[0]
+            assert np.array_equal(got, want[:count])
+        assert all(np.shares_memory(a, b) for a, b in zip(seen[1], seen[2]))
+        assert not any(np.shares_memory(a, b) for a, b in zip(seen[0], seen[1]))
+
+
 class TestCacheBlocks:
     @settings(max_examples=200, deadline=None)
     @given(count=st.integers(0, 500),
