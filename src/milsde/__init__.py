@@ -5,9 +5,8 @@ error laws."""
 from .model import (CoefficientField, SdeProblem, builtin_models,
                     correction_pairing, get_model, ito_problem)
 from .montecarlo import (ExperimentReport, RateFit, compare_distributions,
-                         estimate_moments, fit_rate, ks_statistic,
-                         null_limit_check, null_tolerance, run_error_law,
-                         run_rate_experiment)
+                         estimate_moments, fit_rate, ks_statistic, null_tolerance,
+                         run_error_law, run_rate_experiment)
 from .paths import (DriverSpec, Grid, PathBundle, brownian_motion_driver,
                     build_driver, ito_embedding_driver,
                     make_grid, simulate_bundle, time_driver)

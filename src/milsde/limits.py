@@ -22,8 +22,9 @@ kept.  U needs each step's X, dY, dW, dM and dN once, in time order, so a
 limit chunk holds only its noise (the driver's W, its Y when Y is not W,
 and the auxiliary families) and the integrator forms the rest over all
 paths of one cache block of time steps at a time: X at the block's left
-nodes from the reference on the block's cells (a marched reference
-carries its last state into the next block), dY and dW as differences of
+nodes from the reference on the block's cells (a marched reference, one
+Milstein step per fine cell with K formed from that cell's dY, carries its
+last state into the next block), dY and dW as differences of
 the block's nodes, and V, dM and dN (drift correction included) from
 that block's noise copied contiguous once.  It builds its forcing and
 coupling terms from them, transposes those to time-major in cache and

@@ -114,11 +114,6 @@ def null_tolerance(se: float, bias_budget: float) -> float:
     return tol
 
 
-def null_limit_check(estimate: float, se: float, bias_budget: float) -> bool:
-    """Pass if the estimate is indistinguishable from zero: |e| <= :func:`null_tolerance`."""
-    return abs(estimate) <= null_tolerance(se, bias_budget)
-
-
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -200,8 +195,7 @@ class ExperimentReport:
 
 
 def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
-                         fine_factor: int, seed: int, threads: int = 1,
-                         chunk: int = DEFAULT_CHUNK) -> dict:
+                         fine_factor: int, seed: int, threads: int = 1) -> dict:
     """Coupled endpoint errors X^n_1 - X_1 for every n in n_list.
 
     Returns {"err": {n: (paths, q) array}, "sup": {n: (paths,)},
@@ -272,21 +266,19 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                 sup.append(np.sqrt(np.add.reduce(gap, axis=2).max(axis=1)))
         return (kept, *err, *sup)
 
-    kept, *cols = over_chunks(paths, chunk, work, threads)
+    kept, *cols = over_chunks(paths, DEFAULT_CHUNK, work, threads)
     return {"err": dict(zip(n_list, cols)), "sup": dict(zip(n_list, cols[len(n_list):])),
             "kept": kept, "n_list": n_list}
 
 
 def run_rate_experiment(problem: SdeProblem, scheme: str, n_list, paths: int,
-                        fine_factor: int, seed: int, threads: int = 1,
-                        chunk: int = DEFAULT_CHUNK) -> ExperimentReport:
+                        fine_factor: int, seed: int, threads: int = 1) -> ExperimentReport:
     """Strong-error decay fit over coupled paths.
 
     Per n the error is the root mean square of |X^n_1 - X_1| over kept
     paths; the slope is a least-squares fit of log(rms) against log(n).
     """
-    data = scheme_error_samples(problem, scheme, n_list, paths, fine_factor,
-                                seed, threads, chunk)
+    data = scheme_error_samples(problem, scheme, n_list, paths, fine_factor, seed, threads)
     kept = data["kept"]
     if not kept.any():
         raise ArithmeticError("all paths diverged")
@@ -308,10 +300,9 @@ def run_rate_experiment(problem: SdeProblem, scheme: str, n_list, paths: int,
 
 
 def error_law_samples(problem: SdeProblem, n: int, paths: int, fine_factor: int,
-                      seed: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+                      seed: int, threads: int = 1) -> np.ndarray:
     """Endpoint samples of the normalized error n (X^n_1 - X_1), shape (paths, q)."""
-    data = scheme_error_samples(problem, "milstein", [n], paths, fine_factor,
-                                seed, threads, chunk=chunk)
+    data = scheme_error_samples(problem, "milstein", [n], paths, fine_factor, seed, threads)
     if not data["kept"].all():
         raise ArithmeticError(f"{int((~data['kept']).sum())} paths diverged in the "
                               "error-law run")

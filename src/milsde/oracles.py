@@ -162,8 +162,7 @@ def _row(case, subcase, n, sample, target, null_budget=None,
     else:
         tol = 3.0 * se
         note = "3 SE band"
-    passed = abs(est - target) <= tol if null_budget is None else \
-        montecarlo.null_limit_check(est - target, se, null_budget)
+    passed = abs(est - target) <= tol
     return OracleRow(case=case, subcase=subcase, n=n, estimate=est, se=se,
                      target=target, tolerance=tol, passed=passed, note=note)
 

@@ -10,7 +10,7 @@ back a full coarse cell (left-open convention), so the anchor of the point
 Paths are generated per path index from splittable streams; a path's values
 depend only on (master_seed, path_index), never on batch composition.
 
-Per-step passes over the fine grid run in :func:`cache_blocks`, slices
+Vectorized passes over the fine grid run in :func:`cache_blocks`, slices
 whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
 built.  A rate chunk draws, assembles and reduces its driver paths one
 block of paths at a time (:func:`stream_paths` over a :class:`PathSource`,
@@ -19,9 +19,10 @@ which forms the keys and coefficients every block shares once, and a
 never exist whole.  Every pass over the cells of a coarse grid
 (K, its fold and the oracle cases) is a :func:`stream_cells` over blocks
 of paths, and a closed-form reference solution runs in blocks of paths
-too; a marched reference, which recurs in time, walks blocks of cells,
-and U runs in blocks of time, and so do the reference, dY and dW it
-reads.  A block bounds memory only: no result depends on it.
+too; a marched reference, which recurs in time, forms one cell's K at a
+time and needs no block.  U runs in blocks of time, and so do the
+reference, dY and dW it reads.  A block bounds memory only: no result
+depends on it.
 """
 
 import math
@@ -332,21 +333,22 @@ class PathBundle:
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
-                    channels: int = 1, width: int = 1, out: np.ndarray = None) -> np.ndarray:
+                    channels: int = 1, width: int = 1) -> np.ndarray:
     """Brownian increments of one stream family on the fine grid.
 
     Every (path index, channel) key draws a (fine_count, width) matrix of
     normals from its own stream; scaled by sqrt(fine_dt) it fills the
     ``width`` columns from ``c * width`` of the result, which has shape
-    (n_paths, fine_count, channels * width).  It is written to ``out`` when
-    given.  The running sum along the time axis is the path.
+    (n_paths, fine_count, channels * width).  The running sum along the
+    time axis is the path.
     """
     return _brownian(grid, rng.philox_keys(master_seed, component, path_indices, channels),
-                     width, out)
+                     width)
 
 
 def _brownian(grid: Grid, keys: np.ndarray, width: int, out: np.ndarray = None) -> np.ndarray:
-    """:func:`brownian_family` of the streams whose Philox keys are ``keys``."""
+    """:func:`brownian_family` of the streams whose Philox keys are ``keys``, written to
+    ``out`` when given."""
     return rng.normal_matrix(keys, (grid.fine_count, width), scale=np.sqrt(grid.fine_dt),
                              out=out)
 

@@ -27,10 +27,11 @@ The reference (:func:`reference`) is checked for divergence at every fine
 node but kept only at the nodes a caller reads; a rate run keeps the base
 grid's, which every level's grid is a subset of.  A closed form is
 evaluated on any block of paths, so a rate chunk evaluates it on each
-block it draws.  A marched reference walks its cells one cache block at a
-time, carrying its state between blocks, and runs on all fine cells or on
-one block of them, so the limit side walks the grid one time block at a
-time the same way.
+block it draws.  Without one the reference is Milstein on every fine
+cell, one :func:`_march` whose step forms each cell's K from its own dY:
+a cell of one sub-cell has no Levy area, so K = (dY dY^T - cell QV)/2
+exactly.  It runs on all fine cells or on one block of them from a given
+state, so the limit side walks the grid one time block at a time.
 """
 
 from dataclasses import dataclass
@@ -47,24 +48,19 @@ class SchemeOutput:
     values: np.ndarray  # (n_paths, n_times, q)
     coarse_n: int
     diverged: np.ndarray  # (n_paths,) bool
-    # (n_paths,) node of the first bad value, -1 if none: a coarse index for a
-    # scheme, a fine index for the reference, which checks every fine node
-    first_bad: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
 
 
-def _flag_divergence(values: np.ndarray) -> tuple:
+def _flag_divergence(values: np.ndarray) -> np.ndarray:
+    """The paths of ``values``, (n_paths, nodes, q), with a value outside the band."""
     # NaN and +-inf fail a comparison, so the band check flags them with the
     # overflow; two boolean passes, no float copy of the values
     ok = values <= DIVERGENCE_LIMIT
     ok &= values >= -DIVERGENCE_LIMIT
-    bad = ~ok.all(axis=2)
-    diverged = bad.any(axis=1)
-    first_bad = np.where(diverged, bad.argmax(axis=1), -1)
-    return diverged, first_bad
+    return ~ok.all(axis=(1, 2))
 
 
 def _channel_last(src: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -107,17 +103,13 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, qv_exact: np.ndarray =
     """
     if qv_exact is None:
         qv_exact = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
-    return _cell_k(bundle.y, coarse_n, qv_exact, space)
 
-
-def _cell_k(y: np.ndarray, coarse_n: int, qv_exact: np.ndarray,
-            space: Workspace = None) -> np.ndarray:
-    """K on ``coarse_n`` cells of the nodes of ``y``, whose exact QV per cell is ``qv_exact``."""
     def reduce(dyc, disp, work):
         kmat = _k_block(dyc, disp, work)  # K is formed before the QV reuses its work slots
         qv = np.swapaxes(_channel_last(dyc, work), -1, -2) @ np.moveaxis(dyc, 0, -1)
         return (kmat + 0.5 * (qv - qv_exact),)
 
+    y = bundle.y
     d = y.shape[2]
     return stream_cells(len(y), y.shape[1] - 1, coarse_n, d, _increments(y, 1), reduce,
                         slots=d, space=space)[0]
@@ -157,24 +149,31 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
     return kmat
 
 
-def _march(x0, y: np.ndarray, coarse_n: int, step) -> SchemeOutput:
+def _march(x0, y: np.ndarray, coarse_n: int, step, every: int = 1) -> SchemeOutput:
     """Run ``x = step(x, dy, k)`` from ``x0`` over ``coarse_n`` cells of the nodes of ``y``.
 
     ``x0`` is the start state, (q,) or one per path (n_paths, q); ``x`` is
-    (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d).  A
-    path that leaves the band is flagged, never raised.
+    (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d).
+    Every ``every``-th node is kept; ``every`` must divide ``coarse_n``.  A
+    path that leaves the band at any node, kept or not, is flagged, never
+    raised.
     """
     r = cell_size(y.shape[1] - 1, coarse_n)
+    kept = cell_size(coarse_n, every)
     B, q = len(y), np.shape(x0)[-1]
-    out = np.empty((B, coarse_n + 1, q))
+    out = np.empty((B, kept + 1, q))
     x = np.broadcast_to(x0, (B, q)).copy()
     out[:, 0] = x
+    # the band check on a running max of |x|: np.maximum keeps a NaN once seen
+    peak = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(coarse_n):
             x = step(x, y[:, (k + 1) * r] - y[:, k * r], k)
-            out[:, k + 1] = x
-    diverged, first_bad = _flag_divergence(out)
-    return SchemeOutput(out, coarse_n, diverged, first_bad)
+            np.maximum(peak, np.abs(x), out=peak)
+            if (k + 1) % every == 0:
+                out[:, (k + 1) // every] = x
+    diverged = ~(peak <= DIVERGENCE_LIMIT).all(axis=1)
+    return SchemeOutput(out, kept, diverged)
 
 
 def euler(problem: SdeProblem, bundle: PathBundle, coarse_n: int) -> SchemeOutput:
@@ -193,15 +192,16 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     """
     if kmat is None:
         kmat = iterated_integrals(bundle, coarse_n)
-    return _march(problem.x0, bundle.y, coarse_n, _milstein_step(problem.field, kmat))
+    return _march(problem.x0, bundle.y, coarse_n,
+                  _milstein_step(problem.field, lambda dy, k: kmat[:, k]))
 
 
-def _milstein_step(fld, kmat: np.ndarray):
-    """Milstein's step on cells whose K is ``kmat``, (n_paths, cells, d, d)."""
+def _milstein_step(fld, k_at):
+    """Milstein's step with cell k's K, (n_paths, d, d), given by ``k_at(dy, k)``."""
     def step(x, dy, k):
         f = fld.f_at(x)
         return x + np.einsum("bqd,bd->bq", f, dy) \
-                 + np.einsum("biac,bca->bi", correction_pairing(fld, x, f), kmat[:, k])
+                 + np.einsum("biac,bca->bi", correction_pairing(fld, x, f), k_at(dy, k))
 
     return step
 
@@ -253,51 +253,39 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     evaluated on those nodes one :func:`paths.cache_blocks` slice of paths
     at a time.  Otherwise the second-order scheme is run with every fine
     cell as its own step, which carries O(1/fine_count) error of its own,
-    from the states ``x`` at node ``cells.start`` (x0 when not given).  It
-    walks the cells one :func:`paths.cache_blocks` block at a time, forming
-    each block's K and solution and carrying the block's last state into
-    the next, so it never holds K or the solution of all the cells; a
-    caller may walk the grid the same way, passing each call's last values
-    as the next call's ``x``, with the same bits.  Either way the
-    divergence check reads every node, so ``first_bad`` is a fine-node
-    index counted from ``cells.start``,
-    while ``values`` hold only the len(cells) / every + 1 kept nodes
-    (``coarse_n`` of them cells).  ``every`` must divide len(cells).
+    from the states ``x`` at node ``cells.start`` (x0 when not given): one
+    :func:`_march` whose step forms each cell's K = (dY dY^T - cell QV)/2
+    from that cell's dY, so no K of many cells is held.  A caller may walk
+    the grid in blocks of cells, passing each call's last values as the
+    next call's ``x``, with the same bits.  Either way the divergence check
+    reads every node, while ``values`` hold only the len(cells) / every + 1
+    kept nodes (``coarse_n`` of them cells).  ``every`` must divide
+    len(cells).
     """
     if cells is None:
         cells = slice(0, bundle.grid.fine_count)
     count, q = cells.stop - cells.start, problem.field.dim_q
     kept = cell_size(count, every)
+    nodes = slice(cells.start, cells.stop + 1)
+    if problem.closed_form is None:
+        qv = bundle.driver.cell_qv(bundle.grid.times(nodes))
+
+        def k_at(dy, k):
+            kk = dy[:, :, None] * dy[:, None, :]
+            kk -= qv[k]
+            kk *= 0.5
+            return kk
+
+        return _march(problem.x0 if x is None else x, bundle.y[:, nodes], count,
+                      _milstein_step(problem.field, k_at), every)
     B = bundle.n_paths
     values = np.empty((B, kept + 1, q))
     diverged = np.zeros(B, dtype=bool)
-    first_bad = np.full(B, -1, dtype=np.intp)
-    if problem.closed_form is None:
-        # per cell and path: K and the state, and the check's byte masks
-        d = problem.driver.dim_d
-        x = np.broadcast_to(problem.x0 if x is None else x, (B, q))
-        values[:, 0] = x
-        space = Workspace()  # K's streamer buffers, reused by every block of cells
-        for blk in cache_blocks(count, B * ((d * d + q) * 8 + 2 * q)):
-            nodes = slice(cells.start + blk.start, cells.start + blk.stop + 1)
-            y, steps = bundle.y[:, nodes], blk.stop - blk.start
-            kmat = _cell_k(y, steps, bundle.driver.cell_qv(bundle.grid.times(nodes)), space)
-            full = _march(x, y, steps, _milstein_step(problem.field, kmat))
-            x = full.values[:, -1]
-            # the kept nodes of this block, after its first, which the block before kept
-            first = -(-(blk.start + 1) // every) * every
-            values[:, first // every:blk.stop // every + 1] = \
-                full.values[:, first - blk.start::every]
-            first_bad = np.where(~diverged & full.diverged, blk.start + full.first_bad,
-                                 first_bad)
-            diverged |= full.diverged
-        return SchemeOutput(values, kept, diverged, first_bad)
-    nodes = slice(cells.start, cells.stop + 1)
     times = bundle.grid.times(nodes)
     # per path: the closed form's values at the nodes and the check's two byte masks
     for blk in cache_blocks(B, (count + 1) * q * 10):
         full = np.asarray(problem.closed_form(bundle.w[blk, nodes], bundle.y[blk, nodes], times),
                           dtype=float)
-        diverged[blk], first_bad[blk] = _flag_divergence(full)
+        diverged[blk] = _flag_divergence(full)
         values[blk] = full[:, ::every]
-    return SchemeOutput(values, kept, diverged, first_bad)
+    return SchemeOutput(values, kept, diverged)

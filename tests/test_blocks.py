@@ -4,9 +4,10 @@ A rate chunk runs through :func:`paths.stream_paths` over blocks of paths,
 ``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
 oracle case through :func:`paths.stream_cells` over blocks of paths,
 the closed-form ``reference`` through :func:`paths.cache_blocks` over
-blocks of paths and the marched one over blocks of cells, and
-``simulate_u`` (which forms the reference, dY, dW, dM and dN per time
-block) through it over blocks of time.
+blocks of paths, and ``simulate_u`` (which forms the reference, dY, dW,
+dM and dN per time block) through it over blocks of time.  The marched
+reference runs in no block; it is checked here against one Milstein
+march and across calls chained over slices of the cells.
 Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
 row, of three rows (which divides none of the counts below) and in a single
 block, and each result is compared with the whole-array formulation kept in
@@ -121,9 +122,8 @@ def block_rows(request, monkeypatch):
         assert 0 < got[-1] <= want
     if rows == 3:
         # every pass ends in a partial block, but for one nested in a block of
-        # three (K or the closed form on a block of 3 paths, the cells a
-        # marched reference walks in a limit time block of 3 steps); the
-        # passes the tests start have counts that 3 does not divide
+        # three (K or the closed form on a block of 3 paths); the passes the
+        # tests start have counts that 3 does not divide
         assert all(got[-1] < 3 for count, got in lengths if count != 3)
 
 
@@ -206,8 +206,7 @@ def test_scheme_chunk_streams_blocks_of_paths(block_rows, name, scheme):
     # a rate chunk drawn, assembled and reduced one block of paths at a
     # time, with its levels run on the base grid, against the same chunk
     # from its whole bundle.  (2, 4, 8) has base 8 = max(n_list); (4, 5, 8)
-    # has base 40 > max(n_list), two fine cells of 80 apart (3 divides
-    # neither count, so a marched reference's pass over them ends short)
+    # has base 40 > max(n_list), two fine cells of 80 apart
     prob = model.get_model(name)
     for n_list, fine_factor in (((2, 4, 8), FINE // 8), ((4, 5, 8), 10)):
         got = montecarlo.scheme_error_samples(prob, scheme, n_list, PATHS, fine_factor, 5)
@@ -246,8 +245,8 @@ def test_scheme_chunk_evaluates_coefficients_once(monkeypatch, closed_form):
 def test_only_the_streamer_and_u_read_cache_blocks():
     # block_rows patches cache_blocks in paths (stream_cells and the rate
     # chunk's stream_paths), limits (the time-sliced U pass) and schemes
-    # (the reference: a closed form blocked over paths, a march over
-    # cells); a pass that looked it up elsewhere would run unpatched, so
+    # (a closed-form reference, blocked over paths); a pass that looked it
+    # up elsewhere would run unpatched, so
     # the block tests here could not see its blocks
     src = pathlib.Path(paths.__file__).parent
     readers = sorted(f.stem for f in src.glob("*.py") if "cache_blocks" in f.read_text())
@@ -276,9 +275,7 @@ REFERENCE_CASES = {"gbm": model.make_gbm, "gbm-drift": model.make_gbm_drift,
 
 
 def _whole_flags(values):
-    bad = ~np.all(np.abs(values) <= model.DIVERGENCE_LIMIT, axis=2)
-    diverged = bad.any(axis=1)
-    return diverged, np.where(diverged, bad.argmax(axis=1), -1)
+    return ~np.all(np.abs(values) <= model.DIVERGENCE_LIMIT, axis=(1, 2))
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
@@ -289,18 +286,18 @@ def test_reference_keeps_every_kth_node(block_rows, case):
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
     whole = np.asarray(prob.closed_form(bundle.w, bundle.y, bundle.grid.times()), dtype=float)
-    diverged, first_bad = _whole_flags(whole)
+    diverged = _whole_flags(whole)
     if case == "bad-nodes":
         w = bundle.w[..., 0]
-        want = np.where(w[:, 5] > 0.4, 5, np.where(w[:, 7] < 0.0, 7, -1))
-        assert set(want) == {-1, 5, 7} and np.array_equal(first_bad, want)
+        inf, nan = w[:, 5] > 0.4, w[:, 7] < 0.0
+        assert inf.any() and (nan & ~inf).any() and not (inf | nan).all()
+        assert np.array_equal(diverged, inf | nan)
     for every in (1, 4, COARSE, FINE):
         ref = schemes.reference(prob, bundle, every=every)
         assert ref.values.shape == (PATHS, FINE // every + 1, 1)
         assert ref.coarse_n == FINE // every
         assert np.array_equal(ref.values, whole[:, ::every], equal_nan=True)
         assert np.array_equal(ref.diverged, diverged)
-        assert np.array_equal(ref.first_bad, first_bad)
 
 
 def _squared_noise():
@@ -318,55 +315,92 @@ def test_reference_without_closed_form_keeps_every_kth_node():
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
     full = schemes.milstein(prob, bundle, FINE)
+    assert not full.diverged.any()
     for every in (1, 4, COARSE, FINE):
         ref = schemes.reference(prob, bundle, every=every)
         assert np.array_equal(ref.values, full.values[:, ::every])
         assert np.array_equal(ref.diverged, full.diverged)
-        assert np.array_equal(ref.first_bad, full.first_bad)
 
 
 @pytest.mark.parametrize("make", [model.make_ou, _squared_noise], ids=["ou", "squared-noise"])
 def test_marched_reference_walks_blocks_of_cells(block_rows, make):
-    # no closed form: Milstein on every fine cell, walked in blocks of cells
-    # inside reference, flagged there and thinned after, against one march
-    # over the grid, with the first bad node of a path that leaves the band
+    # no closed form: the reference marches every fine cell, forming each
+    # cell's K from its dY, flagged there and thinned after, against one
+    # Milstein march over the grid whose K iterated_integrals forms over
+    # blocks of paths, with the paths that leave the band
     prob = make()
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
     with np.errstate(all="ignore"):
         full = schemes.milstein(prob, bundle, FINE)
         if prob.label == "squared-noise":
-            assert list(full.first_bad) == [19, 9] + [-1] * (PATHS - 2)
+            assert full.diverged.tolist() == [True, True] + [False] * (PATHS - 2)
         for every in (1, 4, COARSE, FINE):
             ref = schemes.reference(prob, bundle, every=every)
             assert np.array_equal(ref.values, full.values[:, ::every], equal_nan=True)
             assert np.array_equal(ref.diverged, full.diverged)
-            assert np.array_equal(ref.first_bad, full.first_bad)
 
 
-@pytest.mark.parametrize("case", ["gbm", "bad-nodes", "ou", "field2-callable"])
-def test_reference_walks_blocks_of_cells(block_rows, case):
-    # blocks of cells, each started from the last values of the one before,
-    # give the whole-grid reference node for node, with its flags
-    prob = _problem("field2", True) if case == "field2-callable" else \
-        model.make_ou() if case == "ou" else REFERENCE_CASES[case]()
+@pytest.mark.parametrize("case,timed", CASES, ids=IDS)
+def test_marched_reference_k_is_the_one_sub_cell_k(monkeypatch, case, timed):
+    # the K the marched reference forms from each cell's dY is K of a cell of
+    # one sub-cell, as iterated_integrals forms it on a fine-factor-1 grid,
+    # on all cells and on a slice of them
+    prob = _problem(case, timed)
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(FINE, 1), 5, range(PATHS))
+    whole = schemes.iterated_integrals(bundle, FINE)
+    dy = np.diff(bundle.y, axis=1)
+    k_ats, step = [], schemes._milstein_step
+    monkeypatch.setattr(schemes, "_milstein_step",
+                        lambda fld, k_at: k_ats.append(k_at) or step(fld, k_at))
+    for cells in (slice(0, FINE), slice(11, 40)):
+        schemes.reference(prob, bundle, cells=cells)
+        got = np.stack([k_ats[-1](dy[:, cells.start + k], k)
+                        for k in range(cells.stop - cells.start)], axis=1)
+        assert np.array_equal(got, whole[:, cells])
+
+
+def _walk_cells(prob):
+    """The reference walked in slices of the cells, each call started from
+    the last values of the one before, checked node for node and flag for
+    flag against the whole-grid reference; returns the flags."""
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
     whole = schemes.reference(prob, bundle)
-    x, values, first_bad = None, [], np.full(PATHS, -1)
+    x, values, diverged = None, [], np.zeros(PATHS, dtype=bool)
     for cells in (slice(0, 8), slice(8, 11), slice(11, 12), slice(12, FINE)):
         ref = schemes.reference(prob, bundle, cells=cells, x=x)
         assert ref.values.shape == (PATHS, cells.stop - cells.start + 1, prob.field.dim_q)
         assert ref.coarse_n == cells.stop - cells.start
         x = ref.values[:, -1]
         values.append(ref.values[:, :-1])
-        first_bad = np.where((first_bad < 0) & ref.diverged, cells.start + ref.first_bad,
-                             first_bad)
+        diverged |= ref.diverged
     values.append(x[:, None])
     assert np.array_equal(np.concatenate(values, axis=1), whole.values, equal_nan=True)
-    assert np.array_equal(first_bad, whole.first_bad)
-    if case == "bad-nodes":
-        assert set(first_bad) == {-1, 5, 7}
+    assert np.array_equal(diverged, whole.diverged)
+    return diverged
+
+
+@pytest.mark.parametrize("case", ["gbm", "bad-nodes", "ou", "field2-callable"])
+def test_reference_walks_blocks_of_cells(block_rows, case):
+    # slices of the cells, each started from the last values of the one
+    # before, give the whole-grid reference node for node, with its flags:
+    # the closed form blocked over paths on each slice, or Milstein chained
+    # through x as the limit side walks its time blocks, which is also one
+    # Milstein march whose K is formed over blocks of paths
+    if case in REFERENCE_CASES:
+        diverged = _walk_cells(REFERENCE_CASES[case]())
+        if case == "bad-nodes":
+            assert 0 < diverged.sum() < PATHS
+        return
+    prob = _problem("field2", True) if case == "field2-callable" else model.make_ou()
+    _walk_cells(prob)
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    full = schemes.milstein(prob, bundle, FINE)
+    whole = schemes.reference(prob, bundle)
+    assert np.array_equal(whole.values, full.values)
+    assert np.array_equal(whole.diverged, full.diverged)
 
 
 def test_reference_rejects_a_step_that_does_not_divide_the_grid():

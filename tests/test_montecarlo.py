@@ -69,16 +69,15 @@ class TestCompareDistributions:
 
 class TestNullLimitCheck:
     def test_trivia(self):
-        assert montecarlo.null_limit_check(0.001, 0.002, 0.0)
-        assert not montecarlo.null_limit_check(0.5, 0.01, 0.0)
+        assert montecarlo.null_tolerance(0.002, 0.0) == 3.0 * 0.002
+        # a zero SE with no budget leaves no band to check against
         with pytest.raises(ValueError):
-            montecarlo.null_limit_check(0.0, 0.0, 0.0)
+            montecarlo.null_tolerance(0.0, 0.0)
 
     def test_band_is_three_se_plus_budget(self):
         assert montecarlo.null_tolerance(0.01, 0.5) == 3.0 * 0.01 + 0.5
         # an identically zero statistic (zero SE) is judged by its budget alone
-        assert montecarlo.null_limit_check(0.0, 0.0, 0.5)
-        assert not montecarlo.null_limit_check(0.6, 0.0, 0.5)
+        assert montecarlo.null_tolerance(0.0, 0.5) == 0.5
         with pytest.raises(ValueError):
             montecarlo.null_tolerance(-0.1, 1.0)
 
@@ -118,14 +117,16 @@ class TestRateExperiment:
         assert -2.05 <= rep.rate_fit.slope <= -1.95
         assert rep.excluded_paths == 0
 
-    def test_chunking_and_threads_do_not_change_results(self):
+    def test_chunking_and_threads_do_not_change_results(self, monkeypatch):
         gbm = model.make_gbm()
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 600)
         base = montecarlo.run_rate_experiment(gbm, "milstein", [16, 32, 64, 128],
-                                              600, 2, seed=9, chunk=600)
-        for kwargs in ({"chunk": 100}, {"chunk": 250, "threads": 3}):
+                                              600, 2, seed=9)
+        for chunk, threads in ((100, 1), (250, 3)):
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
             other = montecarlo.run_rate_experiment(gbm, "milstein",
                                                    [16, 32, 64, 128],
-                                                   600, 2, seed=9, **kwargs)
+                                                   600, 2, seed=9, threads=threads)
             assert other.to_dict() == base.to_dict()
 
     def test_every_n_runs_on_the_same_bundle(self):
@@ -136,7 +137,7 @@ class TestRateExperiment:
         from milsde import paths, schemes
         gbm = model.make_gbm()
         data = montecarlo.scheme_error_samples(gbm, "milstein", [32, 128],
-                                               300, 1, seed=13, chunk=300)
+                                               300, 1, seed=13)
         grid = paths.make_grid(128, 1)
         bundle = paths.simulate_bundle(gbm.driver, grid, 13, range(300))
         ref = schemes.reference(gbm, bundle).values[:, -1]
@@ -254,9 +255,10 @@ class TestChunkMemory:
 
     def test_marched_scheme_chunk_peak_is_bounded(self):
         # ou has no closed form: the chunk keeps the fine two-channel Y that
-        # its reference marches over, one block of cells at a time, so
-        # neither a fine K nor a fine solution is ever whole
-        assert _scheme_chunk_arrays(8, [16, 32, 128], make=model.make_ou) <= 4.5
+        # its reference marches over, forming each cell's K from its dY and
+        # keeping only the base nodes, so neither a fine K nor a fine
+        # solution is ever whole
+        assert _scheme_chunk_arrays(8, [16, 32, 128], make=model.make_ou) <= 3.6
 
     def test_closed_form_chunk_peak_does_not_grow_with_the_fine_grid(self):
         # a closed-form chunk holds no fine node beyond one block of paths,

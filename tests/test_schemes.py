@@ -136,11 +136,28 @@ class TestChenFold:
     def test_milstein_pair_agrees_through_the_engine(self, n_list, fine_factor, seed):
         # criterion 10c on folded K: both schemes read the same matrices
         prob = model.make_gbm_drift()
-        runs = [montecarlo.scheme_error_samples(prob, scheme, n_list, 40, fine_factor,
-                                                seed, chunk=25)
-                for scheme in ("milstein", "milstein54")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "DEFAULT_CHUNK", 25)
+            runs = [montecarlo.scheme_error_samples(prob, scheme, n_list, 40, fine_factor,
+                                                    seed)
+                    for scheme in ("milstein", "milstein54")]
         for n in n_list:
             assert np.max(np.abs(runs[0]["err"][n] - runs[1]["err"][n])) <= 1e-12
+
+
+def _band_values():
+    # each bad value sits at a known (path, node, component)
+    values = np.random.default_rng(4).uniform(-1e3, 1e3, (8, 9, 2))
+    values[0, 3, 1] = np.nan
+    values[1, 5, 0] = np.inf
+    values[2, 2, 1] = -np.inf
+    values[3, 7, 0] = 1.01e150
+    values[3, 8, 1] = np.nan  # a second bad value on the same path
+    values[4, 1, 0] = -1.01e150
+    values[5, :, :] = model.DIVERGENCE_LIMIT  # the limit itself is finite
+    values[6, 4, :] = -model.DIVERGENCE_LIMIT
+    values[7, 0, 1] = np.nan  # a bad start
+    return values
 
 
 class TestMilstein:
@@ -192,26 +209,30 @@ class TestMilstein:
             b = paths.simulate_bundle(problem.driver, paths.make_grid(16, 1), 1, range(3))
             out = scheme(problem, b, 16)
             assert out.diverged.all(), scheme.__name__
-            assert (out.first_bad > 0).all(), scheme.__name__
 
     def test_divergence_flag_catches_nan_inf_and_overflow(self):
-        # each bad value sits at a known (path, step, component); the single
-        # comparison must agree with the explicit finite-or-large test
-        values = np.random.default_rng(4).uniform(-1e3, 1e3, (6, 9, 2))
-        values[0, 3, 1] = np.nan
-        values[1, 5, 0] = np.inf
-        values[2, 2, 1] = -np.inf
-        values[3, 7, 0] = 1.01e150
-        values[3, 8, 1] = np.nan  # a later bad value leaves first_bad alone
-        values[4, 1, 0] = -1.01e150
-        values[5, :, :] = model.DIVERGENCE_LIMIT  # the limit itself is finite
-        diverged, first_bad = schemes._flag_divergence(values)
-        assert diverged.tolist() == [True, True, True, True, True, False]
-        assert first_bad.tolist() == [3, 5, 2, 7, 1, -1]
+        # the single comparison must agree with the explicit finite-or-large test
+        values = _band_values()
+        diverged = schemes._flag_divergence(values)
+        assert diverged.tolist() == [True] * 5 + [False, False, True]
         bad = ~np.isfinite(values).all(axis=2) \
             | (np.abs(values) > model.DIVERGENCE_LIMIT).any(axis=2)
         assert np.array_equal(diverged, bad.any(axis=1))
-        assert np.array_equal(first_bad, np.where(bad.any(axis=1), bad.argmax(axis=1), -1))
+
+    @pytest.mark.parametrize("every", [1, 2, 4, 8])
+    def test_march_flags_what_the_band_check_flags(self, every):
+        # a step that returns the values node by node: the march's running
+        # max of |x| from x0 flags every path the whole-array check flags,
+        # whether or not the bad node is one it keeps
+        values = _band_values()
+        cells = values.shape[1] - 1
+        y = np.zeros((len(values), cells + 1, 1))
+        with np.errstate(invalid="ignore"):
+            out = schemes._march(values[:, 0], y, cells, lambda x, dy, k: values[:, k + 1],
+                                 every)
+        assert np.array_equal(out.values, values[:, ::every], equal_nan=True)
+        assert out.coarse_n == cells // every
+        assert np.array_equal(out.diverged, schemes._flag_divergence(values))
 
 
 class TestMilsteinIto54:
