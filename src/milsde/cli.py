@@ -198,6 +198,10 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
             errors.append(f"scheme 'milstein54' needs the (W, t) embedding with "
                           f"f = (a(x), b(x)); model '{model}' is not of that form")
 
+    if verb == "error-law" and model in builtin_models() and get_model(model).zero_limit:
+        errors.append(f"model '{model}' has a limit error U that is identically 0: its error "
+                      f"law tends to the point mass at 0, which a law comparison cannot check")
+
     if verb in ("rate", "error-law") and model in builtin_models() and \
             values["fine_factor"] == 1 and get_model(model).closed_form is None:
         errors.append(f"model '{model}' has no closed form, so its reference is Milstein on the "

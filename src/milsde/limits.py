@@ -19,19 +19,26 @@ The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
 the fine grid along the reference solution X; only the endpoint U_1 is
 kept.  U needs each step's X, dY, dW, dM and dN once, in time order, so a
-limit chunk holds only its noise (the driver's W, its Y when Y is not W,
-and the auxiliary families) and the integrator forms the rest over all
-paths of one cache block of time steps at a time: X at the block's left
-nodes from the reference on the block's cells (a marched reference, one
-Milstein step per fine cell with K formed from that cell's dY, carries its
-last state into the next block), dY and dW as differences of
-the block's nodes, and V, dM and dN (drift correction included) from
-that block's noise copied contiguous once.  It builds its forcing and
-coupling terms from them, transposes those to time-major in cache and
-steps through them: neither X, dY, dW, dM, dN nor any term of U is ever
-full-size.  Sigma's cube is formed once per chunk, and a draw whose
-reference leaves the band at any node is flagged; :func:`limit_samples`
-raises for the flagged draws of all its chunks.
+limit chunk keeps its draws and holds one time block of their noise at a
+time: the driver's W, its Y when Y is not W, and the auxiliary families,
+each stream drawn on from where the last block stopped (a carried Philox
+stream per slot, see :func:`rng.normal_matrix`) and each running sum
+carried from the last block's last node, in buffers every block reuses.
+A block holds about ``paths.NOISE_BYTES`` and whole blocks of U's steps,
+so no (draws, fine_count) array exists and the chunk's memory does not
+grow with the fine grid; its values are those of one whole-grid draw, bit
+for bit.  The integrator forms the rest over all paths of one cache block
+of time steps at a time: X at the block's left nodes from the reference on
+the block's cells (a marched reference, one Milstein step per fine cell
+with K formed from that cell's dY, carries its last state into the next
+block), dY and dW as differences of the block's nodes, and V, dM and dN
+(drift correction included) from that block's noise copied contiguous
+once.  It builds its forcing and coupling terms from them, transposes
+those to time-major in cache and steps through them: neither X, dY, dW,
+dM, dN nor any term of U is ever full-size.  Sigma's cube is formed once
+per time block, and a draw whose reference leaves the band at any node is
+flagged; :func:`limit_samples` raises for the flagged draws of all its
+chunks.
 """
 
 from dataclasses import dataclass, replace
@@ -40,8 +47,9 @@ import numpy as np
 
 from . import rng, stats
 from .model import SdeProblem
-from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, PathBundle, brownian_family,
-                    cache_blocks, over_chunks, simulate_bundle)
+# simulate_bundle is looked up here by perfbench's tracer
+from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, Workspace, cache_blocks,  # noqa: F401
+                    noise_steps, over_chunks, simulate_bundle, stream_times)
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -55,7 +63,8 @@ class AuxiliaryNoise:
     has shape (n_paths, T-1, m).  Streams are keyed per (path, channel) so
     the families are independent of each other and of every driver path.
     The increments are those of the steps from ``start`` of ``grid`` on: all
-    of them as sampled, one time block of them after :meth:`steps`.
+    of them, or one time block of them as a chunk samples them, or one block
+    of U's steps after :meth:`steps`.
     """
 
     grid: Grid
@@ -64,26 +73,61 @@ class AuxiliaryNoise:
     start: int = 0
 
     def steps(self, blk: slice) -> "AuxiliaryNoise":
-        """The increments of the time steps ``blk`` of these, copied contiguous.
+        """The increments of the grid's steps ``blk``, among these, copied contiguous.
 
         A time slice of the sampled arrays is strided per path, and numpy
         pays its per-row loop cost on every operand that reads one.
         """
-        return replace(self, db=np.ascontiguousarray(self.db[:, blk]),
-                       dwbar=np.ascontiguousarray(self.dwbar[:, blk]),
-                       start=self.start + blk.start)
+        local = slice(blk.start - self.start, blk.stop - self.start)
+        return replace(self, db=np.ascontiguousarray(self.db[:, local]),
+                       dwbar=np.ascontiguousarray(self.dwbar[:, local]), start=blk.start)
 
     def times(self) -> np.ndarray:
         """The grid nodes these increments span, T of them."""
         return self.grid.times(slice(self.start, self.start + self.db.shape[1] + 1))
 
 
-def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices) -> AuxiliaryNoise:
-    db = brownian_family(grid, master_seed, path_indices, rng.AUX_B, channels=dim_m ** 3)
-    dwbar = brownian_family(grid, master_seed, path_indices, rng.AUX_WBAR, channels=dim_m)
+def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices, cells: slice = None,
+               carry: dict = None, space: Workspace = None) -> AuxiliaryNoise:
+    """The B and Wbar increments of the draws ``path_indices`` on the fine steps ``cells``.
+
+    ``cells`` are all of the grid's steps by default.  A chunk that samples
+    them one time block after another, in time order, passes every block
+    the same ``carry``, a dict in which the first block leaves each family's
+    keys and streams for the later blocks to draw on from (see
+    :func:`rng.normal_matrix`), and the same ``space``, whose buffers every
+    block's increments are written to.
+    """
+    if cells is None:
+        cells = slice(0, grid.fine_count)
+    take = (space or Workspace()).take
+    families = []
+    for component, channels in ((rng.AUX_B, dim_m ** 3), (rng.AUX_WBAR, dim_m)):
+        if carry is None:
+            keys, streams = rng.philox_keys(master_seed, component, path_indices, channels), None
+        elif component in carry:
+            keys, streams = carry[component]
+        else:
+            keys, streams = carry[component] = (
+                rng.philox_keys(master_seed, component, path_indices, channels), [])
+        out = take(f"aux.{component}", (len(keys), cells.stop - cells.start, channels))
+        families.append(rng.normal_matrix(keys, (out.shape[1], 1), scale=np.sqrt(grid.fine_dt),
+                                          out=out, carry=streams))
+    db, dwbar = families
     # channel (p*m + i)*m + j of the B family is entry [p, i, j]
     db = db.reshape(*db.shape[:2], dim_m, dim_m, dim_m)
-    return AuxiliaryNoise(grid=grid, db=db, dwbar=dwbar)
+    return AuxiliaryNoise(grid=grid, db=db, dwbar=dwbar, start=cells.start)
+
+
+def noise_bytes(driver: DriverSpec) -> int:
+    """Bytes a limit chunk's time block of noise holds per draw and fine step.
+
+    The driver's W, its Y when Y is not W, the dW a callable sigma's Y is
+    formed from, and the B and Wbar families.
+    """
+    m, d = driver.dim_m, driver.dim_d
+    return 8 * (m + (0 if driver.y_is_w else d) + (m if callable(driver.sigma) else 0)
+                + m ** 3 + m)
 
 
 def assemble_v_increments(aux: AuxiliaryNoise, dw: np.ndarray) -> np.ndarray:
@@ -157,6 +201,18 @@ def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.n
     return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
+def u_row_bytes(problem: SdeProblem) -> int:
+    """Bytes a block of U's steps holds per path and step, in :func:`simulate_u`.
+
+    X, f, Df, h and Hf; the forcing, N term and coupling, batch- and
+    time-major; dY; the noise copies, dW, V and its diagonal; dM, dN and the
+    drift-corrected dN.
+    """
+    q, d, m = problem.field.dim_q, problem.driver.dim_d, problem.driver.dim_m
+    return 8 * (q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d
+                + 2 * m ** 3 + 3 * m + 3 * d ** 3)
+
+
 def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.ndarray:
     """Integrate the limit error SDE along a reference solution path.
 
@@ -171,16 +227,10 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
     on the fine grid; returns U at the last node, shape (n_paths, q).  The
     loop is causal: stopping the inputs after k steps gives U at node k.
     """
-    field, driver = problem.field, problem.driver
-    q, d, m = field.dim_q, driver.dim_d, driver.dim_m
-    cur = np.zeros((n_paths, q))
-    step = np.empty((n_paths, q))
-    # a block's values per step and path: X, f, Df, h and Hf; the forcing,
-    # N term and coupling, batch- and time-major; dY; the noise copies, dW,
-    # V and its diagonal; dM, dN and the drift-corrected dN
-    row = q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d \
-        + 2 * m ** 3 + 3 * m + 3 * d ** 3
-    for blk in cache_blocks(steps, n_paths * row * 8):
+    field = problem.field
+    cur = np.zeros((n_paths, field.dim_q))
+    step = np.empty((n_paths, field.dim_q))
+    for blk in cache_blocks(steps, n_paths * u_row_bytes(problem)):
         # the block's inputs, contiguous so that the products below read
         # contiguous memory
         x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a) for a in inputs(blk))
@@ -235,39 +285,47 @@ def _n_term(f: np.ndarray, hf: np.ndarray, dn: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_u(problem: SdeProblem, bundle: PathBundle, aux: AuxiliaryNoise,
-               fps: np.ndarray = None, diverged: np.ndarray = None) -> np.ndarray:
-    """U_1 of the limit error SDE along ``bundle``, driven by its own paths and ``aux``.
+def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
+               diverged: np.ndarray = None) -> np.ndarray:
+    """U_1 of the limit error SDE along the driver paths of ``noise``, driven by its noise.
 
-    ``aux`` is the auxiliary noise of the bundle's fine cells.
-    :func:`integrate_u` takes its inputs one time block at a time, formed
-    here from the block's nodes and noise: X at the block's left nodes from
+    ``noise`` yields the chunk's noise one time block at a time, in time
+    order: pairs of a :class:`paths.PathBundle` of the block's nodes and the
+    :class:`AuxiliaryNoise` of its cells (one whole-grid pair is one block).
+    :func:`integrate_u` takes its inputs one block of its steps at a time,
+    each of which must lie in one time block; they are formed here from the
+    block's nodes and noise: X at the block's left nodes from
     :func:`schemes.reference` on the block's cells (a marched reference
     carries its last state into the next block), dY and dW as differences
     of the block's nodes (one array when Y is W), and dM and dN from
     :func:`simulate_mn` on the block's noise, drift-corrected there, with
-    sigma's cube formed once for every block.  None of them ever exists at
-    full size.  ``fps``, when given, is an (n_paths, 5) array to which each
-    block adds the :func:`stats.fingerprints` of its dM, dN and dW;
-    ``diverged``, when given, an (n_paths,) bool array that each block
-    marks with the paths whose reference left the band on its nodes.
+    sigma's cube formed once per time block.  None of them ever exists at
+    full size, and a time block is asked for only when U's steps reach it.
+    ``fps``, when given, is an (n_paths, 5) array to which each block of
+    steps adds the :func:`stats.fingerprints` of its dM, dN and dW;
+    ``diverged``, when given, an (n_paths,) bool array that each block marks
+    with the paths whose reference left the band on its nodes.
     """
-    y, w, driver = bundle.y, bundle.w, problem.driver
+    driver, blocks = problem.driver, iter(noise)
+    bundle, aux = next(blocks)
+    cube = sigma_cube(driver, aux.times()[:-1])
     x = None  # the reference at the next block's first node
-    cube = sigma_cube(driver, bundle.grid.times()[:-1])
 
     def inputs(blk):
-        nonlocal x
+        nonlocal bundle, aux, cube, x
+        if blk.start == bundle.cells.stop:
+            bundle, aux = next(blocks)
+            cube = sigma_cube(driver, aux.times()[:-1])
         ref = reference(problem, bundle, cells=blk, x=x)
         x = ref.values[:, -1]
         if diverged is not None:
             np.logical_or(diverged, ref.diverged, out=diverged)
-        nodes = slice(blk.start, blk.stop + 1)
-        dy = np.diff(y[:, nodes], axis=1)
-        dw = dy if y is w else np.diff(w[:, nodes], axis=1)
+        nodes = bundle.nodes(blk)
+        dy = np.diff(bundle.y[:, nodes], axis=1)
+        dw = dy if bundle.y is bundle.w else np.diff(bundle.w[:, nodes], axis=1)
         # the block's noise, copied contiguous once for every product below
         block = aux.steps(blk)
-        dm, dn = simulate_mn(driver, dw, block, cube[blk])
+        dm, dn = simulate_mn(driver, dw, block, cube[blk.start - aux.start:blk.stop - aux.start])
         dn = drift_correct(dn, driver, block.times())
         if fps is not None:
             np.add(fps, stats.fingerprints(dm, dn, dw), out=fps)
@@ -298,19 +356,30 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     Draws a fresh driver path (its own stream family) and the auxiliary
     families, and integrates the limit SDE along the reference solution of
     that path.  The driver's drift correction is applied automatically.
-    The chunk holds only the noise: the bundle's W (and its Y when Y is not
-    W) and the auxiliary families; the reference, dY, dW, dM and dN are
-    formed one time block at a time inside :func:`simulate_u`.  A draw whose
+    The chunk holds one time block of noise at a time: the W of its draws
+    (and their Y when Y is not W) from :func:`paths.stream_times` and the
+    auxiliary families from :func:`sample_aux`, each stream drawn on from
+    where the last block stopped, in buffers that every block reuses.  A
+    block holds :func:`noise_bytes` per draw and step, as many whole blocks
+    of U's steps as fit in ``paths.NOISE_BYTES``, so the chunk's memory does
+    not grow with ``fine_count``; the values are those of one whole-grid
+    block, bit for bit.  The reference, dY, dW, dM and dN are formed one
+    block of U's steps at a time inside :func:`simulate_u`.  A draw whose
     reference leaves the band at any fine node has no meaningful U; it is
     marked in ``diverged``, and :func:`limit_samples` raises for it.
     """
-    grid = Grid(fine_count, 1)
-    bundle = simulate_bundle(problem.driver, grid, master_seed, path_indices,
-                             component=rng.LIMIT_W)
-    aux = sample_aux(grid, problem.driver.dim_m, master_seed, path_indices)
-    fps = np.zeros((bundle.n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
-    diverged = np.zeros(bundle.n_paths, dtype=bool)
-    u_end = simulate_u(problem, bundle, aux, fps, diverged)
+    grid, driver = Grid(fine_count, 1), problem.driver
+    keys = rng.philox_keys(master_seed, rng.LIMIT_W, path_indices, 1)
+    n_paths = len(keys)
+    u_steps = cache_blocks(fine_count, n_paths * u_row_bytes(problem))[0].stop
+    length = noise_steps(fine_count, n_paths * noise_bytes(driver), u_steps)
+    space, carry = Workspace(), {}
+    noise = ((bundle, sample_aux(grid, driver.dim_m, master_seed, path_indices, bundle.cells,
+                                 carry, space))
+             for bundle in stream_times(driver, grid, keys, length, space))
+    fps = np.zeros((n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
+    diverged = np.zeros(n_paths, dtype=bool)
+    u_end = simulate_u(problem, noise, fps, diverged)
     return LimitRealization(u_end=u_end, diverged=diverged, fingerprints=fps)
 
 

@@ -48,13 +48,20 @@ class SdeProblem:
     (n_paths, T, m) and path ``y`` (n_paths, T, d) at the nodes ``t`` (T,)
     to the exact solution at those nodes, (n_paths, T, q).  It must act node
     by node: its value at a node reads that node's w, y and t only, so that
-    it may be evaluated on any block of paths and of nodes."""
+    it may be evaluated on any block of paths and of nodes.
+
+    ``zero_limit`` marks a problem whose limit error U is identically 0, so
+    that the law of n (X^n - X) tends to the point mass at 0: additive noise
+    (every term of U's equation vanishes) or no noise at all.  The bundled
+    factories set it, and ``error-law`` refuses such a model, since a law
+    comparison against a point mass checks nothing."""
 
     field: CoefficientField
     driver: DriverSpec
     x0: np.ndarray
     closed_form: object = None
     label: str = ""
+    zero_limit: bool = False
 
     def __post_init__(self):
         if self.field.dim_d != self.driver.dim_d:
@@ -145,11 +152,12 @@ def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientF
 
 
 def ito_problem(a, da, d2a, b, db, d2b, x0=1.0, closed_form=None,
-                label: str = "ito", growth_bound: float = 1.0) -> SdeProblem:
+                label: str = "ito", growth_bound: float = 1.0,
+                zero_limit: bool = False) -> SdeProblem:
     """Generic Ito-type problem dX = a(X) dW + b(X) dt via the (W, t) driver."""
     return SdeProblem(field=ito_field(a, da, d2a, b, db, d2b, growth_bound),
                       driver=ito_embedding_driver(), x0=x0,
-                      closed_form=closed_form, label=label)
+                      closed_form=closed_form, label=label, zero_limit=zero_limit)
 
 
 def _scaled_exp(out: np.ndarray, x0: float) -> np.ndarray:
@@ -191,7 +199,8 @@ def make_det_exp(x0: float = 1.0) -> SdeProblem:
         return np.broadcast_to(vals[:, None], (len(y), len(t), 1)).copy()
 
     return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), lambda x: 0.0 * x),
-                      driver=time_driver(), x0=x0, closed_form=cf, label="det-exp")
+                      driver=time_driver(), x0=x0, closed_form=cf, label="det-exp",
+                      zero_limit=True)
 
 
 def make_gbm_drift(x0: float = 1.0, alpha: float = 1.0, beta: float = 1.0) -> SdeProblem:
@@ -210,7 +219,7 @@ def make_ou(x0: float = 1.0, noise: float = 0.5, kappa: float = 1.0) -> SdeProbl
                        d2a=lambda x: 0.0 * x,
                        b=lambda x: -kappa * x, db=lambda x: -kappa * np.ones_like(x),
                        d2b=lambda x: 0.0 * x,
-                       x0=x0, label="ou", growth_bound=max(noise, kappa))
+                       x0=x0, label="ou", growth_bound=max(noise, kappa), zero_limit=True)
 
 
 _REGISTRY = {

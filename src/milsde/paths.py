@@ -21,11 +21,17 @@ never exist whole.  Every pass over the cells of a coarse grid
 of paths, and a closed-form reference solution runs in blocks of paths
 too; a marched reference, which recurs in time, forms one cell's K at a
 time and needs no block.  U runs in blocks of time, and so do the
-reference, dY and dW it reads.  A block bounds memory only: no result
+reference, dY and dW it reads.  A limit chunk draws its driver paths one
+time block at a time (:func:`stream_times`), each block's noise about
+``NOISE_BYTES``: its streams are drawn on from where the last block
+stopped and its running sums carried from the last block's last node, so
+a bundle of one time block (``PathBundle.start``) holds the bits of the
+same nodes of the whole batch.  A block bounds memory only: no result
 depends on it.
 """
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +43,9 @@ MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
 DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
 MAX_THREADS = 64  # most worker threads the CLI accepts (--threads), a config check
 BLOCK_BYTES = 1 << 21  # working set of one block of :func:`cache_blocks`
+# noise that a chunk of limit draws holds at once, which sets the length of
+# the time blocks it is drawn in (:func:`stream_times`): a memory bound, not a setting
+NOISE_BYTES = 1 << 24
 # longest cell that :func:`stream_cells` scans by whole-block adds: at its
 # block sizes the adds take 0.14-0.99x numpy's cumsum time for r = 2..16 and
 # 1.1-1.8x for r = 32..64 (2-vCPU Xeon, numpy 2.4), a crossover, not a setting
@@ -97,15 +106,58 @@ def running_sum(inc: np.ndarray, axis: int = 1) -> np.ndarray:
     return out
 
 
-def cache_blocks(count: int, row_bytes: int) -> list:
+def _sum_on(nodes: np.ndarray, start: int, axis: int = 1) -> np.ndarray:
+    """Sum the increments in nodes 1.. of ``nodes`` along ``axis`` onto node 0, in place.
+
+    Node 0 holds the last block's last node; at the grid's start (``start``
+    0) it is 0, and node 1 stays the first increment, as in
+    :func:`running_sum`.  One cumsum adds in sequence, so a sum carried
+    across blocks has the bits of one over the whole grid; a cumsum and
+    then an added carry would not.
+    """
+    part = nodes[(slice(None),) * axis + (slice(0 if start else 1, None),)]
+    np.cumsum(part, axis=axis, out=part)
+    return nodes
+
+
+class Blocks(Sequence):
+    """The slices of ``rows`` rows each that cover 0..count-1 in order, formed as read.
+
+    U's pass at 2^26 fine steps has about 5 million blocks; as a list of
+    slices they would take 630 MB.
+    """
+
+    def __init__(self, count: int, rows: int):
+        self.count, self.rows = count, rows
+
+    def __len__(self) -> int:
+        return -(-self.count // self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        start = range(0, self.count, self.rows)[i]
+        return slice(start, min(start + self.rows, self.count))
+
+
+def cache_blocks(count: int, row_bytes: int) -> Blocks:
     """Consecutive non-empty slices that cover 0..count-1 in order.
 
     ``row_bytes`` is the working set one row (a time step or a path) adds
     to a block; a block holds as many rows as fit in ``BLOCK_BYTES``, and
     at least one.
     """
-    rows = max(1, BLOCK_BYTES // max(1, row_bytes))
-    return [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
+    return Blocks(count, max(1, BLOCK_BYTES // max(1, row_bytes)))
+
+
+def noise_steps(count: int, row_bytes: int, unit: int) -> int:
+    """Rows per time block of a pass whose noise holds ``row_bytes`` per row.
+
+    The most whole multiples of ``unit`` rows that fit in ``NOISE_BYTES``,
+    at least one ``unit`` and at most all ``count`` rows, so that each block
+    of ``unit`` rows a later pass takes lies in one time block.
+    """
+    return min(count, max(1, NOISE_BYTES // (row_bytes * unit)) * unit)
 
 
 class Workspace:
@@ -251,6 +303,12 @@ class DriverSpec:
         if not np.isfinite(a).all():
             raise ValueError("int ||a_s||^2 ds diverges on [0,1]")
 
+    @property
+    def y_is_w(self) -> bool:
+        """Whether the driver is its Brownian path W: a constant sigma = I and no drift."""
+        return (not callable(self.sigma) and self.drift is None
+                and np.array_equal(np.asarray(self.sigma, dtype=float), np.eye(self.dim_d)))
+
     def sigma_at(self, times: np.ndarray) -> np.ndarray:
         """Volatility matrices at the given times, shape (T, d, m)."""
         return _coefficient_at(self.sigma, times, (self.dim_d, self.dim_m))
@@ -311,14 +369,15 @@ def ito_embedding_driver(label: str = "ito-embed") -> DriverSpec:
 class PathBundle:
     """Coupled batch of driving paths on one grid.
 
-    ``w`` is (n_paths, fine_count+1, m) and ``y`` is (n_paths, fine_count+1, d);
-    for a constant sigma = I and no drift ``y`` is ``w`` itself, not a copy.
-    ``a_int`` is the deterministic drift integral, (fine_count+1, d), shared
-    by every path.  A bundle is immutable after construction; every scheme
-    and functional evaluated on it reads the same realizations, which is the
-    coupling contract.  ``w`` is None in a bundle made for readers of Y
-    alone (the schemes, K and a marched reference); a sampled bundle always
-    has it.
+    ``w`` is (n_paths, T, m) and ``y`` is (n_paths, T, d), the grid's nodes
+    ``start`` to ``start + T - 1``: all fine_count + 1 of them, or one time
+    block's (:func:`stream_times`).  For a constant sigma = I and no drift
+    ``y`` is ``w`` itself, not a copy.  ``a_int`` is the deterministic drift
+    integral at the same nodes, (T, d), shared by every path.  A bundle is
+    immutable after construction; every scheme and functional evaluated on
+    it reads the same realizations, which is the coupling contract.  ``w`` is
+    None in a bundle made for readers of Y alone (the schemes, K and a
+    marched reference); a sampled bundle always has it.
     """
 
     grid: Grid
@@ -326,10 +385,23 @@ class PathBundle:
     w: np.ndarray
     y: np.ndarray
     a_int: np.ndarray
+    start: int = 0
 
     @property
     def n_paths(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def cells(self) -> slice:
+        """The fine cells whose nodes the bundle holds."""
+        return slice(self.start, self.start + self.y.shape[1] - 1)
+
+    def nodes(self, cells: slice) -> slice:
+        """Where the nodes of the fine cells ``cells`` lie in ``w`` and ``y``."""
+        if cells.start < self.start or cells.stop > self.cells.stop:
+            raise ValueError(f"cells {cells.start}..{cells.stop} lie outside the bundle's "
+                             f"{self.cells.start}..{self.cells.stop}")
+        return slice(cells.start - self.start, cells.stop + 1 - self.start)
 
 
 def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
@@ -346,22 +418,33 @@ def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
                      width)
 
 
-def _brownian(grid: Grid, keys: np.ndarray, width: int, out: np.ndarray = None) -> np.ndarray:
-    """:func:`brownian_family` of the streams whose Philox keys are ``keys``, written to
-    ``out`` when given."""
-    return rng.normal_matrix(keys, (grid.fine_count, width), scale=np.sqrt(grid.fine_dt),
-                             out=out)
+def _brownian(grid: Grid, keys: np.ndarray, width: int, out: np.ndarray = None,
+              carry: list = None) -> np.ndarray:
+    """:func:`brownian_family` of the streams whose Philox keys are ``keys``.
 
-
-def driver_coefficients(spec: DriverSpec, grid: Grid) -> tuple:
-    """(sigma, a_int) of ``spec`` on ``grid``, checked finite, for :func:`build_driver`.
-
-    ``sigma`` is the constant (d, m) matrix, or a callable sigma at the
-    left nodes, (fine_count, d, m); ``a_int`` is the drift integral
-    a_int_k = sum_{j<k} a(t_j) dt, (fine_count+1, d).  Every path of a grid
-    shares both, so a batch forms them once.
+    Given ``out``, its rows are drawn: all fine steps, or one block of them
+    drawn on from where ``carry`` (see :func:`rng.normal_matrix`) stopped.
     """
-    left_times = grid.times()[:-1]
+    rows = grid.fine_count if out is None else out.shape[1]
+    return rng.normal_matrix(keys, (rows, width), scale=np.sqrt(grid.fine_dt), out=out,
+                             carry=carry)
+
+
+def driver_coefficients(spec: DriverSpec, grid: Grid, cells: slice = None,
+                        a_start: np.ndarray = None) -> tuple:
+    """(sigma, a_int) of ``spec`` on the fine cells ``cells`` of ``grid``, checked finite.
+
+    ``cells`` are all of them by default, as :func:`build_driver` reads.
+    ``sigma`` is the constant (d, m) matrix, or a callable sigma at the
+    cells' left nodes, (len(cells), d, m); ``a_int`` is the drift integral
+    a_int_k = sum_{j<k} a(t_j) dt at the cells' nodes, (len(cells)+1, d).  A
+    callable drift's is summed on from ``a_start``, its value at the first
+    node when that is not node 0.  Every path shares both, so a batch forms
+    them once per block of cells.
+    """
+    if cells is None:
+        cells = slice(0, grid.fine_count)
+    left_times = grid.times(cells)
     if callable(spec.sigma):
         sig = spec.sigma_at(left_times)
         if not np.isfinite(sig).all():
@@ -372,18 +455,21 @@ def driver_coefficients(spec: DriverSpec, grid: Grid) -> tuple:
         if not np.isfinite(sig).all():
             raise ValueError("sigma matrix contains non-finite entries")
 
-    a_int = np.zeros((grid.fine_count + 1, spec.dim_d))
+    a_int = np.zeros((len(left_times) + 1, spec.dim_d))
     if callable(spec.drift):
         a = spec.drift_at(left_times)
         if not np.isfinite(a).all():
             bad = int(np.argwhere(~np.isfinite(a).all(axis=1))[0, 0])
             raise ValueError(f"drift evaluated non-finite at t={left_times[bad]:g}")
-        a_int = running_sum(a * grid.fine_dt, axis=0)
+        np.multiply(a, grid.fine_dt, out=a_int[1:])
+        if cells.start:
+            a_int[0] = a_start
+        _sum_on(a_int, cells.start, axis=0)
     elif spec.drift is not None:
         a = np.asarray(spec.drift, dtype=float)
         if not np.isfinite(a).all():
             raise ValueError("drift vector contains non-finite entries")
-        a_int = grid.times()[:, None] * a
+        a_int = grid.times(slice(cells.start, cells.stop + 1))[:, None] * a
     return sig, a_int
 
 
@@ -495,3 +581,47 @@ def stream_paths(source: PathSource, reduce) -> tuple:
     w = space.take("paths.w", (rows, source.grid.fine_count + 1, spec.dim_m))
     return over_chunks(source.n_paths, rows, lambda idx: reduce(
         source.bundle(slice(idx[0], idx[0] + len(idx)), w), space))
+
+
+def stream_times(spec: DriverSpec, grid: Grid, keys: np.ndarray, length: int,
+                 space: Workspace):
+    """The driver paths of the Philox ``keys``, (n_paths, 1, 2), one time block at a time.
+
+    Yields a :class:`PathBundle` of each block of ``length`` fine cells, in
+    time order, holding the block's nodes in buffers of ``space`` that every
+    block reuses, so a bundle is read before the next is asked for.  Its
+    coefficients are formed on its cells alone, and its increments are drawn
+    on from where the last block's stopped (the carry of
+    :func:`rng.normal_matrix`).  W, a callable sigma's Y and a callable
+    drift's integral are summed on from the last block's last node, each in
+    one in-place cumsum (:func:`_sum_on`), so every block holds the bits of
+    the same nodes of :func:`simulate_bundle`'s whole batch.
+    """
+    m, d, n_paths = spec.dim_m, spec.dim_d, len(keys)
+    carry = []  # the streams, drawn on block after block
+    w = space.take("times.w", (n_paths, length + 1, m))
+    y = None if spec.y_is_w else space.take("times.y", (n_paths, length + 1, d))
+    y_end = np.zeros((n_paths, d))  # a callable sigma's Y before its drift, at the last node
+    a_end = None
+    for start in range(0, grid.fine_count, length):
+        cells = slice(start, min(start + length, grid.fine_count))
+        size = cells.stop - start + 1
+        sig, a_int = driver_coefficients(spec, grid, cells, a_end)
+        a_end = a_int[-1]
+        wb = w[:, :size]
+        wb[:, 0] = w[:, length] if start else 0.0  # the last block, if any, was whole
+        _brownian(grid, keys, m, out=wb[:, 1:], carry=carry)
+        _sum_on(wb, start)
+        yb = wb if y is None else y[:, :size]
+        if callable(spec.sigma):
+            yb[:, 0] = y_end
+            np.einsum("tdm,btm->btd", sig, np.diff(wb, axis=1), out=yb[:, 1:])
+            y_end[:] = _sum_on(yb, start)[:, -1]
+        elif yb is not wb:
+            if np.array_equal(sig, np.eye(len(sig))):  # sigma = I with a drift
+                np.copyto(yb, wb)
+            else:
+                np.einsum("dm,bkm->bkd", sig, wb, out=yb)
+        if spec.drift is not None:
+            yb += a_int
+        yield PathBundle(grid, spec, wb, yb, a_int, start)

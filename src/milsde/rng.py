@@ -12,14 +12,19 @@ spawn_key=(component, path_index, channel)).generate_state(2, uint64)``.
 :func:`philox_keys` hashes the keys of a whole chunk at once, a vectorised
 copy of that seed_seq hash (O'Neill 2014), and :func:`normal_matrix` draws
 any slice of them through one generator by setting its state, so a stream
-costs no per-key ``SeedSequence`` or ``Philox`` set-up, and a chunk drawn
-block by block hashes its keys once.  A path index must be below
-:data:`INDEX_LIMIT` (one 32-bit word).  :func:`stream` builds the same
-generator the numpy way; it is the reference the hash and the draws are
-tested against.
+drawn once costs no per-key ``SeedSequence`` or ``Philox`` set-up, and a
+chunk drawn block by block of paths hashes its keys once.  A stream drawn
+in blocks of rows (a limit chunk's noise, one time block at a time) is
+carried instead: the first call makes one generator per slot, and each
+later call draws on from where the last stopped.  Making a generator costs
+several times what setting a state does, so only streams that continue are
+carried.  A path index must be below :data:`INDEX_LIMIT` (one 32-bit
+word).  :func:`stream` builds the same generator the numpy way; it is the
+reference the hash and the draws are tested against.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Component codes.  New components append only; reordering would silently
 # change every stream.
@@ -49,6 +54,23 @@ def stream(master_seed: int, component: int, path_index: int, channel: int = 0) 
         raise ValueError("seed, path index and channel must be non-negative")
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(component, path_index, channel))
     return np.random.Generator(np.random.Philox(seq))
+
+
+class _Hashed(ISeedSequence):
+    """A slot's SeedSequence whose state :func:`philox_keys` has generated already.
+
+    Philox takes its key from ``generate_state(2, uint64)``, which here is
+    the hashed key itself, so a generator made from it costs no entropy
+    draw or second hash (about half of ``Philox(key=...)``'s cost).
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
 
 
 def _words(value: int) -> list:
@@ -115,7 +137,7 @@ def philox_keys(master_seed: int, component: int, path_indices, channels: int) -
 
 
 def normal_matrix(keys: np.ndarray, shape: tuple, scale: float = 1.0,
-                  out: np.ndarray = None) -> np.ndarray:
+                  out: np.ndarray = None, carry: list = None) -> np.ndarray:
     """Scaled standard normals for every slot of a (B, channels, 2) key array.
 
     Slot (b, c) draws a ``shape`` = (rows, k) matrix from the stream whose
@@ -123,20 +145,40 @@ def normal_matrix(keys: np.ndarray, shape: tuple, scale: float = 1.0,
     row-major order, multiplies it by ``scale`` and writes it to
     ``out[b, :, c*k:(c+1)*k]``.  ``out`` has shape (B, rows, channels * k),
     may be any strided view, and is allocated when not given; it is
-    returned.  One generator serves the whole call, so no generator is
-    shared between threads.
+    returned, and holds exactly the normals drawn.
+
+    Without ``carry`` every stream is drawn from its start through one
+    generator, so no generator is shared between threads.  ``carry``, a
+    list, carries the streams from call to call instead: the first call
+    fills it with one generator per slot, and each later call on the same
+    keys draws on from where the last stopped, so rows drawn in blocks equal
+    the rows of one call.
     """
     rows, k = shape
+    channels = keys.shape[1]
     if out is None:
-        out = np.empty((keys.shape[0], rows, keys.shape[1] * k))
+        out = np.empty((keys.shape[0], rows, channels * k))
+    if carry is None:
+        generators = _restarted(keys)
+    else:
+        if not carry:
+            carry.extend(np.random.Generator(np.random.Philox(_Hashed(key)))
+                         for key in keys.reshape(-1, 2))
+        generators = carry
+    draw = np.empty(shape)
+    for slot, gen in enumerate(generators):
+        b, c = divmod(slot, channels)
+        gen.standard_normal(out=draw)
+        np.multiply(draw, scale, out=out[b, :, c * k:(c + 1) * k])
+    return out
+
+
+def _restarted(keys: np.ndarray):
+    """One generator, set to the start of each slot's stream in turn, slot-major."""
     gen = np.random.Generator(np.random.Philox())
     state = gen.bit_generator.state  # a fresh state: empty buffer, no spare word
     counter = np.zeros(4, dtype=np.uint64)
-    draw = np.empty(shape)
-    for b in range(keys.shape[0]):
-        for c in range(keys.shape[1]):
-            state["state"] = {"counter": counter, "key": keys[b, c]}
-            gen.bit_generator.state = state
-            gen.standard_normal(out=draw)
-            np.multiply(draw, scale, out=out[b, :, c * k:(c + 1) * k])
-    return out
+    for key in keys.reshape(-1, 2):
+        state["state"] = {"counter": counter, "key": key}
+        gen.bit_generator.state = state
+        yield gen

@@ -248,8 +248,9 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     """Fine-grid stand-in for the exact solution, kept at every ``every``-th fine node.
 
     ``cells`` is a slice of the fine cells with its start and stop given,
-    all of them by default; the solution runs over its nodes, ``cells.start``
-    to ``cells.stop``.  The closed form is used when the model has one,
+    all of the bundle's by default; the solution runs over its nodes,
+    ``cells.start`` to ``cells.stop``, which a bundle of one time block
+    holds from its ``start`` on.  The closed form is used when the model has one,
     evaluated on those nodes one :func:`paths.cache_blocks` slice of paths
     at a time.  Otherwise the second-order scheme is run with every fine
     cell as its own step, which carries O(1/fine_count) error of its own,
@@ -263,12 +264,13 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     len(cells).
     """
     if cells is None:
-        cells = slice(0, bundle.grid.fine_count)
+        cells = bundle.cells
     count, q = cells.stop - cells.start, problem.field.dim_q
     kept = cell_size(count, every)
-    nodes = slice(cells.start, cells.stop + 1)
+    times = bundle.grid.times(slice(cells.start, cells.stop + 1))
+    nodes = bundle.nodes(cells)
     if problem.closed_form is None:
-        qv = bundle.driver.cell_qv(bundle.grid.times(nodes))
+        qv = bundle.driver.cell_qv(times)
 
         def k_at(dy, k):
             kk = dy[:, :, None] * dy[:, None, :]
@@ -281,7 +283,6 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     B = bundle.n_paths
     values = np.empty((B, kept + 1, q))
     diverged = np.zeros(B, dtype=bool)
-    times = bundle.grid.times(nodes)
     # per path: the closed form's values at the nodes and the check's two byte masks
     for blk in cache_blocks(B, (count + 1) * q * 10):
         full = np.asarray(problem.closed_form(bundle.w[blk, nodes], bundle.y[blk, nodes], times),

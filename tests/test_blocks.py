@@ -244,7 +244,8 @@ def test_scheme_chunk_evaluates_coefficients_once(monkeypatch, closed_form):
 
 def test_only_the_streamer_and_u_read_cache_blocks():
     # block_rows patches cache_blocks in paths (stream_cells and the rate
-    # chunk's stream_paths), limits (the time-sliced U pass) and schemes
+    # chunk's stream_paths), limits (the time-sliced U pass, whose blocks
+    # the noise blocks hold whole) and schemes
     # (a closed-form reference, blocked over paths); a pass that looked it
     # up elsewhere would run unpatched, so
     # the block tests here could not see its blocks
@@ -439,11 +440,12 @@ U_CASES = {**{i: (lambda c=c, t=t: _problem(c, t)) for i, (c, t) in zip(IDS, CAS
 
 
 @pytest.mark.parametrize("case", U_CASES)
-def test_simulate_u(block_rows, case):
+def test_simulate_u(block_rows, monkeypatch, case):
     # the reference, dY, dW, dM and dN formed (and dN drift-corrected) one
     # time block at a time, against the whole-grid reference, np.diff of the
     # paths, whole-size dM/dN, the whole-grid drift correction and the
-    # whole-array integrator
+    # whole-array integrator; and the chunk's noise drawn in time blocks of
+    # one block of U's steps each, against its whole-grid draw
     prob = U_CASES[case]()
     grid = paths.Grid(FINE, 1)
     bundle = paths.simulate_bundle(prob.driver, grid, 9, range(PATHS), component=rng.LIMIT_W)
@@ -451,9 +453,11 @@ def test_simulate_u(block_rows, case):
     dm, dn = mn_whole(prob.driver, np.diff(bundle.w, axis=1), aux)
     dn = limits.drift_correct(dn, prob.driver, grid.times())
     x_ref = schemes.reference(prob, bundle).values
-    got = limits.simulate_u(prob, bundle, aux)
+    got = limits.simulate_u(prob, [(bundle, aux)])
     want = u_whole(prob, x_ref, np.diff(bundle.y, axis=1), dm, dn)
     assert got.shape == (PATHS, prob.field.dim_q) and np.array_equal(got, want)
+    monkeypatch.setattr(paths, "NOISE_BYTES", 1)
+    assert np.array_equal(limits.draw_error_limit(prob, 9, range(PATHS), FINE).u_end, got)
 
 
 def oracle_whole(case, n, fine_factor, n_paths, seed):

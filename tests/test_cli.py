@@ -173,6 +173,12 @@ class TestMain:
          "threads must be <= 64, got 65"),
         (["limit-sim", "--model", "gbm", "--threads", str(1 << 40), "--seed", "1"],
          "threads must be <= 64"),
+        (["error-law", "--model", "ou", "--n", "32", "--fine-factor", "16", "--paths", "1000",
+          "--draws", "1000", "--fine-count", "512", "--seed", "2"],
+         "model 'ou' has a limit error U that is identically 0"),
+        (["error-law", "--model", "det-exp", "--n", "16", "--fine-factor", "8",
+          "--fine-count", "64", "--paths", "1000", "--draws", "1000", "--seed", "1"],
+         "model 'det-exp' has a limit error U that is identically 0"),
     ])
     def test_config_only_errors_exit_two(self, argv, message, tmp_path, capsys,
                                          monkeypatch):
@@ -193,7 +199,8 @@ class TestMain:
         (["lemma-check", "--case", "7.2a", "--n", "1", "--paths", "0"],
          ["case '7.2a' needs n >= 13", "paths must be >= 30"]),
         (["error-law", "--model", "ou", "--fine-factor", "1", "--paths", "10"],
-         ["model 'ou' has no closed form", "paths must be >= 1000"]),
+         ["model 'ou' has no closed form", "paths must be >= 1000",
+          "model 'ou' has a limit error U that is identically 0"]),
         (["limit-sim", "--model", "gbm", "--threads", "100", "--draws", "10"],
          ["threads must be <= 64, got 100", "draws must be >= 30"]),
     ])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from milsde import crosscheck, limits, model, paths, rng, schemes, stats
-from test_blocks import _trig_field
+from test_blocks import _problem, _trig_field
 
 
 def limit_inputs(problem, fine_count, seed, n_draws):
@@ -34,7 +34,7 @@ def u_at_every_node(problem, bundle, aux):
     u = np.zeros((x_ref.shape[0], steps + 1, x_ref.shape[2]))
     for k in range(1, steps + 1):
         u[:, k] = limits.integrate_u(problem, len(dy), k, given_inputs(x_ref, dy, dm, dn))
-    assert np.array_equal(u[:, -1], limits.simulate_u(problem, bundle, aux))
+    assert np.array_equal(u[:, -1], limits.simulate_u(problem, [(bundle, aux)]))
     return u
 
 
@@ -190,7 +190,7 @@ class TestSimulateU:
         prob = model.SdeProblem(field=fld, driver=paths.brownian_motion_driver(1),
                                 x0=1.0)
         grid, bundle, aux = limit_inputs(prob, 256, 5, 8)
-        u = limits.simulate_u(prob, bundle, aux)
+        u = limits.simulate_u(prob, [(bundle, aux)])
         assert u.shape == (8, 1) and np.all(u == 0.0)
 
     def test_linearity_in_forcing(self):
@@ -221,7 +221,7 @@ class TestSimulateU:
 
         monkeypatch.setattr(paths, "BLOCK_BYTES", 1 << 16)  # several time blocks
         monkeypatch.setattr(limits, "simulate_mn", recording)
-        limits.simulate_u(prob, bundle, aux)
+        limits.simulate_u(prob, [(bundle, aux)])
         assert len(seen) > 1 and sum(seen) == grid.fine_count
 
     @pytest.mark.parametrize("field", ["embedding", "field2"])
@@ -335,7 +335,7 @@ class TestItoErrorLimit:
         prob = model.make_gbm_drift(alpha=1.0, beta=0.0)
         grid, bundle, aux = limit_inputs(prob, 512, 23, 4000)
         x_ref = prob.closed_form(bundle.w, bundle.y, grid.times())
-        u_general = limits.simulate_u(prob, bundle, aux)
+        u_general = limits.simulate_u(prob, [(bundle, aux)])
         u_display = crosscheck.ito_error_limit(prob, x_ref, np.diff(bundle.w[:, :, 0], axis=1),
                                                aux.db[:, :, 0, 0, 0], aux.dwbar[:, :, 0],
                                                grid.times())
@@ -417,26 +417,117 @@ class TestFingerprints:
         assert plain.fingerprints is None and np.array_equal(plain.u_end, real.u_end)
 
 
-# (draws, fine_count) arrays that one limit chunk may hold at its peak
-LIMIT_CHUNK_ARRAYS = {"gbm": 3.5, "gbm-drift": 6.0, "ou": 6.0}
+class TestZeroLimit:
+    @pytest.mark.parametrize("name", ["gbm", "gbm-drift", "ou", "det-exp"])
+    def test_the_zero_limit_models_have_u_exactly_zero(self, name):
+        # ou's noise is additive and det-exp has none, so every term of U's
+        # equation vanishes and the limit law is the point mass at 0: the
+        # bundled factories mark exactly those, which error-law refuses
+        prob = model.get_model(name)
+        u = limits.sample_error_limit_end(prob, 3, 200, fine_count=128)
+        assert prob.zero_limit == (name in ("ou", "det-exp"))
+        assert np.all(u == 0.0) == prob.zero_limit
+        if not prob.zero_limit:
+            assert np.all(u != 0.0)
+
+
+@pytest.mark.parametrize("case", ["gbm", "gbm-drift", "ou", "embedding-callable"])
+def test_limit_samples_do_not_depend_on_noise_blocks_chunks_or_threads(monkeypatch, case):
+    # the noise drawn in time blocks of any length (down to one block of U's
+    # steps, 1 byte) and on one or two threads gives the same endpoints and
+    # fingerprints, bit for bit, and so do chunks of any size for the
+    # endpoints; the callable sigma carries Y's running sum across the blocks
+    prob = _problem("embedding", True) if case == "embedding-callable" else model.get_model(case)
+    want = limits.limit_samples(prob, 4, 150, 256, fingerprints=True)
+    for noise_bytes, threads in ((1 << 14, 1), (1, 1), (1 << 12, 2), (paths.NOISE_BYTES, 2)):
+        monkeypatch.setattr(paths, "NOISE_BYTES", noise_bytes)
+        got = limits.limit_samples(prob, 4, 150, 256, threads, fingerprints=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (noise_bytes, threads)
+    # the fingerprints are summed per block of U's steps, whose length
+    # follows the chunk's draw count, so only their last bits may move
+    for chunk, threads in ((64, 1), (37, 2)):
+        monkeypatch.setattr(limits, "DEFAULT_CHUNK", chunk)
+        u_end, fps = limits.limit_samples(prob, 4, 150, 256, threads, fingerprints=True)
+        assert np.array_equal(u_end, want[0]), (chunk, threads)
+        np.testing.assert_allclose(fps, want[1], rtol=1e-13, atol=1e-13 * np.abs(want[1]).max())
+
+
+def _limit_chunk_peak(prob, draws, fine_count):
+    limits.sample_error_limit_end(prob, 2, 50, 256)  # warm caches
+    tracemalloc.start()
+    try:
+        limits.sample_error_limit_end(prob, 2, draws, fine_count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one limit chunk's peak in units of its noise budget, paths.NOISE_BYTES: a
+# time block of noise, about the budget, the blocks of U's steps (about
+# paths.BLOCK_BYTES) and one generator per carried stream (about 600 bytes)
+LIMIT_CHUNK_BUDGETS = {"gbm": 1.4, "gbm-drift": 1.4, "ou": 1.4}
 
 
 class TestChunkMemory:
-    @pytest.mark.parametrize("name", LIMIT_CHUNK_ARRAYS)
+    @pytest.mark.parametrize("name", LIMIT_CHUNK_BUDGETS)
     def test_limit_chunk_peak_is_bounded(self, name):
-        # the limit side holds a fixed number of (draws, fine_count) arrays
-        # at once: the driver's W (and Y when Y is not W; gbm-drift and ou
-        # hold a two-component Y) and the auxiliary noise, with the
-        # reference, dY, dW, dM, dN and every other term built one cache
-        # block of time steps at a time.  A full-size reference, K, dY or dW
-        # kept alive again would break it (before these were blocked the
-        # chunk read 4.21, 7.02 and 8.26 arrays)
-        prob, draws, fine_count = model.get_model(name), 1000, 1024
-        limits.sample_error_limit_end(prob, 2, 50, fine_count)  # warm caches
+        # 1000 draws of 1025 nodes hold 24.6 MB of noise for gbm and 41 MB
+        # for the (W, t) models, whose Y has two components, but a chunk holds
+        # one time block of it at a time, with the reference, dY, dW, dM, dN
+        # and every other term built one cache block of time steps at a time
+        # (1.19, 1.25 and 1.25 budgets; holding the noise whole read 1.56, 2.60
+        # and 2.60)
+        peak = _limit_chunk_peak(model.get_model(name), 1000, 1024)
+        assert peak <= LIMIT_CHUNK_BUDGETS[name] * paths.NOISE_BYTES
+
+    @pytest.mark.parametrize("name", ["gbm", "gbm-drift"])
+    def test_limit_chunk_peak_does_not_grow_with_the_fine_grid(self, monkeypatch, name):
+        # with the budget below both sizes' noise, 16x the fine cells move the
+        # peak by 2-6% (no array of the fine grid's size is formed: not the
+        # drift integral, sigma's cube or the times); holding the noise whole
+        # it grew 16x
+        monkeypatch.setattr(paths, "NOISE_BYTES", 1 << 20)
+        prob = model.get_model(name)
+        small, large = (_limit_chunk_peak(prob, 100, fine_count) for fine_count in (4096, 65536))
+        assert 100 * 4097 * 3 * 8 > paths.NOISE_BYTES
+        assert max(small, large) <= 1.25 * min(small, large)
+
+
+class TestByteFormulas:
+    # each hand-kept per-row byte formula against the tracemalloc peak of the
+    # one block it sizes, at 200 draws; the U formula is an upper estimate
+    # (gbm shares dY and dW, 0.64 of it; the others read 0.96-0.97) and the
+    # noise formula leaves out the carried streams' generators (0.91-1.14)
+    CASES = {"gbm": model.make_gbm, "gbm-drift": model.make_gbm_drift,
+             "field2-callable": lambda: _problem("field2", True),
+             "embedding-callable": lambda: _problem("embedding", True)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_u_row_bytes_size_one_block_of_u(self, case):
+        prob, draws = self.CASES[case](), 200
+        row = limits.u_row_bytes(prob)
+        steps = paths.cache_blocks(1 << 20, draws * row)[0].stop
+        grid, bundle, aux = limit_inputs(prob, steps, 3, draws)
+        limits.simulate_u(prob, [(bundle, aux)])
         tracemalloc.start()
         try:
-            limits.sample_error_limit_end(prob, 2, draws, fine_count)
+            limits.simulate_u(prob, [(bundle, aux)])  # one block of U's steps
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= LIMIT_CHUNK_ARRAYS[name] * draws * fine_count * 8
+        assert 0.5 <= peak / (draws * steps * row) <= 1.25
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_noise_bytes_size_one_time_block(self, case):
+        prob, draws, length = self.CASES[case](), 200, 500
+        grid, driver = paths.Grid(4 * length, 1), prob.driver
+        keys = rng.philox_keys(3, rng.LIMIT_W, range(draws), 1)
+        tracemalloc.start()
+        try:
+            space = paths.Workspace()
+            bundle = next(paths.stream_times(driver, grid, keys, length, space))
+            limits.sample_aux(grid, driver.dim_m, 3, range(draws), bundle.cells, {}, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.85 <= peak / (draws * length * limits.noise_bytes(driver)) <= 1.25

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -191,6 +192,55 @@ class TestBuildDriver:
             paths.DriverSpec(dim_d=2, dim_m=1, sigma=np.zeros((1, 1)))
 
 
+# drivers whose Y is assembled each way: W itself, W plus a drift, a
+# constant sigma, and a callable sigma (with a callable drift or none)
+TIME_BLOCK_DRIVERS = {
+    "identity": paths.brownian_motion_driver(1),
+    "identity-drift": paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.eye(1), drift=np.array([0.3])),
+    "embedding": paths.ito_embedding_driver(),
+    "callable-drift": paths.DriverSpec(
+        dim_d=2, dim_m=2, sigma=lambda s: np.array([[1.0 + s, 0.3], [-0.2, 0.8 * np.cos(s)]]),
+        drift=lambda s: np.array([np.sin(3.0 * s), 1.0 - s])),
+    "callable": paths.DriverSpec(dim_d=2, dim_m=1,
+                                 sigma=lambda s: np.array([[1.0 + s], [np.sin(5.0 * s)]])),
+}
+
+
+class TestStreamTimes:
+    @pytest.mark.parametrize("length", [1, 3, 7, 20])
+    @pytest.mark.parametrize("name", TIME_BLOCK_DRIVERS)
+    def test_blocks_hold_the_whole_bundles_nodes(self, name, length):
+        # W, Y and the drift integral summed on from the last block's last
+        # node, with the streams drawn on: every block holds the bits of the
+        # same nodes of the whole batch's bundle, in buffers every block reuses
+        spec, grid, idx = TIME_BLOCK_DRIVERS[name], paths.Grid(20, 1), [4, 0, 9, 2, 7]
+        whole = paths.simulate_bundle(spec, grid, 5, idx, component=rng.LIMIT_W)
+        keys = rng.philox_keys(5, rng.LIMIT_W, idx, 1)
+        starts, first = [], None
+        for b in paths.stream_times(spec, grid, keys, length, paths.Workspace()):
+            starts.append(b.start)
+            nodes = slice(b.start, b.cells.stop + 1)
+            assert b.cells == slice(b.start, min(b.start + length, 20))
+            assert np.array_equal(b.w, whole.w[:, nodes]) and np.array_equal(b.y, whole.y[:, nodes])
+            assert np.array_equal(b.a_int, whole.a_int[nodes])
+            assert (b.y is b.w) == (whole.y is whole.w) == spec.y_is_w
+            first = b.w if first is None else first
+            assert np.shares_memory(b.w, first)
+        assert starts == list(range(0, 20, length))
+
+    def test_a_bundle_reads_its_block_by_absolute_node(self):
+        spec, grid = paths.brownian_motion_driver(1), paths.Grid(12, 1)
+        keys = rng.philox_keys(1, rng.LIMIT_W, range(2), 1)
+        blocks = paths.stream_times(spec, grid, keys, 5, paths.Workspace())
+        next(blocks)
+        b = next(blocks)
+        assert b.start == 5 and b.cells == slice(5, 10)
+        assert b.nodes(slice(6, 9)) == slice(1, 5)
+        for outside in (slice(4, 6), slice(9, 11)):
+            with pytest.raises(ValueError, match="outside"):
+                b.nodes(outside)
+
+
 def test_cell_qv_constant_sigma_exact():
     spec = paths.brownian_motion_driver(2)
     edges = np.linspace(0, 1, 5)
@@ -324,6 +374,28 @@ class TestCacheBlocks:
         rows = max(1, paths.BLOCK_BYTES // row_bytes)
         assert all(b.stop - b.start == rows for b in blocks[:-1])
         assert not blocks or blocks[-1].stop - blocks[-1].start <= rows
+
+    def test_blocks_are_formed_as_they_are_read(self):
+        # U's pass over 2^26 fine steps of 1000 gbm draws has 5162221 blocks,
+        # which a list of slices held in 630 MB
+        tracemalloc.start()
+        try:
+            blocks = paths.cache_blocks(paths.MAX_FINE_COUNT, 152000)
+            assert len(blocks) == 5162221 and blocks[-1] == slice(5162220 * 13, 1 << 26)
+            assert blocks[1] == slice(13, 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_noise_steps_are_whole_units_within_the_budget(monkeypatch):
+    # 1000 bytes hold 100 rows of 10 bytes: 14 whole units of 7 rows; never
+    # more rows than there are, and one unit when the budget holds less
+    monkeypatch.setattr(paths, "NOISE_BYTES", 1000)
+    assert paths.noise_steps(100, 10, 7) == 98
+    assert paths.noise_steps(50, 10, 7) == 50
+    assert paths.noise_steps(100, 300, 7) == 7
 
 
 class TestOverChunks:

@@ -52,6 +52,25 @@ class TestNormalMatrix:
         with pytest.raises(ValueError, match="one 32-bit word"):
             rng.normal_matrix(rng.philox_keys(3, rng.ORACLE, [5, WORD + 9], 2), shape)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("blocks", [1, 4, 16, 64])
+    def test_a_carried_draw_in_time_blocks_equals_one_call(self, blocks, width):
+        # the streams drawn on block after block through one carry, in
+        # blocks of uneven length, give the rows of one call, and each call
+        # returns exactly the normals it drew
+        rows, keys = 250, rng.philox_keys(7, rng.AUX_B, [3, 0, WORD - 1], 2)
+        whole = rng.normal_matrix(keys, (rows, width), scale=0.5)
+        got, carry = np.full_like(whole, np.nan), []
+        edges = np.linspace(0, rows, blocks + 1).astype(int)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            drawn = rng.normal_matrix(keys, (hi - lo, width), scale=0.5, out=got[:, lo:hi],
+                                      carry=carry)
+            assert drawn.size == 3 * (hi - lo) * 2 * width
+        assert len(carry) == 6 and np.array_equal(got, whole)
+        # a carried stream is the slot's stream, from its start
+        assert np.array_equal(got[2, :, width:], 0.5 * rng.stream(
+            7, rng.AUX_B, WORD - 1, 1).standard_normal((rows, width)))
+
     def test_threads_on_disjoint_indices_match_the_serial_draw(self):
         grid = paths.make_grid(8, 16)
         serial = paths.brownian_family(grid, 21, np.arange(64), rng.AUX_B, channels=3)

@@ -53,12 +53,15 @@ def test_traced_lemma_check_attributes_draws_and_quartic_products(tmp_path):
 
 def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     # the scheme side draws one normal per path and fine cell; the limit side
-    # one per draw and cell for W, each B^{pij} and each Wbar^p.  dM and dN
-    # are formed per time block inside U, never for a whole chunk.  The
-    # tracer wraps the limit side by the names limits looks up, so each of
-    # its sites records calls; the scheme side calls the reference once for
-    # its one chunk, the limit side once per time block of U
-    n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 128, 1000, 1000, 1
+    # one per draw and cell for W, each B^{pij} and each Wbar^p.  Its 24.6 MB
+    # of noise are drawn in two time blocks of the 16 MB budget, each stream
+    # drawn on from where the first block stopped, so the exact count covers
+    # the carried streams.  dM and dN are formed per time block inside U,
+    # never for a whole chunk.  The tracer wraps the limit side by the names
+    # limits looks up, so each of its sites records calls; the scheme side
+    # calls the reference once for its one chunk, the limit side once per
+    # block of U's steps, and the auxiliary noise is sampled per time block
+    n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 1024, 1000, 1000, 1
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
@@ -76,6 +79,7 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
                  "schemes.reference"):
         assert layers[f"{site}.calls"] >= 1, site
     assert layers["limits.simulate_u.calls"] == 1
+    assert layers["limits.sample_aux.calls"] == 2
     assert layers["schemes.reference.calls"] > 2
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
 
