@@ -8,14 +8,14 @@ dropped from every coarseness (pairwise exclusion).
 Determinism: path statistics run through :func:`paths.over_chunks`, so
 reports are byte-identical for any chunk size or worker count.
 
-Memory: a rate chunk is one pass over cache blocks of paths
-(:func:`paths.stream_paths`).  Each block is drawn and assembled, then
-reduced, in buffers reused by every block, to what the levels read: the
-driver at the base grid lcm(n_list)'s nodes, K on its cells and the
-reference at its nodes, flagged at every fine node.  The levels then run
-on base-grid arrays only, so no fine path of the whole chunk is ever held,
-except the fine Y that a model without a closed form marches its
-reference over.
+Memory: a rate chunk hashes its paths' stream keys once and makes one pass
+over cache blocks of them (:func:`paths.stream_paths`).  Each block is
+drawn and assembled, then reduced, in buffers reused by every block, to
+what the levels read: the driver at the base grid lcm(n_list)'s nodes, K
+on its cells and the reference at its nodes, flagged at every fine node.
+The levels then run on base-grid arrays only, so no fine path of the whole
+chunk is ever held, except the fine Y that a model without a closed form
+marches its reference over.
 """
 
 import math
@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import limits, schemes
+from . import limits, rng, schemes
 from .model import SdeProblem
 # simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
-from .paths import (DEFAULT_CHUNK, PathBundle, make_grid, over_chunks, path_source,  # noqa: F401
+from .paths import (DEFAULT_CHUNK, PathBundle, make_grid, over_chunks,  # noqa: F401
                     simulate_bundle, stream_paths)
 
 RATE_MIN_SIZES = 3  # grid sizes a rate fit needs
@@ -233,16 +233,15 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
 
     def base_grid(idx):
         """The chunk on the base grid: its driver, K and reference, and the paths kept."""
-        source = path_source(problem.driver, grid, seed, idx)
-        ybase, *cols = stream_paths(source, reduce)
+        keys = rng.philox_keys(seed, rng.DRIVER_W, idx, 1)
+        ybase, *cols = stream_paths(problem.driver, grid, keys, reduce)
         kbase = cols.pop(0) if scheme != "euler" else None
         if problem.closed_form is None:  # the march runs across all of the chunk's paths
-            fine = PathBundle(grid, problem.driver, None, cols.pop(), source.a_int)
+            fine = PathBundle(grid, problem.driver, None, cols.pop(), None)
             ref = schemes.reference(problem, fine, every=every)
             cols = [ref.values, ref.diverged]
         ref_values, diverged = cols
-        bundle = PathBundle(make_grid(base, 1), problem.driver, None, ybase,
-                            source.a_int[::every])
+        bundle = PathBundle(make_grid(base, 1), problem.driver, None, ybase, None)
         return bundle, kbase, ref_values, ~diverged
 
     def work(idx):

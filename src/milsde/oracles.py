@@ -9,12 +9,14 @@ up to O(1/fine_factor^2).
 
 A stochastic case runs its paths in chunks of :data:`paths.DEFAULT_CHUNK`,
 the unit of threading and of stream-key hashing, and each chunk through
-:func:`paths.stream_cells`: a block of paths is drawn into a reused buffer,
-cell-split into a second and reduced to its per-path statistics, its
-products formed in the streamer's reused work slots, before the next block
-is drawn.  So an oracle chunk holds one block's buffers, never a full-size
-noise or cell split.  A block bounds memory only: each path's statistics
-see the same arithmetic in any block, so no result depends on it.
+:func:`paths.stream_cells`: a block of paths' Brownian increments is drawn
+into a reused buffer, cell-split into a second and reduced to its per-path
+statistics, its products formed in the streamer's reused work slots,
+before the next block is drawn.  So an oracle chunk holds one block's
+buffers, never a full-size noise or cell split.  A block bounds memory
+only: each path's statistics see the same arithmetic in any block, so no
+result depends on it.  Every case draws the oracle streams but 7.6, whose
+Brownian driver draws the scheme paths' stream family.
 
 Case ids double as the CLI vocabulary:
     7.2a 7.2b 7.2c 7.2r   deterministic quadrature checks
@@ -32,8 +34,7 @@ import numpy as np
 
 from . import montecarlo, rng, stats
 # simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
-from .paths import (DEFAULT_CHUNK, Grid, brownian_motion_driver, over_chunks,  # noqa: F401
-                    path_source, simulate_bundle, stream_cells)
+from .paths import DEFAULT_CHUNK, Grid, over_chunks, simulate_bundle, stream_cells  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,13 @@ def _trapz_cells(values_nodes: np.ndarray) -> np.ndarray:
     return (full + half) * (1.0 / (n * r))
 
 
-def _oracle_noise(grid: Grid, seed: int, channels: int):
-    """The oracle streams as a chunk_fill: a chunk hashes its keys once."""
+def _oracle_noise(grid: Grid, seed: int, channels: int, component: int = rng.ORACLE):
+    """The Brownian increments of the stream family ``component`` as a chunk_fill:
+    a chunk hashes its keys once."""
     scale = np.sqrt(grid.fine_dt)
 
     def chunk_fill(idx):
-        keys = rng.philox_keys(seed, rng.ORACLE, idx, channels)
+        keys = rng.philox_keys(seed, component, idx, channels)
         return lambda blk, out: rng.normal_matrix(keys[blk], (grid.fine_count, 1),
                                                   scale=scale, out=out)
 
@@ -169,26 +171,18 @@ def _row(case, subcase, n, sample, target, null_budget=None,
 
 def _fingerprint_rows(grid: Grid, seed: int, over) -> list:
     n = grid.coarse_n
-    driver = brownian_motion_driver(1)
     scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
-
-    def chunk_fill(idx):
-        # the driver's increments, differenced from its path values; the
-        # chunk's keys are hashed once, and each block drawn from them
-        source = path_source(driver, grid, seed, idx)
-
-        def fill(blk, out):
-            y = source.bundle(blk).y
-            np.subtract(y[:, 1:], y[:, :-1], out=out)
-        return fill
 
     def block_stats(dyc, disp, work):
         cells = (np.moveaxis(dyc, 0, -1), np.moveaxis(disp, 0, -1))  # the layout of stats
         return tuple((scale * stats.fingerprints(stats.dm(cells), stats.dn(cells), cells[0])).T)
 
-    # own: the bundle's w and y, dz and its running sum, dm, the outer product
-    # and dn, and the products of the covariations
-    mm, nn, nm, nw, mw = over(1, block_stats, own=10, chunk_fill=chunk_fill)
+    # own: dz and its running sum, dm, the outer product and dn, and the
+    # products of the covariations, about 8 arrays; 10 keeps the blocks
+    # smaller: with 8 a run at --n 64 --fine-factor 64 --paths 2000 took
+    # 37.4k minor faults against 35.2k, and no less time (2-vCPU Xeon)
+    mm, nn, nm, nw, mw = over(1, block_stats, own=10,
+                              chunk_fill=_oracle_noise(grid, seed, 1, rng.DRIVER_W))
     return [
         _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
         _row("7.6", "n2[M,M] -> 1/6", n, mm, 1.0 / 6.0, relative_tol=0.05),

@@ -10,24 +10,29 @@ back a full coarse cell (left-open convention), so the anchor of the point
 Paths are generated per path index from splittable streams; a path's values
 depend only on (master_seed, path_index), never on batch composition.
 
+Every driver path is drawn and assembled by one step, :func:`_draw`: the
+increments drawn into W's nodes, summed in place and turned into Y by
+:func:`build_driver`, the one assembly of Y = int sigma dW + int a ds.  It
+makes a whole batch (:func:`simulate_bundle`), a block of paths
+(:func:`stream_paths`) and a block of time (:func:`stream_times`).
+
 Vectorized passes over the fine grid run in :func:`cache_blocks`, slices
 whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
 built.  A rate chunk draws, assembles and reduces its driver paths one
-block of paths at a time (:func:`stream_paths` over a :class:`PathSource`,
-which forms the keys and coefficients every block shares once, and a
-:class:`Workspace` of the buffers every block reuses), so its fine paths
-never exist whole.  Every pass over the cells of a coarse grid
-(K, its fold and the oracle cases) is a :func:`stream_cells` over blocks
-of paths, and a closed-form reference solution runs in blocks of paths
-too; a marched reference, which recurs in time, forms one cell's K at a
-time and needs no block.  U runs in blocks of time, and so do the
-reference, dY and dW it reads.  A limit chunk draws its driver paths one
-time block at a time (:func:`stream_times`), each block's noise about
-``NOISE_BYTES``: its streams are drawn on from where the last block
-stopped and its running sums carried from the last block's last node, so
-a bundle of one time block (``PathBundle.start``) holds the bits of the
-same nodes of the whole batch.  A block bounds memory only: no result
-depends on it.
+block of paths at a time (:func:`stream_paths`, which forms the
+coefficients every block shares once and draws into a :class:`Workspace`
+of buffers every block reuses), so its fine paths never exist whole.
+Every pass over the cells of a coarse grid (K, its fold and the oracle
+cases) is a :func:`stream_cells` over blocks of paths, and a closed-form
+reference solution runs in blocks of paths too; a marched reference,
+which recurs in time, forms one cell's K at a time and needs no block.  U
+runs in blocks of time, and so do the reference, dY and dW it reads.  A
+limit chunk draws its driver paths one time block at a time
+(:func:`stream_times`), each block's noise about ``NOISE_BYTES``: its
+streams are drawn on from where the last block stopped and its running
+sums carried from the last block's last node, so a bundle of one time
+block (``PathBundle.start``) holds the bits of the same nodes of the
+whole batch.  A block bounds memory only: no result depends on it.
 """
 
 import math
@@ -375,9 +380,9 @@ class PathBundle:
     ``y`` is ``w`` itself, not a copy.  ``a_int`` is the deterministic drift
     integral at the same nodes, (T, d), shared by every path.  A bundle is
     immutable after construction; every scheme and functional evaluated on
-    it reads the same realizations, which is the coupling contract.  ``w`` is
-    None in a bundle made for readers of Y alone (the schemes, K and a
-    marched reference); a sampled bundle always has it.
+    it reads the same realizations, which is the coupling contract.  ``w`` and
+    ``a_int`` are None in a bundle made for readers of Y alone (the schemes,
+    K and a marched reference); a sampled bundle always has them.
     """
 
     grid: Grid
@@ -412,22 +417,11 @@ def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
     normals from its own stream; scaled by sqrt(fine_dt) it fills the
     ``width`` columns from ``c * width`` of the result, which has shape
     (n_paths, fine_count, channels * width).  The running sum along the
-    time axis is the path.
+    time axis is the path.  No verb calls it: it is the whole-grid
+    reference the blocked draws are tested against.
     """
-    return _brownian(grid, rng.philox_keys(master_seed, component, path_indices, channels),
-                     width)
-
-
-def _brownian(grid: Grid, keys: np.ndarray, width: int, out: np.ndarray = None,
-              carry: list = None) -> np.ndarray:
-    """:func:`brownian_family` of the streams whose Philox keys are ``keys``.
-
-    Given ``out``, its rows are drawn: all fine steps, or one block of them
-    drawn on from where ``carry`` (see :func:`rng.normal_matrix`) stopped.
-    """
-    rows = grid.fine_count if out is None else out.shape[1]
-    return rng.normal_matrix(keys, (rows, width), scale=np.sqrt(grid.fine_dt), out=out,
-                             carry=carry)
+    return rng.normal_matrix(rng.philox_keys(master_seed, component, path_indices, channels),
+                             (grid.fine_count, width), scale=np.sqrt(grid.fine_dt))
 
 
 def driver_coefficients(spec: DriverSpec, grid: Grid, cells: slice = None,
@@ -473,114 +467,112 @@ def driver_coefficients(spec: DriverSpec, grid: Grid, cells: slice = None,
     return sig, a_int
 
 
-def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid,
-                 coefficients: tuple = None) -> tuple:
+def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid, coefficients: tuple = None,
+                 out: np.ndarray = None, y_end: list = None) -> tuple:
     """Assemble (y, a_int) from a Brownian path by left-point sums.
 
     y_k = sum_{j<k} sigma(t_j) dW_j + a_int_k with
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
-    telescope, so they are evaluated directly on the path values.  For a
-    constant sigma = I the driver is its Brownian path: without a drift the
-    ``y`` returned is ``w`` itself, and with one it is w + a_int.  Any other
-    ``y`` is a fresh array, so a_int is added to it in place.  ``w`` is
-    a batch (n_paths, fine_count+1, m); ``a_int`` is deterministic and
-    returned once, shape (fine_count+1, d).  ``coefficients`` is
-    :func:`driver_coefficients` of ``spec`` and ``grid``, formed here when
-    not given.
+    telescope, so they are evaluated directly on the path values.  When Y
+    is W (a constant sigma = I without a drift) the ``y`` returned is ``w``
+    itself; any other ``y`` is written to ``out``, (n_paths, T, d), or to a
+    fresh array when ``out`` is None, and gets a_int added in place.  ``w``
+    is a batch (n_paths, T, m) of the grid's nodes; ``a_int`` is
+    deterministic and returned once, (T, d).  ``coefficients`` is
+    :func:`driver_coefficients` of ``spec`` on ``w``'s cells, formed on the
+    whole grid here when not given.
+
+    A callable sigma's Y is a running sum.  ``y_end``, a list, carries it
+    across blocks of time: empty at the grid's start, where Y starts at 0,
+    it holds afterwards Y before its drift at the last node, which the next
+    block's sum goes on from (:func:`_sum_on`).
     """
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != spec.dim_m:
         raise ValueError(f"driver expects {spec.dim_m} Brownian components, got {w.shape[-1]}")
     sig, a_int = coefficients or driver_coefficients(spec, grid)
+    if spec.y_is_w:
+        return w, a_int
+    y = np.empty((*w.shape[:2], spec.dim_d)) if out is None else out
     if callable(spec.sigma):
-        y = running_sum(np.einsum("tdm,btm->btd", sig, np.diff(w, axis=1)), axis=1)
+        y[:, 0] = y_end[0] if y_end else 0.0
+        np.einsum("tdm,btm->btd", sig, np.diff(w, axis=1), out=y[:, 1:])
+        _sum_on(y, bool(y_end))
+        if y_end is not None:
+            y_end[:] = [y[:, -1].copy()]
+    elif np.array_equal(sig, np.eye(len(sig))):  # sigma = I with a drift
+        np.copyto(y, w)
     else:
-        y = w if np.array_equal(sig, np.eye(len(sig))) else np.einsum("dm,bkm->bkd", sig, w)
+        np.einsum("dm,bkm->bkd", sig, w, out=y)
     if spec.drift is not None:
-        if y is w:
-            y = y + a_int
-        else:  # a fresh array: no second full-size pass
-            y += a_int
+        y += a_int
     return y, a_int
 
 
-@dataclass(frozen=True)
-class PathSource:
-    """The driver paths of a batch of path indices, drawn any block of rows at a time.
+def _draw(spec: DriverSpec, grid: Grid, keys: np.ndarray, w: np.ndarray, y: np.ndarray,
+          coefficients: tuple, start: int = 0, carry: list = None,
+          y_end: list = None) -> PathBundle:
+    """The driver paths of the Philox ``keys``, (n_paths, 1, 2), drawn into ``w`` and ``y``.
 
-    What every block shares is formed once: each path's Philox key,
-    (n_paths, 1, 2), and the :func:`driver_coefficients` (sigma at the left
-    nodes and a_int).  The :meth:`bundle` of any rows equals those rows of
-    the whole batch's bundle, bit for bit.
+    Every driver path is made here.  ``w`` and ``y`` hold the nodes
+    ``start`` to ``start + T - 1`` of the paths' W and Y, (n_paths, T, m)
+    and (n_paths, T, d); ``y`` is not written when Y is W, and may be None
+    then.  The increments are drawn into W's nodes 1.. (drawn on from where
+    ``carry``, see :func:`rng.normal_matrix`, stopped) and summed on in place
+    from node 0 (:func:`_sum_on`), which the caller sets to the last block's
+    last node when ``start`` is not 0.  Y is then assembled by
+    :func:`build_driver` from ``coefficients``, the
+    :func:`driver_coefficients` of those cells, summed on from ``y_end``.
     """
-
-    spec: DriverSpec
-    grid: Grid
-    keys: np.ndarray
-    coefficients: tuple
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.keys)
-
-    @property
-    def a_int(self) -> np.ndarray:
-        return self.coefficients[1]
-
-    def bundle(self, rows: slice = slice(None), out: np.ndarray = None) -> PathBundle:
-        """The bundle of the paths ``rows``: their increments drawn, summed and assembled.
-
-        W is written to the first paths of ``out`` when given, a buffer a
-        caller reuses for every block.
-        """
-        grid, m = self.grid, self.spec.dim_m
-        keys = self.keys[rows]
-        w = np.empty((len(keys), grid.fine_count + 1, m)) if out is None else out[:len(keys)]
+    if not start:
         w[:, 0] = 0.0
-        dw = _brownian(grid, keys, m, out=w[:, 1:])
-        np.cumsum(dw, axis=1, out=dw)  # in place: the increments become W_1..W_T
-        y, a_int = build_driver(self.spec, w, grid, self.coefficients)
-        return PathBundle(grid=grid, driver=self.spec, w=w, y=y, a_int=a_int)
-
-
-def path_source(spec: DriverSpec, grid: Grid, master_seed: int, path_indices,
-                component: int = rng.DRIVER_W) -> PathSource:
-    """The :class:`PathSource` of the given path indices' driver paths.
-
-    ``component`` selects the stream family; limit-law draws use their own
-    family so they are independent of the scheme paths under one seed.
-    """
-    path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
-    return PathSource(spec, grid, rng.philox_keys(master_seed, component, path_indices, 1),
-                      driver_coefficients(spec, grid))
+    rng.normal_matrix(keys, (w.shape[1] - 1, spec.dim_m), scale=np.sqrt(grid.fine_dt),
+                      out=w[:, 1:], carry=carry)
+    _sum_on(w, start)
+    y, a_int = build_driver(spec, w, grid, coefficients, y, y_end)
+    return PathBundle(grid, spec, w, y, a_int, start)
 
 
 def simulate_bundle(spec: DriverSpec, grid: Grid, master_seed: int,
                     path_indices, component: int = rng.DRIVER_W) -> PathBundle:
     """Generate a coupled batch of driver paths for the given path indices.
 
-    It is the whole batch of :func:`path_source` as one bundle.
+    ``component`` selects the stream family; limit-law draws use their own
+    family so they are independent of the scheme paths under one seed.
     """
-    return path_source(spec, grid, master_seed, path_indices, component).bundle()
+    path_indices = np.atleast_1d(np.asarray(path_indices, dtype=np.int64))
+    keys = rng.philox_keys(master_seed, component, path_indices, 1)
+    w = np.empty((len(keys), grid.fine_count + 1, spec.dim_m))
+    return _draw(spec, grid, keys, w, None, driver_coefficients(spec, grid))
 
 
-def stream_paths(source: PathSource, reduce) -> tuple:
-    """Draw, assemble and reduce the paths of ``source`` one cache block of paths at a time.
+def stream_paths(spec: DriverSpec, grid: Grid, keys: np.ndarray, reduce) -> tuple:
+    """Draw, assemble and reduce the paths of the Philox ``keys`` one cache block at a time.
 
-    ``reduce(bundle, space)`` turns the :meth:`PathSource.bundle` of one
-    block of rows into per-row arrays, which :func:`over_chunks` copies into
-    their rows of the result before the next block is drawn, so they may be
-    views of the bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so
-    the batch's fine paths never exist at full size.  Every block draws its
-    W into one reused buffer and hands ``reduce`` one :class:`Workspace` for
-    its own passes: buffers fresh per block would be paged in anew each time.
+    ``reduce(bundle, space)`` turns the bundle of one block of rows into
+    per-row arrays, which :func:`over_chunks` copies into their rows of the
+    result before the next block is drawn, so they may be views of the
+    bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so the batch's
+    fine paths never exist at full size.  The coefficients are formed once
+    for every block, each block draws its W and Y into buffers of one
+    :class:`Workspace`, and ``reduce`` gets that workspace for its own
+    passes: buffers fresh per block would be paged in anew each time.  The
+    bundle of any rows equals those rows of :func:`simulate_bundle`'s whole
+    batch, bit for bit.
     """
-    spec, space = source.spec, Workspace()
-    row_bytes = (spec.dim_m + spec.dim_d) * (source.grid.fine_count + 1) * 8
-    rows = cache_blocks(source.n_paths, row_bytes)[0].stop
-    w = space.take("paths.w", (rows, source.grid.fine_count + 1, spec.dim_m))
-    return over_chunks(source.n_paths, rows, lambda idx: reduce(
-        source.bundle(slice(idx[0], idx[0] + len(idx)), w), space))
+    space, nodes = Workspace(), grid.fine_count + 1
+    coefficients = driver_coefficients(spec, grid)
+    rows = cache_blocks(len(keys), (spec.dim_m + spec.dim_d) * nodes * 8)[0].stop
+    w = space.take("paths.w", (rows, nodes, spec.dim_m))
+    y = None if spec.y_is_w else space.take("paths.y", (rows, nodes, spec.dim_d))
+
+    def block(idx):
+        n = len(idx)
+        bundle = _draw(spec, grid, keys[idx[0]:idx[0] + n], w[:n],
+                       None if y is None else y[:n], coefficients)
+        return reduce(bundle, space)
+
+    return over_chunks(len(keys), rows, block)
 
 
 def stream_times(spec: DriverSpec, grid: Grid, keys: np.ndarray, length: int,
@@ -597,31 +589,17 @@ def stream_times(spec: DriverSpec, grid: Grid, keys: np.ndarray, length: int,
     one in-place cumsum (:func:`_sum_on`), so every block holds the bits of
     the same nodes of :func:`simulate_bundle`'s whole batch.
     """
-    m, d, n_paths = spec.dim_m, spec.dim_d, len(keys)
-    carry = []  # the streams, drawn on block after block
-    w = space.take("times.w", (n_paths, length + 1, m))
-    y = None if spec.y_is_w else space.take("times.y", (n_paths, length + 1, d))
-    y_end = np.zeros((n_paths, d))  # a callable sigma's Y before its drift, at the last node
+    n_paths = len(keys)
+    carry, y_end = [], []  # the streams and a callable sigma's Y, carried block to block
+    w = space.take("times.w", (n_paths, length + 1, spec.dim_m))
+    y = None if spec.y_is_w else space.take("times.y", (n_paths, length + 1, spec.dim_d))
     a_end = None
     for start in range(0, grid.fine_count, length):
         cells = slice(start, min(start + length, grid.fine_count))
         size = cells.stop - start + 1
-        sig, a_int = driver_coefficients(spec, grid, cells, a_end)
-        a_end = a_int[-1]
-        wb = w[:, :size]
-        wb[:, 0] = w[:, length] if start else 0.0  # the last block, if any, was whole
-        _brownian(grid, keys, m, out=wb[:, 1:], carry=carry)
-        _sum_on(wb, start)
-        yb = wb if y is None else y[:, :size]
-        if callable(spec.sigma):
-            yb[:, 0] = y_end
-            np.einsum("tdm,btm->btd", sig, np.diff(wb, axis=1), out=yb[:, 1:])
-            y_end[:] = _sum_on(yb, start)[:, -1]
-        elif yb is not wb:
-            if np.array_equal(sig, np.eye(len(sig))):  # sigma = I with a drift
-                np.copyto(yb, wb)
-            else:
-                np.einsum("dm,bkm->bkd", sig, wb, out=yb)
-        if spec.drift is not None:
-            yb += a_int
-        yield PathBundle(grid, spec, wb, yb, a_int, start)
+        coefficients = driver_coefficients(spec, grid, cells, a_end)
+        a_end = coefficients[1][-1]
+        if start:
+            w[:, 0] = w[:, length]  # the last block was whole
+        yield _draw(spec, grid, keys, w[:, :size], None if y is None else y[:, :size],
+                    coefficients, start, carry, y_end)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from milsde import crosscheck, limits, model, montecarlo, oracles, paths, rng, schemes, stats
+from test_paths import TIME_BLOCK_DRIVERS
 
 PATHS, FINE, COARSE = 7, 64, 8  # 3 divides neither the paths nor the steps
 
@@ -215,6 +216,30 @@ def test_scheme_chunk_streams_blocks_of_paths(block_rows, name, scheme):
         for n in n_list:
             assert np.array_equal(got["err"][n], err[n])
             assert np.array_equal(got["sup"][n], sup[n])
+
+
+@pytest.mark.parametrize("name", TIME_BLOCK_DRIVERS)
+def test_stream_paths_blocks_are_rows_of_the_whole_bundle(block_rows, name):
+    # every block of paths is drawn and assembled by the draw step that makes
+    # the whole batch: its W and Y are those rows of the whole bundle, in
+    # buffers every block shares, and Y is W itself exactly when Y is W
+    spec, grid = TIME_BLOCK_DRIVERS[name], paths.make_grid(COARSE, FINE // COARSE)
+    whole = paths.simulate_bundle(spec, grid, 5, range(PATHS))
+    keys = rng.philox_keys(5, rng.DRIVER_W, range(PATHS), 1)
+    first, done = [], [0]
+
+    def reduce(bundle, space):
+        rows = slice(done[0], done[0] + bundle.n_paths)
+        done[0] = rows.stop
+        assert np.array_equal(bundle.w, whole.w[rows]) and np.array_equal(bundle.y, whole.y[rows])
+        assert np.array_equal(bundle.a_int, whole.a_int)
+        assert (bundle.y is bundle.w) == spec.y_is_w
+        first.append(bundle)
+        assert np.shares_memory(bundle.w, first[0].w) and np.shares_memory(bundle.y, first[0].y)
+        return [bundle.y[:, -1]]
+
+    (y_end,) = paths.stream_paths(spec, grid, keys, reduce)
+    assert done[0] == PATHS and np.array_equal(y_end, whole.y[:, -1])
 
 
 @pytest.mark.parametrize("closed_form", [False, True], ids=["marched", "closed-form"])
@@ -467,8 +492,7 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
     idx = np.arange(n_paths)
     trapz = oracles._trapz_cells
     if case == "7.6":
-        bundle = paths.simulate_bundle(paths.brownian_motion_driver(1), grid, seed, idx)
-        cells = crosscheck.cell_split(np.diff(bundle.y, axis=1), n)
+        cells = crosscheck.cell_split(paths.brownian_family(grid, seed, idx, rng.DRIVER_W), n)
         scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)
         mm, nn, nm, nw, mw = (scale * stats.fingerprints(stats.dm(cells), stats.dn(cells),
                                                          cells[0])).T

@@ -110,6 +110,20 @@ class TestSampleBrownian:
         assert abs(inc.var() - dt) < 3 * se_var
 
 
+# drivers whose Y is assembled each way: W itself, W plus a drift, a
+# constant sigma, and a callable sigma (with a callable drift or none)
+TIME_BLOCK_DRIVERS = {
+    "identity": paths.brownian_motion_driver(1),
+    "identity-drift": paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.eye(1), drift=np.array([0.3])),
+    "embedding": paths.ito_embedding_driver(),
+    "callable-drift": paths.DriverSpec(
+        dim_d=2, dim_m=2, sigma=lambda s: np.array([[1.0 + s, 0.3], [-0.2, 0.8 * np.cos(s)]]),
+        drift=lambda s: np.array([np.sin(3.0 * s), 1.0 - s])),
+    "callable": paths.DriverSpec(dim_d=2, dim_m=1,
+                                 sigma=lambda s: np.array([[1.0 + s], [np.sin(5.0 * s)]])),
+}
+
+
 class TestBuildDriver:
     def test_identity_driver_is_bitwise(self):
         g = paths.make_grid(8, 8)
@@ -138,6 +152,21 @@ class TestBuildDriver:
             np.testing.assert_allclose(y, np.einsum("dm,bkm->bkd", spec.sigma_at([0.0])[0], w)
                                        + a_int, rtol=0, atol=1e-14)
         assert np.array_equal(w, kept)
+
+    @pytest.mark.parametrize("name", TIME_BLOCK_DRIVERS)
+    def test_y_is_written_to_out(self, name):
+        # given a buffer, Y is assembled there with the bits of a fresh Y;
+        # when Y is W it is w itself, and the buffer is not written
+        spec, g = TIME_BLOCK_DRIVERS[name], paths.make_grid(4, 4)
+        w = paths.simulate_bundle(paths.brownian_motion_driver(spec.dim_m), g, 3, range(3)).w
+        fresh, a_fresh = paths.build_driver(spec, w, g)
+        out = np.full((3, g.fine_count + 1, spec.dim_d), np.nan)
+        y, a_int = paths.build_driver(spec, w, g, out=out)
+        assert y.tobytes() == fresh.tobytes() and np.array_equal(a_int, a_fresh)
+        if spec.y_is_w:
+            assert y is w and np.isnan(out).all()
+        else:
+            assert y is out
 
     def test_pure_drift_exact(self):
         g = paths.make_grid(8, 8)
@@ -190,20 +219,6 @@ class TestBuildDriver:
             paths.DriverSpec(dim_d=0, dim_m=1, sigma=np.zeros((1, 1)))
         with pytest.raises(ValueError):
             paths.DriverSpec(dim_d=2, dim_m=1, sigma=np.zeros((1, 1)))
-
-
-# drivers whose Y is assembled each way: W itself, W plus a drift, a
-# constant sigma, and a callable sigma (with a callable drift or none)
-TIME_BLOCK_DRIVERS = {
-    "identity": paths.brownian_motion_driver(1),
-    "identity-drift": paths.DriverSpec(dim_d=1, dim_m=1, sigma=np.eye(1), drift=np.array([0.3])),
-    "embedding": paths.ito_embedding_driver(),
-    "callable-drift": paths.DriverSpec(
-        dim_d=2, dim_m=2, sigma=lambda s: np.array([[1.0 + s, 0.3], [-0.2, 0.8 * np.cos(s)]]),
-        drift=lambda s: np.array([np.sin(3.0 * s), 1.0 - s])),
-    "callable": paths.DriverSpec(dim_d=2, dim_m=1,
-                                 sigma=lambda s: np.array([[1.0 + s], [np.sin(5.0 * s)]])),
-}
 
 
 class TestStreamTimes:

@@ -6,8 +6,11 @@ breaks every traced benchmark run; this test shows it in about a second.
 A traced call must also still attribute its work to the right spans.
 """
 
+import ast
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -60,7 +63,10 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     # never for a whole chunk.  The tracer wraps the limit side by the names
     # limits looks up, so each of its sites records calls; the scheme side
     # calls the reference once for its one chunk, the limit side once per
-    # block of U's steps, and the auxiliary noise is sampled per time block
+    # block of U's steps, and the auxiliary noise is sampled per time block.
+    # Y is assembled by build_driver on both sides: once for the scheme
+    # side's one block of paths (W and Y of 129 nodes, 2064 bytes a path, so
+    # 1016 paths fill a block) and once per time block of the limit side
     n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 1024, 1000, 1000, 1
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -80,6 +86,7 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
         assert layers[f"{site}.calls"] >= 1, site
     assert layers["limits.simulate_u.calls"] == 1
     assert layers["limits.sample_aux.calls"] == 2
+    assert layers["paths.build_driver.calls"] == 1 + layers["limits.sample_aux.calls"]
     assert layers["schemes.reference.calls"] > 2
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
 
@@ -87,8 +94,9 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
 def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     # the scheme side of a rate fit: one Milstein run per chunk and n, one
     # correction per coarse step, and K and the reference once per block of
-    # paths: a block holds W and the two-channel Y of 1025 fine nodes, 24600
-    # bytes a path, so 85 paths fill its 2 MB and a chunk of 1000 has 12
+    # paths, and so is Y's assembly: a block holds W and the two-channel Y of
+    # 1025 fine nodes, 24600 bytes a path, so 85 paths fill its 2 MB and a
+    # chunk of 1000 has 12
     n_list, n_paths, chunks, blocks = (16, 32, 64, 128), 2000, 2, 12
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -105,4 +113,32 @@ def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     assert layers["model.correction_pairing.calls"] == chunks * sum(n_list)
     assert layers["schemes.iterated_integrals.calls"] == chunks * blocks
     assert layers["schemes.reference.calls"] == chunks * blocks
+    assert layers["paths.build_driver.calls"] == chunks * blocks
     assert layers["schemes.k_fine_cells"] == n_paths * max(n_list) * 8
+
+
+def _tracer_sites():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, attr) for sites in tracer.SITES.values() for module, attr, *_ in sites}
+
+
+def test_every_unused_sibling_import_is_a_tracer_site():
+    # a name a module imports from a sibling and never reads is there only
+    # for the tracer to wrap; any other is stale, left behind by a refactor.
+    # The package's __init__ imports to re-export, so it is not checked
+    sites, stale = _tracer_sites(), []
+    for path in sorted(pathlib.Path(ROOT, "src", "milsde").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in read and (path.stem, name) not in sites:
+                        stale.append(f"{path.stem}: {name}")
+    assert not stale
