@@ -45,11 +45,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng, stats
+from . import paths, rng, stats
 from .model import SdeProblem
 # simulate_bundle is looked up here by perfbench's tracer
-from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, Workspace, cache_blocks,  # noqa: F401
-                    noise_steps, over_chunks, simulate_bundle, stream_times)
+from .paths import (DEFAULT_CHUNK, DriverSpec, Grid, Workspace, over_chunks,  # noqa: F401
+                    rows_per_block, simulate_bundle, stream_times)
 from .schemes import reference
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -230,7 +230,9 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
     field = problem.field
     cur = np.zeros((n_paths, field.dim_q))
     step = np.empty((n_paths, field.dim_q))
-    for blk in cache_blocks(steps, n_paths * u_row_bytes(problem)):
+    rows = rows_per_block(steps, n_paths * u_row_bytes(problem))
+    for start in range(0, steps, rows):
+        blk = slice(start, min(start + rows, steps))
         # the block's inputs, contiguous so that the products below read
         # contiguous memory
         x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a) for a in inputs(blk))
@@ -371,8 +373,8 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     grid, driver = Grid(fine_count, 1), problem.driver
     keys = rng.philox_keys(master_seed, rng.LIMIT_W, path_indices, 1)
     n_paths = len(keys)
-    u_steps = cache_blocks(fine_count, n_paths * u_row_bytes(problem))[0].stop
-    length = noise_steps(fine_count, n_paths * noise_bytes(driver), u_steps)
+    u_steps = rows_per_block(fine_count, n_paths * u_row_bytes(problem))
+    length = rows_per_block(fine_count, n_paths * noise_bytes(driver), paths.NOISE_BYTES, u_steps)
     space, carry = Workspace(), {}
     noise = ((bundle, sample_aux(grid, driver.dim_m, master_seed, path_indices, bundle.cells,
                                  carry, space))

@@ -126,7 +126,7 @@ def fit_rate(n_list, errors) -> RateFit:
     """Least-squares slope of log(error) against log(n)."""
     n_arr = np.asarray(n_list, dtype=float)
     e_arr = np.asarray(errors, dtype=float)
-    if len(np.unique(n_arr)) < RATE_MIN_SIZES:
+    if len(set(n_arr.tolist())) < RATE_MIN_SIZES:
         raise ValueError(f"rate fits need at least {RATE_MIN_SIZES} distinct grid sizes")
     if n_arr.max() / n_arr.min() < RATE_MIN_SPAN:
         raise ValueError(f"rate fits need an {RATE_MIN_SPAN}x span of grid sizes")

@@ -16,27 +16,28 @@ increments drawn into W's nodes, summed in place and turned into Y by
 makes a whole batch (:func:`simulate_bundle`), a block of paths
 (:func:`stream_paths`) and a block of time (:func:`stream_times`).
 
-Vectorized passes over the fine grid run in :func:`cache_blocks`, slices
-whose temporaries hold about ``BLOCK_BYTES``, so no full-size temporary is
-built.  A rate chunk draws, assembles and reduces its driver paths one
-block of paths at a time (:func:`stream_paths`, which forms the
-coefficients every block shares once and draws into a :class:`Workspace`
-of buffers every block reuses), so its fine paths never exist whole.
-Every pass over the cells of a coarse grid (K, its fold and the oracle
-cases) is a :func:`stream_cells` over blocks of paths, and a closed-form
-reference solution runs in blocks of paths too; a marched reference,
-which recurs in time, forms one cell's K at a time and needs no block.  U
-runs in blocks of time, and so do the reference, dY and dW it reads.  A
-limit chunk draws its driver paths one time block at a time
-(:func:`stream_times`), each block's noise about ``NOISE_BYTES``: its
-streams are drawn on from where the last block stopped and its running
-sums carried from the last block's last node, so a bundle of one time
-block (``PathBundle.start``) holds the bits of the same nodes of the
-whole batch.  A block bounds memory only: no result depends on it.
+Vectorized passes over the fine grid run in blocks of rows (paths or time
+steps), each block as many rows as :func:`rows_per_block` fits in
+``BLOCK_BYTES``, so no full-size temporary is built.  A rate chunk draws,
+assembles and reduces its driver paths one block of paths at a time
+(:func:`stream_paths`, which forms the coefficients every block shares
+once and draws into a :class:`Workspace` of buffers every block reuses),
+so its fine paths never exist whole; a closed-form reference solution is
+evaluated on each block it draws.  Every pass over the cells of a coarse
+grid (K, its fold and the oracle cases) is a :func:`stream_cells` over
+blocks of paths; a marched reference, which recurs in time, forms one
+cell's K at a time and needs no block.  U runs in blocks of time, and so
+do the reference, dY and dW it reads.  A limit chunk draws its driver
+paths one time block at a time (:func:`stream_times`), each block's noise
+whole blocks of U's steps in about ``NOISE_BYTES``: its streams are drawn
+on from where the last block stopped and its running sums carried from
+the last block's last node, so a bundle of one time block
+(``PathBundle.start``) holds the bits of the same nodes of the whole
+batch.  A block bounds memory only: no result depends on it.
 """
 
+import functools
 import math
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ from . import rng
 MAX_FINE_COUNT = 1 << 26  # allocation guard for index arithmetic and arrays
 DEFAULT_CHUNK = 1000  # path indices per chunk of :func:`over_chunks`
 MAX_THREADS = 64  # most worker threads the CLI accepts (--threads), a config check
-BLOCK_BYTES = 1 << 21  # working set of one block of :func:`cache_blocks`
+BLOCK_BYTES = 1 << 21  # working set of one block of rows (:func:`rows_per_block`)
 # noise that a chunk of limit draws holds at once, which sets the length of
 # the time blocks it is drawn in (:func:`stream_times`): a memory bound, not a setting
 NOISE_BYTES = 1 << 24
@@ -125,44 +126,18 @@ def _sum_on(nodes: np.ndarray, start: int, axis: int = 1) -> np.ndarray:
     return nodes
 
 
-class Blocks(Sequence):
-    """The slices of ``rows`` rows each that cover 0..count-1 in order, formed as read.
+def rows_per_block(count: int, row_bytes: int, budget: int = None, unit: int = 1) -> int:
+    """Rows per block of a pass over ``count`` rows that hold ``row_bytes`` each.
 
-    U's pass at 2^26 fine steps has about 5 million blocks; as a list of
-    slices they would take 630 MB.
+    The most whole multiples of ``unit`` rows whose bytes fit in ``budget``
+    (``BLOCK_BYTES`` when None), at least one ``unit`` and at most all
+    ``count`` rows; the blocks are ``range(0, count, rows)``.  A pass whose
+    blocks a later pass cuts into blocks of ``unit`` rows sizes them so that
+    each of those lies in one block.
     """
-
-    def __init__(self, count: int, rows: int):
-        self.count, self.rows = count, rows
-
-    def __len__(self) -> int:
-        return -(-self.count // self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        start = range(0, self.count, self.rows)[i]
-        return slice(start, min(start + self.rows, self.count))
-
-
-def cache_blocks(count: int, row_bytes: int) -> Blocks:
-    """Consecutive non-empty slices that cover 0..count-1 in order.
-
-    ``row_bytes`` is the working set one row (a time step or a path) adds
-    to a block; a block holds as many rows as fit in ``BLOCK_BYTES``, and
-    at least one.
-    """
-    return Blocks(count, max(1, BLOCK_BYTES // max(1, row_bytes)))
-
-
-def noise_steps(count: int, row_bytes: int, unit: int) -> int:
-    """Rows per time block of a pass whose noise holds ``row_bytes`` per row.
-
-    The most whole multiples of ``unit`` rows that fit in ``NOISE_BYTES``,
-    at least one ``unit`` and at most all ``count`` rows, so that each block
-    of ``unit`` rows a later pass takes lies in one time block.
-    """
-    return min(count, max(1, NOISE_BYTES // (row_bytes * unit)) * unit)
+    if budget is None:
+        budget = BLOCK_BYTES
+    return min(count, max(1, budget // (row_bytes * unit)) * unit)
 
 
 class Workspace:
@@ -204,8 +179,8 @@ def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill
     paths reuses them.
     """
     r = cell_size(fine_count, coarse_n)
-    row_bytes = ((2 * channels + slots + own) * fine_count + channels * coarse_n) * 8
-    rows = cache_blocks(count, row_bytes)[0].stop
+    rows = rows_per_block(count, ((2 * channels + slots + own) * fine_count
+                                  + channels * coarse_n) * 8)
     take = (space or Workspace()).take
     inc = take("cells.inc", (channels, rows, fine_count))
     disp = take("cells.disp", (channels, rows, coarse_n, r + 1))
@@ -266,6 +241,17 @@ def _coefficient_at(coef, times: np.ndarray, shape: tuple) -> np.ndarray:
     else:
         out = np.broadcast_to(np.asarray(coef, dtype=float), (len(times), *shape)).copy()
     return out.reshape(len(times), *shape)
+
+
+@functools.lru_cache
+def _gauss_legendre(order: int) -> tuple:
+    """Nodes and weights of the ``order``-node Gauss-Legendre rule on [-1, 1].
+
+    Formed once per order: ``leggauss`` solves an eigenproblem per call, and
+    importing ``numpy.polynomial`` at the first call, not the package's
+    import, keeps it out of a run's start-up.
+    """
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass(frozen=True)
@@ -342,7 +328,7 @@ class DriverSpec:
         polynomial c of degree <= 15).  Shape (len(edges)-1, d, d).
         """
         edges = np.asarray(edges, dtype=float)
-        nodes, weights = np.polynomial.legendre.leggauss(8)
+        nodes, weights = _gauss_legendre(8)
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
@@ -562,7 +548,7 @@ def stream_paths(spec: DriverSpec, grid: Grid, keys: np.ndarray, reduce) -> tupl
     """
     space, nodes = Workspace(), grid.fine_count + 1
     coefficients = driver_coefficients(spec, grid)
-    rows = cache_blocks(len(keys), (spec.dim_m + spec.dim_d) * nodes * 8)[0].stop
+    rows = rows_per_block(len(keys), (spec.dim_m + spec.dim_d) * nodes * 8)
     w = space.take("paths.w", (rows, nodes, spec.dim_m))
     y = None if spec.y_is_w else space.take("paths.y", (rows, nodes, spec.dim_d))
 

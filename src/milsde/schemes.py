@@ -26,11 +26,11 @@ the antisymmetric (Levy-area) part still comes from the sub-grid.
 The reference (:func:`reference`) is checked for divergence at every fine
 node but kept only at the nodes a caller reads; a rate run keeps the base
 grid's, which every level's grid is a subset of.  A closed form is
-evaluated on any block of paths, so a rate chunk evaluates it on each
-block it draws.  Without one the reference is Milstein on every fine
-cell, one :func:`_march` whose step forms each cell's K from its own dY:
-a cell of one sub-cell has no Levy area, so K = (dY dY^T - cell QV)/2
-exactly.  It runs on all fine cells or on one block of them from a given
+evaluated whole on the paths and nodes it is handed, so a rate chunk
+evaluates it on each block of paths it draws.  Without one the reference
+is Milstein on every fine cell, one :func:`_march` whose step forms each
+cell's K from its own dY: a cell of one sub-cell has no Levy area, so
+K = (dY dY^T - cell QV)/2 exactly.  It runs on all fine cells or on one block of them from a given
 state, so the limit side walks the grid one time block at a time.
 """
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import stats
 from .model import DIVERGENCE_LIMIT, SdeProblem, correction_pairing
-from .paths import PathBundle, Workspace, cache_blocks, cell_size, stream_cells
+from .paths import PathBundle, Workspace, cell_size, stream_cells
 
 
 @dataclass(frozen=True)
@@ -251,21 +251,21 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     all of the bundle's by default; the solution runs over its nodes,
     ``cells.start`` to ``cells.stop``, which a bundle of one time block
     holds from its ``start`` on.  The closed form is used when the model has one,
-    evaluated on those nodes one :func:`paths.cache_blocks` slice of paths
-    at a time.  Otherwise the second-order scheme is run with every fine
-    cell as its own step, which carries O(1/fine_count) error of its own,
-    from the states ``x`` at node ``cells.start`` (x0 when not given): one
-    :func:`_march` whose step forms each cell's K = (dY dY^T - cell QV)/2
-    from that cell's dY, so no K of many cells is held.  A caller may walk
-    the grid in blocks of cells, passing each call's last values as the
-    next call's ``x``, with the same bits.  Either way the divergence check
-    reads every node, while ``values`` hold only the len(cells) / every + 1
-    kept nodes (``coarse_n`` of them cells).  ``every`` must divide
-    len(cells).
+    evaluated in one piece on those nodes of every path of the bundle, which
+    a caller hands it one block of paths at a time.  Otherwise the
+    second-order scheme is run with every fine cell as its own step, which
+    carries O(1/fine_count) error of its own, from the states ``x`` at node
+    ``cells.start`` (x0 when not given): one :func:`_march` whose step forms
+    each cell's K = (dY dY^T - cell QV)/2 from that cell's dY, so no K of
+    many cells is held.  A caller may walk the grid in blocks of cells,
+    passing each call's last values as the next call's ``x``, with the same
+    bits.  Either way the divergence check reads every node, while
+    ``values`` hold only the len(cells) / every + 1 kept nodes (``coarse_n``
+    of them cells).  ``every`` must divide len(cells).
     """
     if cells is None:
         cells = bundle.cells
-    count, q = cells.stop - cells.start, problem.field.dim_q
+    count = cells.stop - cells.start
     kept = cell_size(count, every)
     times = bundle.grid.times(slice(cells.start, cells.stop + 1))
     nodes = bundle.nodes(cells)
@@ -280,13 +280,7 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
 
         return _march(problem.x0 if x is None else x, bundle.y[:, nodes], count,
                       _milstein_step(problem.field, k_at), every)
-    B = bundle.n_paths
-    values = np.empty((B, kept + 1, q))
-    diverged = np.zeros(B, dtype=bool)
-    # per path: the closed form's values at the nodes and the check's two byte masks
-    for blk in cache_blocks(B, (count + 1) * q * 10):
-        full = np.asarray(problem.closed_form(bundle.w[blk, nodes], bundle.y[blk, nodes], times),
-                          dtype=float)
-        diverged[blk] = _flag_divergence(full)
-        values[blk] = full[:, ::every]
-    return SchemeOutput(values, kept, diverged)
+    full = np.asarray(problem.closed_form(bundle.w[:, nodes], bundle.y[:, nodes], times),
+                      dtype=float)
+    # the kept nodes copied, so that the values hold no more than they keep
+    return SchemeOutput(full[:, ::every].copy(), kept, _flag_divergence(full))

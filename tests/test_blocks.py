@@ -1,17 +1,17 @@
 """The blocked passes over the fine grid against whole-array references.
 
 A rate chunk runs through :func:`paths.stream_paths` over blocks of paths,
+evaluating a closed-form ``reference`` whole on each block,
 ``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
-oracle case through :func:`paths.stream_cells` over blocks of paths,
-the closed-form ``reference`` through :func:`paths.cache_blocks` over
-blocks of paths, and ``simulate_u`` (which forms the reference, dY, dW,
-dM and dN per time block) through it over blocks of time.  The marched
-reference runs in no block; it is checked here against one Milstein
-march and across calls chained over slices of the cells.
-Here ``paths.BLOCK_BYTES`` is set so that every pass runs in blocks of one
-row, of three rows (which divides none of the counts below) and in a single
-block, and each result is compared with the whole-array formulation kept in
-this file.
+oracle case through :func:`paths.stream_cells` over blocks of paths, and
+``simulate_u`` (which forms the reference, dY, dW, dM and dN per time
+block) over blocks of time; every block is sized by
+:func:`paths.rows_per_block`.  The marched reference runs in no block; it
+is checked here against one Milstein march and across calls chained over
+slices of the cells.  Here ``paths.BLOCK_BYTES`` is set so that every pass
+runs in blocks of one row, of three rows (which divides none of the counts
+below) and in a single block, and each result is compared with the
+whole-array formulation kept in this file.
 """
 
 import math
@@ -103,29 +103,27 @@ def _problem(case, timed):
 @pytest.fixture(params=[1, 3, None], ids=["rows-1", "rows-3", "one-block"])
 def block_rows(request, monkeypatch):
     """Sets ``paths.BLOCK_BYTES`` per pass so that a block holds the given
-    number of rows (all of them for None), then checks the blocks used."""
-    rows, lengths, cache_blocks = request.param, [], paths.cache_blocks
+    number of rows (all of them for None), then checks the blocks used.  A
+    limit chunk's noise blocks, sized in their own budget, are left to it."""
+    rows, sizes, rows_per_block = request.param, [], paths.rows_per_block
 
-    def sized(count, row_bytes):
-        monkeypatch.setattr(paths, "BLOCK_BYTES", row_bytes * (rows or count))
-        blocks = cache_blocks(count, row_bytes)
-        lengths.append((count, [b.stop - b.start for b in blocks]))
-        return blocks
+    def sized(count, row_bytes, budget=None, unit=1):
+        if budget is None:
+            monkeypatch.setattr(paths, "BLOCK_BYTES", row_bytes * (rows or count))
+            sizes.append((count, rows_per_block(count, row_bytes)))
+        return rows_per_block(count, row_bytes, budget, unit)
 
-    # where the streamers, the time-sliced U pass and the reference look it up
-    for module in (paths, limits, schemes):
-        monkeypatch.setattr(module, "cache_blocks", sized)
+    # where the streamers and the time-sliced U pass look it up
+    for module in (paths, limits):
+        monkeypatch.setattr(module, "rows_per_block", sized)
     yield
-    assert lengths, "no pass ran through cache_blocks"
-    for count, got in lengths:
-        want = rows or count
-        assert sum(got) == count and all(n == want for n in got[:-1])
-        assert 0 < got[-1] <= want
+    assert sizes, "no pass ran through rows_per_block"
+    assert all(got == min(rows or count, count) for count, got in sizes)
     if rows == 3:
         # every pass ends in a partial block, but for one nested in a block of
-        # three (K or the closed form on a block of 3 paths); the passes the
-        # tests start have counts that 3 does not divide
-        assert all(got[-1] < 3 for count, got in lengths if count != 3)
+        # three (K on a block of 3 paths); the passes the tests start have
+        # counts that 3 does not divide
+        assert all(count % 3 for count, _ in sizes if count != 3)
 
 
 CASES = [(case, timed) for case in ("gbm", "embedding", "field2") for timed in (False, True)]
@@ -267,16 +265,14 @@ def test_scheme_chunk_evaluates_coefficients_once(monkeypatch, closed_form):
     assert counts[0] == counts[1] > 0
 
 
-def test_only_the_streamer_and_u_read_cache_blocks():
-    # block_rows patches cache_blocks in paths (stream_cells and the rate
-    # chunk's stream_paths), limits (the time-sliced U pass, whose blocks
-    # the noise blocks hold whole) and schemes
-    # (a closed-form reference, blocked over paths); a pass that looked it
-    # up elsewhere would run unpatched, so
-    # the block tests here could not see its blocks
+def test_only_the_streamers_and_u_read_rows_per_block():
+    # block_rows patches rows_per_block in paths (stream_cells and the rate
+    # chunk's stream_paths) and limits (the time-sliced U pass, whose blocks
+    # the noise blocks hold whole); a pass that looked it up elsewhere would
+    # run unpatched, so the block tests here could not see its blocks
     src = pathlib.Path(paths.__file__).parent
-    readers = sorted(f.stem for f in src.glob("*.py") if "cache_blocks" in f.read_text())
-    assert readers == ["limits", "paths", "schemes"]
+    readers = sorted(f.stem for f in src.glob("*.py") if "rows_per_block" in f.read_text())
+    assert readers == ["limits", "paths"]
 
 
 def _gbm_with_bad_nodes():
@@ -304,10 +300,19 @@ def _whole_flags(values):
     return ~np.all(np.abs(values) <= model.DIVERGENCE_LIMIT, axis=(1, 2))
 
 
+def _blocks_of_paths(prob, reduce):
+    """``reduce(bundle)`` on each block of paths that a rate chunk of the
+    driver paths of seed 5 draws, as :func:`paths.stream_paths` hands them."""
+    keys = rng.philox_keys(5, rng.DRIVER_W, range(PATHS), 1)
+    return paths.stream_paths(prob.driver, paths.make_grid(COARSE, FINE // COARSE), keys,
+                              lambda bundle, space: reduce(bundle))
+
+
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_reference_keeps_every_kth_node(block_rows, case):
-    # the closed form, evaluated one block of paths at a time and thinned,
-    # against the whole-bundle closed form and its flags on every fine node
+    # the closed form, evaluated whole on each block of paths a rate chunk
+    # draws and thinned, against the whole-bundle closed form and its flags
+    # on every fine node
     prob = REFERENCE_CASES[case]()
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
@@ -319,11 +324,26 @@ def test_reference_keeps_every_kth_node(block_rows, case):
         assert inf.any() and (nan & ~inf).any() and not (inf | nan).all()
         assert np.array_equal(diverged, inf | nan)
     for every in (1, 4, COARSE, FINE):
-        ref = schemes.reference(prob, bundle, every=every)
-        assert ref.values.shape == (PATHS, FINE // every + 1, 1)
-        assert ref.coarse_n == FINE // every
-        assert np.array_equal(ref.values, whole[:, ::every], equal_nan=True)
-        assert np.array_equal(ref.diverged, diverged)
+        def reduce(blk):
+            ref = schemes.reference(prob, blk, every=every)
+            assert ref.values.shape == (blk.n_paths, FINE // every + 1, 1)
+            assert ref.coarse_n == FINE // every
+            return ref.values, ref.diverged
+
+        values, flags = _blocks_of_paths(prob, reduce)
+        assert np.array_equal(values, whole[:, ::every], equal_nan=True)
+        assert np.array_equal(flags, diverged)
+
+
+@pytest.mark.parametrize("every", [1, 4, FINE])
+def test_closed_form_reference_values_own_their_memory(every):
+    # the kept nodes are copied out of the closed form's whole-node array, so
+    # a caller that keeps the values does not keep every fine node with them
+    prob = model.make_gbm_drift()
+    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
+                                   range(PATHS))
+    values = schemes.reference(prob, bundle, every=every).values
+    assert values.base is None and values.flags.owndata
 
 
 def _squared_noise():
@@ -386,17 +406,16 @@ def test_marched_reference_k_is_the_one_sub_cell_k(monkeypatch, case, timed):
         assert np.array_equal(got, whole[:, cells])
 
 
-def _walk_cells(prob):
-    """The reference walked in slices of the cells, each call started from
-    the last values of the one before, checked node for node and flag for
-    flag against the whole-grid reference; returns the flags."""
-    bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
-                                   range(PATHS))
+def _walk_cells(prob, bundle):
+    """The reference on ``bundle`` walked in slices of the cells, each call
+    started from the last values of the one before, checked node for node
+    and flag for flag against the whole-grid reference; returns the flags."""
     whole = schemes.reference(prob, bundle)
-    x, values, diverged = None, [], np.zeros(PATHS, dtype=bool)
+    x, values, diverged = None, [], np.zeros(bundle.n_paths, dtype=bool)
     for cells in (slice(0, 8), slice(8, 11), slice(11, 12), slice(12, FINE)):
         ref = schemes.reference(prob, bundle, cells=cells, x=x)
-        assert ref.values.shape == (PATHS, cells.stop - cells.start + 1, prob.field.dim_q)
+        assert ref.values.shape == (bundle.n_paths, cells.stop - cells.start + 1,
+                                    prob.field.dim_q)
         assert ref.coarse_n == cells.stop - cells.start
         x = ref.values[:, -1]
         values.append(ref.values[:, :-1])
@@ -411,18 +430,20 @@ def _walk_cells(prob):
 def test_reference_walks_blocks_of_cells(block_rows, case):
     # slices of the cells, each started from the last values of the one
     # before, give the whole-grid reference node for node, with its flags:
-    # the closed form blocked over paths on each slice, or Milstein chained
-    # through x as the limit side walks its time blocks, which is also one
-    # Milstein march whose K is formed over blocks of paths
+    # the closed form on each slice of each block of paths a rate chunk
+    # draws, or Milstein chained through x as the limit side walks its time
+    # blocks, which is also one Milstein march whose K is formed over blocks
+    # of paths
     if case in REFERENCE_CASES:
-        diverged = _walk_cells(REFERENCE_CASES[case]())
+        prob = REFERENCE_CASES[case]()
+        (diverged,) = _blocks_of_paths(prob, lambda blk: (_walk_cells(prob, blk),))
         if case == "bad-nodes":
             assert 0 < diverged.sum() < PATHS
         return
     prob = _problem("field2", True) if case == "field2-callable" else model.make_ou()
-    _walk_cells(prob)
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
+    _walk_cells(prob, bundle)
     full = schemes.milstein(prob, bundle, FINE)
     whole = schemes.reference(prob, bundle)
     assert np.array_equal(whole.values, full.values)
@@ -447,12 +468,13 @@ def _limit_inputs(prob):
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
 def test_simulate_mn(block_rows, case, timed):
     # dM and dN of each block of time steps (sized by block_rows through
-    # limits.cache_blocks), as simulate_u asks for them, against the same
+    # limits.rows_per_block), as simulate_u asks for them, against the same
     # steps of the whole-grid increments: sigma is read at the block's nodes
     prob = _problem(case, timed)
     _, dw, aux = _limit_inputs(prob)
     whole = mn_whole(prob.driver, dw, aux)
-    for blk in limits.cache_blocks(FINE, 1):
+    rows = limits.rows_per_block(FINE, 1)
+    for blk in (slice(s, min(s + rows, FINE)) for s in range(0, FINE, rows)):
         for got, want in zip(limits.simulate_mn(prob.driver, dw[:, blk], aux.steps(blk)),
                              whole):
             assert got.shape == want[:, blk].shape and np.array_equal(got, want[:, blk])

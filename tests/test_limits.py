@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milsde import crosscheck, limits, model, paths, rng, schemes, stats
+from milsde import crosscheck, limits, model, oracles, paths, rng, schemes, stats
 from test_blocks import _problem, _trig_field
 
 
@@ -495,9 +495,10 @@ class TestChunkMemory:
 
 class TestByteFormulas:
     # each hand-kept per-row byte formula against the tracemalloc peak of the
-    # one block it sizes, at 200 draws; the U formula is an upper estimate
-    # (gbm shares dY and dW, 0.64 of it; the others read 0.96-0.97) and the
-    # noise formula leaves out the carried streams' generators (0.91-1.14)
+    # one block it sizes, at 200 draws (400 paths for stream_cells); the U
+    # formula is an upper estimate (gbm shares dY and dW, 0.64 of it; the
+    # others read 0.96-0.97) and the noise formula leaves out the carried
+    # streams' generators (0.91-1.14)
     CASES = {"gbm": model.make_gbm, "gbm-drift": model.make_gbm_drift,
              "field2-callable": lambda: _problem("field2", True),
              "embedding-callable": lambda: _problem("embedding", True)}
@@ -506,7 +507,7 @@ class TestByteFormulas:
     def test_u_row_bytes_size_one_block_of_u(self, case):
         prob, draws = self.CASES[case](), 200
         row = limits.u_row_bytes(prob)
-        steps = paths.cache_blocks(1 << 20, draws * row)[0].stop
+        steps = paths.rows_per_block(1 << 20, draws * row)
         grid, bundle, aux = limit_inputs(prob, steps, 3, draws)
         limits.simulate_u(prob, [(bundle, aux)])
         tracemalloc.start()
@@ -516,6 +517,28 @@ class TestByteFormulas:
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / (draws * steps * row) <= 1.25
+
+    @pytest.mark.parametrize("case", ["7.3", "7.4", "7.7-80", "null"])
+    def test_stream_cells_row_bytes_size_one_block(self, monkeypatch, case):
+        # stream_cells' per-row formula (the increments, their cell split, the
+        # work slots and the arrays the reduce owns) against the peak of an
+        # oracle chunk of 400 paths, one block of which is live at a time
+        # (1.07-1.12); 7.6's own = 10 is an upper estimate (0.44), and K's
+        # pass reads up to 1.32, since its reduce allocates K and its QV
+        # beyond the formula
+        size = dict(n=16, paths=400, fine_factor=64, seed=1)
+        sizes, rows_per_block = set(), paths.rows_per_block
+        monkeypatch.setattr(paths, "rows_per_block", lambda count, row_bytes: (
+            sizes.add((count, row_bytes)) or rows_per_block(count, row_bytes)))
+        oracles.run_case(case, **size)  # warm caches
+        tracemalloc.start()
+        try:
+            oracles.run_case(case, **size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((count, row),) = sizes
+        assert 0.5 <= peak / (rows_per_block(count, row) * row) <= 1.25
 
     @pytest.mark.parametrize("case", CASES)
     def test_noise_bytes_size_one_time_block(self, case):

@@ -1,5 +1,4 @@
 import threading
-import tracemalloc
 import weakref
 from unittest import mock
 
@@ -335,12 +334,9 @@ class TestStreamCells:
             seen.append(blk)
             return np.moveaxis(disp[..., -1], 0, -1), dyc[0, :, 0, 0]
 
-        def blocks(total, row_bytes):
-            return [slice(s, min(s + rows, total)) for s in range(0, total, rows)]
-
-        with mock.patch.object(paths, "cache_blocks", blocks):
+        with mock.patch.object(paths, "rows_per_block", lambda total, row_bytes: rows):
             ends, first = paths.stream_cells(count, n * r, n, channels, fill, reduce, slots)
-        assert seen == blocks(count, 0)
+        assert seen == [slice(s, min(s + rows, count)) for s in range(0, count, rows)]
         assert np.array_equal(ends, want_disp[:, :, -1]) and np.array_equal(first, inc[:, 0, 0])
 
     @settings(max_examples=50, deadline=None)
@@ -377,40 +373,37 @@ class TestStreamCells:
         assert not any(np.shares_memory(a, b) for a, b in zip(seen[0], seen[1]))
 
 
-class TestCacheBlocks:
-    @settings(max_examples=200, deadline=None)
-    @given(count=st.integers(0, 500),
-           row_bytes=st.one_of(st.integers(1, 4 * paths.BLOCK_BYTES),
-                               st.integers(paths.BLOCK_BYTES // 64, paths.BLOCK_BYTES)))
-    def test_covers_every_row_once_in_order(self, count, row_bytes):
-        blocks = paths.cache_blocks(count, row_bytes)
-        assert all(b.step is None and b.stop > b.start for b in blocks)
-        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(count))
-        rows = max(1, paths.BLOCK_BYTES // row_bytes)
-        assert all(b.stop - b.start == rows for b in blocks[:-1])
-        assert not blocks or blocks[-1].stop - blocks[-1].start <= rows
+class TestRowsPerBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(1, 500), row_bytes=st.integers(1, 4000),
+           budget=st.one_of(st.none(), st.integers(1, 1 << 14)), unit=st.integers(1, 40))
+    @example(count=100, row_bytes=10, budget=1000, unit=7)
+    def test_blocks_are_whole_units_within_the_budget(self, count, row_bytes, budget, unit):
+        # whole units or every row; within the budget unless one unit; the
+        # most such units; never more rows than there are; and the blocks of
+        # range(0, count, rows) cover every row once, in order
+        rows = paths.rows_per_block(count, row_bytes, budget, unit)
+        budget = paths.BLOCK_BYTES if budget is None else budget
+        assert rows % unit == 0 or rows == count
+        assert rows * row_bytes <= budget or rows <= unit
+        assert rows == count or (rows + unit) * row_bytes > budget
+        assert 0 < rows <= count
+        blocks = [range(s, min(s + rows, count)) for s in range(0, count, rows)]
+        assert [i for b in blocks for i in b] == list(range(count))
 
-    def test_blocks_are_formed_as_they_are_read(self):
-        # U's pass over 2^26 fine steps of 1000 gbm draws has 5162221 blocks,
-        # which a list of slices held in 630 MB
-        tracemalloc.start()
-        try:
-            blocks = paths.cache_blocks(paths.MAX_FINE_COUNT, 152000)
-            assert len(blocks) == 5162221 and blocks[-1] == slice(5162220 * 13, 1 << 26)
-            assert blocks[1] == slice(13, 26)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
+    def test_noise_blocks_are_whole_units_of_u_steps(self):
+        # 1000 bytes hold 100 rows of 10 bytes: 14 whole units of 7 rows; never
+        # more rows than there are, and one unit when the budget holds less
+        assert paths.rows_per_block(100, 10, 1000, 7) == 98
+        assert paths.rows_per_block(50, 10, 1000, 7) == 50
+        assert paths.rows_per_block(100, 300, 1000, 7) == 7
 
-
-def test_noise_steps_are_whole_units_within_the_budget(monkeypatch):
-    # 1000 bytes hold 100 rows of 10 bytes: 14 whole units of 7 rows; never
-    # more rows than there are, and one unit when the budget holds less
-    monkeypatch.setattr(paths, "NOISE_BYTES", 1000)
-    assert paths.noise_steps(100, 10, 7) == 98
-    assert paths.noise_steps(50, 10, 7) == 50
-    assert paths.noise_steps(100, 300, 7) == 7
+    def test_u_pass_at_the_largest_grid(self, monkeypatch):
+        # U's pass over 2^26 fine steps of 1000 gbm draws: 13 rows of 152000
+        # bytes in the default budget, which is read at each call
+        assert paths.rows_per_block(paths.MAX_FINE_COUNT, 152000) == 13
+        monkeypatch.setattr(paths, "BLOCK_BYTES", 152000 * 5)
+        assert paths.rows_per_block(paths.MAX_FINE_COUNT, 152000) == 5
 
 
 class TestOverChunks:
