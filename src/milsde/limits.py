@@ -13,32 +13,37 @@ independent of the driver's W.  V is always assembled on the fly from
 in the driver shifts N by the deterministic matrix (1/2) int c_s a^p_s ds.
 M and N are carried as increments over the fine cells, never as running
 series: the three sigma factors are contracted once per time step and
-applied to the flattened noise increments.
+applied to the flattened noise increments.  N enters U only through the
+term (1/2) sum_j tr(f^T Hf^{ij} f dN^j), which vanishes when f is affine
+(``field.hf`` is None), and Wbar and V exist only to form N; so a chunk
+of an affine field that is not asked for fingerprints draws no Wbar and
+forms no V, dN or N term.  U is the same bit for bit, since the skipped
+term is 0 dN.
 
 The normalized scheme error then converges to the solution of a linear
 SDE driven by (Y, M, N), integrated here with left-point Euler steps on
 the fine grid along the reference solution X; only the endpoint U_1 is
 kept.  U needs each step's X, dY, dW, dM and dN once, in time order, so a
 limit chunk keeps its draws and holds one time block of their noise at a
-time: the driver's W, its Y when Y is not W, and the auxiliary families,
-each stream drawn on from where the last block stopped (a carried Philox
-stream per slot, see :func:`rng.normal_matrix`) and each running sum
-carried from the last block's last node, in buffers every block reuses.
-A block holds about ``paths.NOISE_BYTES`` and whole blocks of U's steps,
-so no (draws, fine_count) array exists and the chunk's memory does not
-grow with the fine grid; its values are those of one whole-grid draw, bit
-for bit.  The integrator forms the rest over all paths of one cache block
-of time steps at a time: X at the block's left nodes from the reference on
-the block's cells (a marched reference, one Milstein step per fine cell
-with K formed from that cell's dY, carries its last state into the next
-block), dY and dW as differences of the block's nodes, and V, dM and dN
-(drift correction included) from that block's noise copied contiguous
-once.  It builds its forcing and coupling terms from them, transposes
-those to time-major in cache and steps through them: neither X, dY, dW,
-dM, dN nor any term of U is ever full-size.  Sigma's cube is formed once
-per time block, and a draw whose reference leaves the band at any node is
-flagged; :func:`limit_samples` raises for the flagged draws of all its
-chunks.
+time: the driver's W, its Y when Y is not W, and the auxiliary families (B,
+and Wbar when N is formed), each stream drawn on from where the last block
+stopped (a carried Philox stream per slot, see :func:`rng.normal_matrix`)
+and each running sum carried from the last block's last node, in buffers
+every block reuses.  A block holds about ``paths.NOISE_BYTES`` and whole
+blocks of U's steps, so no (draws, fine_count) array exists and the
+chunk's memory does not grow with the fine grid; its values are those of
+one whole-grid draw, bit for bit.  The integrator forms the rest over all
+paths of one cache block of time steps at a time: X at the block's left
+nodes from the reference on the block's cells (a marched reference, one
+Milstein step per fine cell with K formed from that cell's dY, carries its
+last state into the next block), dY and dW as differences of the block's nodes, and dM (with V and
+dN, drift correction included, when N is formed) from that block's noise
+copied contiguous once.  It builds its forcing and coupling terms from
+them, transposes those to time-major in cache and steps through them:
+neither X, dY, dW, dM, dN nor any term of U is ever full-size.  Sigma's
+cube is formed once per time block, and a draw whose reference leaves the
+band at any node is flagged; :func:`limit_samples` raises for the flagged
+draws of all its chunks.
 """
 
 from dataclasses import dataclass, replace
@@ -60,7 +65,8 @@ class AuxiliaryNoise:
     """Increments of the B^{pij} and Wbar^p families on the fine grid.
 
     ``db`` has shape (n_paths, T-1, m, m, m) indexed [p, i, j]; ``dwbar``
-    has shape (n_paths, T-1, m).  Streams are keyed per (path, channel) so
+    has shape (n_paths, T-1, m), or is None when Wbar was not drawn (a chunk
+    that forms no N).  Streams are keyed per (path, channel) so
     the families are independent of each other and of every driver path.
     The increments are those of the steps from ``start`` of ``grid`` on: all
     of them, or one time block of them as a chunk samples them, or one block
@@ -79,8 +85,9 @@ class AuxiliaryNoise:
         pays its per-row loop cost on every operand that reads one.
         """
         local = slice(blk.start - self.start, blk.stop - self.start)
-        return replace(self, db=np.ascontiguousarray(self.db[:, local]),
-                       dwbar=np.ascontiguousarray(self.dwbar[:, local]), start=blk.start)
+        dwbar = None if self.dwbar is None else np.ascontiguousarray(self.dwbar[:, local])
+        return replace(self, db=np.ascontiguousarray(self.db[:, local]), dwbar=dwbar,
+                       start=blk.start)
 
     def times(self) -> np.ndarray:
         """The grid nodes these increments span, T of them."""
@@ -88,8 +95,13 @@ class AuxiliaryNoise:
 
 
 def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices, cells: slice = None,
-               carry: dict = None, space: Workspace = None) -> AuxiliaryNoise:
+               carry: dict = None, space: Workspace = None,
+               with_n: bool = True) -> AuxiliaryNoise:
     """The B and Wbar increments of the draws ``path_indices`` on the fine steps ``cells``.
+
+    Wbar exists only to form N, so with ``with_n`` False no Wbar key is
+    hashed and no Wbar normal drawn (``dwbar`` is None); B's streams are
+    the same either way.
 
     ``cells`` are all of the grid's steps by default.  A chunk that samples
     them one time block after another, in time order, passes every block
@@ -101,8 +113,8 @@ def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices, cells: sl
     if cells is None:
         cells = slice(0, grid.fine_count)
     take = (space or Workspace()).take
-    families = []
-    for component, channels in ((rng.AUX_B, dim_m ** 3), (rng.AUX_WBAR, dim_m)):
+    families = {}
+    for component, channels in ((rng.AUX_B, dim_m ** 3), (rng.AUX_WBAR, dim_m))[:1 + with_n]:
         if carry is None:
             keys, streams = rng.philox_keys(master_seed, component, path_indices, channels), None
         elif component in carry:
@@ -111,23 +123,25 @@ def sample_aux(grid: Grid, dim_m: int, master_seed: int, path_indices, cells: sl
             keys, streams = carry[component] = (
                 rng.philox_keys(master_seed, component, path_indices, channels), [])
         out = take(f"aux.{component}", (len(keys), cells.stop - cells.start, channels))
-        families.append(rng.normal_matrix(keys, (out.shape[1], 1), scale=np.sqrt(grid.fine_dt),
-                                          out=out, carry=streams))
-    db, dwbar = families
+        families[component] = rng.normal_matrix(keys, (out.shape[1], 1),
+                                                scale=np.sqrt(grid.fine_dt), out=out,
+                                                carry=streams)
+    db = families[rng.AUX_B]
     # channel (p*m + i)*m + j of the B family is entry [p, i, j]
     db = db.reshape(*db.shape[:2], dim_m, dim_m, dim_m)
-    return AuxiliaryNoise(grid=grid, db=db, dwbar=dwbar, start=cells.start)
+    return AuxiliaryNoise(grid=grid, db=db, dwbar=families.get(rng.AUX_WBAR), start=cells.start)
 
 
-def noise_bytes(driver: DriverSpec) -> int:
+def noise_bytes(driver: DriverSpec, with_n: bool = True) -> int:
     """Bytes a limit chunk's time block of noise holds per draw and fine step.
 
     The driver's W, its Y when Y is not W, the dW a callable sigma's Y is
-    formed from, and the B and Wbar families.
+    formed from, the B family, and the Wbar family when the chunk forms N
+    (``with_n``).
     """
     m, d = driver.dim_m, driver.dim_d
     return 8 * (m + (0 if driver.y_is_w else d) + (m if callable(driver.sigma) else 0)
-                + m ** 3 + m)
+                + m ** 3 + (m if with_n else 0))
 
 
 def assemble_v_increments(aux: AuxiliaryNoise, dw: np.ndarray) -> np.ndarray:
@@ -162,6 +176,9 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise,
     """Increments (dM, dN) of the limit processes over the cells of ``aux``.
 
     Returns two arrays of shape (n_paths, T-1, d, d, d) indexed [j, row, col].
+    When ``aux`` carries no Wbar (a chunk that forms no N) no V is built and
+    dN is an empty (n_paths, T-1, 0) array, not None, so that the pair
+    always holds two arrays (perfbench's tracer sums their bytes).
     ``dw`` must be the driver's own Brownian increments over the same cells,
     (n_paths, T-1, m); the diagonal of V couples to them.  The three sigma
     factors are contracted once per time step (``cube``, the
@@ -175,10 +192,13 @@ def simulate_mn(driver: DriverSpec, dw: np.ndarray, aux: AuxiliaryNoise,
     B, T, m = dw.shape
     if cube is None:
         cube = sigma_cube(driver, aux.times()[:-1])
-    dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
-    dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube)
+    if aux.dwbar is None:
+        dn = np.empty((B, T, 0))
+    else:
+        dv = assemble_v_increments(aux, dw).reshape(B, T, m ** 3)
+        dn = np.einsum("btk,tkl->btl", dv, (SQRT3 / 3.0) * cube).reshape(B, T, d, d, d)
     dm = np.einsum("btk,tkl->btl", aux.db.reshape(B, T, m ** 3), (SQRT6 / 6.0) * cube)
-    return dm.reshape(B, T, d, d, d), dn.reshape(B, T, d, d, d)
+    return dm.reshape(B, T, d, d, d), dn
 
 
 def _trapezoid_increments(integrand: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -201,19 +221,26 @@ def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.n
     return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
-def u_row_bytes(problem: SdeProblem) -> int:
+def u_row_bytes(problem: SdeProblem, with_n: bool = True) -> int:
     """Bytes a block of U's steps holds per path and step, in :func:`simulate_u`.
 
-    X, f, Df, h and Hf; the forcing, N term and coupling, batch- and
-    time-major; dY; the noise copies, dW, V and its diagonal; dM, dN and the
-    drift-corrected dN.
+    When the chunk forms N (``with_n``): X, f, Df, h and Hf; the forcing, N
+    term and coupling, batch- and time-major; dY; the noise copies, dW, V
+    and its diagonal; dM, dN and the drift-corrected dN.  Otherwise: X as
+    the reference's nodes, their kept copy and the contiguous left nodes;
+    f, Df, h and the (q, d^3) Df h coefficient; the forcing and coupling,
+    batch- and time-major; dY; the copy of B, and dW; dM.
     """
     q, d, m = problem.field.dim_q, problem.driver.dim_d, problem.driver.dim_m
-    return 8 * (q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d
-                + 2 * m ** 3 + 3 * m + 3 * d ** 3)
+    if with_n:
+        return 8 * (q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d
+                    + 2 * m ** 3 + 3 * m + 3 * d ** 3)
+    return 8 * (3 * q + q * d * (1 + q + d + d * d) + 2 * q + 2 * q * q + d + m ** 3 + m
+                + d ** 3)
 
 
-def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.ndarray:
+def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs,
+                with_n: bool = True) -> np.ndarray:
     """Integrate the limit error SDE along a reference solution path.
 
     dU^i = U^T Df^i(X) dY - sum_{jk} f^{ij}_k(X) tr(h^k(X) dM^j)
@@ -223,14 +250,17 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
     fine steps, the reference X at their left nodes (n_paths, len(blk), q),
     the driver's moves dY over them (n_paths, len(blk), d) and their
     (drift-corrected) dM and dN, each (n_paths, len(blk), d, d, d).  It is
-    called once per cache block of steps, in time order.  Left-point Euler
-    on the fine grid; returns U at the last node, shape (n_paths, q).  The
-    loop is causal: stopping the inputs after k steps gives U at node k.
+    called once per cache block of steps, in time order.  With ``with_n``
+    False the N term is left out and dN is not read, as for a chunk of an
+    affine field, whose N term is 0 dN; blocks are then sized by the
+    smaller :func:`u_row_bytes`.  Left-point Euler on the fine grid;
+    returns U at the last node, shape (n_paths, q).  The loop is causal:
+    stopping the inputs after k steps gives U at node k.
     """
     field = problem.field
     cur = np.zeros((n_paths, field.dim_q))
     step = np.empty((n_paths, field.dim_q))
-    rows = rows_per_block(steps, n_paths * u_row_bytes(problem))
+    rows = rows_per_block(steps, n_paths * u_row_bytes(problem, with_n))
     for start in range(0, steps, rows):
         blk = slice(start, min(start + rows, steps))
         # the block's inputs, contiguous so that the products below read
@@ -244,7 +274,8 @@ def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs) -> np.nda
         forcing = _m_term(df, h, dm_b)
         np.negative(forcing, out=forcing)
         coupling = np.einsum("xtikj,xtj->xtik", df, dy_b)
-        forcing -= _n_term(f, field.hf_at(x_left), dn_b)
+        if with_n:
+            forcing -= _n_term(f, field.hf_at(x_left), dn_b)
         # time-major for the loop, transposed while the block is in cache
         forcing = np.ascontiguousarray(forcing.transpose(1, 0, 2))
         coupling = np.ascontiguousarray(coupling.transpose(1, 0, 2, 3))
@@ -301,15 +332,19 @@ def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
     carries its last state into the next block), dY and dW as differences
     of the block's nodes (one array when Y is W), and dM and dN from
     :func:`simulate_mn` on the block's noise, drift-corrected there, with
-    sigma's cube formed once per time block.  None of them ever exists at
-    full size, and a time block is asked for only when U's steps reach it.
-    ``fps``, when given, is an (n_paths, 5) array to which each block of
-    steps adds the :func:`stats.fingerprints` of its dM, dN and dW;
+    sigma's cube formed once per time block.  When the noise carries no
+    Wbar, no V or dN is formed, no drift correction runs and U has no N
+    term.  None of them ever exists at full size, and a time block is asked
+    for only when U's steps reach it.  ``fps``, when given, is an
+    (n_paths, 5) array to which each block of steps adds the
+    :func:`stats.fingerprints` of its dM, dN and dW (its noise must carry
+    Wbar);
     ``diverged``, when given, an (n_paths,) bool array that each block marks
     with the paths whose reference left the band on its nodes.
     """
     driver, blocks = problem.driver, iter(noise)
     bundle, aux = next(blocks)
+    with_n = aux.dwbar is not None
     cube = sigma_cube(driver, aux.times()[:-1])
     x = None  # the reference at the next block's first node
 
@@ -328,12 +363,13 @@ def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
         # the block's noise, copied contiguous once for every product below
         block = aux.steps(blk)
         dm, dn = simulate_mn(driver, dw, block, cube[blk.start - aux.start:blk.stop - aux.start])
-        dn = drift_correct(dn, driver, block.times())
+        if with_n:
+            dn = drift_correct(dn, driver, block.times())
         if fps is not None:
             np.add(fps, stats.fingerprints(dm, dn, dw), out=fps)
         return ref.values[:, :-1], dy, dm, dn
 
-    return integrate_u(problem, bundle.n_paths, bundle.grid.fine_count, inputs)
+    return integrate_u(problem, bundle.n_paths, bundle.grid.fine_count, inputs, with_n)
 
 
 @dataclass(frozen=True)
@@ -358,6 +394,10 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     Draws a fresh driver path (its own stream family) and the auxiliary
     families, and integrates the limit SDE along the reference solution of
     that path.  The driver's drift correction is applied automatically.
+    The chunk forms N only when something reads it: for its fingerprints,
+    or for U's N term when the field has a Hessian (``field.hf`` is not
+    None).  Otherwise it draws no Wbar, and forms no V, dN or N term; U is
+    the same bit for bit.
     The chunk holds one time block of noise at a time: the W of its draws
     (and their Y when Y is not W) from :func:`paths.stream_times` and the
     auxiliary families from :func:`sample_aux`, each stream drawn on from
@@ -365,7 +405,7 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     block holds :func:`noise_bytes` per draw and step, as many whole blocks
     of U's steps as fit in ``paths.NOISE_BYTES``, so the chunk's memory does
     not grow with ``fine_count``; the values are those of one whole-grid
-    block, bit for bit.  The reference, dY, dW, dM and dN are formed one
+    block, bit for bit.  The reference, dY, dW, dM (and dN) are formed one
     block of U's steps at a time inside :func:`simulate_u`.  A draw whose
     reference leaves the band at any fine node has no meaningful U; it is
     marked in ``diverged``, and :func:`limit_samples` raises for it.
@@ -373,11 +413,13 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     grid, driver = Grid(fine_count, 1), problem.driver
     keys = rng.philox_keys(master_seed, rng.LIMIT_W, path_indices, 1)
     n_paths = len(keys)
-    u_steps = rows_per_block(fine_count, n_paths * u_row_bytes(problem))
-    length = rows_per_block(fine_count, n_paths * noise_bytes(driver), paths.NOISE_BYTES, u_steps)
+    with_n = fingerprints or problem.field.hf is not None
+    u_steps = rows_per_block(fine_count, n_paths * u_row_bytes(problem, with_n))
+    length = rows_per_block(fine_count, n_paths * noise_bytes(driver, with_n), paths.NOISE_BYTES,
+                            u_steps)
     space, carry = Workspace(), {}
     noise = ((bundle, sample_aux(grid, driver.dim_m, master_seed, path_indices, bundle.cells,
-                                 carry, space))
+                                 carry, space, with_n))
              for bundle in stream_times(driver, grid, keys, length, space))
     fps = np.zeros((n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
     diverged = np.zeros(n_paths, dtype=bool)

@@ -9,6 +9,10 @@ Callback conventions, with x of shape (..., q):
     f(x)  -> (..., q, d)
     df(x) -> (..., q, q, d)   df[..., i, k, j] = d f^{ij} / d x_k
     hf(x) -> (..., q, d, q, q)  hf[..., i, j] = Hessian of f^{ij}
+
+A field that is affine in x declares it with ``hf = None``: its Hessian
+vanishes, and so does the N term of the limit error equation, which a limit
+chunk then does not form (see :mod:`limits`).
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,11 @@ DIVERGENCE_LIMIT = 1e150  # a state beyond this magnitude has diverged
 
 @dataclass(frozen=True)
 class CoefficientField:
+    """f and its first two derivatives, as callbacks of x (see the module docstring).
+
+    ``hf`` is None when f is affine in x; :meth:`hf_at` then returns zeros.
+    """
+
     dim_q: int
     dim_d: int
     f: object
@@ -36,7 +45,10 @@ class CoefficientField:
         return np.asarray(self.df(np.asarray(x, dtype=float)), dtype=float)
 
     def hf_at(self, x) -> np.ndarray:
-        return np.asarray(self.hf(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.hf is None:
+            return np.zeros((*x.shape, self.dim_d, self.dim_q, self.dim_q))
+        return np.asarray(self.hf(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,11 @@ def _check_nonfinite_pairing(field: CoefficientField, x, out: np.ndarray) -> Non
 
 
 def scalar_field(f, df, d2f, growth_bound: float = 1.0) -> CoefficientField:
-    """Coefficient field for a one-dimensional state and driver."""
+    """Coefficient field for a one-dimensional state and driver.
+
+    ``d2f`` is None, passed explicitly, when f is affine (see
+    :class:`CoefficientField`).
+    """
     def f_cb(x):
         return np.asarray(f(x[..., 0]))[..., None, None]
 
@@ -123,8 +139,8 @@ def scalar_field(f, df, d2f, growth_bound: float = 1.0) -> CoefficientField:
     def hf_cb(x):
         return np.asarray(d2f(x[..., 0]))[..., None, None, None, None]
 
-    return CoefficientField(dim_q=1, dim_d=1, f=f_cb, df=df_cb, hf=hf_cb,
-                            growth_bound=growth_bound)
+    return CoefficientField(dim_q=1, dim_d=1, f=f_cb, df=df_cb,
+                            hf=None if d2f is None else hf_cb, growth_bound=growth_bound)
 
 
 def _pair(w, z, x) -> np.ndarray:
@@ -137,7 +153,14 @@ def _pair(w, z, x) -> np.ndarray:
 
 
 def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientField:
-    """Coefficient field (a(x), b(x)) against the (W, t) driver pair."""
+    """Coefficient field (a(x), b(x)) against the (W, t) driver pair.
+
+    ``d2a`` and ``d2b`` are both None, passed explicitly, when a and b are
+    affine (see :class:`CoefficientField`); a curved one gives both.
+    """
+    if (d2a is None) != (d2b is None):
+        raise ValueError("d2a and d2b must both be None (a and b affine) or both be given")
+
     def f_cb(x):
         return _pair(a, b, x)[..., None, :]
 
@@ -147,8 +170,8 @@ def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientF
     def hf_cb(x):
         return _pair(d2a, d2b, x)[..., None, :, None, None]
 
-    return CoefficientField(dim_q=1, dim_d=2, f=f_cb, df=df_cb, hf=hf_cb,
-                            growth_bound=growth_bound)
+    return CoefficientField(dim_q=1, dim_d=2, f=f_cb, df=df_cb,
+                            hf=None if d2a is None else hf_cb, growth_bound=growth_bound)
 
 
 def ito_problem(a, da, d2a, b, db, d2b, x0=1.0, closed_form=None,
@@ -185,7 +208,7 @@ def _gbm_drift_closed_form(x0: float, alpha: float, beta: float):
 def make_gbm(x0: float = 1.0) -> SdeProblem:
     """dX = X dW with exact solution x0 exp(W_t - t/2)."""
     one = np.ones_like
-    return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), lambda x: 0.0 * x),
+    return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), None),
                       driver=brownian_motion_driver(1), x0=x0,
                       closed_form=_gbm_closed_form(x0), label="gbm")
 
@@ -198,7 +221,7 @@ def make_det_exp(x0: float = 1.0) -> SdeProblem:
         vals = x0 * np.exp(t)
         return np.broadcast_to(vals[:, None], (len(y), len(t), 1)).copy()
 
-    return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), lambda x: 0.0 * x),
+    return SdeProblem(field=scalar_field(lambda x: x, lambda x: one(x), None),
                       driver=time_driver(), x0=x0, closed_form=cf, label="det-exp",
                       zero_limit=True)
 
@@ -206,9 +229,8 @@ def make_det_exp(x0: float = 1.0) -> SdeProblem:
 def make_gbm_drift(x0: float = 1.0, alpha: float = 1.0, beta: float = 1.0) -> SdeProblem:
     """dX = alpha X dW + beta X dt through the (W, t) embedding."""
     return ito_problem(a=lambda x: alpha * x, da=lambda x: alpha * np.ones_like(x),
-                       d2a=lambda x: 0.0 * x,
-                       b=lambda x: beta * x, db=lambda x: beta * np.ones_like(x),
-                       d2b=lambda x: 0.0 * x,
+                       d2a=None,
+                       b=lambda x: beta * x, db=lambda x: beta * np.ones_like(x), d2b=None,
                        x0=x0, closed_form=_gbm_drift_closed_form(x0, alpha, beta),
                        label="gbm-drift", growth_bound=float(np.hypot(alpha, beta)))
 
@@ -216,9 +238,8 @@ def make_gbm_drift(x0: float = 1.0, alpha: float = 1.0, beta: float = 1.0) -> Sd
 def make_ou(x0: float = 1.0, noise: float = 0.5, kappa: float = 1.0) -> SdeProblem:
     """Additive-noise mean reversion dX = noise dW - kappa X dt (no closed form)."""
     return ito_problem(a=lambda x: noise * np.ones_like(x), da=lambda x: 0.0 * x,
-                       d2a=lambda x: 0.0 * x,
-                       b=lambda x: -kappa * x, db=lambda x: -kappa * np.ones_like(x),
-                       d2b=lambda x: 0.0 * x,
+                       d2a=None,
+                       b=lambda x: -kappa * x, db=lambda x: -kappa * np.ones_like(x), d2b=None,
                        x0=x0, label="ou", growth_bound=max(noise, kappa), zero_limit=True)
 
 

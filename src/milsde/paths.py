@@ -162,7 +162,8 @@ class Workspace:
 
 
 def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill, reduce,
-                 slots: int = 0, own: int = 0, space: Workspace = None) -> tuple:
+                 slots: int = 0, own: int = 0, own_cells: int = 0,
+                 space: Workspace = None) -> tuple:
     """Fill, cell-split and reduce ``count`` rows one cache block at a time.
 
     ``fill(blk, out)`` writes the fine increments of rows ``blk`` to ``out``,
@@ -171,16 +172,17 @@ def stream_cells(count: int, fine_count: int, coarse_n: int, channels: int, fill
     :func:`over_chunks` copies into their rows of the result.  ``dyc`` is
     (channels, rows, coarse_n, r), ``disp`` its running sum from 0 along
     each cell, r + 1 nodes, and ``work`` ``slots`` reused (rows, coarse_n, r)
-    arrays, contiguous as one; with the ``own`` arrays of that size that
-    ``reduce`` allocates they size the block.  Up to ``SCAN_ADDS`` sub-cells
-    the running sum is r whole-block copies and adds, else a cumsum along
-    the cell; both add in sequence, so their bits are equal.  The buffers
+    arrays, contiguous as one; with the ``own`` arrays of that size and the
+    ``own_cells`` floats per row and cell that ``reduce`` allocates they size
+    the block.  Up to ``SCAN_ADDS`` sub-cells the running sum is r
+    whole-block copies and adds, else a cumsum along the cell; both add in
+    sequence, so their bits are equal.  The buffers
     come from ``space`` when given, so a caller that streams many blocks of
     paths reuses them.
     """
     r = cell_size(fine_count, coarse_n)
     rows = rows_per_block(count, ((2 * channels + slots + own) * fine_count
-                                  + channels * coarse_n) * 8)
+                                  + (channels + own_cells) * coarse_n) * 8)
     take = (space or Workspace()).take
     inc = take("cells.inc", (channels, rows, fine_count))
     disp = take("cells.disp", (channels, rows, coarse_n, r + 1))

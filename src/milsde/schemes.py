@@ -107,12 +107,16 @@ def iterated_integrals(bundle: PathBundle, coarse_n: int, qv_exact: np.ndarray =
     def reduce(dyc, disp, work):
         kmat = _k_block(dyc, disp, work)  # K is formed before the QV reuses its work slots
         qv = np.swapaxes(_channel_last(dyc, work), -1, -2) @ np.moveaxis(dyc, 0, -1)
-        return (kmat + 0.5 * (qv - qv_exact),)
+        qv -= qv_exact
+        qv *= 0.5
+        kmat += qv
+        return (kmat,)
 
     y = bundle.y
     d = y.shape[2]
+    # the reduce owns K and its QV, d^2 floats per cell each
     return stream_cells(len(y), y.shape[1] - 1, coarse_n, d, _increments(y, 1), reduce,
-                        slots=d, space=space)[0]
+                        slots=d, own_cells=2 * d * d, space=space)[0]
 
 
 def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int) -> np.ndarray:

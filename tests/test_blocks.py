@@ -507,6 +507,17 @@ def test_simulate_u(block_rows, monkeypatch, case):
     assert np.array_equal(limits.draw_error_limit(prob, 9, range(PATHS), FINE).u_end, got)
 
 
+@pytest.mark.parametrize("name", ["gbm", "gbm-drift"])
+def test_u_without_n_equals_u_with_it(block_rows, name):
+    # an affine field's chunk forms no N unless its fingerprints are read:
+    # U skips the term 0 dN, in blocks of U's steps of its own (smaller)
+    # size, and is the same bit for bit as when N is formed and added
+    prob = model.get_model(name)
+    plain = limits.limit_samples(prob, 9, PATHS, FINE)
+    u_end, _ = limits.limit_samples(prob, 9, PATHS, FINE, fingerprints=True)
+    assert np.array_equal(plain[0], u_end)
+
+
 def oracle_whole(case, n, fine_factor, n_paths, seed):
     """Per-path samples of an oracle case in row order, each chunk statistic
     formed over all paths at once from the channel-last cell split."""

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milsde import crosscheck, limits, model, oracles, paths, rng, schemes, stats
+from milsde import cli, crosscheck, limits, model, oracles, paths, rng, schemes, stats
 from test_blocks import _problem, _trig_field
 
 
@@ -417,6 +417,56 @@ class TestFingerprints:
         assert plain.fingerprints is None and np.array_equal(plain.u_end, real.u_end)
 
 
+def _wbar_keys_hashed(monkeypatch, run) -> bool:
+    """Whether ``run()`` hashes any key of the Wbar family."""
+    components, philox_keys = set(), rng.philox_keys
+
+    def spy(master_seed, component, *args, **kwargs):
+        components.add(component)
+        return philox_keys(master_seed, component, *args, **kwargs)
+
+    monkeypatch.setattr(rng, "philox_keys", spy)
+    run()
+    monkeypatch.setattr(rng, "philox_keys", philox_keys)
+    assert rng.AUX_B in components
+    return rng.AUX_WBAR in components
+
+
+class TestFormsN:
+    # a limit chunk forms N (draws Wbar, builds V and dN, adds the N term)
+    # only when its fingerprints or the field's Hessian read it
+    @pytest.mark.parametrize("case", ["gbm", "gbm-drift", "ou", "embedding", "field2"])
+    def test_wbar_is_drawn_only_for_a_field_with_a_hessian(self, monkeypatch, case):
+        prob = model.get_model(case) if case in model.builtin_models() else _problem(case, False)
+        assert (prob.field.hf is None) == (case in ("gbm", "gbm-drift", "ou"))
+        assert _wbar_keys_hashed(monkeypatch, lambda: limits.limit_samples(prob, 2, 40, 64)) \
+            == (prob.field.hf is not None)
+        assert _wbar_keys_hashed(monkeypatch, lambda: limits.limit_samples(
+            prob, 2, 40, 64, fingerprints=True))
+
+    def test_error_law_draws_no_wbar_and_limit_sim_does(self, monkeypatch, tmp_path):
+        # the verbs on the affine gbm: error-law reads U alone, limit-sim
+        # also the fingerprints of dN
+        error_law = ["error-law", "--model", "gbm", "--n", "16", "--fine-factor", "8",
+                     "--fine-count", "128", "--paths", "1000", "--draws", "1000"]
+        limit_sim = ["limit-sim", "--model", "gbm", "--fine-count", "128", "--draws", "40"]
+        for argv, wbar in ((error_law, False), (limit_sim, True)):
+            def run():
+                assert cli.main(argv + ["--seed", "2", "--out", str(tmp_path / argv[0])]) in (0, 1)
+
+            assert _wbar_keys_hashed(monkeypatch, run) == wbar
+
+    def test_hf_at_of_an_affine_field_is_zero(self):
+        # hf = None: f is affine, and Hf reads zeros of the documented shape
+        for fld in (model.make_gbm().field, model.make_gbm_drift().field):
+            x = np.linspace(-2.0, 2.0, 12).reshape(3, 4, 1)
+            hf = fld.hf_at(x)
+            assert hf.shape == (3, 4, fld.dim_q, fld.dim_d, fld.dim_q, fld.dim_q)
+            assert not hf.any()
+        with pytest.raises(ValueError, match="both"):
+            model.ito_field(np.sin, np.cos, None, np.cos, np.sin, lambda x: -np.cos(x))
+
+
 class TestZeroLimit:
     @pytest.mark.parametrize("name", ["gbm", "gbm-drift", "ou", "det-exp"])
     def test_the_zero_limit_models_have_u_exactly_zero(self, name):
@@ -471,12 +521,13 @@ LIMIT_CHUNK_BUDGETS = {"gbm": 1.4, "gbm-drift": 1.4, "ou": 1.4}
 class TestChunkMemory:
     @pytest.mark.parametrize("name", LIMIT_CHUNK_BUDGETS)
     def test_limit_chunk_peak_is_bounded(self, name):
-        # 1000 draws of 1025 nodes hold 24.6 MB of noise for gbm and 41 MB
-        # for the (W, t) models, whose Y has two components, but a chunk holds
-        # one time block of it at a time, with the reference, dY, dW, dM, dN
-        # and every other term built one cache block of time steps at a time
-        # (1.19, 1.25 and 1.25 budgets; holding the noise whole read 1.56, 2.60
-        # and 2.60)
+        # 1000 draws of 1025 nodes hold 16.4 MB of noise for gbm and 32.8 MB
+        # for the (W, t) models, whose Y has two components (all three are
+        # affine, so no Wbar is drawn), but a chunk holds one time block of
+        # it at a time, with the reference, dY, dW, dM and every other term
+        # built one cache block of time steps at a time (1.17, 1.22 and 1.22
+        # budgets; 1.23, 1.29 and 1.29 with Wbar, V and dN formed; holding
+        # the noise whole read 1.56, 2.60 and 2.60)
         peak = _limit_chunk_peak(model.get_model(name), 1000, 1024)
         assert peak <= LIMIT_CHUNK_BUDGETS[name] * paths.NOISE_BYTES
 
@@ -489,7 +540,7 @@ class TestChunkMemory:
         monkeypatch.setattr(paths, "NOISE_BYTES", 1 << 20)
         prob = model.get_model(name)
         small, large = (_limit_chunk_peak(prob, 100, fine_count) for fine_count in (4096, 65536))
-        assert 100 * 4097 * 3 * 8 > paths.NOISE_BYTES
+        assert 100 * 4097 * 2 * 8 > paths.NOISE_BYTES  # W and B of gbm
         assert max(small, large) <= 1.25 * min(small, large)
 
 
@@ -503,12 +554,13 @@ class TestByteFormulas:
              "field2-callable": lambda: _problem("field2", True),
              "embedding-callable": lambda: _problem("embedding", True)}
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_u_row_bytes_size_one_block_of_u(self, case):
-        prob, draws = self.CASES[case](), 200
-        row = limits.u_row_bytes(prob)
+    @staticmethod
+    def _u_peak_per_formula(prob, with_n):
+        draws = 200
+        row = limits.u_row_bytes(prob, with_n)
         steps = paths.rows_per_block(1 << 20, draws * row)
         grid, bundle, aux = limit_inputs(prob, steps, 3, draws)
+        aux = aux if with_n else replace(aux, dwbar=None)
         limits.simulate_u(prob, [(bundle, aux)])
         tracemalloc.start()
         try:
@@ -516,7 +568,18 @@ class TestByteFormulas:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.5 <= peak / (draws * steps * row) <= 1.25
+        return peak / (draws * steps * row)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_u_row_bytes_size_one_block_of_u(self, case):
+        assert 0.5 <= self._u_peak_per_formula(self.CASES[case](), True) <= 1.25
+
+    @pytest.mark.parametrize("case", ["gbm", "gbm-drift"])
+    def test_u_row_bytes_without_n_size_one_block_of_u(self, case):
+        # an affine field's chunk forms no V, dN or N term: the smaller
+        # formula, against the peak of a pass on noise without Wbar (gbm
+        # 0.60, gbm-drift 1.06)
+        assert 0.5 <= self._u_peak_per_formula(self.CASES[case](), False) <= 1.25
 
     @pytest.mark.parametrize("case", ["7.3", "7.4", "7.7-80", "null"])
     def test_stream_cells_row_bytes_size_one_block(self, monkeypatch, case):
@@ -524,8 +587,7 @@ class TestByteFormulas:
         # work slots and the arrays the reduce owns) against the peak of an
         # oracle chunk of 400 paths, one block of which is live at a time
         # (1.07-1.12); 7.6's own = 10 is an upper estimate (0.44), and K's
-        # pass reads up to 1.32, since its reduce allocates K and its QV
-        # beyond the formula
+        # pass is held to it below
         size = dict(n=16, paths=400, fine_factor=64, seed=1)
         sizes, rows_per_block = set(), paths.rows_per_block
         monkeypatch.setattr(paths, "rows_per_block", lambda count, row_bytes: (
@@ -540,17 +602,49 @@ class TestByteFormulas:
         ((count, row),) = sizes
         assert 0.5 <= peak / (rows_per_block(count, row) * row) <= 1.25
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_noise_bytes_size_one_time_block(self, case):
-        prob, draws, length = self.CASES[case](), 200, 500
+    @pytest.mark.parametrize("name,r", [("ou", 8), ("gbm-drift", 64)])
+    def test_k_row_bytes_size_one_block(self, monkeypatch, name, r):
+        # K's pass over 400 paths at n = 16: the formula counts K and its QV,
+        # which the reduce owns, and the QV's correction is formed in place
+        # (1.05 and 1.15; 1.32 and 1.17 with three temporaries and neither
+        # counted)
+        prob = model.get_model(name)
+        bundle = paths.simulate_bundle(prob.driver, paths.make_grid(16, r), 1, range(400))
+        sizes, rows_per_block = set(), paths.rows_per_block
+        monkeypatch.setattr(paths, "rows_per_block", lambda count, row_bytes: (
+            sizes.add((count, row_bytes)) or rows_per_block(count, row_bytes)))
+        schemes.iterated_integrals(bundle, 16)  # warm caches
+        tracemalloc.start()
+        try:
+            schemes.iterated_integrals(bundle, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((count, row),) = sizes
+        assert rows_per_block(count, row) < count  # more than one block
+        assert 0.5 <= peak / (rows_per_block(count, row) * row) <= 1.25
+
+    @staticmethod
+    def _noise_peak_per_formula(prob, with_n):
+        draws, length = 200, 500
         grid, driver = paths.Grid(4 * length, 1), prob.driver
         keys = rng.philox_keys(3, rng.LIMIT_W, range(draws), 1)
         tracemalloc.start()
         try:
             space = paths.Workspace()
             bundle = next(paths.stream_times(driver, grid, keys, length, space))
-            limits.sample_aux(grid, driver.dim_m, 3, range(draws), bundle.cells, {}, space)
+            limits.sample_aux(grid, driver.dim_m, 3, range(draws), bundle.cells, {}, space,
+                              with_n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.85 <= peak / (draws * length * limits.noise_bytes(driver)) <= 1.25
+        return peak / (draws * length * limits.noise_bytes(driver, with_n))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_noise_bytes_size_one_time_block(self, case):
+        assert 0.85 <= self._noise_peak_per_formula(self.CASES[case](), True) <= 1.25
+
+    @pytest.mark.parametrize("case", ["gbm", "gbm-drift"])
+    def test_noise_bytes_without_wbar_size_one_time_block(self, case):
+        # W, Y and B alone, as an affine field's chunk draws them
+        assert 0.85 <= self._noise_peak_per_formula(self.CASES[case](), False) <= 1.25

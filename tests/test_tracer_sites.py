@@ -56,18 +56,19 @@ def test_traced_lemma_check_attributes_draws_and_quartic_products(tmp_path):
 
 def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     # the scheme side draws one normal per path and fine cell; the limit side
-    # one per draw and cell for W, each B^{pij} and each Wbar^p.  Its 24.6 MB
-    # of noise are drawn in two time blocks of the 16 MB budget, each stream
+    # one per draw and cell for W and each B^{pij}, and none for Wbar, since
+    # gbm is affine and error-law reads no fingerprints.  Its 32.8 MB of
+    # noise are drawn in two time blocks of the 16 MB budget, each stream
     # drawn on from where the first block stopped, so the exact count covers
-    # the carried streams.  dM and dN are formed per time block inside U,
-    # never for a whole chunk.  The tracer wraps the limit side by the names
+    # the carried streams.  dM is formed per time block inside U, never for
+    # a whole chunk.  The tracer wraps the limit side by the names
     # limits looks up, so each of its sites records calls; the scheme side
     # calls the reference once for its one chunk, the limit side once per
     # block of U's steps, and the auxiliary noise is sampled per time block.
     # Y is assembled by build_driver on both sides: once for the scheme
     # side's one block of paths (W and Y of 129 nodes, 2064 bytes a path, so
     # 1016 paths fill a block) and once per time block of the limit side
-    n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 1024, 1000, 1000, 1
+    n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 2048, 1000, 1000, 1
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
@@ -79,8 +80,7 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
                           timeout=120)
     assert proc.returncode in (0, 1), proc.stderr
     layers = json.loads(result.read_text())["layers"]
-    assert layers["rng.normals"] == (n_paths * n * fine_factor
-                                     + draws * fine_count * (1 + m ** 3 + m))
+    assert layers["rng.normals"] == n_paths * n * fine_factor + draws * fine_count * (1 + m ** 3)
     for site in ("limits.sample_aux", "limits.simulate_mn", "limits.simulate_u",
                  "schemes.reference"):
         assert layers[f"{site}.calls"] >= 1, site
@@ -89,6 +89,25 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     assert layers["paths.build_driver.calls"] == 1 + layers["limits.sample_aux.calls"]
     assert layers["schemes.reference.calls"] > 2
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
+
+
+def test_traced_limit_sim_draws_wbar_for_its_fingerprints(tmp_path):
+    # limit-sim reads the fingerprints of dN, so on gbm too it draws one
+    # normal per draw and cell for W, each B^{pij} and each Wbar^p, in one
+    # time block of 2.4 MB
+    fine_count, draws, m = 1024, 100, 1
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
+            repr(time.monotonic()), "1", "limit-sim", "--model", "gbm", "--fine-count",
+            str(fine_count), "--draws", str(draws), "--seed", "1",
+            "--out", str(tmp_path / "report")]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["rng.normals"] == draws * fine_count * (1 + m ** 3 + m)
+    assert layers["limits.sample_aux.calls"] == 1
 
 
 def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
