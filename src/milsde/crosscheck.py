@@ -17,7 +17,8 @@ For a finite-variation driver the limit law degenerates to an ODE, solved
 here to high accuracy by step-halved Richardson extrapolation
 (:func:`fv_error_ode`), with its limit pair (N, M) from Gauss-Legendre
 quadrature (:func:`fv_limit_quadrature`) and its deterministic limit
-increments (:func:`fv_deterministic_mn`) for :func:`limits.integrate_u`.
+increments (:func:`fv_deterministic_mn`), which one
+:func:`limits.integrate_u` call steps U through.
 """
 
 import math
@@ -168,9 +169,9 @@ def fv_deterministic_mn(driver: DriverSpec, times: np.ndarray) -> tuple:
     """Deterministic limit increments (dM, dN) of a finite-variation driver.
 
     N^j_t = (1/3) int y y^T y_j ds and M = N/2, integrated by trapezoid
-    over each cell of the given grid; shape (1, T-1, d, d, d).  Feeding
-    these into :func:`limits.integrate_u` must reproduce the finite-variation
-    error ODE.
+    over each cell of the given grid; shape (1, T-1, d, d, d).  U stepped
+    from 0 through these by :func:`limits.integrate_u` must reproduce the
+    finite-variation error ODE.
     """
     y = driver.drift_at(times)
     dn = _trapezoid_increments(np.einsum("ta,tc,tj->tjac", y, y, y), times)[None] / 3.0

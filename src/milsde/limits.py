@@ -29,19 +29,19 @@ time: the driver's W, its Y when Y is not W, and the auxiliary families (B,
 and Wbar when N is formed), each stream drawn on from where the last block
 stopped (a carried Philox stream per slot, see :func:`rng.normal_matrix`)
 and each running sum carried from the last block's last node, in buffers
-every block reuses.  A block holds about ``paths.NOISE_BYTES`` and whole
-blocks of U's steps, so no (draws, fine_count) array exists and the
-chunk's memory does not grow with the fine grid; its values are those of
-one whole-grid draw, bit for bit.  The integrator forms the rest over all
-paths of one cache block of time steps at a time: X at the block's left
-nodes from the reference on the block's cells (a marched reference, one
-Milstein step per fine cell with K formed from that cell's dY, carries its
-last state into the next block), dY and dW as differences of the block's nodes, and dM (with V and
-dN, drift correction included, when N is formed) from that block's noise
-copied contiguous once.  It builds its forcing and coupling terms from
-them, transposes those to time-major in cache and steps through them:
-neither X, dY, dW, dM, dN nor any term of U is ever full-size.  Sigma's
-cube is formed once per time block, and a draw whose reference leaves the
+every block reuses.  A block holds about ``paths.NOISE_BYTES``, so no
+(draws, fine_count) array exists and the chunk's memory does not grow with
+the fine grid; its values are those of one whole-grid draw, bit for bit.
+:func:`simulate_u` is the one loop over a chunk: per time block it forms
+sigma's cube once and walks the block's steps in cache blocks of U's
+steps, forming X at their left nodes from the reference (a marched one,
+one Milstein step per fine cell with K from that cell's dY, carries its
+last state on), dY and dW as differences of the nodes, and dM (with V and
+dN, drift correction included, when N is formed) from the noise copied
+contiguous once; :func:`integrate_u` steps U through each in place, its
+terms transposed time-major in cache.  Neither X, dY, dW, dM, dN nor any
+term of U is ever full-size, and every sum runs in step order, so no
+value depends on where a block falls.  A draw whose reference leaves the
 band at any node is flagged; :func:`limit_samples` raises for the flagged
 draws of all its chunks.
 """
@@ -239,51 +239,44 @@ def u_row_bytes(problem: SdeProblem, with_n: bool = True) -> int:
                 + d ** 3)
 
 
-def integrate_u(problem: SdeProblem, n_paths: int, steps: int, inputs,
-                with_n: bool = True) -> np.ndarray:
-    """Integrate the limit error SDE along a reference solution path.
+def integrate_u(problem: SdeProblem, u: np.ndarray, x_left: np.ndarray, dy: np.ndarray,
+                dm: np.ndarray, dn: np.ndarray) -> None:
+    """Step the limit error SDE through one block of steps, U updated in place.
 
     dU^i = U^T Df^i(X) dY - sum_{jk} f^{ij}_k(X) tr(h^k(X) dM^j)
            - (1/2) sum_j tr(f^T Hf^{ij} f dN^j),  U_0 = 0.
 
-    ``inputs(blk)`` returns, for the time steps ``blk`` of the ``steps``
-    fine steps, the reference X at their left nodes (n_paths, len(blk), q),
-    the driver's moves dY over them (n_paths, len(blk), d) and their
-    (drift-corrected) dM and dN, each (n_paths, len(blk), d, d, d).  It is
-    called once per cache block of steps, in time order.  With ``with_n``
-    False the N term is left out and dN is not read, as for a chunk of an
-    affine field, whose N term is 0 dN; blocks are then sized by the
-    smaller :func:`u_row_bytes`.  Left-point Euler on the fine grid;
-    returns U at the last node, shape (n_paths, q).  The loop is causal:
-    stopping the inputs after k steps gives U at node k.
+    ``u`` (n_paths, q) holds U at the block's first node and U at its last
+    node afterwards.  The block's steps bring the reference X at their left
+    nodes, (n_paths, T, q), the driver's moves dY over them, (n_paths, T, d),
+    and their (drift-corrected) dM and dN, each (n_paths, T, d, d, d).  A dN
+    with no entries (a chunk of an affine field that forms no N, whose N
+    term is 0 dN) adds no N term.  Left-point Euler on the fine grid, so the
+    steps are causal: a block's first k steps give U at its node k, and
+    blocks stepped one after another in time order give U of the whole.
     """
     field = problem.field
-    cur = np.zeros((n_paths, field.dim_q))
-    step = np.empty((n_paths, field.dim_q))
-    rows = rows_per_block(steps, n_paths * u_row_bytes(problem, with_n))
-    for start in range(0, steps, rows):
-        blk = slice(start, min(start + rows, steps))
-        # the block's inputs, contiguous so that the products below read
-        # contiguous memory
-        x_left, dy_b, dm_b, dn_b = (np.ascontiguousarray(a) for a in inputs(blk))
-        f = field.f_at(x_left)
-        df = field.df_at(x_left)
-        h = np.einsum("xtika,xtkc->xtiac", df, f)
-        # U-independent increments and U-coupling matrices
-        # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j
-        forcing = _m_term(df, h, dm_b)
-        np.negative(forcing, out=forcing)
-        coupling = np.einsum("xtikj,xtj->xtik", df, dy_b)
-        if with_n:
-            forcing -= _n_term(f, field.hf_at(x_left), dn_b)
-        # time-major for the loop, transposed while the block is in cache
-        forcing = np.ascontiguousarray(forcing.transpose(1, 0, 2))
-        coupling = np.ascontiguousarray(coupling.transpose(1, 0, 2, 3))
-        for t in range(len(forcing)):
-            np.einsum("bik,bk->bi", coupling[t], cur, out=step)
-            cur += step
-            cur += forcing[t]
-    return cur
+    # the block's inputs, contiguous so that the products below read
+    # contiguous memory
+    x_left, dy, dm = (np.ascontiguousarray(a) for a in (x_left, dy, dm))
+    f = field.f_at(x_left)
+    df = field.df_at(x_left)
+    h = np.einsum("xtika,xtkc->xtiac", df, f)
+    # U-independent increments and U-coupling matrices
+    # A[t]^{ik} = sum_j (Df^i)_{kj} dY_j
+    forcing = _m_term(df, h, dm)
+    np.negative(forcing, out=forcing)
+    coupling = np.einsum("xtikj,xtj->xtik", df, dy)
+    if dn.size:
+        forcing -= _n_term(f, field.hf_at(x_left), np.ascontiguousarray(dn))
+    # time-major for the loop, transposed while the block is in cache
+    forcing = np.ascontiguousarray(forcing.transpose(1, 0, 2))
+    coupling = np.ascontiguousarray(coupling.transpose(1, 0, 2, 3))
+    step = np.empty_like(u)
+    for t in range(len(forcing)):
+        np.einsum("bik,bk->bi", coupling[t], u, out=step)
+        u += step
+        u += forcing[t]
 
 
 def _flat_product(coef: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -325,51 +318,51 @@ def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
     ``noise`` yields the chunk's noise one time block at a time, in time
     order: pairs of a :class:`paths.PathBundle` of the block's nodes and the
     :class:`AuxiliaryNoise` of its cells (one whole-grid pair is one block).
-    :func:`integrate_u` takes its inputs one block of its steps at a time,
-    each of which must lie in one time block; they are formed here from the
-    block's nodes and noise: X at the block's left nodes from
-    :func:`schemes.reference` on the block's cells (a marched reference
-    carries its last state into the next block), dY and dW as differences
-    of the block's nodes (one array when Y is W), and dM and dN from
-    :func:`simulate_mn` on the block's noise, drift-corrected there, with
-    sigma's cube formed once per time block.  When the noise carries no
-    Wbar, no V or dN is formed, no drift correction runs and U has no N
-    term.  None of them ever exists at full size, and a time block is asked
-    for only when U's steps reach it.  ``fps``, when given, is an
-    (n_paths, 5) array to which each block of steps adds the
-    :func:`stats.fingerprints` of its dM, dN and dW (its noise must carry
-    Wbar);
-    ``diverged``, when given, an (n_paths,) bool array that each block marks
-    with the paths whose reference left the band on its nodes.
+    This is the one loop over a limit chunk.  It forms sigma's cube once per
+    time block and walks the block's steps in blocks of U's steps, sized
+    here by :func:`u_row_bytes`, the last cut short where the time block
+    ends.  Each forms X at its left nodes from :func:`schemes.reference` on
+    its cells and the state carried from the last block, dY and dW as
+    differences of its nodes (one array when Y is W), and dM and dN from
+    :func:`simulate_mn` on its noise, dN drift-corrected; :func:`integrate_u`
+    then steps U through it.  When the noise carries no Wbar, no V or dN is
+    formed, no drift correction runs and U has no N term.  ``fps``, when
+    given, is an (n_paths, 5) array onto which every step's
+    :func:`stats.fingerprints` of dM, dN and dW are summed in step order
+    (its noise must carry Wbar), so that no output depends on where a block
+    falls; ``diverged``, when given, an (n_paths,) bool array that each
+    block marks with the paths whose reference left the band on its nodes.
     """
-    driver, blocks = problem.driver, iter(noise)
-    bundle, aux = next(blocks)
-    with_n = aux.dwbar is not None
-    cube = sigma_cube(driver, aux.times()[:-1])
-    x = None  # the reference at the next block's first node
-
-    def inputs(blk):
-        nonlocal bundle, aux, cube, x
-        if blk.start == bundle.cells.stop:
-            bundle, aux = next(blocks)
-            cube = sigma_cube(driver, aux.times()[:-1])
-        ref = reference(problem, bundle, cells=blk, x=x)
-        x = ref.values[:, -1]
-        if diverged is not None:
-            np.logical_or(diverged, ref.diverged, out=diverged)
-        nodes = bundle.nodes(blk)
-        dy = np.diff(bundle.y[:, nodes], axis=1)
-        dw = dy if bundle.y is bundle.w else np.diff(bundle.w[:, nodes], axis=1)
-        # the block's noise, copied contiguous once for every product below
-        block = aux.steps(blk)
-        dm, dn = simulate_mn(driver, dw, block, cube[blk.start - aux.start:blk.stop - aux.start])
-        if with_n:
-            dn = drift_correct(dn, driver, block.times())
-        if fps is not None:
-            np.add(fps, stats.fingerprints(dm, dn, dw), out=fps)
-        return ref.values[:, :-1], dy, dm, dn
-
-    return integrate_u(problem, bundle.n_paths, bundle.grid.fine_count, inputs, with_n)
+    driver = problem.driver
+    u = x = None  # U, and the reference at the next block's first node
+    for bundle, aux in noise:
+        n_paths, cells = bundle.n_paths, bundle.cells
+        u = np.zeros((n_paths, problem.field.dim_q)) if u is None else u
+        rows = rows_per_block(bundle.grid.fine_count,
+                              n_paths * u_row_bytes(problem, aux.dwbar is not None))
+        cube = sigma_cube(driver, aux.times()[:-1])
+        for start in range(cells.start, cells.stop, rows):
+            blk = slice(start, min(start + rows, cells.stop))
+            ref = reference(problem, bundle, cells=blk, x=x)
+            x = ref.values[:, -1]
+            if diverged is not None:
+                np.logical_or(diverged, ref.diverged, out=diverged)
+            nodes = bundle.nodes(blk)
+            dy = np.diff(bundle.y[:, nodes], axis=1)
+            dw = dy if bundle.y is bundle.w else np.diff(bundle.w[:, nodes], axis=1)
+            # the block's noise, copied contiguous once for every product below
+            block = aux.steps(blk)
+            dm, dn = simulate_mn(driver, dw, block, cube[start - aux.start:blk.stop - aux.start])
+            if block.dwbar is not None:
+                dn = drift_correct(dn, driver, block.times())
+            if fps is not None:
+                # each step's products a row of their own, summed onto the
+                # carried sums in step order by one cumsum
+                steps = stats.fingerprints(*(a.reshape(-1, *a.shape[2:]) for a in (dm, dn, dw)))
+                sums = np.concatenate([fps[:, None], steps.reshape(n_paths, -1, fps.shape[1])], 1)
+                fps[:] = np.cumsum(sums, axis=1, out=sums)[:, -1]
+            integrate_u(problem, u, ref.values[:, :-1], dy, dm, dn)
+    return u
 
 
 @dataclass(frozen=True)
@@ -402,21 +395,18 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     (and their Y when Y is not W) from :func:`paths.stream_times` and the
     auxiliary families from :func:`sample_aux`, each stream drawn on from
     where the last block stopped, in buffers that every block reuses.  A
-    block holds :func:`noise_bytes` per draw and step, as many whole blocks
-    of U's steps as fit in ``paths.NOISE_BYTES``, so the chunk's memory does
-    not grow with ``fine_count``; the values are those of one whole-grid
-    block, bit for bit.  The reference, dY, dW, dM (and dN) are formed one
-    block of U's steps at a time inside :func:`simulate_u`.  A draw whose
-    reference leaves the band at any fine node has no meaningful U; it is
-    marked in ``diverged``, and :func:`limit_samples` raises for it.
+    block holds :func:`noise_bytes` per draw and step, as many steps as fit
+    in ``paths.NOISE_BYTES``, so the chunk's memory does not grow with
+    ``fine_count``; the values are those of one whole-grid block, bit for
+    bit.  A draw whose reference leaves the band at any fine node has no
+    meaningful U; it is marked in ``diverged``, and :func:`limit_samples`
+    raises for it.
     """
     grid, driver = Grid(fine_count, 1), problem.driver
     keys = rng.philox_keys(master_seed, rng.LIMIT_W, path_indices, 1)
     n_paths = len(keys)
     with_n = fingerprints or problem.field.hf is not None
-    u_steps = rows_per_block(fine_count, n_paths * u_row_bytes(problem, with_n))
-    length = rows_per_block(fine_count, n_paths * noise_bytes(driver, with_n), paths.NOISE_BYTES,
-                            u_steps)
+    length = rows_per_block(fine_count, n_paths * noise_bytes(driver, with_n), paths.NOISE_BYTES)
     space, carry = Workspace(), {}
     noise = ((bundle, sample_aux(grid, driver.dim_m, master_seed, path_indices, bundle.cells,
                                  carry, space, with_n))

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import montecarlo, rng, stats
 # simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
-from .paths import DEFAULT_CHUNK, Grid, over_chunks, simulate_bundle, stream_cells  # noqa: F401
+from .paths import (DEFAULT_CHUNK, Grid, _gauss_legendre, over_chunks,  # noqa: F401
+                    simulate_bundle, stream_cells)
 
 
 @dataclass(frozen=True)
@@ -238,16 +239,12 @@ _DET_Y = (lambda s: 1.0 - 0.5 * s, lambda s: s - s ** 2 / 4.0)
 _DET_Z = (lambda s: 1.0 + s ** 2, None)
 
 
-def _gauss(n_nodes: int = 12) -> tuple:
-    return np.polynomial.legendre.leggauss(n_nodes)
-
-
 def _det_quadrature(case: str, n: int) -> tuple:
     """(estimate, target) for the deterministic convergence cases."""
     x, xint = _DET_X
     y, yint = _DET_Y
     z, _ = _DET_Z
-    nodes, weights = _gauss()
+    nodes, weights = _gauss_legendre(12)
     edges = np.arange(n + 1) / n
     lo, hi = edges[:-1], edges[1:]
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
@@ -257,7 +254,7 @@ def _det_quadrature(case: str, n: int) -> tuple:
     y_disp = yint(s) - yint(lo)[:, None]
 
     def quad01(fn):
-        g2, w2 = _gauss(24)
+        g2, w2 = _gauss_legendre(24)
         pts = 0.5 + 0.5 * g2
         return float(np.sum(0.5 * w2 * fn(pts)))
 
@@ -268,7 +265,7 @@ def _det_quadrature(case: str, n: int) -> tuple:
         est = n ** 2 * float(np.sum(wgt * x_disp * y_disp * z(s)))
         target = quad01(lambda t: x(t) * y(t) * z(t)) / 3.0
     elif case == "7.2c":
-        gi, wi = _gauss(8)
+        gi, wi = _gauss_legendre(8)
         # inner int_{cell start}^{s} X^(n) y dr for every outer node
         a = np.broadcast_to(lo[:, None], s.shape)
         half_i = 0.5 * (s - a)

@@ -29,11 +29,11 @@ blocks of paths; a marched reference, which recurs in time, forms one
 cell's K at a time and needs no block.  U runs in blocks of time, and so
 do the reference, dY and dW it reads.  A limit chunk draws its driver
 paths one time block at a time (:func:`stream_times`), each block's noise
-whole blocks of U's steps in about ``NOISE_BYTES``: its streams are drawn
-on from where the last block stopped and its running sums carried from
-the last block's last node, so a bundle of one time block
-(``PathBundle.start``) holds the bits of the same nodes of the whole
-batch.  A block bounds memory only: no result depends on it.
+about ``NOISE_BYTES``: its streams are drawn on from where the last block
+stopped and its running sums carried from the last block's last node, so
+a bundle of one time block (``PathBundle.start``) holds the bits of the
+same nodes of the whole batch.  A block bounds memory only: no result
+depends on it.
 """
 
 import functools
@@ -126,18 +126,16 @@ def _sum_on(nodes: np.ndarray, start: int, axis: int = 1) -> np.ndarray:
     return nodes
 
 
-def rows_per_block(count: int, row_bytes: int, budget: int = None, unit: int = 1) -> int:
+def rows_per_block(count: int, row_bytes: int, budget: int = None) -> int:
     """Rows per block of a pass over ``count`` rows that hold ``row_bytes`` each.
 
-    The most whole multiples of ``unit`` rows whose bytes fit in ``budget``
-    (``BLOCK_BYTES`` when None), at least one ``unit`` and at most all
-    ``count`` rows; the blocks are ``range(0, count, rows)``.  A pass whose
-    blocks a later pass cuts into blocks of ``unit`` rows sizes them so that
-    each of those lies in one block.
+    The most rows whose bytes fit in ``budget`` (``BLOCK_BYTES`` when None),
+    at least one and at most all ``count`` rows; the blocks are
+    ``range(0, count, rows)``.
     """
     if budget is None:
         budget = BLOCK_BYTES
-    return min(count, max(1, budget // (row_bytes * unit)) * unit)
+    return min(count, max(1, budget // row_bytes))
 
 
 class Workspace:
@@ -488,8 +486,6 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid, coefficients: tupl
         _sum_on(y, bool(y_end))
         if y_end is not None:
             y_end[:] = [y[:, -1].copy()]
-    elif np.array_equal(sig, np.eye(len(sig))):  # sigma = I with a drift
-        np.copyto(y, w)
     else:
         np.einsum("dm,bkm->bkd", sig, w, out=y)
     if spec.drift is not None:

@@ -107,11 +107,11 @@ def block_rows(request, monkeypatch):
     limit chunk's noise blocks, sized in their own budget, are left to it."""
     rows, sizes, rows_per_block = request.param, [], paths.rows_per_block
 
-    def sized(count, row_bytes, budget=None, unit=1):
+    def sized(count, row_bytes, budget=None):
         if budget is None:
             monkeypatch.setattr(paths, "BLOCK_BYTES", row_bytes * (rows or count))
             sizes.append((count, rows_per_block(count, row_bytes)))
-        return rows_per_block(count, row_bytes, budget, unit)
+        return rows_per_block(count, row_bytes, budget)
 
     # where the streamers and the time-sliced U pass look it up
     for module in (paths, limits):
@@ -267,8 +267,8 @@ def test_scheme_chunk_evaluates_coefficients_once(monkeypatch, closed_form):
 
 def test_only_the_streamers_and_u_read_rows_per_block():
     # block_rows patches rows_per_block in paths (stream_cells and the rate
-    # chunk's stream_paths) and limits (the time-sliced U pass, whose blocks
-    # the noise blocks hold whole); a pass that looked it up elsewhere would
+    # chunk's stream_paths) and limits (the time-sliced U pass and the
+    # noise blocks it walks); a pass that looked it up elsewhere would
     # run unpatched, so the block tests here could not see its blocks
     src = pathlib.Path(paths.__file__).parent
     readers = sorted(f.stem for f in src.glob("*.py") if "rows_per_block" in f.read_text())
@@ -492,7 +492,7 @@ def test_simulate_u(block_rows, monkeypatch, case):
     # time block at a time, against the whole-grid reference, np.diff of the
     # paths, whole-size dM/dN, the whole-grid drift correction and the
     # whole-array integrator; and the chunk's noise drawn in time blocks of
-    # one block of U's steps each, against its whole-grid draw
+    # one step each, which cut U's blocks short, against its whole-grid draw
     prob = U_CASES[case]()
     grid = paths.Grid(FINE, 1)
     bundle = paths.simulate_bundle(prob.driver, grid, 9, range(PATHS), component=rng.LIMIT_W)

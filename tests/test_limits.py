@@ -24,23 +24,29 @@ def whole_inputs(problem, bundle, aux):
 
 
 def u_at_every_node(problem, bundle, aux):
-    """U at each fine node: U_1 of the inputs stopped after each step k.
+    """U at each fine node, stepped through one step at a time from U_0 = 0.
 
-    The integrator is causal, so the endpoint of the first k steps is U at
-    node k.  Shape (n_paths, T, q) with U_0 = 0; U_1 is the simulator's.
+    The integrator is causal: U carried through the first k steps one at a
+    time equals U stepped through them in one call.  Shape (n_paths, T, q);
+    U_1 is the simulator's.
     """
     x_ref, dy, dm, dn = whole_inputs(problem, bundle, aux)
     steps = dy.shape[1]
     u = np.zeros((x_ref.shape[0], steps + 1, x_ref.shape[2]))
+    cur = np.zeros_like(u[:, 0])
     for k in range(1, steps + 1):
-        u[:, k] = limits.integrate_u(problem, len(dy), k, given_inputs(x_ref, dy, dm, dn))
+        limits.integrate_u(problem, cur, *(a[:, k - 1:k] for a in (x_ref, dy, dm, dn)))
+        u[:, k] = cur
+        assert np.array_equal(cur, u_through(problem, *(a[:, :k] for a in (x_ref, dy, dm, dn))))
     assert np.array_equal(u[:, -1], limits.simulate_u(problem, [(bundle, aux)]))
     return u
 
 
-def given_inputs(x_ref, dy, dm, dn):
-    """The ``inputs`` of :func:`limits.integrate_u` for whole arrays."""
-    return lambda blk: (x_ref[:, blk], dy[:, blk], dm[:, blk], dn[:, blk])
+def u_through(problem, x_left, dy, dm, dn):
+    """U after the steps of the given inputs, stepped from U_0 = 0 in one call."""
+    u = np.zeros((len(dy), problem.field.dim_q))
+    limits.integrate_u(problem, u, x_left, dy, dm, dn)
+    return u
 
 
 class TestAuxiliaryNoise:
@@ -199,8 +205,8 @@ class TestSimulateU:
         dm, dn = limits.simulate_mn(prob.driver, np.diff(bundle.w, axis=1), aux)
         x_ref = schemes.reference(prob, bundle).values
         dy = np.diff(bundle.y, axis=1)
-        u1 = limits.integrate_u(prob, 16, 256, given_inputs(x_ref, dy, dm, dn))
-        u2 = limits.integrate_u(prob, 16, 256, given_inputs(x_ref, dy, 2 * dm, 2 * dn))
+        u1 = u_through(prob, x_ref[:, :-1], dy, dm, dn)
+        u2 = u_through(prob, x_ref[:, :-1], dy, 2 * dm, 2 * dn)
         assert np.allclose(u2, 2 * u1, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("make", [model.make_gbm, model.make_gbm_drift],
@@ -297,8 +303,7 @@ class TestSimulateU:
         bundle = paths.simulate_bundle(prob.driver, grid, 3, [0])
         x_ref = prob.closed_form(bundle.w, bundle.y, grid.times())
         dm_fv, dn_fv = crosscheck.fv_deterministic_mn(prob.driver, grid.times())
-        u = limits.integrate_u(prob, 1, 4096, given_inputs(x_ref, np.diff(bundle.y, axis=1),
-                                                          dm_fv, dn_fv))
+        u = u_through(prob, x_ref[:, :-1], np.diff(bundle.y, axis=1), dm_fv, dn_fv)
         ode = crosscheck.fv_error_ode(prob)
         assert abs(u[0, 0] - ode.u[-1, 0]) < 1e-2
 
@@ -395,7 +400,7 @@ class TestFingerprints:
     @pytest.mark.parametrize("make", [model.make_gbm, model.make_gbm_drift],
                              ids=["gbm", "gbm-drift"])
     def test_block_sums_match_whole_array_sums(self, make):
-        # limit-sim's fingerprints are summed per time block of U; against
+        # limit-sim's fingerprints are summed in step order; against pairwise
         # sums over whole-size dM, dN and dW they move in the last bits only
         prob, fine_count, draws = make(), 4096, 40
         real = limits.draw_error_limit(prob, 3, range(draws), fine_count, fingerprints=True)
@@ -483,23 +488,37 @@ class TestZeroLimit:
 
 @pytest.mark.parametrize("case", ["gbm", "gbm-drift", "ou", "embedding-callable"])
 def test_limit_samples_do_not_depend_on_noise_blocks_chunks_or_threads(monkeypatch, case):
-    # the noise drawn in time blocks of any length (down to one block of U's
-    # steps, 1 byte) and on one or two threads gives the same endpoints and
-    # fingerprints, bit for bit, and so do chunks of any size for the
-    # endpoints; the callable sigma carries Y's running sum across the blocks
+    # the noise drawn in time blocks of any length (down to one step, 1
+    # byte), in chunks of any size and on one or two threads gives the same
+    # endpoints and fingerprints, bit for bit: the fingerprints are summed in
+    # step order, wherever the blocks of U's steps fall; the callable sigma
+    # carries Y's running sum across the blocks
     prob = _problem("embedding", True) if case == "embedding-callable" else model.get_model(case)
     want = limits.limit_samples(prob, 4, 150, 256, fingerprints=True)
     for noise_bytes, threads in ((1 << 14, 1), (1, 1), (1 << 12, 2), (paths.NOISE_BYTES, 2)):
         monkeypatch.setattr(paths, "NOISE_BYTES", noise_bytes)
         got = limits.limit_samples(prob, 4, 150, 256, threads, fingerprints=True)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), (noise_bytes, threads)
-    # the fingerprints are summed per block of U's steps, whose length
-    # follows the chunk's draw count, so only their last bits may move
     for chunk, threads in ((64, 1), (37, 2)):
         monkeypatch.setattr(limits, "DEFAULT_CHUNK", chunk)
-        u_end, fps = limits.limit_samples(prob, 4, 150, 256, threads, fingerprints=True)
-        assert np.array_equal(u_end, want[0]), (chunk, threads)
-        np.testing.assert_allclose(fps, want[1], rtol=1e-13, atol=1e-13 * np.abs(want[1]).max())
+        got = limits.limit_samples(prob, 4, 150, 256, threads, fingerprints=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (chunk, threads)
+
+
+def test_limit_sim_reports_do_not_depend_on_chunks_or_threads(monkeypatch, tmp_path, capsys):
+    # a chunk's blocks of U's steps are sized by its draw count (gbm-drift at
+    # 150 draws: 37, 87 and 150 steps for chunks of 1000, 64 and 37), and
+    # limit-sim's report is the same bytes for every chunk size and thread count
+    argv = ["limit-sim", "--model", "gbm-drift", "--draws", "150", "--fine-count", "256",
+            "--seed", "4"]
+    reports = set()
+    for chunk, threads in ((1000, 1), (64, 1), (37, 1), (1000, 2), (64, 2), (37, 2)):
+        monkeypatch.setattr(limits, "DEFAULT_CHUNK", chunk)
+        out = tmp_path / f"chunk-{chunk}-threads-{threads}"
+        assert cli.main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        reports.add(tuple(out.with_suffix(suffix).read_bytes() for suffix in (".json", ".csv")))
+    capsys.readouterr()
+    assert len(reports) == 1
 
 
 def _limit_chunk_peak(prob, draws, fine_count):
