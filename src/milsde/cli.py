@@ -207,25 +207,22 @@ def parse_config(verb: str, flag_values: dict, config_file: str = None) -> Exper
         errors.append(f"model '{model}' has no closed form, so its reference is Milstein on the "
                       f"fine grid: it needs fine_factor >= 2 to be finer than the scheme")
 
+    floor = None
     if "case" in keys:
         if not case:
             errors.append("--case is required")
-        elif case not in oracles.case_ids():
+        elif case not in oracles.CASES:
             errors.append(f"unknown case '{case}'; available: {list(oracles.case_ids())}")
-        elif case in oracles.SUBGRID_CASES and \
-                values["fine_factor"] in range(1, oracles.SUBGRID_MIN_FINE_FACTOR):
-            errors.append(f"case '{case}' needs fine_factor >= {oracles.SUBGRID_MIN_FINE_FACTOR}: "
-                          f"with fewer sub-cells per cell its within-cell integrals are all 0")
-        elif case.startswith("7.2") and values["n"] is not None and \
-                values["n"] < oracles.QUADRATURE_MIN_N:
-            errors.append(f"case '{case}' needs n >= {oracles.QUADRATURE_MIN_N}: below it "
-                          f"the 3/n band of a 7.2 case holds 0, so a zero estimate passes")
+        else:
+            floor = oracles.CASES[case].floor
+            if floor and values[floor.key] is not None and values[floor.key] < floor.least:
+                errors.append(f"case '{case}' needs {floor.key} >= {floor.least}: {floor.why}")
 
     # the fine grids the run builds, each held to the allocation guard of
     # paths.Grid here rather than when the run starts
     n_list, fine_factor = values["n_list"], values["fine_factor"] or 1
     grids = {}
-    if "n" in keys and values["n"] is not None and not case.startswith("7.2"):
+    if "n" in keys and values["n"] is not None and floor is not oracles.QUADRATURE:
         grids["n x fine_factor"] = values["n"] * fine_factor
     if "fine_count" in keys and values["fine_count"] is not None:
         grids["fine_count"] = values["fine_count"]

@@ -365,24 +365,15 @@ def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
     return u
 
 
-@dataclass(frozen=True)
-class LimitRealization:
-    """One batch of limit draws.
-
-    ``u_end`` holds the endpoints U_1, (n_paths, q); ``diverged`` marks the
-    draws whose reference left the band, (n_paths,) bool; ``fingerprints``
-    the (n_paths, 5) :func:`stats.fingerprints` of the drift-corrected limit
-    increments when they were asked for, and None otherwise.
-    """
-
-    u_end: np.ndarray
-    diverged: np.ndarray
-    fingerprints: np.ndarray = None
-
-
 def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
-                     fine_count: int = 4096, fingerprints: bool = False) -> LimitRealization:
-    """Sample the limit law of the normalized scheme error.
+                     fine_count: int = 4096, fingerprints: bool = False) -> tuple:
+    """Sample the limit law of the normalized scheme error: (diverged,
+    u_end), with the fingerprints appended when asked for.
+
+    ``diverged`` marks the draws whose reference left the band, (n_paths,)
+    bool; ``u_end`` holds the endpoints U_1, (n_paths, q); the fingerprints
+    are the (n_paths, 5) :func:`stats.fingerprints` of the drift-corrected
+    limit increments.
 
     Draws a fresh driver path (its own stream family) and the auxiliary
     families, and integrates the limit SDE along the reference solution of
@@ -414,21 +405,20 @@ def draw_error_limit(problem: SdeProblem, master_seed: int, path_indices,
     fps = np.zeros((n_paths, len(stats.FINGERPRINTS))) if fingerprints else None
     diverged = np.zeros(n_paths, dtype=bool)
     u_end = simulate_u(problem, noise, fps, diverged)
-    return LimitRealization(u_end=u_end, diverged=diverged, fingerprints=fps)
+    return (diverged, u_end) + ((fps,) if fingerprints else ())
 
 
 def limit_samples(problem: SdeProblem, master_seed: int, n_draws: int,
                   fine_count: int = 4096, threads: int = 1, fingerprints: bool = False) -> tuple:
     """Draws 0..n_draws-1 of the limit law: (u_end,), with their fingerprints appended
-    when asked for (see :class:`LimitRealization`).
+    when asked for (see :func:`draw_error_limit`).
 
     Processes draws in chunks so large batches stay within memory; the
     values per draw index are identical for any chunk size or worker count.
     If any draw diverged, ArithmeticError names how many, over all chunks.
     """
     def chunk_fn(idx):
-        real = draw_error_limit(problem, master_seed, idx, fine_count, fingerprints)
-        return (real.diverged, real.u_end) + ((real.fingerprints,) if fingerprints else ())
+        return draw_error_limit(problem, master_seed, idx, fine_count, fingerprints)
 
     diverged, *out = over_chunks(n_draws, DEFAULT_CHUNK, chunk_fn, threads)
     if diverged.any():
@@ -436,8 +426,3 @@ def limit_samples(problem: SdeProblem, master_seed: int, n_draws: int,
                               "reference solution")
     return tuple(out)
 
-
-def sample_error_limit_end(problem: SdeProblem, master_seed: int, n_draws: int,
-                           fine_count: int = 4096, threads: int = 1) -> np.ndarray:
-    """Endpoint draws U_1 of the limit law, shape (n_draws, q); see :func:`limit_samples`."""
-    return limit_samples(problem, master_seed, n_draws, fine_count, threads)[0]

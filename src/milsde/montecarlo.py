@@ -318,8 +318,7 @@ def run_error_law(problem: SdeProblem, n: int, paths: int, draws: int,
     criterion: the scheme sample carries finite-n bias).
     """
     scheme_sample = error_law_samples(problem, n, paths, fine_factor, seed, threads)
-    limit_sample = limits.sample_error_limit_end(problem, seed, draws, fine_count,
-                                                 threads=threads)
+    limit_sample = limits.limit_samples(problem, seed, draws, fine_count, threads)[0]
     mom_scheme = estimate_moments(scheme_sample[:, 0])
     mom_limit = estimate_moments(limit_sample[:, 0])
     dist = compare_distributions(scheme_sample, limit_sample)

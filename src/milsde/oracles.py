@@ -18,17 +18,21 @@ only: each path's statistics see the same arithmetic in any block, so no
 result depends on it.  Every case draws the oracle streams but 7.6, whose
 Brownian driver draws the scheme paths' stream family.
 
-Case ids double as the CLI vocabulary:
+The table :data:`CASES` is the CLI vocabulary: it declares every case id
+once, in order, with the function making its rows and its config floor.
     7.2a 7.2b 7.2c 7.2r   deterministic quadrature checks
-    7.3a .. 7.3e          quartic time averages of four Brownian paths
-    7.4a 7.4b             nested-integral time averages
+    7.3, 7.3a .. 7.3e     quartic time averages of four Brownian paths
+    7.4, 7.4a 7.4b        nested-integral time averages
     7.6                   covariation fingerprints of the path functionals
     7.7-80                drift-coupled square displacement
     null                  the five vanishing mixed statistics
+A family id (7.3, 7.4) is the common prefix of its sub-case ids and
+reports every one of them from one sweep of the shared Brownian paths.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,19 +62,6 @@ def _trapz_cells(values_nodes: np.ndarray) -> np.ndarray:
     full = values_nodes[:, :, :-1].sum(axis=(1, 2))
     half = 0.5 * values_nodes[:, :, -1].sum(axis=1)
     return (full + half) * (1.0 / (n * r))
-
-
-def _oracle_noise(grid: Grid, seed: int, channels: int, component: int = rng.ORACLE):
-    """The Brownian increments of the stream family ``component`` as a chunk_fill:
-    a chunk hashes its keys once."""
-    scale = np.sqrt(grid.fine_dt)
-
-    def chunk_fill(idx):
-        keys = rng.philox_keys(seed, component, idx, channels)
-        return lambda blk, out: rng.normal_matrix(keys[blk], (grid.fine_count, 1),
-                                                  scale=scale, out=out)
-
-    return chunk_fill
 
 
 # (W, B, U, V) column picks from four independent paths, with targets
@@ -152,11 +143,13 @@ def nested_time_average(dyc: np.ndarray, disp: np.ndarray, specs: list,
     return out
 
 
-def _row(case, subcase, n, sample, target, null_budget=None,
-         relative_tol=None) -> OracleRow:
+def _row(case, subcase, n, fine_factor, sample, target, relative_tol=None) -> OracleRow:
+    """A row's verdict: a zero target is a null check with a bias budget of
+    0.5 / fine_factor, a non-zero one a ``relative_tol`` or 3-SE band."""
     est = float(sample.mean())
     se = float(sample.std(ddof=1) / math.sqrt(sample.size))
-    if null_budget is not None:
+    if target == 0.0:
+        null_budget = 0.5 / fine_factor
         tol = montecarlo.null_tolerance(se, null_budget)
         note = f"null check, bias budget {null_budget:.3g}"
     elif relative_tol is not None:
@@ -170,8 +163,34 @@ def _row(case, subcase, n, sample, target, null_budget=None,
                      target=target, tolerance=tol, passed=passed, note=note)
 
 
-def _fingerprint_rows(grid: Grid, seed: int, over) -> list:
-    n = grid.coarse_n
+def _quartic_rows(case: str, n: int, fine_factor: int, over) -> list:
+    # the sub-cases of ``case``: one, or all five for the family id 7.3
+    specs = [(c, *_QUARTIC_CASES[c]) for c in _QUARTIC_CASES if c.startswith(case)]
+    combos = [combo for _, combo, _ in specs]
+
+    def block_stats(dyc, disp, work):
+        return quartic_time_average(disp[..., 1:], combos, work)
+
+    samples = over(4, block_stats, slots=_QUARTIC_SLOTS)
+    return [_row(c, f"combo {combo}", n, fine_factor, sample, target)
+            for (c, combo, target), sample in zip(specs, samples)]
+
+
+def _nested_rows(case: str, n: int, fine_factor: int, over) -> list:
+    # the statistics of the sub-cases of ``case``: one, or both for 7.4
+    specs = [(c, *stat) for c in _NESTED_CASES if c.startswith(case)
+             for stat in _NESTED_CASES[c]]
+    kinds = [(kind, combo) for _, kind, combo, _ in specs]
+
+    def block_stats(dyc, disp, work):
+        return nested_time_average(dyc, disp, kinds, work)
+
+    samples = over(4, block_stats, slots=_NESTED_SLOTS)
+    return [_row(c, f"{kind} {combo}", n, fine_factor, sample, target)
+            for (c, kind, combo, target), sample in zip(specs, samples)]
+
+
+def _fingerprint_rows(case: str, n: int, fine_factor: int, over) -> list:
     scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)  # n^2 on M/N pairs, n on W
 
     def block_stats(dyc, disp, work):
@@ -182,32 +201,29 @@ def _fingerprint_rows(grid: Grid, seed: int, over) -> list:
     # products of the covariations, about 8 arrays; 10 keeps the blocks
     # smaller: with 8 a run at --n 64 --fine-factor 64 --paths 2000 took
     # 37.4k minor faults against 35.2k, and no less time (2-vCPU Xeon)
-    mm, nn, nm, nw, mw = over(1, block_stats, own=10,
-                              chunk_fill=_oracle_noise(grid, seed, 1, rng.DRIVER_W))
+    mm, nn, nm, nw, mw = over(1, block_stats, own=10, component=rng.DRIVER_W)
     return [
-        _row("7.6", "n2[N,N] -> 1", n, nn, 1.0, relative_tol=0.05),
-        _row("7.6", "n2[M,M] -> 1/6", n, mm, 1.0 / 6.0, relative_tol=0.05),
-        _row("7.6", "n2[N,M] -> 1/3", n, nm, 1.0 / 3.0, relative_tol=0.05),
-        _row("7.6", "n[N,W] -> 1/2", n, nw, 0.5, relative_tol=0.05),
-        _row("7.6", "n[M,W] -> 0", n, mw, 0.0, null_budget=0.5 / grid.fine_factor),
+        _row("7.6", "n2[N,N] -> 1", n, fine_factor, nn, 1.0, relative_tol=0.05),
+        _row("7.6", "n2[M,M] -> 1/6", n, fine_factor, mm, 1.0 / 6.0, relative_tol=0.05),
+        _row("7.6", "n2[N,M] -> 1/3", n, fine_factor, nm, 1.0 / 3.0, relative_tol=0.05),
+        _row("7.6", "n[N,W] -> 1/2", n, fine_factor, nw, 0.5, relative_tol=0.05),
+        _row("7.6", "n[M,W] -> 0", n, fine_factor, mw, 0.0),
     ]
 
 
-def _drift_coupling_rows(grid: Grid, over) -> list:
+def _drift_coupling_rows(case: str, n: int, fine_factor: int, over) -> list:
     # n int (W^(n))^2 ds against the unit drift: target c^{12} a / 2 = 1/2
-    n = grid.coarse_n
-
     def block_stats(dyc, disp, work):
         nodes = disp[0, :, :, 1:]
         return (n * _trapz_cells(np.multiply(nodes, nodes, out=work[0])),)
 
     (vals,) = over(1, block_stats, slots=1)
-    return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, vals, 0.5)]
+    return [_row("7.7-80", "n int (W^(n))^2 dt -> 1/2", n, fine_factor, vals, 0.5)]
 
 
-def _null_rows(grid: Grid, over) -> list:
+def _null_rows(case: str, n: int, fine_factor: int, over) -> list:
     """The five vanishing mixed martingale/drift statistics."""
-    n, r, dt = grid.coarse_n, grid.fine_factor, grid.fine_dt
+    r, dt = fine_factor, 1.0 / (n * fine_factor)
     tau_left = (np.arange(r) * dt)  # elapsed time at left nodes
     tau_nodes = (np.arange(1, r + 1) * dt)
 
@@ -229,7 +245,7 @@ def _null_rows(grid: Grid, over) -> list:
 
     labels = ("n int W^(n) A^(n) dB", "n int W^(n) A^(n) dt", "n int (int W^(n) dB) dt",
               "n int (int A^(n) dW) dB", "n int (int A^(n) dW) dt")
-    return [_row("null", label, n, sample, 0.0, null_budget=0.5 / r)
+    return [_row("null", label, n, fine_factor, sample, 0.0)
             for label, sample in zip(labels, over(2, block_stats, slots=2))]
 
 
@@ -282,7 +298,7 @@ def _det_quadrature(case: str, n: int) -> tuple:
     return est, target
 
 
-def _det_rows(case: str, n: int) -> list:
+def _det_rows(case: str, n: int, fine_factor: int, over) -> list:
     est, target = _det_quadrature(case, n)
     tol = 3.0 / n
     return [OracleRow(case=case, subcase="deterministic quadrature", n=n,
@@ -291,36 +307,55 @@ def _det_rows(case: str, n: int) -> list:
                       note="finite-n deviation is O(1/n)")]
 
 
-# cases built on within-cell displacements, which all vanish at fine_factor 1
-SUBGRID_CASES = ("7.4", "7.4a", "7.4b", "7.6", "null")
-# their least fine_factor: an integral nested twice within a cell (the Z of
-# dM, the int A dW of a null row) is still 0 at a cell's first two nodes, so
-# at fine_factor 2 such a statistic is exactly 0 and a null row passes at 0 +- 0
+@dataclass(frozen=True)
+class Floor:
+    """A config floor of a case: ``key`` must be at least ``least``, because ``why``."""
+
+    key: str
+    least: int
+    why: str
+
+
+# the least fine_factor of a case built on within-cell displacements, which
+# all vanish at fine_factor 1: an integral nested twice within a cell (the Z
+# of dM, the int A dW of a null row) is still 0 at a cell's first two nodes,
+# so at fine_factor 2 such a statistic is exactly 0 and a null row passes at
+# 0 +- 0
 SUBGRID_MIN_FINE_FACTOR = 3
+SUBGRID = Floor("fine_factor", SUBGRID_MIN_FINE_FACTOR,
+                "with fewer sub-cells per cell its within-cell integrals are all 0")
 # the least n of a 7.2 case: its band is 3/n wide, and below 13 the band
-# around 7.2c's target 0.2403 holds 0, so a zero estimate would pass
+# around 7.2c's target 0.2403 holds 0, so a zero estimate would pass.  A
+# quadrature case builds no fine grid.
 QUADRATURE_MIN_N = 13
+QUADRATURE = Floor("n", QUADRATURE_MIN_N,
+                   "below it the 3/n band of a 7.2 case holds 0, so a zero estimate passes")
+
+
+@dataclass(frozen=True)
+class Case:
+    """A case id's ``rows(case, n, fine_factor, over)``, which makes its
+    OracleRows (``over(channels, reduce, slots, own, component)`` streams the
+    per-path samples of ``reduce`` over every chunk of paths, see
+    :func:`run_case`), and its config ``floor``, if any."""
+
+    rows: Callable
+    floor: Floor = None
+
+
+# every case id, in the CLI's order
+CASES = {
+    **{c: Case(_det_rows, QUADRATURE) for c in ("7.2a", "7.2b", "7.2c", "7.2r")},
+    **{c: Case(_quartic_rows) for c in ("7.3", *_QUARTIC_CASES)},
+    **{c: Case(_nested_rows, SUBGRID) for c in ("7.4", *_NESTED_CASES)},
+    "7.6": Case(_fingerprint_rows, SUBGRID),
+    "7.7-80": Case(_drift_coupling_rows),
+    "null": Case(_null_rows, SUBGRID),
+}
 
 
 def case_ids() -> tuple:
-    return ("7.2a", "7.2b", "7.2c", "7.2r", "7.3", "7.3a", "7.3b", "7.3c",
-            "7.3d", "7.3e", "7.4", "7.4a", "7.4b", "7.6", "7.7-80", "null")
-
-
-def _statistic_specs(case: str) -> list:
-    """(row case, subcase label, statistic kind, combo, target) per case id."""
-    specs = []
-    quartic = [case] if case in _QUARTIC_CASES else \
-        sorted(_QUARTIC_CASES) if case == "7.3" else []
-    for c in quartic:
-        combo, target = _QUARTIC_CASES[c]
-        specs.append((c, f"combo {combo}", "quartic", combo, target))
-    nested = [case] if case in _NESTED_CASES else \
-        sorted(_NESTED_CASES) if case == "7.4" else []
-    for c in nested:
-        for kind, combo, target in _NESTED_CASES[c]:
-            specs.append((c, f"{kind} {combo}", kind, combo, target))
-    return specs
+    return tuple(CASES)
 
 
 def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
@@ -330,44 +365,24 @@ def run_case(case: str, n: int = 64, paths: int = 10000, fine_factor: int = 64,
     Family ids sweep the shared Brownian quadruple once and report every
     sub-case, which is how the acceptance suite calls them.
     """
-    if case.startswith("7.2"):
-        return _det_rows(case, n)
-    grid = Grid(n, fine_factor)
+    if case not in CASES:
+        raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
 
-    def over(channels, reduce, slots=0, own=0, chunk_fill=None):
-        # per-path samples of reduce, each chunk streamed with chunk_fill(idx)
-        chunk_fill = chunk_fill or _oracle_noise(grid, seed, channels)
+    def over(channels, reduce, slots=0, own=0, component=rng.ORACLE):
+        # per-path samples of reduce, each chunk streamed from its paths'
+        # Brownian increments in the stream family ``component``, its keys
+        # hashed once
+        grid = Grid(n, fine_factor)
+        scale = np.sqrt(grid.fine_dt)
 
         def chunk_stats(idx):
-            return stream_cells(len(idx), grid.fine_count, n, channels, chunk_fill(idx),
-                                reduce, slots, own)
+            keys = rng.philox_keys(seed, component, idx, channels)
+
+            def fill(blk, out):
+                return rng.normal_matrix(keys[blk], (grid.fine_count, 1), scale=scale, out=out)
+
+            return stream_cells(len(idx), grid.fine_count, n, channels, fill, reduce, slots, own)
 
         return over_chunks(paths, DEFAULT_CHUNK, chunk_stats, threads)
 
-    if case == "7.6":
-        return _fingerprint_rows(grid, seed, over)
-    if case == "7.7-80":
-        return _drift_coupling_rows(grid, over)
-    if case == "null":
-        return _null_rows(grid, over)
-    specs = _statistic_specs(case)
-    if not specs:
-        raise KeyError(f"unknown oracle case '{case}'; available: {case_ids()}")
-    kinds = [(kind, combo) for _, _, kind, combo, _ in specs]
-    # a case id is either quartic (7.3*) or nested (7.4*), never both
-    if kinds[0][0] == "quartic":
-        combos = [combo for _, combo in kinds]
-        slots = _QUARTIC_SLOTS
-
-        def block_stats(dyc, disp, work):
-            return quartic_time_average(disp[..., 1:], combos, work)
-    else:
-        slots = _NESTED_SLOTS
-
-        def block_stats(dyc, disp, work):
-            return nested_time_average(dyc, disp, kinds, work)
-
-    samples = over(4, block_stats, slots=slots)
-    return [_row(row_case, label, n, sample, target,
-                 null_budget=0.5 / fine_factor if target == 0.0 else None)
-            for (row_case, label, _, _, target), sample in zip(specs, samples)]
+    return CASES[case].rows(case, n, fine_factor, over)

@@ -504,7 +504,7 @@ def test_simulate_u(block_rows, monkeypatch, case):
     want = u_whole(prob, x_ref, np.diff(bundle.y, axis=1), dm, dn)
     assert got.shape == (PATHS, prob.field.dim_q) and np.array_equal(got, want)
     monkeypatch.setattr(paths, "NOISE_BYTES", 1)
-    assert np.array_equal(limits.draw_error_limit(prob, 9, range(PATHS), FINE).u_end, got)
+    assert np.array_equal(limits.draw_error_limit(prob, 9, range(PATHS), FINE)[1], got)
 
 
 @pytest.mark.parametrize("name", ["gbm", "gbm-drift"])
@@ -553,8 +553,13 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
     def inner(u, v):
         return paths.running_sum(disp[:, :, :-1, u] * dyc[..., v], axis=2)[:, :, 1:]
 
+    # the statistics of the sub-cases of a family id or of one sub-case id
+    specs = [("quartic", combo) for c, (combo, _) in oracles._QUARTIC_CASES.items()
+             if c.startswith(case)]
+    specs += [(kind, combo) for c, nested in oracles._NESTED_CASES.items()
+              if c.startswith(case) for kind, combo, _ in nested]
     nodes, out = disp[:, :, 1:], []
-    for _, _, kind, (w, b, u, v), _ in oracles._statistic_specs(case):
+    for kind, (w, b, u, v) in specs:
         if kind == "quartic":
             prod = nodes[..., w] * nodes[..., b] * nodes[..., u] * nodes[..., v]
         elif kind == "inner_product":

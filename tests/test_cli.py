@@ -339,12 +339,15 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["lemma-check", "--case", "7.3", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
         ["lemma-check", "--case", "null", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
+        ["lemma-check", "--case", "7.4", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
+        ["lemma-check", "--case", "7.6", "--n", "8", "--fine-factor", "4", "--paths", "1200"],
         ["limit-sim", "--model", "gbm-drift", "--draws", "1200", "--fine-count", "32"],
         ["error-law", "--model", "gbm", "--n", "8", "--fine-factor", "2", "--paths", "1200",
          "--draws", "1200", "--fine-count", "32", "--ks-threshold", "0.5"],
         ["simulate", "--model", "gbm", "--scheme", "milstein", "--n", "4",
          "--fine-factor", "2", "--paths", "1200"],
-    ], ids=["lemma-7.3", "lemma-null", "limit-sim", "error-law", "simulate"])
+    ], ids=["lemma-7.3", "lemma-null", "lemma-7.4", "lemma-7.6", "limit-sim", "error-law",
+            "simulate"])
     def test_multi_chunk_reports_byte_identical_across_threads(self, argv, tmp_path, capsys):
         for threads in ("1", "2"):
             code = cli.main(argv + ["--seed", "5", "--threads", threads,

@@ -280,18 +280,18 @@ class TestSimulateU:
         want = (bundle.w[..., 0] > 1.5).any(axis=1)
         assert 0 < want[:64].sum() < want.sum() < 200
         with np.errstate(all="ignore"):
-            real = limits.draw_error_limit(prob, 3, range(200), fine_count=256)
-        assert np.array_equal(real.diverged, want)
+            diverged, _ = limits.draw_error_limit(prob, 3, range(200), fine_count=256)
+        assert np.array_equal(diverged, want)
         monkeypatch.setattr(limits, "DEFAULT_CHUNK", 64)
         with pytest.raises(ArithmeticError, match=f"^{want.sum()} draws diverged"):
             with np.errstate(all="ignore"):
-                limits.sample_error_limit_end(prob, 3, 200, fine_count=256)
-        assert limits.sample_error_limit_end(gbm, 3, 200, fine_count=256).shape == (200, 1)
+                limits.limit_samples(prob, 3, 200, fine_count=256)
+        assert limits.limit_samples(gbm, 3, 200, fine_count=256)[0].shape == (200, 1)
 
     def test_gbm_second_moment(self):
-        real = limits.draw_error_limit(model.make_gbm(), 31, range(4000),
-                                       fine_count=1024)
-        u1 = real.u_end[:, 0]
+        _, u_end = limits.draw_error_limit(model.make_gbm(), 31, range(4000),
+                                           fine_count=1024)
+        u1 = u_end[:, 0]
         m2 = u1 ** 2
         se = m2.std(ddof=1) / np.sqrt(len(m2))
         assert abs(m2.mean() - np.e / 6) < 3 * se + 0.01
@@ -403,7 +403,8 @@ class TestFingerprints:
         # limit-sim's fingerprints are summed in step order; against pairwise
         # sums over whole-size dM, dN and dW they move in the last bits only
         prob, fine_count, draws = make(), 4096, 40
-        real = limits.draw_error_limit(prob, 3, range(draws), fine_count, fingerprints=True)
+        _, u_end, fps = limits.draw_error_limit(prob, 3, range(draws), fine_count,
+                                                fingerprints=True)
         grid, bundle, aux = limit_inputs(prob, fine_count, 3, draws)
         dw = np.diff(bundle.w, axis=1)
         dm, dn = limits.simulate_mn(prob.driver, dw, aux)
@@ -413,13 +414,12 @@ class TestFingerprints:
         m, n, w = dm[..., 0, 0, 0], dn[..., 0, 0, 0], dw[..., 0]
         scale = np.stack([np.abs(a * b).sum(axis=1)
                           for a, b in ((m, m), (n, n), (n, m), (n, w), (m, w))], axis=1)
-        assert real.fingerprints.shape == (draws, len(stats.FINGERPRINTS))
-        assert np.all(np.abs(real.fingerprints - want) <= 1e-13 * scale)
-        np.testing.assert_allclose(real.fingerprints.mean(axis=0), want.mean(axis=0),
-                                   rtol=1e-13)
+        assert fps.shape == (draws, len(stats.FINGERPRINTS))
+        assert np.all(np.abs(fps - want) <= 1e-13 * scale)
+        np.testing.assert_allclose(fps.mean(axis=0), want.mean(axis=0), rtol=1e-13)
         # the endpoints do not depend on whether the fingerprints are taken
         plain = limits.draw_error_limit(prob, 3, range(draws), fine_count)
-        assert plain.fingerprints is None and np.array_equal(plain.u_end, real.u_end)
+        assert len(plain) == 2 and np.array_equal(plain[1], u_end)
 
 
 def _wbar_keys_hashed(monkeypatch, run) -> bool:
@@ -479,7 +479,7 @@ class TestZeroLimit:
         # equation vanishes and the limit law is the point mass at 0: the
         # bundled factories mark exactly those, which error-law refuses
         prob = model.get_model(name)
-        u = limits.sample_error_limit_end(prob, 3, 200, fine_count=128)
+        (u,) = limits.limit_samples(prob, 3, 200, fine_count=128)
         assert prob.zero_limit == (name in ("ou", "det-exp"))
         assert np.all(u == 0.0) == prob.zero_limit
         if not prob.zero_limit:
@@ -522,10 +522,10 @@ def test_limit_sim_reports_do_not_depend_on_chunks_or_threads(monkeypatch, tmp_p
 
 
 def _limit_chunk_peak(prob, draws, fine_count):
-    limits.sample_error_limit_end(prob, 2, 50, 256)  # warm caches
+    limits.limit_samples(prob, 2, 50, 256)  # warm caches
     tracemalloc.start()
     try:
-        limits.sample_error_limit_end(prob, 2, draws, fine_count)
+        limits.limit_samples(prob, 2, draws, fine_count)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -574,16 +574,17 @@ class TestByteFormulas:
              "embedding-callable": lambda: _problem("embedding", True)}
 
     @staticmethod
-    def _u_peak_per_formula(prob, with_n):
+    def _u_peak_per_formula(prob, with_n, fingerprints=False):
         draws = 200
         row = limits.u_row_bytes(prob, with_n)
         steps = paths.rows_per_block(1 << 20, draws * row)
         grid, bundle, aux = limit_inputs(prob, steps, 3, draws)
         aux = aux if with_n else replace(aux, dwbar=None)
-        limits.simulate_u(prob, [(bundle, aux)])
+        fps = np.zeros((draws, len(stats.FINGERPRINTS))) if fingerprints else None
+        limits.simulate_u(prob, [(bundle, aux)], fps)
         tracemalloc.start()
         try:
-            limits.simulate_u(prob, [(bundle, aux)])  # one block of U's steps
+            limits.simulate_u(prob, [(bundle, aux)], fps)  # one block of U's steps
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,6 +593,13 @@ class TestByteFormulas:
     @pytest.mark.parametrize("case", CASES)
     def test_u_row_bytes_size_one_block_of_u(self, case):
         assert 0.5 <= self._u_peak_per_formula(self.CASES[case](), True) <= 1.25
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_u_row_bytes_size_limit_sims_block_of_u(self, case):
+        # limit-sim's block also holds each step's fingerprint products,
+        # their stacked rows and the cumsum that adds them, which the formula
+        # leaves out: it undercounts them, inside the band (1.09-1.20)
+        assert 0.5 <= self._u_peak_per_formula(self.CASES[case](), True, True) <= 1.25
 
     @pytest.mark.parametrize("case", ["gbm", "gbm-drift"])
     def test_u_row_bytes_without_n_size_one_block_of_u(self, case):

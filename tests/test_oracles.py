@@ -84,6 +84,16 @@ class TestBrownianCases:
         with pytest.raises(KeyError, match="unknown oracle case"):
             oracles.run_case("8.1")
 
+    @pytest.mark.parametrize("family,case", [
+        ("7.3", "7.3a"), ("7.3", "7.3b"), ("7.3", "7.3c"), ("7.3", "7.3d"), ("7.3", "7.3e"),
+        ("7.4", "7.4a"), ("7.4", "7.4b")])
+    def test_subcase_reports_its_rows_of_the_family(self, family, case):
+        # every path's statistics are the same in a sweep of one sub-case or
+        # of all of them, so a sub-case id reports its family's rows exactly
+        size = dict(n=8, fine_factor=8, paths=300, seed=4)
+        rows = [r for r in oracles.run_case(family, **size) if r.case == case]
+        assert rows and oracles.run_case(case, **size) == rows
+
     def test_deterministic_in_seed(self):
         a = oracles.run_case("7.3a", n=16, paths=400, fine_factor=16, seed=9)[0]
         b = oracles.run_case("7.3a", n=16, paths=400, fine_factor=16, seed=9)[0]
