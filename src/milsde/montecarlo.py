@@ -11,11 +11,12 @@ reports are byte-identical for any chunk size or worker count.
 Memory: a rate chunk hashes its paths' stream keys once and makes one pass
 over cache blocks of them (:func:`paths.stream_paths`).  Each block is
 drawn and assembled, then reduced, in buffers reused by every block, to
-what the levels read: the driver at the base grid lcm(n_list)'s nodes, K
-on its cells and the reference at its nodes, flagged at every fine node.
-The levels then run on base-grid arrays only, so no fine path of the whole
-chunk is ever held, except the fine Y that a model without a closed form
-marches its reference over.
+what the levels read: the driver at the base grid lcm(n_list)'s nodes, the
+reference there, flagged at every fine node, and K on its cells only for a
+d > 1 driver (a scalar one's step forms K from its own dY).  The levels
+then run on base-grid arrays only, so no fine path of the whole chunk is
+ever held, except the fine Y that a model without a closed form marches
+its reference over.
 """
 
 import math
@@ -211,6 +212,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
             raise ValueError(f"n={n} does not divide the common fine grid "
                              f"of {grid.fine_count}")
     runner = _SCHEMES[scheme]
+    subgrid_k = scheme != "euler" and schemes.has_levy_area(problem.driver)  # Euler reads no K
     base = math.lcm(*n_list)  # divides the fine grid, since every n does
     every = grid.fine_count // base
     # what depends on the grid alone is formed once per chunk, not per block
@@ -218,11 +220,11 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
 
     def reduce(bundle, space):
         # one block of paths reduced to what the levels read: Y at the base
-        # nodes, K summed over the sub-grid once, at the base level (the
-        # levels fold it), and the reference there, flagged at every fine
-        # node; a marched reference needs the fine Y of every path instead
+        # nodes, the sub-grid K summed once, at the base level (the levels
+        # fold it), and the reference there, flagged at every fine node; a
+        # marched reference needs the fine Y of every path instead
         out = [bundle.y[:, ::every]]
-        if scheme != "euler":  # Euler, the only scheme without K
+        if subgrid_k:
             out.append(schemes.iterated_integrals(bundle, base, qv_base, space))
         if problem.closed_form is None:
             out.append(bundle.y)
@@ -232,10 +234,10 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
         return out
 
     def base_grid(idx):
-        """The chunk on the base grid: its driver, K and reference, and the paths kept."""
+        """The chunk on the base grid: its driver, sub-grid K or None, reference and paths kept."""
         keys = rng.philox_keys(seed, rng.DRIVER_W, idx, 1)
         ybase, *cols = stream_paths(problem.driver, grid, keys, reduce)
-        kbase = cols.pop(0) if scheme != "euler" else None
+        kbase = cols.pop(0) if subgrid_k else None
         if problem.closed_form is None:  # the march runs across all of the chunk's paths
             fine = PathBundle(grid, problem.driver, None, cols.pop(), None)
             ref = schemes.reference(problem, fine, every=every)

@@ -536,17 +536,17 @@ def stream_paths(spec: DriverSpec, grid: Grid, keys: np.ndarray, reduce) -> tupl
     ``reduce(bundle, space)`` turns the bundle of one block of rows into
     per-row arrays, which :func:`over_chunks` copies into their rows of the
     result before the next block is drawn, so they may be views of the
-    bundle.  A block's W and Y hold about ``BLOCK_BYTES``, so the batch's
-    fine paths never exist at full size.  The coefficients are formed once
-    for every block, each block draws its W and Y into buffers of one
-    :class:`Workspace`, and ``reduce`` gets that workspace for its own
-    passes: buffers fresh per block would be paged in anew each time.  The
-    bundle of any rows equals those rows of :func:`simulate_bundle`'s whole
-    batch, bit for bit.
+    bundle.  A block's W and Y (one array when Y is W) hold about
+    ``BLOCK_BYTES``, so the batch's fine paths never exist at full size.
+    The coefficients are formed once for every block, each block draws its
+    W and Y into buffers of one :class:`Workspace`, and ``reduce`` gets that
+    workspace for its own passes: buffers fresh per block would be paged in
+    anew each time.  The bundle of any rows equals those rows of
+    :func:`simulate_bundle`'s whole batch, bit for bit.
     """
     space, nodes = Workspace(), grid.fine_count + 1
     coefficients = driver_coefficients(spec, grid)
-    rows = rows_per_block(len(keys), (spec.dim_m + spec.dim_d) * nodes * 8)
+    rows = rows_per_block(len(keys), (spec.dim_m + (0 if spec.y_is_w else spec.dim_d)) * nodes * 8)
     w = space.take("paths.w", (rows, nodes, spec.dim_m))
     y = None if spec.y_is_w else space.take("paths.y", (rows, nodes, spec.dim_d))
 

@@ -6,8 +6,14 @@ sum_{ab} h^i_{ba} K_{ab} per cell; the Ito form writes it out term by term.
 
 In the correction h^i = (Df^i)^T f, and K_{ab} integrates the within-cell
 displacement of driver component a against the increments of component b.
-A rate run builds K once per bundle, at the base level lcm(n_list), and
-folds it to each coarser n with Chen's identity
+Its symmetric part is exactly (dY dY^T - cell QV)/2, from the driver's
+deterministic quadratic variation, so a cell with no Levy area, a scalar
+driver's or one of one sub-cell, forms K from its own dY inside the step
+(:func:`_own_k`; for Brownian noise ((dW)^2 - dt)/2).  Only a d > 1
+driver's cell (:func:`has_levy_area`) reads the sub-grid K, the sum
+:func:`stats.k_fine` with its symmetric part replaced by that identity.
+A rate run builds that K once per bundle, at the base level lcm(n_list),
+and folds it to each coarser n with Chen's identity
 (:func:`fold_iterated_integrals`), so the fine sub-grid is summed once, not
 once per n.  Both run in :func:`paths.stream_cells`, which differences and
 splits one cache block of paths at a time, so the fine increments and their
@@ -16,22 +22,15 @@ block of paths of its fine bundle at a time, with the base cells' exact QV
 given once; the fold and every level then read only a base-grid bundle,
 the driver at the base nodes.
 
-K is the sub-grid sum :func:`stats.k_fine` (the Z functional's per-cell
-left-point sum) with its symmetric part replaced by the exact identity
-(dY dY^T - cell QV)/2, using the driver's deterministic quadratic
-variation.  For a one-dimensional driver this is the exact iterated
-integral (for Brownian noise, ((dW)^2 - dt)/2); in higher dimension only
-the antisymmetric (Levy-area) part still comes from the sub-grid.
-
 The reference (:func:`reference`) is checked for divergence at every fine
 node but kept only at the nodes a caller reads; a rate run keeps the base
 grid's, which every level's grid is a subset of.  A closed form is
 evaluated whole on the paths and nodes it is handed, so a rate chunk
 evaluates it on each block of paths it draws.  Without one the reference
 is Milstein on every fine cell, one :func:`_march` whose step forms each
-cell's K from its own dY: a cell of one sub-cell has no Levy area, so
-K = (dY dY^T - cell QV)/2 exactly.  It runs on all fine cells or on one block of them from a given
-state, so the limit side walks the grid one time block at a time.
+cell's K from its own dY, since a cell of one sub-cell has no Levy area.
+It runs on all fine cells or on one block of them from a given state, so
+the limit side walks the grid one time block at a time.
 """
 
 from dataclasses import dataclass
@@ -67,12 +66,9 @@ def _channel_last(src: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``src``, (d, ...) channel-major, as a (..., d) matmul operand.
 
     A matmul's rounding follows the layout of its left operand, and one on
-    two views of a buffer runs as a syrk, slower than a gemm; so for d > 1
-    ``src`` is copied to the d work slots in the whole-array layout.  At
-    d = 1 the copy costs more than it saves, so ``src`` is only moved."""
+    two views of a buffer runs as a syrk, slower than a gemm; so ``src`` is
+    copied to the d work slots in the whole-array layout."""
     d = src.shape[0]
-    if d == 1:
-        return np.moveaxis(src, 0, -1)
     out = work.reshape(*src.shape[1:], d)
     for c in range(d):  # a channel at a time: a gather along d goes element by element
         out[..., c] = src[c]
@@ -127,12 +123,8 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
     grid, sum_j S_j (x) dY_j with S_j the move before base cell j.  The base
     cells' exact QV is then swapped for the coarse cell's, so the result
     equals :func:`iterated_integrals` at ``coarse_n`` up to rounding.  The
-    cost is O(n_paths * base * d^2), with no sub-grid pass.
-
-    For d > 1 the base cells are summed by m - 1 whole-array adds, in the
-    order numpy's sum takes along a middle axis, so the bits are the same;
-    at d = 1 the cell axis is innermost, which numpy sums pairwise, so the
-    sum stays numpy's.
+    cost is O(n_paths * base * d^2), with no sub-grid pass.  The base cells
+    are summed by m - 1 whole-array adds, in sequence.
     """
     n_paths, base, d = kbase.shape[:3]
     m = cell_size(base, coarse_n)
@@ -140,13 +132,10 @@ def fold_iterated_integrals(bundle: PathBundle, kbase: np.ndarray, coarse_n: int
                            _increments(bundle.y, cell_size(bundle.grid.fine_count, base)),
                            lambda dyc, disp, work: (_k_block(dyc, disp, work),), slots=d)
     cells = kbase.reshape(n_paths, coarse_n, m, d, d)
-    if d == 1:
-        kmat += cells.sum(axis=2)
-    else:
-        ksum = cells[:, :, 0].copy()
-        for j in range(1, m):
-            ksum += cells[:, :, j]
-        kmat += ksum
+    ksum = cells[:, :, 0].copy()
+    for j in range(1, m):
+        ksum += cells[:, :, j]
+    kmat += ksum
     qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
     qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
     kmat += 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
@@ -191,13 +180,30 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
              kmat: np.ndarray = None) -> SchemeOutput:
     """Second-order scheme: the Euler step plus the correction sum h K.
 
-    ``kmat`` is K on the ``coarse_n`` cells; it is computed from the bundle
-    when not given.
+    ``kmat`` is K on the ``coarse_n`` cells.  When it is not given, it is
+    computed from the sub-grid for a driver with a Levy area, and any other
+    driver's step forms each cell's K from its own dY (:func:`_own_k`).
     """
-    if kmat is None:
+    if kmat is None and has_levy_area(bundle.driver):
         kmat = iterated_integrals(bundle, coarse_n)
-    return _march(problem.x0, bundle.y, coarse_n,
-                  _milstein_step(problem.field, lambda dy, k: kmat[:, k]))
+    k_at = (_own_k(bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n))
+            if kmat is None else lambda dy, k: kmat[:, k])
+    return _march(problem.x0, bundle.y, coarse_n, _milstein_step(problem.field, k_at))
+
+
+def has_levy_area(driver) -> bool:
+    """Whether a cell of ``driver`` can carry a Levy area, so that its K needs the sub-grid."""
+    return driver.dim_d > 1
+
+
+def _own_k(qv: np.ndarray):
+    """``k_at(dy, k)``: cell k's K = (dY dY^T - QV)/2, exact with no Levy area; ``qv`` per cell."""
+    def k_at(dy, k):
+        kk = dy[:, :, None] * dy[:, None, :]
+        kk -= qv[k]
+        kk *= 0.5
+        return kk
+    return k_at
 
 
 def _milstein_step(fld, k_at):
@@ -260,8 +266,8 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     second-order scheme is run with every fine cell as its own step, which
     carries O(1/fine_count) error of its own, from the states ``x`` at node
     ``cells.start`` (x0 when not given): one :func:`_march` whose step forms
-    each cell's K = (dY dY^T - cell QV)/2 from that cell's dY, so no K of
-    many cells is held.  A caller may walk the grid in blocks of cells,
+    each cell's K from that cell's dY (:func:`_own_k`), so no K of many
+    cells is held.  A caller may walk the grid in blocks of cells,
     passing each call's last values as the next call's ``x``, with the same
     bits.  Either way the divergence check reads every node, while
     ``values`` hold only the len(cells) / every + 1 kept nodes (``coarse_n``
@@ -274,16 +280,8 @@ def reference(problem: SdeProblem, bundle: PathBundle, every: int = 1,
     times = bundle.grid.times(slice(cells.start, cells.stop + 1))
     nodes = bundle.nodes(cells)
     if problem.closed_form is None:
-        qv = bundle.driver.cell_qv(times)
-
-        def k_at(dy, k):
-            kk = dy[:, :, None] * dy[:, None, :]
-            kk -= qv[k]
-            kk *= 0.5
-            return kk
-
-        return _march(problem.x0 if x is None else x, bundle.y[:, nodes], count,
-                      _milstein_step(problem.field, k_at), every)
+        step = _milstein_step(problem.field, _own_k(bundle.driver.cell_qv(times)))
+        return _march(problem.x0 if x is None else x, bundle.y[:, nodes], count, step, every)
     full = np.asarray(problem.closed_form(bundle.w[:, nodes], bundle.y[:, nodes], times),
                       dtype=float)
     # the kept nodes copied, so that the values hold no more than they keep

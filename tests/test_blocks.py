@@ -2,8 +2,10 @@
 
 A rate chunk runs through :func:`paths.stream_paths` over blocks of paths,
 evaluating a closed-form ``reference`` whole on each block,
-``iterated_integrals``, ``fold_iterated_integrals`` and every stochastic
-oracle case through :func:`paths.stream_cells` over blocks of paths, and
+``iterated_integrals`` and ``fold_iterated_integrals`` (which a verb runs
+only for a d > 1 driver, a scalar one's Milstein step forming K from its
+own dY) and every stochastic oracle case through
+:func:`paths.stream_cells` over blocks of paths, and
 ``simulate_u`` (which forms the reference, dY, dW, dM and dN per time
 block) over blocks of time; every block is sized by
 :func:`paths.rows_per_block`.  The marched reference runs in no block; it
@@ -146,8 +148,10 @@ def fold_whole(bundle, kbase, coarse_n):
     n_paths, base, d = kbase.shape[:3]
     m = base // coarse_n
     dybase = np.diff(bundle.y[:, ::bundle.grid.fine_count // base], axis=1)
-    kmat = kbase.reshape(n_paths, coarse_n, m, d, d).sum(axis=2) \
-        + stats.k_fine(crosscheck.cell_split(dybase, coarse_n))
+    # the base cells summed in sequence, numpy's order along a middle axis;
+    # its sum of a d = 1 K, whose cell axis is then innermost, is pairwise
+    ksum = np.add.accumulate(kbase.reshape(n_paths, coarse_n, m, d, d), axis=2)[:, :, -1]
+    kmat = ksum + stats.k_fine(crosscheck.cell_split(dybase, coarse_n))
     qv_base = bundle.driver.cell_qv(np.arange(base + 1) / base)
     qv_coarse = bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
     return kmat + 0.5 * (qv_base.reshape(coarse_n, m, d, d).sum(axis=1) - qv_coarse)
@@ -156,8 +160,8 @@ def fold_whole(bundle, kbase, coarse_n):
 @pytest.mark.parametrize("case,timed", CASES, ids=IDS)
 def test_fold_iterated_integrals(block_rows, case, timed):
     # K on the base grid of 16 cells, folded to 8, 4, 2 and 1 cells: m = 2
-    # to 16 base cells per coarse cell, which a d > 1 fold sums by whole-array
-    # adds and a d = 1 fold by numpy's pairwise sum (from m = 8 on)
+    # to 16 base cells per coarse cell, which the fold sums in sequence by
+    # whole-array adds
     prob = _problem(case, timed)
     base = 2 * COARSE
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(base, FINE // base), 5,
@@ -170,9 +174,9 @@ def test_fold_iterated_integrals(block_rows, case, timed):
 
 def scheme_whole(prob, scheme, n_list, fine_factor, seed):
     """A rate chunk from the whole bundle: K at the base grid lcm(n_list)
-    folded to each n, the reference at every fine node, and every level on
-    the fine paths; the errors, sups and kept mask of
-    :func:`montecarlo.scheme_error_samples`."""
+    folded to each n (a scalar driver's Milstein step forms its own K), the
+    reference at every fine node, and every level on the fine paths; the
+    errors, sups and kept mask of :func:`montecarlo.scheme_error_samples`."""
     grid = paths.make_grid(n_list[-1], fine_factor)
     bundle = paths.simulate_bundle(prob.driver, grid, seed, range(PATHS))
     ref = schemes.reference(prob, bundle)
@@ -181,7 +185,7 @@ def scheme_whole(prob, scheme, n_list, fine_factor, seed):
     runner = montecarlo._SCHEMES[scheme]
     kept, err, sup = ~ref.diverged, {}, {}
     for n in n_list:
-        if scheme == "euler":
+        if scheme == "euler" or prob.driver.dim_d == 1:
             out = runner(prob, bundle, n)
         else:
             kmat = kbase if n == base else fold_whole(bundle, kbase, n)
@@ -372,13 +376,14 @@ def test_reference_without_closed_form_keeps_every_kth_node():
 def test_marched_reference_walks_blocks_of_cells(block_rows, make):
     # no closed form: the reference marches every fine cell, forming each
     # cell's K from its dY, flagged there and thinned after, against one
-    # Milstein march over the grid whose K iterated_integrals forms over
-    # blocks of paths, with the paths that leave the band
+    # Milstein march over the grid on the sub-grid K that iterated_integrals
+    # forms over blocks of paths, with the paths that leave the band.  A
+    # scalar Milstein would form its K from dY too, so it is handed that K
     prob = make()
     bundle = paths.simulate_bundle(prob.driver, paths.make_grid(COARSE, FINE // COARSE), 5,
                                    range(PATHS))
     with np.errstate(all="ignore"):
-        full = schemes.milstein(prob, bundle, FINE)
+        full = schemes.milstein(prob, bundle, FINE, kmat=schemes.iterated_integrals(bundle, FINE))
         if prob.label == "squared-noise":
             assert full.diverged.tolist() == [True, True] + [False] * (PATHS - 2)
         for every in (1, 4, COARSE, FINE):

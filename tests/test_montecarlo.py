@@ -132,8 +132,8 @@ class TestRateExperiment:
     def test_every_n_runs_on_the_same_bundle(self):
         # recomputing one coarseness from a hand-built bundle on the common
         # grid reproduces the engine's errors exactly: the coupling contract.
-        # The engine folds K from the finest level; the fold's rounding
-        # against a per-level K is covered by test_schemes.TestChenFold.
+        # gbm's driver is scalar, so each level's Milstein step forms its K
+        # from its own dY, on the whole bundle as on the engine's base grid
         from milsde import paths, schemes
         gbm = model.make_gbm()
         data = montecarlo.scheme_error_samples(gbm, "milstein", [32, 128],
@@ -141,11 +141,8 @@ class TestRateExperiment:
         grid = paths.make_grid(128, 1)
         bundle = paths.simulate_bundle(gbm.driver, grid, 13, range(300))
         ref = schemes.reference(gbm, bundle).values[:, -1]
-        kbase = schemes.iterated_integrals(bundle, 128)
         for n in (32, 128):
-            kmat = kbase if n == 128 else \
-                schemes.fold_iterated_integrals(bundle, kbase, n)
-            manual = schemes.milstein(gbm, bundle, n, kmat=kmat).values[:, -1] - ref
+            manual = schemes.milstein(gbm, bundle, n).values[:, -1] - ref
             assert np.array_equal(manual, data["err"][n])
         # the shared reference couples the endpoints across n
         corr = np.corrcoef(data["err"][32][:, 0], data["err"][128][:, 0])[0, 1]

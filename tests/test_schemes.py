@@ -80,6 +80,33 @@ class TestIteratedIntegrals:
         qv = prob.driver.cell_qv(np.arange(33) / 32)
         assert np.array_equal(k, 0.5 * (dy[..., :, None] * dy[..., None, :] - qv))
 
+    @pytest.mark.parametrize("driver", ["gbm", "det-exp", "scaled-1d"])
+    @pytest.mark.parametrize("coarse_n,fine_factor", [(8, 1), (1, 4), (8, 4), (5, 24), (16, 256)])
+    def test_scalar_k_is_the_k_of_its_own_dy(self, driver, coarse_n, fine_factor):
+        # a scalar driver has no Levy area: its sub-grid K equals the K that
+        # a Milstein step forms from the cell's own dY, (dY^2 - cell QV)/2.
+        # In reals this is exact, since the left-point sum of r increments
+        # is ((sum dy)^2 - sum dy^2)/2.  In floats the running sum, the
+        # left-point sum and the sum of squares take r roundings each, and
+        # the cell's dY (a difference of nodes, not the sum of the dy) and
+        # the formula a few more; each is at most eps times a magnitude below
+        # (sum |dy|)^2 + |QV|, so 4r + 8 of those bound the gap.  With one
+        # sub-cell there is no sum, and K is the formula bit for bit
+        spec = {"gbm": model.make_gbm().driver, "det-exp": model.make_det_exp().driver,
+                "scaled-1d": _DRIVERS["scaled-1d"]}[driver]
+        b = paths.simulate_bundle(spec, paths.make_grid(coarse_n, fine_factor), 7, range(50))
+        k = schemes.iterated_integrals(b, coarse_n)
+        qv = spec.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+        dy = np.diff(b.y[:, ::fine_factor], axis=1)
+        k_at = schemes._own_k(qv)
+        own = np.stack([k_at(dy[:, c], c) for c in range(coarse_n)], axis=1)
+        if fine_factor == 1:
+            assert np.array_equal(k, own)
+        sub = np.abs(np.diff(b.y[..., 0], axis=1)).reshape(50, coarse_n, fine_factor)
+        scale = sub.sum(axis=2) ** 2 + np.abs(qv[:, 0, 0])
+        tol = (4 * fine_factor + 8) * np.finfo(float).eps * scale
+        assert np.all(np.abs(k - own)[..., 0, 0] <= tol)
+
 
 # time-varying sigma, not smooth at s = 0: the Gauss rule's cell QVs are then
 # not additive across cells, so the fold's QV swap is exercised

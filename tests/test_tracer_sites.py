@@ -66,8 +66,10 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     # calls the reference once for its one chunk, the limit side once per
     # block of U's steps, and the auxiliary noise is sampled per time block.
     # Y is assembled by build_driver on both sides: once for the scheme
-    # side's one block of paths (W and Y of 129 nodes, 2064 bytes a path, so
-    # 1016 paths fill a block) and once per time block of the limit side
+    # side's one block of paths (W alone, since gbm's Y is its W: 129 nodes,
+    # 1032 bytes a path, so 2032 paths fill a block) and once per time block
+    # of the limit side.  gbm's driver is scalar, so its Milstein step forms
+    # each cell's K from its own dY: no sub-grid K pass runs
     n, fine_factor, fine_count, n_paths, draws, m = 16, 8, 2048, 1000, 1000, 1
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -89,6 +91,9 @@ def test_traced_error_law_forms_limit_increments_per_time_block(tmp_path):
     assert layers["paths.build_driver.calls"] == 1 + layers["limits.sample_aux.calls"]
     assert layers["schemes.reference.calls"] > 2
     assert layers["limits.mn_mb"] < draws * fine_count * 8 / (1 << 20)
+    assert layers["schemes.milstein.calls"] == 1
+    assert layers["schemes.iterated_integrals.calls"] == 0
+    assert layers["schemes.k_fine_cells"] == 0
 
 
 def test_traced_limit_sim_draws_wbar_for_its_fingerprints(tmp_path):
@@ -115,7 +120,8 @@ def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     # correction per coarse step, and K and the reference once per block of
     # paths, and so is Y's assembly: a block holds W and the two-channel Y of
     # 1025 fine nodes, 24600 bytes a path, so 85 paths fill its 2 MB and a
-    # chunk of 1000 has 12
+    # chunk of 1000 has 12.  gbm-drift's driver (W, t) has d = 2, so its
+    # chunks still form the sub-grid K: 24 passes in all
     n_list, n_paths, chunks, blocks = (16, 32, 64, 128), 2000, 2, 12
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -130,7 +136,7 @@ def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
     assert layers["schemes.steps"] == n_paths * sum(n_list)
     assert layers["schemes.milstein.calls"] == chunks * len(n_list)
     assert layers["model.correction_pairing.calls"] == chunks * sum(n_list)
-    assert layers["schemes.iterated_integrals.calls"] == chunks * blocks
+    assert layers["schemes.iterated_integrals.calls"] == chunks * blocks == 24
     assert layers["schemes.reference.calls"] == chunks * blocks
     assert layers["paths.build_driver.calls"] == chunks * blocks
     assert layers["schemes.k_fine_cells"] == n_paths * max(n_list) * 8
