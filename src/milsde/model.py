@@ -13,6 +13,13 @@ Callback conventions, with x of shape (..., q):
 A field that is affine in x declares it with ``hf = None``: its Hessian
 vanishes, and so does the N term of the limit error equation, which a limit
 chunk then does not form (see :mod:`limits`).
+
+A field whose pairing h^i_{ab} = sum_k df[i, k, a] f[k, b] (see
+:func:`correction_pairing`) is symmetric in (a, b) at every x declares it
+with ``commutative = True``.  Milstein's correction sum_{ab} h^i_{ba} K_{ab}
+then reads only K's symmetric part, which a cell's own dY gives, so its
+scheme runs no sub-grid K pass (see :func:`schemes.has_levy_area`).  A field
+declares nothing by default; a scalar driver needs no declaration.
 """
 
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ class CoefficientField:
     """f and its first two derivatives, as callbacks of x (see the module docstring).
 
     ``hf`` is None when f is affine in x; :meth:`hf_at` then returns zeros.
+    ``commutative`` declares the pairing symmetric in (a, b) at every x.
     """
 
     dim_q: int
@@ -37,6 +45,7 @@ class CoefficientField:
     df: object
     hf: object
     growth_bound: float = 1.0
+    commutative: bool = False
 
     def f_at(self, x) -> np.ndarray:
         return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
@@ -152,11 +161,14 @@ def _pair(w, z, x) -> np.ndarray:
     return out
 
 
-def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientField:
+def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0,
+              commutative: bool = False) -> CoefficientField:
     """Coefficient field (a(x), b(x)) against the (W, t) driver pair.
 
     ``d2a`` and ``d2b`` are both None, passed explicitly, when a and b are
     affine (see :class:`CoefficientField`); a curved one gives both.
+    ``commutative`` declares a' b = b' a at every x, so that the pairing is
+    symmetric.
     """
     if (d2a is None) != (d2b is None):
         raise ValueError("d2a and d2b must both be None (a and b affine) or both be given")
@@ -171,14 +183,15 @@ def ito_field(a, da, d2a, b, db, d2b, growth_bound: float = 1.0) -> CoefficientF
         return _pair(d2a, d2b, x)[..., None, :, None, None]
 
     return CoefficientField(dim_q=1, dim_d=2, f=f_cb, df=df_cb,
-                            hf=None if d2a is None else hf_cb, growth_bound=growth_bound)
+                            hf=None if d2a is None else hf_cb, growth_bound=growth_bound,
+                            commutative=commutative)
 
 
 def ito_problem(a, da, d2a, b, db, d2b, x0=1.0, closed_form=None,
                 label: str = "ito", growth_bound: float = 1.0,
-                zero_limit: bool = False) -> SdeProblem:
+                zero_limit: bool = False, commutative: bool = False) -> SdeProblem:
     """Generic Ito-type problem dX = a(X) dW + b(X) dt via the (W, t) driver."""
-    return SdeProblem(field=ito_field(a, da, d2a, b, db, d2b, growth_bound),
+    return SdeProblem(field=ito_field(a, da, d2a, b, db, d2b, growth_bound, commutative),
                       driver=ito_embedding_driver(), x0=x0,
                       closed_form=closed_form, label=label, zero_limit=zero_limit)
 
@@ -227,12 +240,16 @@ def make_det_exp(x0: float = 1.0) -> SdeProblem:
 
 
 def make_gbm_drift(x0: float = 1.0, alpha: float = 1.0, beta: float = 1.0) -> SdeProblem:
-    """dX = alpha X dW + beta X dt through the (W, t) embedding."""
+    """dX = alpha X dW + beta X dt through the (W, t) embedding.
+
+    Its pairing h_{ab} = c_a c_b x, with c = (alpha, beta), is symmetric, so
+    the field declares itself commutative."""
     return ito_problem(a=lambda x: alpha * x, da=lambda x: alpha * np.ones_like(x),
                        d2a=None,
                        b=lambda x: beta * x, db=lambda x: beta * np.ones_like(x), d2b=None,
                        x0=x0, closed_form=_gbm_drift_closed_form(x0, alpha, beta),
-                       label="gbm-drift", growth_bound=float(np.hypot(alpha, beta)))
+                       label="gbm-drift", growth_bound=float(np.hypot(alpha, beta)),
+                       commutative=True)
 
 
 def make_ou(x0: float = 1.0, noise: float = 0.5, kappa: float = 1.0) -> SdeProblem:

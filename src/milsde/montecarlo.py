@@ -12,8 +12,10 @@ Memory: a rate chunk hashes its paths' stream keys once and makes one pass
 over cache blocks of them (:func:`paths.stream_paths`).  Each block is
 drawn and assembled, then reduced, in buffers reused by every block, to
 what the levels read: the driver at the base grid lcm(n_list)'s nodes, the
-reference there, flagged at every fine node, and K on its cells only for a
-d > 1 driver (a scalar one's step forms K from its own dY).  The levels
+reference there, flagged at every fine node, and K on its cells only where
+the scheme reads the sub-grid K (:data:`_SUBGRID_K`): Milstein's step forms
+K from each cell's own dY when the cell's Levy area cannot reach it, on a
+scalar driver or a commutative field.  The levels
 then run on base-grid arrays only, so no fine path of the whole chunk is
 ever held, except the fine Y that a model without a closed form marches
 its reference over.
@@ -148,6 +150,14 @@ _SCHEMES = {
     "milstein": schemes.milstein,
     "milstein54": schemes.milstein_ito54,
 }
+# scheme -> whether its levels read a problem's sub-grid K: Euler reads no
+# K, Milstein only where a cell's Levy area reaches its step, and
+# milstein54, the written-out cross-check of Milstein's own-dY K, always
+_SUBGRID_K = {
+    "euler": lambda problem: False,
+    "milstein": lambda problem: schemes.has_levy_area(problem.driver, problem.field),
+    "milstein54": lambda problem: True,
+}
 
 
 def scheme_names() -> tuple:
@@ -212,7 +222,7 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
             raise ValueError(f"n={n} does not divide the common fine grid "
                              f"of {grid.fine_count}")
     runner = _SCHEMES[scheme]
-    subgrid_k = scheme != "euler" and schemes.has_levy_area(problem.driver)  # Euler reads no K
+    subgrid_k = _SUBGRID_K[scheme](problem)
     base = math.lcm(*n_list)  # divides the fine grid, since every n does
     every = grid.fine_count // base
     # what depends on the grid alone is formed once per chunk, not per block

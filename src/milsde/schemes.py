@@ -9,9 +9,13 @@ displacement of driver component a against the increments of component b.
 Its symmetric part is exactly (dY dY^T - cell QV)/2, from the driver's
 deterministic quadratic variation, so a cell with no Levy area, a scalar
 driver's or one of one sub-cell, forms K from its own dY inside the step
-(:func:`_own_k`; for Brownian noise ((dW)^2 - dt)/2).  Only a d > 1
-driver's cell (:func:`has_levy_area`) reads the sub-grid K, the sum
-:func:`stats.k_fine` with its symmetric part replaced by that identity.
+(:func:`_own_k`; for Brownian noise ((dW)^2 - dt)/2).  So does a cell of a
+field that declares itself commutative (h^i_{ab} = h^i_{ba}): the
+correction reads only K's symmetric part, and its Levy area cancels.  Only
+a d > 1 driver's cell under a field with no such declaration
+(:func:`has_levy_area`) reads the sub-grid K, the sum :func:`stats.k_fine`
+with its symmetric part replaced by that identity; so does
+:func:`milstein_ito54`, the written-out cross-check, on any field.
 A rate run builds that K once per bundle, at the base level lcm(n_list),
 and folds it to each coarser n with Chen's identity
 (:func:`fold_iterated_integrals`), so the fine sub-grid is summed once, not
@@ -181,19 +185,24 @@ def milstein(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     """Second-order scheme: the Euler step plus the correction sum h K.
 
     ``kmat`` is K on the ``coarse_n`` cells.  When it is not given, it is
-    computed from the sub-grid for a driver with a Levy area, and any other
-    driver's step forms each cell's K from its own dY (:func:`_own_k`).
+    computed from the sub-grid where a cell's Levy area reaches the step
+    (:func:`has_levy_area`); otherwise, for a scalar driver or a commutative
+    field, the step forms each cell's K from its own dY (:func:`_own_k`).
     """
-    if kmat is None and has_levy_area(bundle.driver):
+    if kmat is None and has_levy_area(bundle.driver, problem.field):
         kmat = iterated_integrals(bundle, coarse_n)
     k_at = (_own_k(bundle.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n))
             if kmat is None else lambda dy, k: kmat[:, k])
     return _march(problem.x0, bundle.y, coarse_n, _milstein_step(problem.field, k_at))
 
 
-def has_levy_area(driver) -> bool:
-    """Whether a cell of ``driver`` can carry a Levy area, so that its K needs the sub-grid."""
-    return driver.dim_d > 1
+def has_levy_area(driver, field) -> bool:
+    """Whether Milstein's step reads a cell's Levy area, so that its K needs the sub-grid.
+
+    A scalar ``driver``'s cell carries none, and a ``field`` that declares
+    itself commutative pairs K with a symmetric h, which cancels the area.
+    """
+    return driver.dim_d > 1 and not field.commutative
 
 
 def _own_k(qv: np.ndarray):
@@ -233,7 +242,10 @@ def milstein_ito54(problem: SdeProblem, bundle: PathBundle, coarse_n: int,
     X_{k+1} = X_k + a dW + b dt + a a' K_WW + a b' K_Wt + a' b K_tW
                   + b b' K_tt, with the same per-cell K matrix used by
     :func:`milstein`, so the two agree to rounding error on shared bundles.
-    ``kmat`` is as in :func:`milstein`.
+    ``kmat`` is K on the ``coarse_n`` cells, computed from the sub-grid when
+    it is not given, whatever the field declares: this scheme is the
+    written-out cross-check of :func:`milstein`'s own-dY K on a commutative
+    field.
     """
     if not has_ito_embedding(problem):
         raise ValueError("this scheme needs the (W, t) embedding with f = (a(x), b(x))")

@@ -3,9 +3,9 @@
 A rate chunk runs through :func:`paths.stream_paths` over blocks of paths,
 evaluating a closed-form ``reference`` whole on each block,
 ``iterated_integrals`` and ``fold_iterated_integrals`` (which a verb runs
-only for a d > 1 driver, a scalar one's Milstein step forming K from its
-own dY) and every stochastic oracle case through
-:func:`paths.stream_cells` over blocks of paths, and
+only where a scheme reads a cell's Levy area; Milstein on a scalar driver
+or a commutative field forms K from its own dY) and every stochastic oracle
+case through :func:`paths.stream_cells` over blocks of paths, and
 ``simulate_u`` (which forms the reference, dY, dW, dM and dN per time
 block) over blocks of time; every block is sized by
 :func:`paths.rows_per_block`.  The marched reference runs in no block; it
@@ -174,9 +174,11 @@ def test_fold_iterated_integrals(block_rows, case, timed):
 
 def scheme_whole(prob, scheme, n_list, fine_factor, seed):
     """A rate chunk from the whole bundle: K at the base grid lcm(n_list)
-    folded to each n (a scalar driver's Milstein step forms its own K), the
-    reference at every fine node, and every level on the fine paths; the
-    errors, sups and kept mask of :func:`montecarlo.scheme_error_samples`."""
+    folded to each n where the scheme reads it (``montecarlo._SUBGRID_K``; a
+    Milstein step on a scalar driver or a commutative field forms its own
+    K), the reference at every fine node, and every
+    level on the fine paths; the errors, sups and kept mask of
+    :func:`montecarlo.scheme_error_samples`."""
     grid = paths.make_grid(n_list[-1], fine_factor)
     bundle = paths.simulate_bundle(prob.driver, grid, seed, range(PATHS))
     ref = schemes.reference(prob, bundle)
@@ -185,7 +187,7 @@ def scheme_whole(prob, scheme, n_list, fine_factor, seed):
     runner = montecarlo._SCHEMES[scheme]
     kept, err, sup = ~ref.diverged, {}, {}
     for n in n_list:
-        if scheme == "euler" or prob.driver.dim_d == 1:
+        if not montecarlo._SUBGRID_K[scheme](prob):
             out = runner(prob, bundle, n)
         else:
             kmat = kbase if n == base else fold_whole(bundle, kbase, n)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsde import crosscheck, model, paths, schemes
-from test_blocks import _trig_field
+from test_blocks import _problem, _trig_field
 
 
 def scalar_linear():
@@ -115,6 +116,55 @@ class TestItoField:
                           (fld.hf(x), _stacked(d2a, d2b, x)[..., None, :, None, None])):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def _signed(lo, hi):
+    """0 or a float of magnitude in [lo, hi], either sign: no product of two underflows."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi), st.floats(-hi, -lo))
+
+
+# the bundled models whose field declares that it commutes, and a strategy
+# for the factory parameters that change their pairing
+_COMMUTATIVE = sorted(name for name, make in model.builtin_models().items()
+                      if make().field.commutative)
+_SLOPES = _signed(1e-2, 3.0)
+_FACTORY_PARAMS = {"gbm-drift": st.fixed_dictionaries({"alpha": _SLOPES, "beta": _SLOPES})}
+
+# d > 1 fields that declare nothing: ou (h_Wt = 0, h_tW = -kappa noise), the
+# (sin, cos) embedding (h_Wt = cos^2, h_tW = -sin^2) and the (2, 2) trig field
+_UNDECLARED = {
+    "ou": lambda: model.make_ou().field,
+    "embedding": lambda: _problem("embedding", False).field,
+    "trig2": _trig_field,
+}
+
+
+class TestCommutativeDeclaration:
+    @pytest.mark.parametrize("name", _COMMUTATIVE)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_declared_field_pairs_symmetrically(self, name, data):
+        # a field that declares it commutes has h^i_ab = h^i_ba at every
+        # state, which is what lets Milstein's step drop K's Levy area.
+        # gbm-drift's h_ab = c_a (c_b x) rounds each side twice, so they
+        # agree within 4 eps of their size
+        params = data.draw(_FACTORY_PARAMS.get(name, st.just({})))
+        fld = model.builtin_models()[name](**params).field
+        x = np.array(data.draw(st.lists(_signed(1e-3, 1e3), min_size=fld.dim_q * 8,
+                                        max_size=fld.dim_q * 8)))
+        h = model.correction_pairing(fld, x.reshape(8, fld.dim_q))
+        np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), rtol=4 * np.finfo(float).eps,
+                                   atol=0)
+
+    @pytest.mark.parametrize("name", sorted(_UNDECLARED))
+    def test_undeclared_field_pairs_asymmetrically(self, name):
+        # each of these fields has an asymmetric pairing at some state, so
+        # its Levy area reaches Milstein's step and it must declare nothing
+        fld = _UNDECLARED[name]()
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, (16, fld.dim_q))
+        h = model.correction_pairing(fld, x)
+        assert np.abs(h - np.swapaxes(h, -1, -2)).max() > 0.1
+        assert not fld.commutative
 
 
 class TestOdeCurvature:

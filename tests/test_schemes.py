@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,7 +162,9 @@ class TestChenFold:
     @given(n_list=st.sampled_from([(4, 8, 32), (12, 32), (6, 16, 48), (16, 32, 64, 128)]),
            fine_factor=st.sampled_from([3, 6]), seed=st.integers(0, 1000))
     def test_milstein_pair_agrees_through_the_engine(self, n_list, fine_factor, seed):
-        # criterion 10c on folded K: both schemes read the same matrices
+        # criterion 10c on folded K: milstein54 reads it, while Milstein's
+        # step on the commutative gbm-drift forms each cell's K from its own
+        # dY, which has the same symmetric part
         prob = model.make_gbm_drift()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "DEFAULT_CHUNK", 25)
@@ -262,6 +265,72 @@ class TestMilstein:
         assert np.array_equal(out.diverged, schemes._flag_divergence(values))
 
 
+def _area_gap(prob, n, fine_factor, coarse_n):
+    """Per path, the largest gap between Milstein with the sub-grid K and
+    Milstein without kmat over the nodes, and the rounding bound on it for a
+    commutative field.
+
+    K is the sub-grid sum at n, folded to ``coarse_n`` (the base grid's
+    bundle, as in a rate run) when that is coarser.  With a symmetric
+    pairing the two runs agree in reals: the correction pairs h with K's
+    symmetric part only, which is the cell's own (dY dY^T - QV)/2, and K's
+    Levy area cancels.  In floats each step's two K differ in their symmetric
+    part by at most (4r + 8) eps S, S = (sum |dy|)^2 + |QV| over the cell's r
+    fine cells (see test_scalar_k_is_the_k_of_its_own_dy); a fold of m base
+    cells adds at most 12 m eps S for its sums of m K_j, of the Chen terms and
+    of the QV, and m <= r, so 16 r + 8 covers both.  h's two halves round
+    apart by at most 2 eps |h|, against an area of at most S, and the step's
+    einsums and adds round different operands by a few eps |x|.  For the
+    linear gbm-drift field |h| <= c^2 |x|, c = max(|alpha|, |beta|), and a
+    relative slip at one step stays relative through the product of later
+    steps, so the per-step terms add: at every node the gap is at most
+    eps max|X| sum_k (8 + (16 r + 10) c^2 S_k).  Measured gaps reach 4.3 eps
+    max|X|, far inside it.
+    """
+    fine = paths.simulate_bundle(prob.driver, paths.make_grid(n, fine_factor), 7, range(50))
+    bundle, kmat = fine, schemes.iterated_integrals(fine, n)
+    if coarse_n < n:
+        bundle = paths.PathBundle(paths.make_grid(n, 1), prob.driver, None,
+                                  fine.y[:, ::fine_factor], None)
+        kmat = schemes.fold_iterated_integrals(bundle, kmat, coarse_n)
+    sub = schemes.milstein(prob, bundle, coarse_n, kmat=kmat).values
+    own = schemes.milstein(prob, bundle, coarse_n).values
+    r = n * fine_factor // coarse_n
+    moves = np.abs(np.diff(fine.y, axis=1)).sum(axis=2).reshape(50, coarse_n, r).sum(axis=2)
+    qv = prob.driver.cell_qv(np.arange(coarse_n + 1) / coarse_n)
+    s = moves ** 2 + np.abs(qv).sum(axis=(1, 2))
+    c = np.abs(prob.field.df_at(np.ones((1, 1)))).max()  # the linear field's slopes (alpha, beta)
+    tol = np.finfo(float).eps * np.abs(own).max(axis=(1, 2)) \
+        * (8 + (16 * r + 10) * c ** 2 * s).sum(axis=1)
+    return np.abs(sub - own).max(axis=(1, 2)), tol
+
+
+class TestCommutativeField:
+    @pytest.mark.parametrize("params", [{}, {"alpha": 0.6, "beta": -1.5}])
+    @pytest.mark.parametrize("n,fine_factor,coarse_n",
+                             [(4, 16, 4), (8, 8, 2), (5, 24, 5), (6, 24, 3), (16, 64, 4)])
+    def test_own_k_is_the_subgrid_k_on_gbm_drift(self, params, n, fine_factor, coarse_n):
+        # Milstein without kmat, whose step forms each cell's K from its own
+        # dY on a commutative field, is Milstein with the sub-grid K (direct
+        # or folded) up to the rounding bound of _area_gap
+        prob = model.make_gbm_drift(**params)
+        assert prob.field.commutative
+        gap, tol = _area_gap(prob, n, fine_factor, coarse_n)
+        assert np.all(gap <= tol)
+
+    @pytest.mark.parametrize("n,fine_factor,coarse_n", [(8, 8, 2), (16, 64, 4)])
+    def test_levy_area_matters_on_ou(self, n, fine_factor, coarse_n):
+        # ou's pairing is not symmetric (h_Wt = 0, h_tW = -kappa noise), so
+        # its K's Levy area reaches the step: declared commutative, its
+        # Milstein run without kmat drops the area and moves far past the
+        # bound that holds on gbm-drift
+        prob = model.make_ou()
+        assert schemes.has_levy_area(prob.driver, prob.field)
+        wrong = dataclasses.replace(prob, field=dataclasses.replace(prob.field, commutative=True))
+        gap, tol = _area_gap(wrong, n, fine_factor, coarse_n)
+        assert gap.max() > 1e6 * tol.max()
+
+
 class TestMilsteinIto54:
     def test_requires_embedding(self):
         gbm = model.make_gbm()
@@ -289,8 +358,9 @@ class TestMilsteinIto54:
 
     @pytest.mark.parametrize("mode", ["exact", "fine"])
     def test_agrees_with_general_scheme(self, mode):
-        # same bundle, same per-cell integrals: agreement at rounding level,
-        # for the schemes' own K and for the sub-grid sum handed in as kmat
+        # same bundle: agreement at rounding level, for the schemes' own K
+        # (Milstein's from each cell's dY, milstein54's from the sub-grid)
+        # and for the sub-grid sum handed in to both as kmat
         prob = model.make_gbm_drift()
         b = paths.simulate_bundle(prob.driver, paths.make_grid(64, 16), 11, range(64))
         kmat = k_subgrid(b, 64) if mode == "fine" else None

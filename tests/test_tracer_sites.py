@@ -115,31 +115,44 @@ def test_traced_limit_sim_draws_wbar_for_its_fingerprints(tmp_path):
     assert layers["limits.sample_aux.calls"] == 1
 
 
-def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
-    # the scheme side of a rate fit: one Milstein run per chunk and n, one
-    # correction per coarse step, and K and the reference once per block of
-    # paths, and so is Y's assembly: a block holds W and the two-channel Y of
-    # 1025 fine nodes, 24600 bytes a path, so 85 paths fill its 2 MB and a
-    # chunk of 1000 has 12.  gbm-drift's driver (W, t) has d = 2, so its
-    # chunks still form the sub-grid K: 24 passes in all
-    n_list, n_paths, chunks, blocks = (16, 32, 64, 128), 2000, 2, 12
-    result = tmp_path / "result.json"
+def _traced_rate(tmp_path, model, scheme, n_list, n_paths):
+    """The layers of a traced ``rate`` run at fine factor 8 and seed 1."""
+    result = tmp_path / f"result-{model}-{scheme}.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), str(result),
-            repr(time.monotonic()), "1", "rate", "--model", "gbm-drift", "--scheme",
-            "milstein", "--n-list", ",".join(map(str, n_list)), "--fine-factor", "8",
-            "--paths", str(n_paths), "--seed", "1", "--out", str(tmp_path / "report")]
+            repr(time.monotonic()), "1", "rate", "--model", model, "--scheme",
+            scheme, "--n-list", ",".join(map(str, n_list)), "--fine-factor", "8",
+            "--paths", str(n_paths), "--seed", "1",
+            "--out", str(tmp_path / f"report-{model}-{scheme}")]
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode in (0, 1), proc.stderr
-    layers = json.loads(result.read_text())["layers"]
+    return json.loads(result.read_text())["layers"]
+
+
+def test_traced_rate_attributes_steps_corrections_and_k(tmp_path):
+    # the scheme side of a rate fit: one Milstein run per chunk and n, one
+    # correction per coarse step, and the reference once per block of
+    # paths, and so is Y's assembly: a block holds W and the two-channel Y of
+    # 1025 fine nodes, 24600 bytes a path, so 85 paths fill its 2 MB and a
+    # chunk of 1000 has 12.  gbm-drift's field is commutative, so Milstein's
+    # step forms each cell's K from its own dY: no sub-grid K pass runs.
+    # milstein54 on the same config, and Milstein on ou, whose field is not
+    # commutative, form the sub-grid K once per block of paths: 24 passes
+    n_list, n_paths, chunks, blocks = (16, 32, 64, 128), 2000, 2, 12
+    layers = _traced_rate(tmp_path, "gbm-drift", "milstein", n_list, n_paths)
     assert layers["schemes.steps"] == n_paths * sum(n_list)
     assert layers["schemes.milstein.calls"] == chunks * len(n_list)
     assert layers["model.correction_pairing.calls"] == chunks * sum(n_list)
-    assert layers["schemes.iterated_integrals.calls"] == chunks * blocks == 24
+    assert layers["schemes.iterated_integrals.calls"] == 0
+    assert layers["schemes.k_fine_cells"] == 0
     assert layers["schemes.reference.calls"] == chunks * blocks
     assert layers["paths.build_driver.calls"] == chunks * blocks
-    assert layers["schemes.k_fine_cells"] == n_paths * max(n_list) * 8
+    for model, scheme in (("gbm-drift", "milstein54"), ("ou", "milstein")):
+        layers = _traced_rate(tmp_path, model, scheme, n_list, n_paths)
+        assert layers["schemes.iterated_integrals.calls"] == chunks * blocks == 24, model
+        assert layers["schemes.k_fine_cells"] == n_paths * max(n_list) * 8, model
+        assert layers["paths.build_driver.calls"] == chunks * blocks, model
 
 
 def _tracer_sites():
