@@ -6,6 +6,8 @@ reference reaches its value by another route than the code it checks:
 
 - :func:`error_process`, the normalized error of a scheme against its
   reference solution, for the rate and law checks of the schemes;
+- :func:`brownian_family`, the whole-grid draw of one stream family,
+  against the blocked draws of :mod:`paths` and :mod:`limits`;
 - :func:`cell_split`, the whole-array form of :func:`paths.stream_cells`;
 - :func:`cube_functional` and :func:`fv_exact_nm`, the exact cube-sum form
   of the N functional, against the increments of :mod:`stats`;
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .limits import SQRT3, SQRT6, _trapezoid_increments
 from .model import CoefficientField, SdeProblem
-from .paths import DriverSpec, cell_size, running_sum
+from .paths import DriverSpec, Grid, cell_size, running_sum
 from .schemes import SchemeOutput
 
 _ALPHA = {"sqrt_n": 0.5, "n": 1.0, "n2": 2.0}
@@ -51,6 +54,20 @@ def error_process(scheme_out: SchemeOutput, reference_out: SchemeOutput,
     ref = reference_out.values[:, ::ref_T // n]
     scale = float(n) ** _ALPHA[alpha]
     return scale * (scheme_out.values - ref)
+
+
+def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
+                    channels: int = 1, width: int = 1) -> np.ndarray:
+    """Brownian increments of one stream family on the fine grid.
+
+    Every (path index, channel) key draws a (fine_count, width) matrix of
+    normals from its own stream; scaled by sqrt(fine_dt) it fills the
+    ``width`` columns from ``c * width`` of the result, which has shape
+    (n_paths, fine_count, channels * width).  The running sum along the
+    time axis is the path.
+    """
+    return rng.normal_matrix(rng.philox_keys(master_seed, component, path_indices, channels),
+                             (grid.fine_count, width), scale=np.sqrt(grid.fine_dt))
 
 
 def cell_split(inc: np.ndarray, coarse_n: int) -> tuple:

@@ -221,7 +221,7 @@ def drift_correct(dn: np.ndarray, driver: DriverSpec, times: np.ndarray) -> np.n
     return dn + _trapezoid_increments(0.5 * np.einsum("tac,tp->tpac", c, a), times)
 
 
-def u_row_bytes(problem: SdeProblem, with_n: bool = True) -> int:
+def u_row_bytes(problem: SdeProblem, with_n: bool = True, fingerprints: bool = False) -> int:
     """Bytes a block of U's steps holds per path and step, in :func:`simulate_u`.
 
     When the chunk forms N (``with_n``): X, f, Df, h and Hf; the forcing, N
@@ -229,14 +229,18 @@ def u_row_bytes(problem: SdeProblem, with_n: bool = True) -> int:
     and its diagonal; dM, dN and the drift-corrected dN.  Otherwise: X as
     the reference's nodes, their kept copy and the contiguous left nodes;
     f, Df, h and the (q, d^3) Df h coefficient; the forcing and coupling,
-    batch- and time-major; dY; the copy of B, and dW; dM.
+    batch- and time-major; dY; the copy of B, and dW; dM.  With
+    ``fingerprints`` (``simulate_u`` given ``fps``), also each step's
+    :func:`stats.fingerprints` products and their stacked rows, or those
+    rows and the copy that the cumsum adds them in.
     """
     q, d, m = problem.field.dim_q, problem.driver.dim_d, problem.driver.dim_m
+    fps = 2 * len(stats.FINGERPRINTS) if fingerprints else 0
     if with_n:
         return 8 * (q + q * d * (1 + q + d + q * q) + 3 * q + 2 * q * q + d
-                    + 2 * m ** 3 + 3 * m + 3 * d ** 3)
+                    + 2 * m ** 3 + 3 * m + 3 * d ** 3 + fps)
     return 8 * (3 * q + q * d * (1 + q + d + d * d) + 2 * q + 2 * q * q + d + m ** 3 + m
-                + d ** 3)
+                + d ** 3 + fps)
 
 
 def integrate_u(problem: SdeProblem, u: np.ndarray, x_left: np.ndarray, dy: np.ndarray,
@@ -339,7 +343,8 @@ def simulate_u(problem: SdeProblem, noise, fps: np.ndarray = None,
         n_paths, cells = bundle.n_paths, bundle.cells
         u = np.zeros((n_paths, problem.field.dim_q)) if u is None else u
         rows = rows_per_block(bundle.grid.fine_count,
-                              n_paths * u_row_bytes(problem, aux.dwbar is not None))
+                              n_paths * u_row_bytes(problem, aux.dwbar is not None,
+                                                    fps is not None))
         cube = sigma_cube(driver, aux.times()[:-1])
         for start in range(cells.start, cells.stop, rows):
             blk = slice(start, min(start + rows, cells.stop))

@@ -110,6 +110,23 @@ def correction_pairing(field: CoefficientField, x, f: np.ndarray = None) -> np.n
     return out
 
 
+def check_commutative(field: CoefficientField, x) -> None:
+    """Raise ValueError if ``field``'s pairing at the states ``x``, (..., q), is not symmetric.
+
+    A field that declares itself commutative has h^i_{ab} = h^i_{ba} up to
+    rounding: each side rounds twice, so they agree within 4 eps of max |h|.
+    A run that takes the declaration's word checks it here, on states it
+    already holds; no states, no check.
+    """
+    h = correction_pairing(field, x)
+    if not h.size:
+        return
+    gap = np.abs(h - np.swapaxes(h, -1, -2)).max()
+    if gap > 4 * np.finfo(float).eps * np.abs(h).max():
+        raise ValueError(f"the field declares itself commutative, but its pairing "
+                         f"h_ab - h_ba reaches {gap:.3g} at the run's states")
+
+
 def _check_nonfinite_pairing(field: CoefficientField, x, out: np.ndarray) -> None:
     """Tell overflow from a defective field where the pairing is non-finite.
 

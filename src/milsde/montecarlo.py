@@ -18,7 +18,9 @@ K from each cell's own dY when the cell's Levy area cannot reach it, on a
 scalar driver or a commutative field.  The levels
 then run on base-grid arrays only, so no fine path of the whole chunk is
 ever held, except the fine Y that a model without a closed form marches
-its reference over.
+its reference over.  A d > 1 field's commutative declaration, which
+Milstein takes on its word, is checked once per chunk on the reference's
+last states (:func:`model.check_commutative`).
 """
 
 import math
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import limits, rng, schemes
-from .model import SdeProblem
+from .model import SdeProblem, check_commutative
 # simulate_bundle is not called here; perfbench/tracer.py wraps it under this name
 from .paths import (DEFAULT_CHUNK, PathBundle, make_grid, over_chunks,  # noqa: F401
                     simulate_bundle, stream_paths)
@@ -223,6 +225,11 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
                              f"of {grid.fine_count}")
     runner = _SCHEMES[scheme]
     subgrid_k = _SUBGRID_K[scheme](problem)
+    # Milstein's own-dY K on a d > 1 driver takes the field's declaration
+    # that it is commutative on its word; each chunk checks that word on
+    # the reference's last states
+    check_pairing = (scheme == "milstein" and problem.driver.dim_d > 1
+                     and problem.field.commutative)
     base = math.lcm(*n_list)  # divides the fine grid, since every n does
     every = grid.fine_count // base
     # what depends on the grid alone is formed once per chunk, not per block
@@ -259,6 +266,8 @@ def scheme_error_samples(problem: SdeProblem, scheme: str, n_list, paths: int,
     def work(idx):
         bundle, kbase, ref_values, kept = base_grid(idx)
         ref_end = ref_values[:, -1]
+        if check_pairing:
+            check_commutative(problem.field, ref_end[kept])
         err, sup = [], []
         for n in n_list:
             if kbase is None:

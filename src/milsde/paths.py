@@ -395,21 +395,6 @@ class PathBundle:
         return slice(cells.start - self.start, cells.stop + 1 - self.start)
 
 
-def brownian_family(grid: Grid, master_seed: int, path_indices, component: int,
-                    channels: int = 1, width: int = 1) -> np.ndarray:
-    """Brownian increments of one stream family on the fine grid.
-
-    Every (path index, channel) key draws a (fine_count, width) matrix of
-    normals from its own stream; scaled by sqrt(fine_dt) it fills the
-    ``width`` columns from ``c * width`` of the result, which has shape
-    (n_paths, fine_count, channels * width).  The running sum along the
-    time axis is the path.  No verb calls it: it is the whole-grid
-    reference the blocked draws are tested against.
-    """
-    return rng.normal_matrix(rng.philox_keys(master_seed, component, path_indices, channels),
-                             (grid.fine_count, width), scale=np.sqrt(grid.fine_dt))
-
-
 def driver_coefficients(spec: DriverSpec, grid: Grid, cells: slice = None,
                         a_start: np.ndarray = None) -> tuple:
     """(sigma, a_int) of ``spec`` on the fine cells ``cells`` of ``grid``, checked finite.
@@ -459,10 +444,14 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid, coefficients: tupl
 
     y_k = sum_{j<k} sigma(t_j) dW_j + a_int_k with
     a_int_k = sum_{j<k} a(t_j) dt.  For constant coefficients the sums
-    telescope, so they are evaluated directly on the path values.  When Y
-    is W (a constant sigma = I without a drift) the ``y`` returned is ``w``
-    itself; any other ``y`` is written to ``out``, (n_paths, T, d), or to a
-    fresh array when ``out`` is None, and gets a_int added in place.  ``w``
+    telescope, so they are evaluated directly on the path values, one
+    output channel c at a time: sigma[c, 0] w_0, then + sigma[c, j] w_j in
+    sequence, then + a_int[:, c] when the driver has a drift, each a column
+    of every path and node (numpy's loop over a d-wide channel axis costs
+    several times more per number).  When Y is W (a constant sigma = I
+    without a drift) the ``y`` returned is ``w`` itself; any other ``y`` is
+    written to ``out``, (n_paths, T, d), or to a fresh array when ``out`` is
+    None, and gets a_int added in place.  ``w``
     is a batch (n_paths, T, m) of the grid's nodes; ``a_int`` is
     deterministic and returned once, (T, d).  ``coefficients`` is
     :func:`driver_coefficients` of ``spec`` on ``w``'s cells, formed on the
@@ -486,10 +475,16 @@ def build_driver(spec: DriverSpec, w: np.ndarray, grid: Grid, coefficients: tupl
         _sum_on(y, bool(y_end))
         if y_end is not None:
             y_end[:] = [y[:, -1].copy()]
-    else:
-        np.einsum("dm,bkm->bkd", sig, w, out=y)
-    if spec.drift is not None:
-        y += a_int
+        if spec.drift is not None:
+            y += a_int
+        return y, a_int
+    for c in range(spec.dim_d):  # a channel at a time, each a column of paths and nodes
+        col = y[..., c]
+        np.multiply(w[..., 0], sig[c, 0], out=col)
+        for j in range(1, spec.dim_m):
+            col += sig[c, j] * w[..., j]
+        if spec.drift is not None:
+            col += a_int[:, c]
     return y, a_int
 
 

@@ -11,7 +11,10 @@ deterministic quadratic variation, so a cell with no Levy area, a scalar
 driver's or one of one sub-cell, forms K from its own dY inside the step
 (:func:`_own_k`; for Brownian noise ((dW)^2 - dt)/2).  So does a cell of a
 field that declares itself commutative (h^i_{ab} = h^i_{ba}): the
-correction reads only K's symmetric part, and its Levy area cancels.  Only
+correction reads only K's symmetric part, and its Levy area cancels.  The
+step loop reads dY, and the step forms that K, one channel column of paths
+at a time, since numpy's inner loop over a d-wide channel axis costs
+several times more per number than one over the paths.  Only
 a d > 1 driver's cell under a field with no such declaration
 (:func:`has_levy_area`) reads the sub-grid K, the sum :func:`stats.k_fine`
 with its symmetric part replaced by that identity; so does
@@ -150,22 +153,29 @@ def _march(x0, y: np.ndarray, coarse_n: int, step, every: int = 1) -> SchemeOutp
     """Run ``x = step(x, dy, k)`` from ``x0`` over ``coarse_n`` cells of the nodes of ``y``.
 
     ``x0`` is the start state, (q,) or one per path (n_paths, q); ``x`` is
-    (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d).
-    Every ``every``-th node is kept; ``every`` must divide ``coarse_n``.  A
-    path that leaves the band at any node, kept or not, is flagged, never
-    raised.
+    (n_paths, q) and ``dy`` the driver's move over cell k, (n_paths, d),
+    read from ``y`` one channel at a time into one buffer that every step
+    reuses, so a step must not keep it.  A node of ``y`` is a row of d
+    channels, each path's a stride apart; numpy's loop over a row would run
+    d elements at a time, while one over a channel's column runs over every
+    path.  Every ``every``-th node is kept; ``every`` must divide
+    ``coarse_n``.  A path that leaves the band at any node, kept or not, is
+    flagged, never raised.
     """
     r = cell_size(y.shape[1] - 1, coarse_n)
     kept = cell_size(coarse_n, every)
-    B, q = len(y), np.shape(x0)[-1]
+    (B, _, d), q = y.shape, np.shape(x0)[-1]
     out = np.empty((B, kept + 1, q))
     x = np.broadcast_to(x0, (B, q)).copy()
     out[:, 0] = x
+    dy = np.empty((B, d))
     # the band check on a running max of |x|: np.maximum keeps a NaN once seen
     peak = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(coarse_n):
-            x = step(x, y[:, (k + 1) * r] - y[:, k * r], k)
+            for c in range(d):  # a column of paths at a time, not a row of d channels
+                np.subtract(y[:, (k + 1) * r, c], y[:, k * r, c], out=dy[:, c])
+            x = step(x, dy, k)
             np.maximum(peak, np.abs(x), out=peak)
             if (k + 1) % every == 0:
                 out[:, (k + 1) // every] = x
@@ -206,10 +216,21 @@ def has_levy_area(driver, field) -> bool:
 
 
 def _own_k(qv: np.ndarray):
-    """``k_at(dy, k)``: cell k's K = (dY dY^T - QV)/2, exact with no Levy area; ``qv`` per cell."""
+    """``k_at(dy, k)``: cell k's K = (dY dY^T - QV)/2, exact with no Levy area; ``qv`` per cell.
+
+    K, (n_paths, d, d), is filled entry by entry, each entry (a, c) the
+    column dy_a dy_c - QV_ac over every path, and then halved: the
+    operations of the broadcast outer product, in its order and with its
+    bits, but with numpy's loop over the paths, not over d.
+    """
     def k_at(dy, k):
-        kk = dy[:, :, None] * dy[:, None, :]
-        kk -= qv[k]
+        d = dy.shape[1]
+        kk = np.empty((len(dy), d, d))
+        for a in range(d):  # entry by entry, each a column of paths
+            for c in range(d):
+                col = kk[:, a, c]
+                np.multiply(dy[:, a], dy[:, c], out=col)
+                col -= qv[k, a, c]
         kk *= 0.5
         return kk
     return k_at

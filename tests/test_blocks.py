@@ -467,7 +467,7 @@ def test_reference_rejects_a_step_that_does_not_divide_the_grid():
 
 def _limit_inputs(prob):
     grid = paths.Grid(FINE, 1)
-    dw = paths.brownian_family(grid, 9, np.arange(PATHS), rng.LIMIT_W, width=prob.driver.dim_m)
+    dw = crosscheck.brownian_family(grid, 9, np.arange(PATHS), rng.LIMIT_W, width=prob.driver.dim_m)
     aux = limits.sample_aux(grid, prob.driver.dim_m, 9, range(PATHS))
     return grid, dw, aux
 
@@ -532,19 +532,19 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
     idx = np.arange(n_paths)
     trapz = oracles._trapz_cells
     if case == "7.6":
-        cells = crosscheck.cell_split(paths.brownian_family(grid, seed, idx, rng.DRIVER_W), n)
+        cells = crosscheck.cell_split(crosscheck.brownian_family(grid, seed, idx, rng.DRIVER_W), n)
         scale = np.array([n ** 2, n ** 2, n ** 2, n, n], dtype=float)
         mm, nn, nm, nw, mw = (scale * stats.fingerprints(stats.dm(cells), stats.dn(cells),
                                                          cells[0])).T
         return [nn, mm, nm, nw, mw]
     if case == "7.7-80":
-        nodes = crosscheck.cell_split(paths.brownian_family(grid, seed, idx, rng.ORACLE), n)[1]
+        nodes = crosscheck.cell_split(crosscheck.brownian_family(grid, seed, idx, rng.ORACLE), n)[1]
         return [n * trapz(nodes[:, :, 1:, 0] ** 2)]
     if case == "null":
         r, dt = fine_factor, grid.fine_dt
         tau_left, tau_nodes = np.arange(r) * dt, np.arange(1, r + 1) * dt
         dyc, disp = crosscheck.cell_split(
-            paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
+            crosscheck.brownian_family(grid, seed, idx, rng.ORACLE, channels=2), n)
         dw, db = dyc[..., 0], dyc[..., 1]
         w_left, w_nodes = disp[:, :, :-1, 0], disp[:, :, 1:, 0]
         inner_wb = paths.running_sum(w_left * db, axis=2)
@@ -555,7 +555,7 @@ def oracle_whole(case, n, fine_factor, n_paths, seed):
                 n * (inner_aw[:, :, :-1] * db).sum(axis=(1, 2)),
                 n * trapz(inner_aw[:, :, 1:])]
     dyc, disp = crosscheck.cell_split(
-        paths.brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
+        crosscheck.brownian_family(grid, seed, idx, rng.ORACLE, channels=4), n)
 
     def inner(u, v):
         return paths.running_sum(disp[:, :, :-1, u] * dyc[..., v], axis=2)[:, :, 1:]

@@ -61,7 +61,7 @@ class TestAuxiliaryNoise:
     def test_families_uncorrelated(self):
         g = paths.Grid(16, 1)
         aux = limits.sample_aux(g, 1, 5, range(4000))
-        w1 = paths.brownian_family(g, 5, np.arange(4000), rng.LIMIT_W)[:, :, 0].sum(axis=1)
+        w1 = crosscheck.brownian_family(g, 5, np.arange(4000), rng.LIMIT_W)[:, :, 0].sum(axis=1)
         b1 = aux.db[:, :, 0, 0, 0].sum(axis=1)
         wbar1 = aux.dwbar[:, :, 0].sum(axis=1)
         pairs = [(b1, wbar1), (b1, w1), (wbar1, w1)]
@@ -73,7 +73,7 @@ class TestAuxiliaryNoise:
         # [V,V] = 3t, [V,B] = sqrt2 t, [V,W] = (sqrt3/2) t
         g = paths.Grid(256, 1)
         aux = limits.sample_aux(g, 1, 8, range(3000))
-        dw = paths.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W)
+        dw = crosscheck.brownian_family(g, 8, np.arange(3000), rng.LIMIT_W)
         dv = limits.assemble_v_increments(aux, dw)[:, :, 0, 0, 0]
         db = aux.db[:, :, 0, 0, 0]
         dw = dw[:, :, 0]
@@ -96,7 +96,7 @@ class TestSimulateMn:
         # Var(M_1) = 1/6, Var(N_1) = 1, Cov(N, M) = 1/3, Cov(N, W) = 1/2
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(256, 1)
-        dw = paths.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W)
+        dw = crosscheck.brownian_family(g, 7, np.arange(8000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 7, range(8000))
         dm, dn = limits.simulate_mn(drv, dw, aux)
         m1, n1, w1 = (x.sum(axis=1)[:, 0] for x in (dm[..., 0, 0], dn[..., 0, 0], dw))
@@ -109,7 +109,7 @@ class TestSimulateMn:
         # pathwise covariations of the simulated limits hit the constants
         drv = paths.brownian_motion_driver(1)
         g = paths.Grid(1024, 1)
-        dw = paths.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W)
+        dw = crosscheck.brownian_family(g, 15, np.arange(3000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 15, range(3000))
         dm, dn = limits.simulate_mn(drv, dw, aux)
         dm, dn, dw = dm[:, :, 0, 0, 0], dn[:, :, 0, 0, 0], dw[:, :, 0]
@@ -124,7 +124,7 @@ class TestSimulateMn:
         # first driving component and nothing in the second
         drv = paths.ito_embedding_driver()
         g = paths.Grid(1024, 1)
-        dw = paths.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W)
+        dw = crosscheck.brownian_family(g, 19, np.arange(3000), rng.LIMIT_W)
         aux = limits.sample_aux(g, 1, 19, range(3000))
         dm, dn = limits.simulate_mn(drv, dw, aux)
         assert np.all(dn[:, :, 1] == 0.0)  # sigma^{2p} = 0
@@ -148,7 +148,7 @@ class TestSimulateMn:
         sigma = (lambda s: base * (1.0 + s) + 0.3 * np.sin(3.0 * s)) if timed else base
         drv = paths.DriverSpec(dim_d=d, dim_m=m, sigma=sigma, label="cube")
         g = paths.Grid(64, 1)
-        dw = paths.brownian_family(g, 3, np.arange(40), rng.LIMIT_W, width=m)
+        dw = crosscheck.brownian_family(g, 3, np.arange(40), rng.LIMIT_W, width=m)
         aux = limits.sample_aux(g, m, 3, range(40))
         dm, dn = limits.simulate_mn(drv, dw, aux)
         sig = drv.sigma_at(g.times()[:-1])
@@ -576,7 +576,7 @@ class TestByteFormulas:
     @staticmethod
     def _u_peak_per_formula(prob, with_n, fingerprints=False):
         draws = 200
-        row = limits.u_row_bytes(prob, with_n)
+        row = limits.u_row_bytes(prob, with_n, fingerprints)
         steps = paths.rows_per_block(1 << 20, draws * row)
         grid, bundle, aux = limit_inputs(prob, steps, 3, draws)
         aux = aux if with_n else replace(aux, dwbar=None)
@@ -598,7 +598,8 @@ class TestByteFormulas:
     def test_u_row_bytes_size_limit_sims_block_of_u(self, case):
         # limit-sim's block also holds each step's fingerprint products,
         # their stacked rows and the cumsum that adds them, which the formula
-        # leaves out: it undercounts them, inside the band (1.09-1.20)
+        # counts with ``fingerprints`` (0.99; gbm, which shares dY and dW,
+        # 0.77).  Left out, they read 1.09-1.20
         assert 0.5 <= self._u_peak_per_formula(self.CASES[case](), True, True) <= 1.25
 
     @pytest.mark.parametrize("case", ["gbm", "gbm-drift"])

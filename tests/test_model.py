@@ -155,6 +155,7 @@ class TestCommutativeDeclaration:
         h = model.correction_pairing(fld, x.reshape(8, fld.dim_q))
         np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), rtol=4 * np.finfo(float).eps,
                                    atol=0)
+        model.check_commutative(fld, x.reshape(8, fld.dim_q))  # the run's check agrees
 
     @pytest.mark.parametrize("name", sorted(_UNDECLARED))
     def test_undeclared_field_pairs_asymmetrically(self, name):
@@ -165,6 +166,8 @@ class TestCommutativeDeclaration:
         h = model.correction_pairing(fld, x)
         assert np.abs(h - np.swapaxes(h, -1, -2)).max() > 0.1
         assert not fld.commutative
+        with pytest.raises(ValueError, match="declares itself commutative"):
+            model.check_commutative(fld, x)
 
 
 class TestOdeCurvature:

@@ -187,6 +187,24 @@ class TestRateExperiment:
             montecarlo.scheme_error_samples(prob, "milstein", [16, 32, 128], 100,
                                             fine_factor=1, seed=1)
 
+    @pytest.mark.parametrize("scheme,raises", [("milstein", True), ("euler", False),
+                                               ("milstein54", False)])
+    def test_false_commutative_declaration_raises(self, scheme, raises):
+        # the (sin, cos) field's pairing is not symmetric (h_Wt = cos^2,
+        # h_tW = -sin^2), yet it declares itself commutative: Milstein, which
+        # would take its K from the cells' own dY on that word, checks it on
+        # each chunk's reference states and refuses.  Euler reads no K and
+        # milstein54 always reads the sub-grid K, so neither takes the word
+        prob = model.ito_problem(a=np.sin, da=np.cos, d2a=lambda x: -np.sin(x),
+                                 b=np.cos, db=lambda x: -np.sin(x), d2b=lambda x: -np.cos(x),
+                                 commutative=True)
+        run = lambda: montecarlo.run_rate_experiment(prob, scheme, [2, 4, 16], 20, 2, seed=1)
+        if raises:
+            with pytest.raises(ValueError, match="declares itself commutative"):
+                run()
+        else:
+            run()
+
     def test_unknown_scheme(self):
         with pytest.raises(KeyError, match="unknown scheme"):
             montecarlo.scheme_error_samples(model.make_gbm(), "rk4", [16, 32, 64],

@@ -54,7 +54,7 @@ class TestBrownianCases:
         variances = []
         for n in grids:
             grid = paths.Grid(n, 32)
-            p = paths.brownian_family(grid, 17, np.arange(1500), rng.ORACLE, channels=4)
+            p = crosscheck.brownian_family(grid, 17, np.arange(1500), rng.ORACLE, channels=4)
             nodes = np.moveaxis(crosscheck.cell_split(p, n)[1][:, :, 1:], -1, 0)
             work = np.empty((3,) + nodes.shape[1:])  # two prefixes and the product
             stat = oracles.quartic_time_average(nodes, [(0, 0, 0, 0)], work)[0]

@@ -171,6 +171,24 @@ class TestBuildDriver:
         else:
             assert y is out
 
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_constant_sigma_is_the_einsum(self, d, m, drift):
+        # a constant sigma's Y, assembled one output channel at a time, holds
+        # the bits of the whole-array einsum plus a_int.  For m <= 2 its sum
+        # over j is one add, whose order cannot matter; at m = 3 the einsum
+        # sums in another order and the two differ by rounding
+        sigma = np.random.default_rng(d + 3 * m).standard_normal((d, m))
+        spec = paths.DriverSpec(dim_d=d, dim_m=m, sigma=sigma,
+                                drift=np.linspace(-1.0, 2.0, d) if drift else None)
+        g = paths.make_grid(4, 4)
+        w = paths.simulate_bundle(paths.brownian_motion_driver(m), g, 3, range(5)).w
+        y, a_int = paths.build_driver(spec, w, g)
+        want = np.einsum("dm,bkm->bkd", sigma, w)
+        if drift:
+            want += a_int
+        assert np.array_equal(y, want)
+
     def test_pure_drift_exact(self):
         g = paths.make_grid(8, 8)
         w = paths.simulate_bundle(paths.brownian_motion_driver(1), g, 3, [0]).w
@@ -454,7 +472,7 @@ class TestBrownianFamily:
         g = self.GRID
         want = _reference_path(11, rng.DRIVER_W, 5, (g.fine_count, 2), 0, g)
         for batch in self.BATCHES:
-            dw = paths.brownian_family(g, 11, batch, rng.DRIVER_W, width=2)
+            dw = crosscheck.brownian_family(g, 11, batch, rng.DRIVER_W, width=2)
             b = list(batch).index(5)
             assert dw.shape == (len(batch), g.fine_count, 2)
             assert np.array_equal(np.cumsum(dw[b], axis=0), want)
@@ -481,7 +499,7 @@ class TestBrownianFamily:
     def test_oracle_layout(self):
         g = self.GRID
         for batch in self.BATCHES:
-            fam = paths.brownian_family(g, 11, batch, rng.ORACLE, channels=4)
+            fam = crosscheck.brownian_family(g, 11, batch, rng.ORACLE, channels=4)
             b = list(batch).index(5)
             assert fam.shape == (len(batch), g.fine_count, 4)
             for c in range(4):

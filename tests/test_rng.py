@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milsde import paths, rng
+from milsde import crosscheck, paths, rng
 
 WORD = 1 << 32
 
@@ -73,14 +73,14 @@ class TestNormalMatrix:
 
     def test_threads_on_disjoint_indices_match_the_serial_draw(self):
         grid = paths.make_grid(8, 16)
-        serial = paths.brownian_family(grid, 21, np.arange(64), rng.AUX_B, channels=3)
+        serial = crosscheck.brownian_family(grid, 21, np.arange(64), rng.AUX_B, channels=3)
         parts = {}
         barrier = threading.Barrier(4)
 
         def work(k):
             barrier.wait(timeout=30)
             idx = np.arange(k, 64, 4)  # interleaved, so the threads' keys alternate
-            parts[k] = (idx, paths.brownian_family(grid, 21, idx, rng.AUX_B, channels=3))
+            parts[k] = (idx, crosscheck.brownian_family(grid, 21, idx, rng.AUX_B, channels=3))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milsde import crosscheck, model, montecarlo, paths, schemes, stats
+from milsde import crosscheck, model, montecarlo, paths, rng, schemes, stats
 
 
 def det_exp_bundle(n, r, seed=1, n_paths=1):
@@ -329,6 +329,41 @@ class TestCommutativeField:
         wrong = dataclasses.replace(prob, field=dataclasses.replace(prob.field, commutative=True))
         gap, tol = _area_gap(wrong, n, fine_factor, coarse_n)
         assert gap.max() > 1e6 * tol.max()
+
+
+class TestColumnForms:
+    # the step loop's dY and own-dY K are formed one column of paths at a
+    # time; each must hold the bits of the whole-row expressions it replaced,
+    # kept here as the reference
+    @pytest.mark.parametrize("timed", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_own_k_is_the_broadcast_outer_product(self, d, timed):
+        sigma = np.array([[1.0, 0.0], [0.4, -0.7], [0.2, 0.9]])[:d]
+        spec = paths.DriverSpec(dim_d=d, dim_m=2, sigma=(lambda s: (1.0 + s) * sigma)
+                                if timed else sigma)
+        qv = spec.cell_qv(np.arange(9) / 8)
+        dy = np.random.default_rng(3).standard_normal((40, d)) / 3.0
+        k_at = schemes._own_k(qv)
+        for k in range(8):
+            assert np.array_equal(k_at(dy, k), 0.5 * (dy[:, :, None] * dy[:, None, :] - qv[k]))
+
+    def test_march_reads_each_cells_move_from_its_nodes(self):
+        # on a strided base-grid Y (a rate chunk's bundle.y[:, ::every]) and
+        # on a time block's nodes (a limit chunk's bundle.y[:, nodes]), every
+        # step's dy is the row difference y[:, (k+1) r] - y[:, k r]
+        spec, grid = paths.ito_embedding_driver(), paths.make_grid(6, 4)
+        whole = paths.simulate_bundle(spec, grid, 5, range(7)).y
+        keys = rng.philox_keys(5, rng.DRIVER_W, range(7), 1)
+        blocks = paths.stream_times(spec, grid, keys, 10, paths.Workspace())
+        next(blocks)
+        block = next(blocks).y  # fine nodes 10..20
+        for y, cells in ((whole[:, ::4], 6), (whole, 12), (block, 5), (block, 10)):
+            seen = []
+            schemes._march(np.zeros(1), y, cells, lambda x, dy, k: seen.append(dy.copy()) or x)
+            r = (y.shape[1] - 1) // cells
+            for k, dy in enumerate(seen):
+                assert np.array_equal(dy, y[:, (k + 1) * r] - y[:, k * r])
+            assert len(seen) == cells
 
 
 class TestMilsteinIto54:
